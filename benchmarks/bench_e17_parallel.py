@@ -52,7 +52,7 @@ from repro.datasets import (
     lubm_queries,
     lubm_schema,
 )
-from repro.engine.pipeline import join_relations
+from repro.query.evaluation import join_relations
 from repro.federation import Endpoint, FederatedAnswerer
 from repro.parallel import ExecutorPool
 from repro.query import Variable

@@ -226,7 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument(
         "--engine", default="builtin",
-        choices=["builtin", "materialized", "pipelined"],
+        choices=["builtin", "materialized"],
     )
     parser.add_argument(
         "--output",

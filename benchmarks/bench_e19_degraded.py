@@ -344,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--recovery-rounds", type=int, default=14)
     parser.add_argument(
         "--engine", default="builtin",
-        choices=["builtin", "materialized", "pipelined"],
+        choices=["builtin", "materialized"],
     )
     parser.add_argument(
         "--output",

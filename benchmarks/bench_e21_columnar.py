@@ -1,15 +1,16 @@
-"""E21 — the columnar engine against both row engines on Example 1.
+"""E21 — the columnar engine against the materialized interpreter on
+Example 1.
 
 The columnar engine's claim: over the same plan IR, SPO/POS/OSP
-sorted-run scans plus merge joins and merge unions beat the row
-engines on the reformulation blowup — the per-atom SCQ cover whose
+sorted-run scans plus merge joins and merge unions beat the
+interpreter on the reformulation blowup — the per-atom SCQ cover whose
 unions multiply through the joins — while never buffering more rows
-than the pipelined engine (merge operators hold only the current
-equal-key groups; everything else falls back to the pipelined
-engine's own algorithms).
+than the interpreter's largest operator output (merge operators hold
+only the current equal-key groups; the hash fallback buffers only its
+build side).
 
 Measured here, per cover and per engine: wall time (best of N), peak
-rows held, and answer identity across all three engines.  The deep
+rows held, and answer identity across both engines.  The deep
 run uses a ~10^6-triple LUBM fragment (``--universities 540``) where
 the vectorized scans' constant-factor win compounds; CI smoke
 (``--quick``) runs one university and asserts the ordering only.
@@ -67,76 +68,69 @@ def _peak(report) -> int:
     return report.execution.peak_buffered_rows
 
 
-def run_three_engine_comparison(
+def run_engine_comparison(
     graph, query, rounds: int = ROUNDS
-) -> List[Tuple[str, object, object, object]]:
-    """(cover label, materialized, pipelined, columnar report) per
-    cover, answers asserted identical across the matrix."""
+) -> List[Tuple[str, object, object]]:
+    """(cover label, materialized, columnar report) per cover, answers
+    asserted identical."""
     answerers = {
         engine: QueryAnswerer(graph, engine=engine)
-        for engine in ("materialized", "pipelined", "columnar")
+        for engine in ("materialized", "columnar")
     }
     results = []
     for label, cover in cover_spectrum(query):
         rm = _best_report(answerers["materialized"], query, cover, rounds)
-        rp = _best_report(answerers["pipelined"], query, cover, rounds)
         rc = _best_report(answerers["columnar"], query, cover, rounds)
-        assert rp.answer == rm.answer, label
         assert rc.answer == rm.answer, label
-        results.append((label, rm, rp, rc))
+        results.append((label, rm, rc))
     return results
 
 
-def emit_report(graph) -> str:
-    query = example1_query()
-    rows = []
-    for label, rm, rp, rc in run_three_engine_comparison(graph, query):
-        rows.append(
-            [
-                label,
-                "%.1f" % (rm.elapsed_seconds * 1e3),
-                "%.1f" % (rp.elapsed_seconds * 1e3),
-                "%.1f" % (rc.elapsed_seconds * 1e3),
-                _peak(rm),
-                _peak(rp),
-                _peak(rc),
-                "%.2fx" % (rm.elapsed_seconds / max(rc.elapsed_seconds, 1e-9)),
-            ]
-        )
+def _table(results) -> str:
+    rows = [
+        [
+            label,
+            "%.1f" % (rm.elapsed_seconds * 1e3),
+            "%.1f" % (rc.elapsed_seconds * 1e3),
+            _peak(rm),
+            _peak(rc),
+            "%.2fx" % (rm.elapsed_seconds / max(rc.elapsed_seconds, 1e-9)),
+        ]
+        for label, rm, rc in results
+    ]
     return format_table(
-        ["cover", "mat ms", "pipe ms", "col ms",
-         "mat peak", "pipe peak", "col peak", "col speedup"],
+        ["cover", "mat ms", "col ms", "mat peak", "col peak", "col speedup"],
         rows,
-        title="E21: three engines across Example 1's cover spectrum",
+        title="E21: both engines across Example 1's cover spectrum",
     )
+
+
+def emit_report(graph) -> str:
+    return _table(run_engine_comparison(graph, example1_query()))
 
 
 # ---------------------------------------------------------------------------
 # pytest entry points (collected with the rest of benchmarks/)
 
 
-def test_three_engines_agree_across_cover_spectrum(lubm_graph):
+def test_engines_agree_across_cover_spectrum(lubm_graph):
     query = example1_query()
-    results = run_three_engine_comparison(lubm_graph, query, rounds=1)
+    results = run_engine_comparison(lubm_graph, query, rounds=1)
     assert len(results) == 2
-    for _label, rm, rp, rc in results:
+    for _label, rm, rc in results:
         assert rm.execution.engine == "materialized"
-        assert rp.execution.engine == "pipelined"
         assert rc.execution.engine == "columnar"
         assert rc.execution.metrics is not None
 
 
-def test_columnar_peak_no_worse_than_pipelined_on_scq(lubm_graph):
+def test_columnar_peak_no_worse_than_materialized_on_scq(lubm_graph):
     """The memory half of the claim: on the blowup cover the columnar
-    engine's high-water mark never exceeds the pipelined engine's."""
+    engine's high-water mark never exceeds the interpreter's largest
+    operator output."""
     query = example1_query()
-    cover = Cover.per_atom(query)
-    pipelined = QueryAnswerer(lubm_graph, engine="pipelined")
-    columnar = QueryAnswerer(lubm_graph, engine="columnar")
-    rp = _best_report(pipelined, query, cover, rounds=1)
-    rc = _best_report(columnar, query, cover, rounds=1)
-    assert rc.answer == rp.answer
-    assert _peak(rc) <= _peak(rp)
+    label, rm, rc = run_engine_comparison(lubm_graph, query, rounds=1)[0]
+    assert label == "per-atom (SCQ)"
+    assert _peak(rc) <= _peak(rm)
 
 
 def test_benchmark_columnar_scq(benchmark, lubm_graph):
@@ -188,54 +182,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     graph = generate_lubm(universities=universities, seed=args.seed)
     print("%d universities, %d triples" % (universities, len(graph)))
     query = example1_query()
-    results = run_three_engine_comparison(graph, query, rounds=args.rounds)
-    rows = [
-        [
-            label,
-            "%.1f" % (rm.elapsed_seconds * 1e3),
-            "%.1f" % (rp.elapsed_seconds * 1e3),
-            "%.1f" % (rc.elapsed_seconds * 1e3),
-            _peak(rm), _peak(rp), _peak(rc),
-            "%.2fx" % (rm.elapsed_seconds / max(rc.elapsed_seconds, 1e-9)),
-        ]
-        for label, rm, rp, rc in results
-    ]
-    print(format_table(
-        ["cover", "mat ms", "pipe ms", "col ms",
-         "mat peak", "pipe peak", "col peak", "col speedup"],
-        rows,
-        title="E21: three engines across Example 1's cover spectrum",
-    ))
+    results = run_engine_comparison(graph, query, rounds=args.rounds)
+    print(_table(results))
     payload = {
         "experiment": "E21",
         "claim": "the columnar engine beats the materialized interpreter "
                  ">=3x on the reformulation-blowup cover at scale, with "
-                 "peak buffered rows no worse than the pipelined engine",
+                 "peak buffered rows no worse than the interpreter's "
+                 "largest operator output",
         "universities": universities,
         "triples": len(graph),
         "seed": args.seed,
         "covers": {
             label: {
                 "materialized_seconds": rm.elapsed_seconds,
-                "pipelined_seconds": rp.elapsed_seconds,
                 "columnar_seconds": rc.elapsed_seconds,
                 "materialized_peak_rows": _peak(rm),
-                "pipelined_peak_rows": _peak(rp),
                 "columnar_peak_rows": _peak(rc),
                 "columnar_speedup_vs_materialized":
                     rm.elapsed_seconds / max(rc.elapsed_seconds, 1e-9),
                 "rows": rm.cardinality,
             }
-            for label, rm, rp, rc in results
+            for label, rm, rc in results
         },
     }
     written = write_json_report(args.output, payload)
     print("\nwrote %s" % written)
-    label, rm, rp, rc = results[0]  # the per-atom (SCQ) blowup cover
-    if _peak(rc) > _peak(rp):
+    label, rm, rc = results[0]  # the per-atom (SCQ) blowup cover
+    if _peak(rc) > _peak(rm):
         print(
-            "FAIL: columnar peak %d rows > pipelined peak %d on %s"
-            % (_peak(rc), _peak(rp), label),
+            "FAIL: columnar peak %d rows > materialized peak %d on %s"
+            % (_peak(rc), _peak(rm), label),
             file=sys.stderr,
         )
         return 1

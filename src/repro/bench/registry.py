@@ -222,32 +222,6 @@ def _quick_e15() -> str:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-def _quick_e16() -> str:
-    from ..core import QueryAnswerer, Strategy
-    from ..datasets import example1_query, generate_lubm
-    from ..query import Cover
-
-    graph = generate_lubm(universities=1, seed=1)
-    query = example1_query()
-    cover = Cover.per_atom(query)
-    materialized = QueryAnswerer(graph, engine="materialized")
-    pipelined = QueryAnswerer(graph, engine="pipelined")
-    rm = materialized.answer(query, Strategy.REF_JUCQ, cover=cover)
-    rp = pipelined.answer(query, Strategy.REF_JUCQ, cover=cover)
-    return (
-        "SCQ cover, %d answer row(s) on both engines\n"
-        "materialized: %.0f ms, peak %d rows held\n"
-        "pipelined:    %.0f ms, peak %d rows buffered"
-        % (
-            rm.cardinality,
-            rm.elapsed_seconds * 1e3,
-            rm.execution.max_intermediate_rows(),
-            rp.elapsed_seconds * 1e3,
-            rp.execution.peak_buffered_rows,
-        )
-    )
-
-
 def _quick_e17() -> str:
     import time
 
@@ -453,23 +427,18 @@ def _quick_e21() -> str:
     reports = {
         engine: QueryAnswerer(graph, engine=engine).answer(
             query, Strategy.REF_JUCQ, cover=cover)
-        for engine in ("materialized", "pipelined", "columnar")
+        for engine in ("materialized", "columnar")
     }
-    rm, rp, rc = (reports[e]
-                  for e in ("materialized", "pipelined", "columnar"))
-    identical = rm.answer == rp.answer == rc.answer
+    rm, rc = reports["materialized"], reports["columnar"]
     return (
-        "SCQ cover, %d answer row(s), three engines %s\n"
+        "SCQ cover, %d answer row(s), both engines %s\n"
         "materialized: %.0f ms, peak %d rows held\n"
-        "pipelined:    %.0f ms, peak %d rows buffered\n"
         "columnar:     %.0f ms, peak %d rows buffered"
         % (
             rm.cardinality,
-            "identical" if identical else "DIVERGED",
+            "identical" if rm.answer == rc.answer else "DIVERGED",
             rm.elapsed_seconds * 1e3,
             rm.execution.max_intermediate_rows(),
-            rp.elapsed_seconds * 1e3,
-            rp.execution.peak_buffered_rows,
             rc.elapsed_seconds * 1e3,
             rc.execution.peak_buffered_rows,
         )
@@ -539,8 +508,6 @@ EXPERIMENTS: List[Experiment] = [
                "benchmarks/bench_e14_resilience.py", _quick_e14),
     Experiment("E15", "Durability: WAL overhead and checkpointed recovery time",
                "benchmarks/bench_e15_durability.py", _quick_e15),
-    Experiment("E16", "Pipelined vs materialized engine: time and peak rows",
-               "benchmarks/bench_e16_engine.py", _quick_e16),
     Experiment("E17", "Intra-query parallelism: fragment/federation fan-out",
                "benchmarks/bench_e17_parallel.py", _quick_e17),
     Experiment("E18", "Multi-tenant serving: shed rate and latency under load",
@@ -549,7 +516,7 @@ EXPERIMENTS: List[Experiment] = [
                "benchmarks/bench_e19_degraded.py", _quick_e19),
     Experiment("E20", "Replicated serving: availability through a primary crash",
                "benchmarks/bench_e20_replication.py", _quick_e20),
-    Experiment("E21", "Columnar vs row engines: time and peak rows at scale",
+    Experiment("E21", "Columnar vs materialized engine: time and peak rows at scale",
                "benchmarks/bench_e21_columnar.py", _quick_e21),
     Experiment("E22", "Hierarchy-aware interval encoding: unions as range scans",
                "benchmarks/bench_e22_interval.py", _quick_e22),

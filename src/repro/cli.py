@@ -30,7 +30,8 @@ Exit codes (documented in README.md):
       ``serve``: every submitted request completed)
 1     failure (including ``recover --verify`` discrepancies
       and ``serve`` runs where no request completed)
-2     usage error (bad flags or flag combinations)
+2     usage error (bad flags or flag combinations, malformed
+      ``--sparql``, unknown query names): one line on stderr
 3     partial answer (``federate``: some endpoints degraded;
       ``serve``: some requests shed, failed, or expired)
 4     recovered, but a torn/corrupt WAL tail was truncated
@@ -52,7 +53,7 @@ from typing import Optional
 
 from .bench import format_table
 from .cache import QueryCache
-from .core import QueryAnswerer, Strategy
+from .core import OptionError, QueryAnswerer, Strategy
 from .datasets import (
     books_dataset,
     example1_best_cover,
@@ -68,8 +69,8 @@ from .optimizer import gcov
 from .query.visualize import render_strategy
 from .saturation import explain_triple, format_derivation
 from .schema import Schema
-from .query import parse_query
-from .rdf import load_file, shorten
+from .query import QueryParseError, parse_query
+from .rdf import ParseError, load_file, shorten
 from .reformulation import ReformulationTooLarge
 from .resilience.errors import BudgetExceeded
 from .storage import QueryTooLargeError, explain as explain_plan
@@ -85,6 +86,11 @@ EXIT_DEGRADED = 6
 EXIT_REPLICATION = 7
 
 
+class UsageError(Exception):
+    """A bad flag value or combination; ``main`` reports it on one
+    line and exits 2."""
+
+
 def _build_graph(args):
     if args.dataset == "lubm":
         return generate_lubm(universities=args.universities, seed=args.seed)
@@ -97,7 +103,7 @@ def _build_graph(args):
         return graph
     if args.dataset == "file":
         if not args.file:
-            raise SystemExit("--dataset file requires --file PATH")
+            raise UsageError("--dataset file requires --file PATH")
         if getattr(args, "lenient", False):
             errors = []
             graph = load_file(args.file, strict=False, errors=errors)
@@ -109,19 +115,23 @@ def _build_graph(args):
                 )
             return graph
         return load_file(args.file)
-    raise SystemExit("unknown dataset %r" % args.dataset)
+    raise UsageError("unknown dataset %r" % args.dataset)
 
 
 def _resolve_query(args):
     if args.sparql:
         return parse_query(args.sparql)
-    if args.query:
-        name = args.query
-        if args.dataset == "books":
+    name = args.query
+    if args.dataset == "books":
+        # One query, named B1, and the only dataset with a default.
+        if not name or name == "B1":
             _, _, query = books_dataset()
             return query
-        if name == "Ex1":
-            return example1_query()
+    elif not name:
+        raise UsageError("provide --query NAME or --sparql QUERY")
+    elif name == "Ex1":
+        return example1_query()
+    else:
         catalog = {
             "lubm": lubm_queries,
             "geo": geo_queries,
@@ -129,11 +139,7 @@ def _resolve_query(args):
         }.get(args.dataset)
         if catalog and name in catalog():
             return catalog()[name]
-        raise SystemExit("unknown query %r for dataset %r" % (name, args.dataset))
-    if args.dataset == "books":
-        _, _, query = books_dataset()
-        return query
-    raise SystemExit("provide --query NAME or --sparql QUERY")
+    raise UsageError("unknown query %r for dataset %r" % (name, args.dataset))
 
 
 def cmd_stats(args) -> int:
@@ -188,16 +194,15 @@ def _rate(value: str) -> float:
     return number
 
 
-#: Column header of the per-operator metric table (pipelined engine).
+#: Column header of the per-operator metric table (columnar engine).
 _METRIC_HEADER = ["operator", "rows in", "rows out", "batches", "peak buffered", "ms"]
 
 
 def _print_metrics(execution) -> None:
-    """Print the per-operator metrics (pipelined/columnar), when any."""
+    """Print the per-operator metrics (columnar engine), when any."""
     metrics = getattr(execution, "metrics", None)
     if metrics is None:
-        print("no per-operator metrics "
-              "(run with --engine pipelined or columnar)")
+        print("no per-operator metrics (run with --engine columnar)")
         return
     print(format_table(_METRIC_HEADER, metrics.table_rows(),
                        title="per-operator metrics"))
@@ -213,15 +218,17 @@ def _make_cache(args):
     )
 
 
-def cmd_answer(args) -> int:
+def _reject_ref_jucq(args) -> None:
     if args.strategy == Strategy.REF_JUCQ.value:
-        print("ref-jucq needs an explicit cover; use the `covers` "
-              "subcommand, or ref-gcov for the cost-chosen cover")
-        return EXIT_USAGE
+        raise UsageError("ref-jucq needs an explicit cover; use the `covers` "
+                         "subcommand, or ref-gcov for the cost-chosen cover")
+
+
+def cmd_answer(args) -> int:
+    _reject_ref_jucq(args)
     if args.parallelism > 1 and args.engine == "sqlite":
-        print("--parallelism needs an in-process engine "
-              "(builtin/materialized/pipelined/columnar), not sqlite")
-        return EXIT_USAGE
+        raise UsageError("--parallelism needs an in-process engine "
+                         "(builtin/materialized/columnar), not sqlite")
     cache = _make_cache(args)
     answerer = QueryAnswerer(
         _build_graph(args),
@@ -311,10 +318,7 @@ def cmd_cache_stats(args) -> int:
     """Answer a query repeatedly through a fresh cache and print the
     warm/cold timings plus the hit/miss/eviction/invalidation counters
     of both tiers — the observability face of the cache subsystem."""
-    if args.strategy == Strategy.REF_JUCQ.value:
-        print("ref-jucq needs an explicit cover; use the `covers` "
-              "subcommand, or ref-gcov for the cost-chosen cover")
-        return EXIT_USAGE
+    _reject_ref_jucq(args)
     cache = QueryCache(
         reformulation_capacity=args.cache_size, answer_capacity=args.cache_size
     )
@@ -462,6 +466,7 @@ def cmd_federate(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    _reject_ref_jucq(args)
     answerer = QueryAnswerer(
         _build_graph(args),
         engine=args.engine,
@@ -1191,23 +1196,21 @@ def build_parser() -> argparse.ArgumentParser:
     answer.add_argument("--show-answers", action="store_true")
     answer.add_argument("--limit", type=int, default=20)
     answer.add_argument("--engine", default="builtin",
-                        choices=["builtin", "materialized", "pipelined",
-                                 "columnar", "sqlite"],
+                        choices=["builtin", "materialized", "columnar",
+                                 "sqlite"],
                         help="evaluation engine: materialized (builtin is "
-                             "its alias), pipelined (streaming batches, "
-                             "per-operator metrics), columnar (vectorized "
-                             "sorted-run execution), or sqlite")
+                             "its alias), columnar (vectorized sorted-run "
+                             "execution, per-operator metrics), or sqlite")
     answer.add_argument("--show-metrics", action="store_true",
                         help="print the per-operator metric table (single "
-                             "strategy, pipelined/columnar engine)")
+                             "strategy, columnar engine)")
     answer.add_argument("--interval-encoding", action="store_true",
                         help="hierarchy-aware dictionary encoding: covered "
                              "subclass/subproperty unions collapse into "
                              "range-scanned interval atoms")
     answer.add_argument("--allow-partial", action="store_true",
                         help="on budget overrun, keep the rows produced so "
-                             "far as a degraded answer (pipelined/columnar "
-                             "engine)")
+                             "far as a degraded answer (columnar engine)")
     answer.add_argument("--cache", action="store_true",
                         help="answer through a reformulation+answer cache "
                              "(see `cache-stats` for its counters)")
@@ -1281,8 +1284,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_stats.add_argument("--strategy", default="all",
                              choices=["all"] + [s.value for s in Strategy])
     cache_stats.add_argument("--engine", default="builtin",
-                             choices=["builtin", "materialized", "pipelined",
-                                      "columnar", "sqlite"])
+                             choices=["builtin", "materialized", "columnar",
+                                      "sqlite"])
     cache_stats.add_argument("--cache-size", type=_positive_int, default=1024,
                              help="LRU capacity per cache tier (default 1024)")
     cache_stats.add_argument("--repeat", type=int, default=3,
@@ -1296,11 +1299,9 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--strategy", default="ref-gcov",
                          choices=[s.value for s in Strategy])
     explain.add_argument("--engine", default="builtin",
-                         choices=["builtin", "materialized", "pipelined",
-                                  "columnar"],
-                         help="evaluation engine; pipelined and columnar "
-                              "append the per-operator metric table to "
-                              "the plan")
+                         choices=["builtin", "materialized", "columnar"],
+                         help="evaluation engine; columnar appends the "
+                              "per-operator metric table to the plan")
     explain.add_argument("--interval-encoding", action="store_true",
                          help="hierarchy-aware dictionary encoding: interval "
                               "atoms appear in the plan as range scans with "
@@ -1397,8 +1398,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=_positive_int, default=None,
                        help="override every tenant's queue depth")
     serve.add_argument("--engine", default="builtin",
-                       choices=["builtin", "materialized", "pipelined",
-                                "columnar", "sqlite"])
+                       choices=["builtin", "materialized", "columnar",
+                                "sqlite"])
     serve.add_argument("--row-budget", type=_positive_int, default=None,
                        help="per-request row budget charged to the "
                             "submitting tenant")
@@ -1521,7 +1522,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, OptionError, QueryParseError, ParseError) as exc:
+        # Malformed --sparql or N-Triples input, unknown query names
+        # and option combinations the answerer refuses are usage
+        # errors, not tracebacks; any other exception is a bug and
+        # keeps its traceback.
+        print("repro: error: %s" % " ".join(str(exc).split()), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

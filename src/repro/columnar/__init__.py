@@ -12,12 +12,12 @@ triples as dense integer IDs end to end:
   mutation listeners and epoch;
 * :mod:`repro.columnar.chunks` — the column-batch exchange format and
   its sortedness metadata;
-* :mod:`repro.columnar.engine` — the third execution engine: operators
+* :mod:`repro.columnar.engine` — the streaming execution engine: operators
   over the shared plan IR (index-range scans, k-way sorted-run unions,
-  merge joins, mask selections) streaming column chunks, with the same
+  merge joins, mask selections) streaming column chunks, with
   :class:`~repro.engine.metrics.PipelineMetrics` accounting and
   mid-stream :class:`~repro.resilience.budget.ExecutionBudget`
-  charging as the pipelined engine.
+  charging.
 """
 
 from .chunks import ColumnChunk, ColumnStream

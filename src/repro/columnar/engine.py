@@ -1,11 +1,10 @@
 """The columnar executor: vectorized operators over the shared plan IR.
 
-The third engine over the same plan language as the materialized
-interpreter (:mod:`repro.storage.executor`) and the pipelined executor
-(:mod:`repro.engine.pipeline`).  Where the pipelined engine moves
-tuples in row batches, this one moves :class:`~repro.columnar.chunks.
-ColumnChunk` column batches whose cells never become Python objects
-until the answer boundary:
+The streaming engine over the same plan language as the materialized
+interpreter (:mod:`repro.storage.executor`).  Where the interpreter
+materializes every operator's tuples, this one streams
+:class:`~repro.columnar.chunks.ColumnChunk` column batches whose cells
+never become Python objects until the answer boundary:
 
 * **Index-range scans** — a triple pattern resolves through
   :meth:`~repro.columnar.indexes.ColumnarIndexSet.probe` to a row
@@ -18,25 +17,26 @@ until the answer boundary:
   adjacent-duplicate elimination: the union's set semantics fall out
   of the merge for free, *before* any join multiplies rows — the
   grouping effect the paper measures, applied physically.  Unsorted
-  inputs degrade to streamed concatenation exactly like the pipelined
-  engine (dedup deferred downstream).
+  inputs degrade to streamed concatenation (dedup deferred to the
+  nearest downstream distinct or the final answer set).
 * **Merge joins on sorted runs** — taken only when both inputs are
   provably sorted on the join key; buffers only the current
   equal-key groups.  Otherwise the join hashes, building on the
-  smaller estimated side like the pipelined engine, so peak buffered
-  rows never exceed the pipelined engine's on the same plan.
+  smaller *estimated* side (actual sizes are unknowable without
+  materializing, which is the point of not doing so) and streaming
+  the probe side.
 * **Mask selections / distinct** — filters compute keep-index lists
   per chunk and gather; distinct over a fully sorted stream is
   adjacent-row comparison with *zero* buffered state, and falls back
-  to the pipelined engine's seen-set otherwise.
+  to a seen-set otherwise.
 
-Accounting and control are identical to the pipelined engine: every
-operator's output is metered into a shared
-:class:`~repro.engine.metrics.PipelineMetrics` (``rows_out`` counts
+Accounting and control: every operator's output is metered into a
+shared :class:`~repro.engine.metrics.PipelineMetrics` (``rows_out`` counts
 rows *represented* by chunks, not Python objects), charged against the
 caller's :class:`~repro.resilience.budget.ExecutionBudget` per chunk,
 and a budget abort carries the partial metrics and rows.  A pool makes
-multi-child unsorted unions parallel, as in the pipelined engine.
+multi-child unsorted unions parallel: each child is drained by its own
+worker into a bounded queue the consumer merges chunks from.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from ..engine.ir import (
     NonLiteralFilterNode,
     PlanNode,
     ProjectNode,
-    RelationNode,
     ScanNode,
     UnionNode,
 )
@@ -68,10 +67,9 @@ from .indexes import ORDER_PERMUTATIONS
 
 Row = Tuple
 
-#: Rows per chunk.  Larger than the pipelined engine's row batches —
-#: per-chunk bookkeeping is the columnar engine's only per-row-free
-#: overhead, so amortizing it harder is pure win; still small enough
-#: that a budget fires within one chunk of the limit.
+#: Rows per chunk.  Per-chunk bookkeeping is the engine's only
+#: per-row-free overhead, so a large chunk amortizes it; still small
+#: enough that a budget fires within one chunk of the limit.
 DEFAULT_COLUMNAR_BATCH_SIZE = 1024
 
 
@@ -98,17 +96,14 @@ class _ColumnarPipeline:
     def stream(self, node: PlanNode) -> ColumnStream:
         """The metered output stream of *node*.
 
-        Mirrors the pipelined engine's metering exactly: rows/batches/
-        wall-time per operator, ``node.actual_rows`` for EXPLAIN, and
-        per-chunk budget charging (RelationNode leaves whose rows were
-        already charged only get a time check).  Sortedness metadata
-        passes through untouched — metering never reorders.
+        Meters rows/batches/wall-time per operator, mirrors the row
+        count into ``node.actual_rows`` for EXPLAIN, and charges the
+        budget per chunk.  Sortedness metadata passes through
+        untouched — metering never reorders.
         """
         entry = self.metrics.operator(node)
         source = self._operator(node, entry)
-        charge = self.budget is not None and not (
-            isinstance(node, RelationNode) and node.charged
-        )
+        budget = self.budget
         node.actual_rows = 0
         watch = _Stopwatch(entry)
 
@@ -124,12 +119,10 @@ class _ColumnarPipeline:
                     entry.rows_out += chunk.length
                     entry.batches += 1
                     node.actual_rows += chunk.length
-                    if charge:
-                        self.budget.charge_rows(
+                    if budget is not None:
+                        budget.charge_rows(
                             chunk.length, operator=entry.label
                         )
-                    elif self.budget is not None:
-                        self.budget.check_time(operator=entry.label)
                     yield chunk
             finally:
                 close = getattr(inner, "close", None)
@@ -171,8 +164,6 @@ class _ColumnarPipeline:
             return ColumnStream(iter(()))
         if isinstance(node, ScanNode):
             return self._scan(node)
-        if isinstance(node, RelationNode):
-            return self._relation(node)
         if isinstance(node, UnionNode):
             return self._union(node, entry)
         if isinstance(node, ProjectNode):
@@ -417,17 +408,6 @@ class _ColumnarPipeline:
 
         return ColumnStream(chunks(), tuple(order))
 
-    def _relation(self, node: RelationNode) -> ColumnStream:
-        rows = node.rows
-        arity = node.arity
-        step = self.batch_size
-
-        def chunks() -> Iterator[ColumnChunk]:
-            for start in range(0, len(rows), step):
-                yield ColumnChunk.from_rows(rows[start:start + step], arity)
-
-        return ColumnStream(chunks())
-
     # -- union ---------------------------------------------------------
 
     def _union(self, node: UnionNode, entry: OperatorMetrics) -> ColumnStream:
@@ -496,9 +476,13 @@ class _ColumnarPipeline:
         out: "queue_module.Queue",
         stop: threading.Event,
     ) -> None:
-        """Producer half: drain one child on a pool worker into the
-        bounded queue (same protocol as the pipelined engine — errors
-        relayed, ``done`` unconditional)."""
+        """Producer half of a parallel union: drain one child on a
+        pool worker into the bounded queue (backpressure: a fast child
+        blocks rather than buffering unboundedly).  Errors — including
+        a shared-budget trip, whose sibling producers abort on their
+        own next charge — are relayed to the consumer; the ``done``
+        marker is unconditional so the consumer always knows when
+        every producer has retired."""
         try:
             for chunk in stream.chunks:
                 relayed = False
@@ -524,6 +508,11 @@ class _ColumnarPipeline:
     def _parallel_union(
         self, streams: Sequence[ColumnStream], entry: OperatorMetrics
     ) -> Iterator[ColumnChunk]:
+        """Consumer half: merge the producers' chunks as they arrive.
+        On any child's error the stop flag cancels the siblings and
+        the primary error is re-raised once every producer has
+        retired; a closed consumer still unblocks producers waiting on
+        a full queue."""
         capacity = max(4, 2 * self.pool.workers)
         out: "queue_module.Queue" = queue_module.Queue(maxsize=capacity)
         stop = threading.Event()
@@ -691,9 +680,8 @@ class _ColumnarPipeline:
                 tuple(left_key),
                 constants,
             )
-        # Hash fallback: identical build/probe policy to the pipelined
-        # engine (build on the smaller *estimated* side), so buffered
-        # state never exceeds the pipelined engine's on the same plan.
+        # Hash fallback: build on the smaller *estimated* side, stream
+        # the other.
         return ColumnStream(
             self._hash_join(node, left, right, left_key, right_key, entry),
             (),
@@ -879,13 +867,14 @@ def run_columnar(
 ) -> Tuple[List[Row], PipelineMetrics]:
     """Execute *plan* against *store* columnar-ly; returns (rows, metrics).
 
-    The contract is the pipelined engine's, verbatim: the collected
-    answer is distinct, metrics report rows *represented* (a chunk of
+    The collected answer is distinct (collecting through a seen-set
+    is what lets unions stream without their own dedup buffers), metrics report rows *represented* (a chunk of
     1,024 rows counts 1,024, whatever its Python object count), and a
     :class:`~repro.resilience.errors.BudgetExceeded` mid-stream carries
     the metrics snapshot and partial rows (``partial`` /
-    ``partial_rows``).  Differential harnesses may therefore compare
-    all three engines' answers byte for byte.
+    ``partial_rows``) — a budget abort reports how far execution got,
+    it does not erase it.  Differential harnesses compare its answers
+    with the interpreter's byte for byte.
     """
     if metrics is None:
         metrics = PipelineMetrics()

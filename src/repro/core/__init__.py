@@ -4,6 +4,7 @@ from .answerer import (
     Answer,
     AnswerReport,
     COMPLETE_STRATEGIES,
+    OptionError,
     QueryAnswerer,
     Strategy,
 )
@@ -12,6 +13,7 @@ __all__ = [
     "Answer",
     "AnswerReport",
     "COMPLETE_STRATEGIES",
+    "OptionError",
     "QueryAnswerer",
     "Strategy",
 ]

@@ -24,7 +24,7 @@ import enum
 import time
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..cache import QueryCache, dataset_token
+from ..cache import QueryCache, cover_key, dataset_token
 from ..datalog.encoding import answer_query as datalog_answer
 from ..encoding.hierarchy import HierarchyInterval, preencode_hierarchy
 from ..optimizer.gcov import gcov
@@ -53,11 +53,14 @@ from ..storage.store import TripleStore
 Answer = FrozenSet[Tuple[Term, ...]]
 
 #: Engines the answerer accepts. ``"builtin"`` is the historical alias
-#: of the materialized interpreter; ``"pipelined"`` runs the same plans
-#: through the batch executor of :mod:`repro.engine.pipeline`;
-#: ``"columnar"`` through the vectorized executor of
-#: :mod:`repro.columnar.engine`.
-ANSWERER_ENGINES = ("builtin", "materialized", "pipelined", "columnar", "sqlite")
+#: of the materialized interpreter; ``"columnar"`` runs the same plans
+#: through the vectorized executor of :mod:`repro.columnar.engine`.
+ANSWERER_ENGINES = ("builtin", "materialized", "columnar", "sqlite")
+
+
+class OptionError(ValueError):
+    """An engine/strategy/option combination the answerer refuses —
+    the caller's mistake, as opposed to a failure inside answering."""
 
 
 class Strategy(enum.Enum):
@@ -84,6 +87,15 @@ COMPLETE_STRATEGIES = frozenset(
         Strategy.DATALOG,
     }
 )
+
+
+#: The UCQ-shaped strategies and the policy each reformulates under
+#: (None: the answerer's own).
+_UCQ_POLICIES = {
+    Strategy.REF_UCQ: None,
+    Strategy.REF_VIRTUOSO: VIRTUOSO_STYLE,
+    Strategy.REF_ALLEGRO: ALLEGROGRAPH_STYLE,
+}
 
 
 class AnswerReport:
@@ -145,12 +157,10 @@ class QueryAnswerer:
         """``engine`` selects the evaluation engine for the relational
         strategies: ``"materialized"`` (the instrumented operator-at-a-
         time executor; ``"builtin"`` is its historical alias and the
-        default), ``"pipelined"`` (the batch-streaming executor of
-        :mod:`repro.engine.pipeline`, with per-operator metrics and
-        mid-pipeline budget enforcement), ``"columnar"`` (the
-        vectorized executor of :mod:`repro.columnar.engine` over
-        sorted integer-run indexes — same metrics and budget
-        semantics), or ``"sqlite"`` (generated SQL on a real RDBMS —
+        default), ``"columnar"`` (the vectorized executor of
+        :mod:`repro.columnar.engine` over sorted integer-run indexes,
+        with per-operator metrics and mid-stream budget
+        enforcement), or ``"sqlite"`` (generated SQL on a real RDBMS —
         answers are identical, per the test-suite, but plan metrics
         are the engine's own and not reported).
 
@@ -169,7 +179,7 @@ class QueryAnswerer:
         the classic unions (uncovered nodes keep them); only plan
         shape and speed change."""
         if engine not in ANSWERER_ENGINES:
-            raise ValueError("unknown engine %r" % (engine,))
+            raise OptionError("unknown engine %r" % (engine,))
         self.graph = graph
         merged = Schema.from_graph(graph)
         if schema is not None:
@@ -179,11 +189,8 @@ class QueryAnswerer:
         self.backend = backend
         self.policy = policy
         self.engine = engine
-        # The executor-level engine name: "builtin" is the alias kept
-        # for callers predating the pipelined engine.
-        self._exec_engine = (
-            engine if engine in ("pipelined", "columnar") else "materialized"
-        )
+        # The executor-level engine name ("builtin" is an alias).
+        self._exec_engine = "columnar" if engine == "columnar" else "materialized"
         self.interval_encoding = interval_encoding
         if interval_encoding:
             # Hierarchy ids must be assigned before any data term grabs
@@ -224,7 +231,7 @@ class QueryAnswerer:
         (in-process engines only; validated by :meth:`answer`)."""
         if self.engine == "sqlite":
             if budget is not None:
-                raise ValueError(
+                raise OptionError(
                     "execution budgets require the builtin engine; the "
                     "sqlite engine evaluates inside the RDBMS"
                 )
@@ -386,10 +393,9 @@ class QueryAnswerer:
         complete answer — budgets never truncate, they only refuse.
         Budget-exceeded runs are never cached.
 
-        ``allow_partial`` (pipelined and columnar engines) turns a
-        final budget
+        ``allow_partial`` (columnar engine) turns a final budget
         overrun into a *degraded* answer instead of an exception: the
-        rows the pipeline had produced before the abort are decoded and
+        rows the engine had produced before the abort are decoded and
         returned, with ``details["partial"]`` set, the overrun
         diagnostics attached, and a
         :class:`~repro.resilience.report.CompletenessReport` marking
@@ -410,21 +416,21 @@ class QueryAnswerer:
         ``tenant/request-id`` here).
         """
         if strategy is Strategy.REF_JUCQ and cover is None:
-            raise ValueError("REF_JUCQ requires a cover")
+            raise OptionError("REF_JUCQ requires a cover")
         pool: Optional[ExecutorPool] = None
         if parallelism is not None:
             if parallelism < 1:
-                raise ValueError(
+                raise OptionError(
                     "parallelism must be >= 1, got %r" % (parallelism,)
                 )
             if parallelism > 1:
                 if self.engine == "sqlite":
-                    raise ValueError(
+                    raise OptionError(
                         "parallel evaluation requires an in-process engine, "
                         "not %r" % (self.engine,)
                     )
                 if strategy is Strategy.DATALOG:
-                    raise ValueError(
+                    raise OptionError(
                         "the DATALOG strategy does not support parallel "
                         "evaluation"
                     )
@@ -432,16 +438,16 @@ class QueryAnswerer:
         budget_factory = None
         if row_budget is not None or time_budget is not None:
             if self.engine == "sqlite":
-                raise ValueError(
+                raise OptionError(
                     "execution budgets require an in-process engine, not %r"
                     % (self.engine,)
                 )
             if strategy is Strategy.DATALOG:
-                raise ValueError(
+                raise OptionError(
                     "the DATALOG strategy does not support execution budgets"
                 )
             if budget_fallbacks < 0:
-                raise ValueError("budget_fallbacks must be >= 0")
+                raise OptionError("budget_fallbacks must be >= 0")
             # Validate eagerly (and once): the factory then mints a
             # fresh budget per evaluation attempt, so a fallback cover
             # gets the full allowance, not the failed attempt's dregs.
@@ -532,8 +538,7 @@ class QueryAnswerer:
         """Build the degraded :class:`AnswerReport` for a budget
         overrun, or None when the caller did not opt in (or the engine
         produced no partial rows — the materialized interpreter aborts
-        whole operators, so only the pipelined and columnar engines
-        carry them)."""
+        whole operators, so only the columnar engine carries them)."""
         if not allow_partial:
             return None
         partial_answer = getattr(exc, "partial_answer", None)
@@ -618,6 +623,121 @@ class QueryAnswerer:
             details["budget_fallback_failed"] = failed
             raise primary
 
+    def _rewrite(
+        self,
+        query: ConjunctiveQuery,
+        strategy: Strategy,
+        cover: Optional[Cover],
+        max_disjuncts: Optional[int],
+    ):
+        """The rewrite step of the six reformulation strategies: each
+        one is a cache kind, a policy, a builder and the cover a budget
+        fallback must not retry.  Returns ``(reformulation, details,
+        failed_cover)`` — the UCQ or JUCQ to evaluate, the strategy's
+        diagnostics, and that cover's repr (None for the UCQ family,
+        which has no cover to fall back from)."""
+        policy = self.policy
+        extra = None
+        if strategy in _UCQ_POLICIES:
+            policy = _UCQ_POLICIES[strategy] or policy
+            size, _ = self._cached_reformulation(
+                "ucq-size",
+                query,
+                policy,
+                lambda: ucq_size(query, self.schema, policy, self.encoding),
+            )
+            # A UCQ of n disjuncts over an α-atom query has ~n·α atoms;
+            # refuse before materializing what the backend cannot parse.
+            projected_atoms = size * len(query.atoms)
+            if projected_atoms > self.backend.max_query_atoms:
+                raise QueryTooLargeError(
+                    projected_atoms, self.backend.max_query_atoms, self.backend.name
+                )
+            kind, extra = "ucq", max_disjuncts
+
+            def build():
+                return reformulate(
+                    query,
+                    self.schema,
+                    policy,
+                    max_disjuncts=max_disjuncts,
+                    encoding=self.encoding,
+                )
+
+            def describe(union):
+                details = {"ucq_disjuncts": size, "policy": policy.name}
+                return union, details, None
+
+        elif strategy is Strategy.REF_SCQ:
+            kind = "scq"
+
+            def build():
+                return scq_reformulation(
+                    query, self.schema, policy, encoding=self.encoding
+                )
+
+            def describe(jucq):
+                details = {
+                    "fragments": jucq.fragment_count(),
+                    "atom_count": jucq.atom_count(),
+                }
+                # The SCQ *is* the per-atom cover's JUCQ.
+                return jucq, details, repr(Cover.per_atom(query))
+
+        elif strategy is Strategy.REF_JUCQ:
+            kind = "jucq-cover"
+            extra = None if self.cache is None else cover_key(cover)
+
+            def build():
+                return jucq_for_cover(
+                    cover, self.schema, policy, encoding=self.encoding
+                )
+
+            def describe(jucq):
+                details = {"cover": repr(cover), "atom_count": jucq.atom_count()}
+                return jucq, details, details["cover"]
+
+        elif strategy is Strategy.REF_GCOV:
+            # The cover choice is cost-based, hence data-dependent: the
+            # entry carries the dataset token so answerers sharing one
+            # cache never trade covers tuned to each other's data.
+            kind, extra = "gcov", (self._dataset_token, self.backend.name)
+
+            def build():
+                search = gcov(
+                    query,
+                    self.schema,
+                    self.store,
+                    self.backend,
+                    policy,
+                    encoding=self.encoding,
+                )
+                jucq = jucq_for_cover(
+                    search.cover, self.schema, policy, encoding=self.encoding
+                )
+                return (
+                    jucq,
+                    {
+                        "cover": repr(search.cover),
+                        "estimated_cost": search.cost,
+                        "explored_covers": search.explored_count,
+                    },
+                )
+
+            def describe(built):
+                jucq, gcov_details = built
+                return jucq, dict(gcov_details), gcov_details["cover"]
+
+        else:
+            raise ValueError("unknown strategy %r" % (strategy,))
+
+        built, reformulation_hit = self._cached_reformulation(
+            kind, query, policy, build, extra
+        )
+        reformulation, details, failed_cover = describe(built)
+        details["_reformulation_cache"] = reformulation_hit
+        return reformulation, details, failed_cover
+
     def _answer_uncached(
         self,
         query: ConjunctiveQuery,
@@ -651,197 +771,35 @@ class QueryAnswerer:
                 strategy, answer, time.perf_counter() - start
             )
 
-        if strategy in (Strategy.REF_UCQ, Strategy.REF_VIRTUOSO, Strategy.REF_ALLEGRO):
-            policy = {
-                Strategy.REF_UCQ: self.policy,
-                Strategy.REF_VIRTUOSO: VIRTUOSO_STYLE,
-                Strategy.REF_ALLEGRO: ALLEGROGRAPH_STYLE,
-            }[strategy]
-            size, _ = self._cached_reformulation(
-                "ucq-size",
-                query,
-                policy,
-                lambda: ucq_size(query, self.schema, policy, self.encoding),
+        reformulation, details, failed_cover = self._rewrite(
+            query, strategy, cover, max_disjuncts
+        )
+        interval_stats = self._interval_stats(reformulation)
+        if interval_stats is not None:
+            details["interval"] = interval_stats
+        if budget_factory is None or failed_cover is None:
+            answer, execution = self._evaluate(
+                reformulation, budget=budget(), pool=pool
             )
-            # A UCQ of n disjuncts over an α-atom query has ~n·α atoms;
-            # refuse before materializing what the backend cannot parse.
-            projected_atoms = size * len(query.atoms)
-            if projected_atoms > self.backend.max_query_atoms:
-                raise QueryTooLargeError(
-                    projected_atoms, self.backend.max_query_atoms, self.backend.name
-                )
-            union, reformulation_hit = self._cached_reformulation(
-                "ucq",
+        else:
+            # The fallback ranking excludes failed_cover: by the time
+            # it is consulted, that cover has just overrun.
+            answer, execution = self._fallback_evaluate(
+                reformulation,
                 query,
-                policy,
-                lambda: reformulate(
-                    query,
-                    self.schema,
-                    policy,
-                    max_disjuncts=max_disjuncts,
-                    encoding=self.encoding,
-                ),
-                extra=max_disjuncts,
-            )
-            details = {
-                "ucq_disjuncts": size,
-                "policy": policy.name,
-                "_reformulation_cache": reformulation_hit,
-            }
-            interval_stats = self._interval_stats(union)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            answer, execution = self._evaluate(union, budget=budget(), pool=pool)
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
+                budget_factory,
+                budget_fallbacks,
                 details,
-                execution,
+                failed_cover,
+                pool,
             )
-
-        if strategy == Strategy.REF_SCQ:
-            jucq, reformulation_hit = self._cached_reformulation(
-                "scq",
-                query,
-                self.policy,
-                lambda: scq_reformulation(
-                    query, self.schema, self.policy, encoding=self.encoding
-                ),
-            )
-            details = {
-                "fragments": jucq.fragment_count(),
-                "atom_count": jucq.atom_count(),
-                "_reformulation_cache": reformulation_hit,
-            }
-            interval_stats = self._interval_stats(jucq)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            if budget_factory is None:
-                answer, execution = self._evaluate(jucq, pool=pool)
-            else:
-                # The SCQ *is* the per-atom cover's JUCQ: exclude it
-                # from the fallback ranking, it just failed.
-                answer, execution = self._fallback_evaluate(
-                    jucq,
-                    query,
-                    budget_factory,
-                    budget_fallbacks,
-                    details,
-                    repr(Cover.per_atom(query)),
-                    pool,
-                )
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
-                details,
-                execution,
-            )
-
-        if strategy == Strategy.REF_JUCQ:
-            if cover is None:
-                raise ValueError("REF_JUCQ requires a cover")
-            from ..cache.keys import cover_key
-
-            jucq, reformulation_hit = self._cached_reformulation(
-                "jucq-cover",
-                query,
-                self.policy,
-                lambda: jucq_for_cover(
-                    cover, self.schema, self.policy, encoding=self.encoding
-                ),
-                extra=None if self.cache is None else cover_key(cover),
-            )
-            details = {
-                "cover": repr(cover),
-                "atom_count": jucq.atom_count(),
-                "_reformulation_cache": reformulation_hit,
-            }
-            interval_stats = self._interval_stats(jucq)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            if budget_factory is None:
-                answer, execution = self._evaluate(jucq, pool=pool)
-            else:
-                answer, execution = self._fallback_evaluate(
-                    jucq,
-                    query,
-                    budget_factory,
-                    budget_fallbacks,
-                    details,
-                    repr(cover),
-                    pool,
-                )
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
-                details,
-                execution,
-            )
-
-        if strategy == Strategy.REF_GCOV:
-            # The cover choice is cost-based, hence data-dependent: the
-            # entry carries the dataset token so answerers sharing one
-            # cache never trade covers tuned to each other's data.
-            def run_gcov():
-                search = gcov(
-                    query,
-                    self.schema,
-                    self.store,
-                    self.backend,
-                    self.policy,
-                    encoding=self.encoding,
-                )
-                jucq = jucq_for_cover(
-                    search.cover,
-                    self.schema,
-                    self.policy,
-                    encoding=self.encoding,
-                )
-                return (
-                    jucq,
-                    {
-                        "cover": repr(search.cover),
-                        "estimated_cost": search.cost,
-                        "explored_covers": search.explored_count,
-                    },
-                )
-
-            (jucq, gcov_details), reformulation_hit = self._cached_reformulation(
-                "gcov",
-                query,
-                self.policy,
-                run_gcov,
-                extra=(self._dataset_token, self.backend.name),
-            )
-            details = dict(gcov_details)
-            details["_reformulation_cache"] = reformulation_hit
-            interval_stats = self._interval_stats(jucq)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            if budget_factory is None:
-                answer, execution = self._evaluate(jucq, pool=pool)
-            else:
-                answer, execution = self._fallback_evaluate(
-                    jucq,
-                    query,
-                    budget_factory,
-                    budget_fallbacks,
-                    details,
-                    details.get("cover"),
-                    pool,
-                )
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
-                details,
-                execution,
-            )
-
-        raise ValueError("unknown strategy %r" % (strategy,))
+        return AnswerReport(
+            strategy,
+            answer,
+            time.perf_counter() - start,
+            details,
+            execution,
+        )
 
     # ------------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from ..engine.ir import (
     NonLiteralFilterNode,
     PlanNode,
     ProjectNode,
-    RelationNode,
     ScanNode,
     UnionNode,
 )
@@ -74,16 +73,6 @@ def annotate_node(
         node.estimated_rows = 0.0
         node.estimated_cost = 0.0
         node.column_distincts = {}
-
-    elif isinstance(node, RelationNode):
-        # An already-materialized relation: its size is exact and it
-        # costs one CPU pass to stream.
-        rows = float(len(node.rows))
-        node.estimated_rows = rows
-        node.column_distincts = {
-            label: rows for label in node.columns if label is not None
-        }
-        node.estimated_cost = backend.cpu_cost * rows
 
     elif isinstance(node, ScanNode):
         rows = cardinality.estimate_scan(

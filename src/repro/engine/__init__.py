@@ -1,10 +1,10 @@
-"""The execution engine: plan IR, pipelined executor, SQL lowering.
+"""The execution engine's shared parts: plan IR, metrics, SQL lowering.
 
 One backend-neutral operator algebra (:mod:`repro.engine.ir`) shared
-by the planner, the cost model, EXPLAIN and every executor; a
-pipelined batch executor (:mod:`repro.engine.pipeline`) with
-per-operator metrics and mid-pipeline budget enforcement; and an
-IR→SQL lowering (:mod:`repro.engine.lowering`) for real RDBMSs.
+by the planner, the cost model, EXPLAIN and every executor; the
+per-operator metrics the streaming executor reports
+(:mod:`repro.engine.metrics`); and an IR→SQL lowering
+(:mod:`repro.engine.lowering`) for real RDBMSs.
 """
 
 from .ir import (
@@ -17,25 +17,14 @@ from .ir import (
     PositionSpec,
     ProjectNode,
     ProjectionSpec,
-    RelationNode,
     ScanNode,
     UnionNode,
 )
 from .lowering import LoweringError, lower
 from .metrics import OperatorMetrics, PipelineMetrics
-from .pipeline import (
-    DEFAULT_BATCH_SIZE,
-    RelationContext,
-    StoreContext,
-    iter_scan_rows,
-    join_relations,
-    run_on_store,
-    run_plan,
-)
 
 __all__ = [
     "ColumnLabel",
-    "DEFAULT_BATCH_SIZE",
     "DistinctNode",
     "EmptyNode",
     "JoinNode",
@@ -47,14 +36,7 @@ __all__ = [
     "PositionSpec",
     "ProjectNode",
     "ProjectionSpec",
-    "RelationContext",
-    "RelationNode",
     "ScanNode",
-    "StoreContext",
     "UnionNode",
-    "iter_scan_rows",
-    "join_relations",
     "lower",
-    "run_on_store",
-    "run_plan",
 ]

@@ -11,16 +11,15 @@ plan language:
 * the **materialized** interpreter (:mod:`repro.storage.executor`),
   which computes every operator's full output — the paper's RDBMS
   model, where Example 1's SCQ materializes 33M intermediate rows;
-* the **pipelined** executor (:mod:`repro.engine.pipeline`), whose
-  operators are generators yielding fixed-size row batches, so the
-  same plan runs in bounded memory with per-operator metrics;
+* the **columnar** executor (:mod:`repro.columnar.engine`), whose
+  operators stream fixed-size column chunks over sorted integer runs,
+  so the same plan runs in bounded memory with per-operator metrics;
 * the **SQL lowering** (:mod:`repro.engine.lowering`), which turns a
   plan into one statement for a real RDBMS.
 
-Row model: a row is a tuple of values — integer term ids when the plan
-runs against a :class:`~repro.storage.store.TripleStore`, decoded
-:class:`~repro.rdf.terms.Term` objects when it runs over in-memory
-relations (:class:`RelationNode`, the federation client's case).  A
+Row model: a row is a tuple of values — integer term ids, or a ready
+:class:`~repro.rdf.terms.Term` for a projected constant the dictionary
+never stored (``("term", Term)`` below).  A
 node's ``columns`` tuple labels each position with the
 :class:`Variable` it carries, or ``None`` for a constant/payload
 column (constants bound by reformulation are payload: they join
@@ -144,37 +143,6 @@ class EmptyNode(PlanNode):
 
     def __repr__(self) -> str:
         return "Empty(arity=%d)" % self.arity
-
-
-class RelationNode(PlanNode):
-    """A leaf over an already-materialized in-memory relation.
-
-    The bridge between the IR and callers that hold rows rather than a
-    store: the federation client joins per-atom sub-answers fetched
-    from remote endpoints, and the reference evaluator joins fragment
-    answers it computed by backtracking.  Rows are whatever the caller
-    works in (term ids or decoded terms); the row values are opaque to
-    every operator except :class:`NonLiteralFilterNode`.
-
-    ``charged`` records whether the rows were already charged against
-    the caller's budget when they materialized; the pipelined executor
-    then streams them without re-charging (a row must be paid for
-    exactly once).
-    """
-
-    def __init__(
-        self,
-        columns: Sequence[ColumnLabel],
-        rows: Sequence[Tuple],
-        charged: bool = True,
-    ):
-        self.rows: List[Tuple] = list(rows)
-        self.charged = charged
-        super().__init__(columns)
-        self.estimated_rows = float(len(self.rows))
-
-    def __repr__(self) -> str:
-        return "Relation(%d rows, arity=%d)" % (len(self.rows), self.arity)
 
 
 class JoinNode(PlanNode):

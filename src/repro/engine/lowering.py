@@ -1,7 +1,7 @@
 """Lowering the plan IR to SQL over the triple table.
 
 The third consumer of the IR (after the materialized interpreter and
-the pipelined executor): a plan becomes one SQL statement over the
+the columnar executor): a plan becomes one SQL statement over the
 dictionary-encoded triple table ``t(s, p, o)`` and the ``dict(id,
 kind)`` side table — the shape the paper hands to its RDBMSs.
 

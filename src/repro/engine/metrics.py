@@ -1,9 +1,9 @@
-"""Per-operator execution metrics for the pipelined engine.
+"""Per-operator execution metrics for the streaming (columnar) engine.
 
 The paper's whole argument is about *intermediate result sizes*
 (Example 1: 33M rows for the open type atoms vs 2,296 after grouping).
 The materialized interpreter exposes that as each node's
-``actual_rows``; the pipelined executor streams instead of
+``actual_rows``; the columnar executor streams instead of
 materializing, so the interesting quantity becomes what each operator
 *buffers* — hash-join build tables, sort buffers, dedup sets — and the
 global peak of all concurrent buffers, the engine's true memory high-
@@ -12,13 +12,13 @@ water mark.  :class:`PipelineMetrics` records both, per operator:
 ======================  ==============================================
 ``rows_in``             rows pulled from the operator's inputs
 ``rows_out``            rows the operator emitted downstream
-``batches``             batches emitted (the pipeline's unit of work)
+``batches``             batches emitted (the engine's unit of work)
 ``peak_buffered_rows``  rows this operator held at once (its state)
 ``wall_seconds``        inclusive time producing this operator's output
 ======================  ==============================================
 
 In-flight batches are not counted as buffered: they are bounded by
-``batch_size`` × pipeline depth by construction.
+``batch_size`` × plan depth by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .ir import PlanNode
 
 
 class OperatorMetrics:
-    """One operator's accounting across a single pipelined run."""
+    """One operator's accounting across a single streaming run."""
 
     def __init__(self, label: str):
         self.label = label
@@ -61,7 +61,7 @@ class OperatorMetrics:
 
 
 class PipelineMetrics:
-    """The metrics of one pipelined execution, preorder per operator.
+    """The metrics of one streaming execution, preorder per operator.
 
     Also tracks the *global* buffered-row high-water mark across all
     concurrently live operator buffers (plus the collected result),

@@ -55,7 +55,7 @@ from ..query.algebra import (
     UnionQuery,
     Variable,
 )
-from ..engine.pipeline import join_relations  # the engine's shared join kernel
+from ..query.evaluation import join_relations
 from ..rdf.terms import Term
 from ..reformulation.engine import reformulate
 from ..reformulation.policy import COMPLETE, ReformulationPolicy

@@ -1,15 +1,13 @@
-"""Intra-query parallelism: the shared worker pool and scheduler.
+"""Intra-query parallelism: the shared worker pool.
 
 See :mod:`repro.parallel.pool` for the concurrency contract every
 parallel code path in the repository follows.
 """
 
 from .pool import ExecutorPool, pool_for, primary_error, shared_pool
-from .scheduler import TaskGraph
 
 __all__ = [
     "ExecutorPool",
-    "TaskGraph",
     "pool_for",
     "primary_error",
     "shared_pool",

@@ -13,7 +13,17 @@ Evaluation (over explicit triples only) is distinguished from query
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..rdf.graph import Graph
 from ..rdf.terms import Term
@@ -150,21 +160,84 @@ def evaluate_ucq(graph: Graph, query: UnionQuery, budget=None) -> Answer:
     return frozenset(rows)
 
 
+def _variable_positions(schema: Sequence[HeadTerm]) -> Dict[Variable, int]:
+    """First column index of each variable of a relation schema."""
+    positions: Dict[Variable, int] = {}
+    for index, item in enumerate(schema):
+        if isinstance(item, Variable) and item not in positions:
+            positions[item] = index
+    return positions
+
+
+def join_relations(
+    left_schema: Sequence[HeadTerm],
+    left_rows: Iterable[Row],
+    right_schema: Sequence[HeadTerm],
+    right_rows: Iterable[Row],
+    budget=None,
+) -> Tuple[Tuple[HeadTerm, ...], Set[Row]]:
+    """Hash-join two in-memory relations on their shared variables.
+
+    The join the reference evaluator's JUCQ combination and the
+    federation client's local joins share — deliberately independent
+    of every execution engine, so the evaluator stays usable as their
+    test oracle.  A relation's schema is its fragment head: variables
+    name columns (repeats allowed, the first occurrence joins),
+    constants are payload.  The output schema is the left schema
+    followed by the right columns whose variables are not already
+    present on the left; with no shared variable the join is a cross
+    product.
+
+    ``budget`` meters the join's *output* every ``CHECK_INTERVAL`` rows
+    (the inputs were charged by whoever materialized them), so a
+    Cartesian blowup raises
+    :class:`~repro.resilience.errors.BudgetExceeded` instead of
+    materializing.
+    """
+    from ..resilience.budget import CHECK_INTERVAL
+
+    left_positions = _variable_positions(left_schema)
+    right_positions = _variable_positions(right_schema)
+    shared = [v for v in right_positions if v in left_positions]
+    left_key = [left_positions[v] for v in shared]
+    right_key = [right_positions[v] for v in shared]
+    keep = [
+        index
+        for index, item in enumerate(right_schema)
+        if not isinstance(item, Variable) or item not in left_positions
+    ]
+
+    table: Dict[Row, List[Row]] = {}
+    for right in right_rows:
+        table.setdefault(tuple(right[i] for i in right_key), []).append(
+            tuple(right[i] for i in keep)
+        )
+    output: Set[Row] = set()
+    uncharged = 0
+    for left in left_rows:
+        for kept in table.get(tuple(left[i] for i in left_key), ()):
+            output.add(left + kept)
+            uncharged += 1
+            if budget is not None and uncharged == CHECK_INTERVAL:
+                budget.charge_rows(uncharged, operator="join")
+                uncharged = 0
+    if budget is not None:
+        budget.charge_rows(uncharged, operator="join")
+    output_schema = tuple(left_schema) + tuple(right_schema[i] for i in keep)
+    return output_schema, output
+
+
 def evaluate_jucq(graph: Graph, query: JoinOfUnions, budget=None) -> Answer:
     """Evaluate a JUCQ: fragment UCQs joined on shared variables, then
     projected on the query head.
 
     ``budget`` bounds the whole evaluation: it is threaded into each
     fragment's UCQ evaluation (which charges the fragment rows as they
-    materialize) and meters the join outputs — the joins run through
-    the engine's shared kernel
-    (:func:`repro.engine.pipeline.join_relations`), whose pipelined
-    hash join charges per batch, so a Cartesian blowup raises
+    materialize) and meters the join outputs (:func:`join_relations`),
+    so a Cartesian blowup raises
     :class:`~repro.resilience.errors.BudgetExceeded` before
     materializing.
     """
-    from ..engine.pipeline import join_relations
-
     schema: Optional[Tuple[HeadTerm, ...]] = None
     rows: Set[Row] = set()
     for fragment_head, union in zip(query.fragment_heads, query.fragments):
@@ -178,11 +251,7 @@ def evaluate_jucq(graph: Graph, query: JoinOfUnions, budget=None) -> Answer:
         if not rows:
             return frozenset()
 
-    positions: Dict[Variable, int] = {}
-    for index, item in enumerate(schema):
-        if isinstance(item, Variable) and item not in positions:
-            positions[item] = index
-
+    positions = _variable_positions(schema)
     projected: Set[Row] = set()
     for row in rows:
         out: List[Term] = []

@@ -105,10 +105,10 @@ class BudgetExceeded(RuntimeError):
         self.owner = owner
         #: Partial-execution snapshot attached by the executor: the
         #: per-node cardinalities of completed subtrees and, for
-        #: pipelined runs, the operator metrics — a budget abort
+        #: columnar runs, the operator metrics — a budget abort
         #: reports how far evaluation got, it does not erase it.
         self.partial: Optional[dict] = None
-        #: Answer rows produced before the abort (pipelined runs only;
+        #: Answer rows produced before the abort (columnar runs only;
         #: every collected row is a genuine answer row, the set is just
         #: incomplete).  Encoded in whatever the execution context's
         #: row currency is.

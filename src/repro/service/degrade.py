@@ -11,7 +11,7 @@ lvl   name                what the service gives up
 ====  ==================  ==================================================
 0     normal              nothing
 1     no-parallelism      intra-query parallelism (frees pool workers)
-2     partial-answers     full answers: budgets tighten, the pipelined
+2     partial-answers     full answers: budgets tighten, the columnar
                           engine may return a truncated answer flagged
                           DEGRADED instead of failing it
 3     stale-serving       freshness: expired per-tenant cache entries

@@ -446,9 +446,8 @@ class QueryService:
                     return
         kwargs = self._budget_kwargs(config, ticket.owner, degrade=True)
         if self.brownout is not None and self.brownout.allow_partial:
-            # Only the pipelined and columnar engines carry partial
-            # rows on the exception; elsewhere the flag is a harmless
-            # no-op and the overrun still fails the ticket.
+            # Only the columnar engine carries partial rows on the
+            # exception; elsewhere the flag is a harmless no-op and the overrun still fails the ticket.
             kwargs["allow_partial"] = True
         try:
             if self.chaos is not None:

@@ -18,7 +18,6 @@ from .plan import (
     NonLiteralFilterNode,
     PlanNode,
     ProjectNode,
-    RelationNode,
     ScanNode,
     UnionNode,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "Planner",
     "ProjectNode",
     "PropertyStatistics",
-    "RelationNode",
     "SQLITE_COMPOUND_SELECT_LIMIT",
     "SqlGenerationError",
     "SqliteBackend",

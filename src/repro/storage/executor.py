@@ -8,24 +8,20 @@ the executor records the actual cardinality of every node, letting
 experiments compare the estimates with reality).
 
 :class:`Executor` is the façade over the physical engines: the
-materialized interpreter below, the pipelined batch executor of
-:mod:`repro.engine.pipeline` (``engine="pipelined"``), which runs the
-same plans in bounded memory with per-operator metrics, and the
-vectorized columnar executor of :mod:`repro.columnar.engine`
-(``engine="columnar"``), which runs them over sorted integer-run
-indexes exchanging column batches.  Either way the result is an
-:class:`ExecutionResult` with the same API.
+materialized interpreter below and the vectorized columnar executor of
+:mod:`repro.columnar.engine` (``engine="columnar"``), which runs the
+same plans over sorted integer-run indexes exchanging column batches,
+in bounded memory with per-operator metrics.  Either way the result is
+an :class:`ExecutionResult` with the same API.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..engine.metrics import PipelineMetrics
-from ..engine.pipeline import iter_scan_rows, run_on_store
 from ..parallel.pool import ExecutorPool
-from ..parallel.scheduler import TaskGraph
 from ..rdf.terms import Term
 from .backends import BackendProfile, HASH_BACKEND
 from .plan import (
@@ -35,7 +31,6 @@ from .plan import (
     NonLiteralFilterNode,
     PlanNode,
     ProjectNode,
-    RelationNode,
     ScanNode,
     UnionNode,
 )
@@ -45,7 +40,7 @@ from .store import TripleStore
 Row = Tuple[int, ...]
 
 #: The physical engines :class:`Executor` can run a plan on.
-ENGINES = ("materialized", "pipelined", "columnar")
+ENGINES = ("materialized", "columnar")
 
 
 class ExecutionResult:
@@ -64,7 +59,7 @@ class ExecutionResult:
         self._rows = rows
         self._store = store
         self.elapsed_seconds = elapsed_seconds
-        #: Per-operator pipeline metrics (pipelined runs only).
+        #: Per-operator metrics (columnar runs only).
         self.metrics = metrics
         self.engine = engine
         self._answer: Optional[FrozenSet[Tuple[Term, ...]]] = None
@@ -94,14 +89,14 @@ class ExecutionResult:
     def peak_buffered_rows(self) -> int:
         """The engine's memory high-water mark in rows.
 
-        For a pipelined or columnar run, the global peak of
-        concurrently buffered operator state (from the metrics) —
-        counted as rows *represented*, so a column chunk of 1,024 rows
-        contributes 1,024 whatever its Python object count, keeping
-        E16-style memory comparisons meaningful across all three
-        engines.  For a materialized run the best available proxy is
-        the largest operator output, which the interpreter held in
-        full by construction.
+        For a columnar run, the global peak of concurrently buffered
+        operator state (from the metrics) — counted as rows
+        *represented*, so a column chunk of 1,024 rows contributes
+        1,024 whatever its Python object count, keeping memory
+        comparisons meaningful across the engines (E21).  For a
+        materialized run the best available proxy is the largest
+        operator output, which the interpreter held in full by
+        construction.
         """
         if self.metrics is not None:
             return self.metrics.peak_buffered_rows
@@ -116,9 +111,87 @@ class ExecutionResult:
         ]
 
 
+def iter_scan_rows(node: ScanNode, store) -> Iterator[Row]:
+    """Lazily yield the rows of one triple-table scan.
+
+    The materialized interpreter drains it into a list (the columnar
+    engine reads its own sorted-run indexes instead).
+    """
+    subject_id, property_id, object_id = node.bound_positions()
+    range_info = node.range_spec()
+    if (
+        range_info is not None
+        and range_info[0] == 2
+        and property_id is not None
+        and subject_id is None
+    ):
+        # Fast path for the interval-atom shape (?x, p, [lo..hi)):
+        # one ordered POS sweep over the object range.
+        lo, hi = range_info[1]
+        matches: Iterable[Tuple[int, int, int]] = (
+            (subject, property_id, object_)
+            for subject, object_ in store.scan_property_object_range(
+                property_id, lo, hi
+            )
+        )
+        range_info = None
+    elif range_info is not None and range_info[0] == 1:
+        # Subproperty interval (s?, [lo..hi), o?): probe the window's
+        # property ids instead of filtering a full-table scan.
+        lo, hi = range_info[1]
+        matches = store.scan_property_range(lo, hi, subject_id, object_id)
+        range_info = None
+    elif property_id is None:
+        matches: Iterable[Tuple[int, int, int]] = (
+            triple
+            for triple in store.scan_all()
+            if (subject_id is None or triple[0] == subject_id)
+            and (object_id is None or triple[2] == object_id)
+        )
+    elif subject_id is not None and object_id is not None:
+        encoded = (subject_id, property_id, object_id)
+        matches = iter([encoded] if store.contains(encoded) else [])
+    elif subject_id is not None:
+        matches = (
+            (subject_id, property_id, value)
+            for value in store.scan_property_subject(property_id, subject_id)
+        )
+    elif object_id is not None:
+        matches = (
+            (value, property_id, object_id)
+            for value in store.scan_property_object(property_id, object_id)
+        )
+    else:
+        matches = (
+            (subject, property_id, object_)
+            for subject, object_ in store.scan_property(property_id)
+        )
+
+    if range_info is not None:
+        # Generic fallback: the range position was treated as unbound
+        # above; filter the id interval here.
+        position, (lo, hi) = range_info
+        matches = (
+            triple for triple in matches if lo <= triple[position] < hi
+        )
+
+    for triple in matches:
+        binding = {}
+        consistent = True
+        for (kind, value), term_id in zip(node.positions, triple):
+            if kind != "var":
+                continue
+            bound = binding.get(value)
+            if bound is None:
+                binding[value] = term_id
+            elif bound != term_id:
+                consistent = False
+                break
+        if consistent:
+            yield tuple(binding[label] for label in node.columns)
+
+
 def _execute_scan(node: ScanNode, store: TripleStore) -> List[Row]:
-    # One scan implementation for both engines: the pipeline pulls
-    # iter_scan_rows lazily, the materialized interpreter drains it.
     return list(iter_scan_rows(node, store))
 
 
@@ -244,8 +317,6 @@ def execute_plan(
             return ready
     if isinstance(node, EmptyNode):
         rows: List[Row] = []
-    elif isinstance(node, RelationNode):
-        rows = list(node.rows)
     elif isinstance(node, ScanNode):
         rows = _execute_scan(node, store)
     elif isinstance(node, JoinNode):
@@ -290,13 +361,8 @@ def execute_plan(
         raise TypeError("cannot execute %r" % (node,))
     node.actual_rows = len(rows)
     if budget is not None:
-        if isinstance(node, RelationNode) and node.charged:
-            # The caller paid for these rows when it materialized them;
-            # a row must be charged exactly once.
-            budget.check_time(operator=type(node).__name__)
-        else:
-            budget.charge_rows(len(rows), operator=type(node).__name__)
-            budget.check_time(operator=type(node).__name__)
+        budget.charge_rows(len(rows), operator=type(node).__name__)
+        budget.check_time(operator=type(node).__name__)
     return rows
 
 
@@ -332,34 +398,20 @@ def execute_plan_parallel(
 ) -> List[Row]:
     """:func:`execute_plan` with union children fanned out to *pool*.
 
-    A task graph evaluates each parallel unit on a worker (each charges
-    the shared budget, so a trip in one unit aborts the siblings at
-    their next charge), then a combine task runs the ordinary
-    interpreter over the full plan with the unit results precomputed —
-    the merge/join/projection structure and therefore the answer are
-    exactly the serial ones.
+    Each parallel unit is evaluated on a worker (each charges the
+    shared budget, so a trip in one unit aborts the siblings at their
+    next charge), then the ordinary interpreter runs over the full plan
+    with the unit results precomputed — the merge/join/projection
+    structure and therefore the answer are exactly the serial ones.
     """
     units = collect_parallel_units(plan)
     if len(units) <= 1 or not pool.usable():
         return execute_plan(plan, store, budget)
-    graph = TaskGraph()
-    names = []
-    for index, unit in enumerate(units):
-        name = "unit-%d" % index
-        names.append(name)
-        graph.add(
-            name,
-            lambda done, unit=unit: (id(unit), execute_plan(unit, store, budget)),
-        )
-    graph.add(
-        "combine",
-        lambda done: execute_plan(
-            plan, store, budget,
-            precomputed=dict(done[name] for name in names),
-        ),
-        after=names,
+    unit_rows = pool.map(lambda unit: execute_plan(unit, store, budget), units)
+    return execute_plan(
+        plan, store, budget,
+        precomputed={id(unit): rows for unit, rows in zip(units, unit_rows)},
     )
-    return graph.run(pool)["combine"]
 
 
 class Executor:
@@ -397,7 +449,7 @@ class Executor:
         the query exceeds the backend's parse limit, and
         :class:`~repro.resilience.errors.BudgetExceeded` when a
         ``budget`` is given and the evaluation outgrows it — with the
-        partial per-node cardinalities (and, pipelined or columnar,
+        partial per-node cardinalities (and, on the columnar engine,
         the operator metrics and partial answer) attached to the
         raised error.
 
@@ -413,11 +465,7 @@ class Executor:
         start = time.perf_counter()
         plan = self.planner.plan(query)
         try:
-            if engine == "pipelined":
-                rows, metrics = run_on_store(
-                    plan, self.store, budget=budget, pool=pool
-                )
-            elif engine == "columnar":
+            if engine == "columnar":
                 from ..columnar.engine import run_columnar
 
                 rows, metrics = run_columnar(
@@ -441,7 +489,7 @@ class Executor:
 
     def _attach_partial(self, exc, plan: PlanNode, engine: str) -> None:
         """Satellite of a budget abort: the error carries how far the
-        plan got (completed-subtree cardinalities, pipeline metrics,
+        plan got (completed-subtree cardinalities, operator metrics,
         decoded partial answer) instead of erasing the evidence."""
         if not hasattr(exc, "diagnostics"):
             return

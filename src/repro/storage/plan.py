@@ -2,7 +2,7 @@
 
 The plan node classes moved to :mod:`repro.engine.ir`: one
 backend-neutral IR that the planner, the cost model, EXPLAIN and every
-executor (materialized, pipelined, SQL lowering) share.  This module
+executor (materialized, columnar, SQL lowering) share.  This module
 re-exports them so existing imports keep working.
 """
 
@@ -18,7 +18,6 @@ from ..engine.ir import (
     PositionSpec,
     ProjectNode,
     ProjectionSpec,
-    RelationNode,
     ScanNode,
     UnionNode,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "PositionSpec",
     "ProjectNode",
     "ProjectionSpec",
-    "RelationNode",
     "ScanNode",
     "UnionNode",
 ]

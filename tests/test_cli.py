@@ -63,8 +63,21 @@ class TestAnswer:
         assert "FAIL" in out
 
     def test_unknown_query_errors(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "answer", "--dataset", "lubm", "--query", "Q99")
+        code, _ = run_cli(
+            capsys, "answer", "--dataset", "lubm", "--query", "Q99"
+        )
+        assert code == 2
+
+    def test_books_rejects_unknown_query_name(self, capsys):
+        # The books dataset has one query, B1 (also its default); any
+        # other name is an error, not a silent fallback to B1.
+        code = main(["answer", "--dataset", "books", "--query", "NOPE"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: unknown query 'NOPE' for dataset 'books'\n"
+        )
 
 
 class TestExplain:
@@ -146,8 +159,8 @@ class TestFileDataset:
         assert "triples" in out
 
     def test_missing_file_argument(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "stats", "--dataset", "file")
+        code, _ = run_cli(capsys, "stats", "--dataset", "file")
+        assert code == 2
 
 
 class TestResilienceFlags:
@@ -622,6 +635,26 @@ class TestExitCodeTable:
                 "answer", "--dataset", "books", "--strategy", "ref-jucq"]),
             (2, "serve", lambda c, t: [
                 "serve", "--dataset", "books", "--tenants", "a:b:c:d"]),
+            (2, "answer", lambda c, t: [
+                "answer", "--dataset", "books", "--sparql", "garbage"]),
+            (2, "explain", lambda c, t: [
+                "explain", "--dataset", "books", "--sparql", "garbage"]),
+            (2, "covers", lambda c, t: [
+                "covers", "--dataset", "books",
+                "--sparql", "SELECT ?x WHERE { ?x <a> }"]),
+            (2, "cache-stats", lambda c, t: [
+                "cache-stats", "--dataset", "books", "--sparql", "garbage"]),
+            (2, "federate", lambda c, t: [
+                "federate", "--dataset", "books", "--sparql", "garbage"]),
+            (2, "answer", lambda c, t: [
+                "answer", "--dataset", "books", "--strategy", "ref-gcov",
+                "--engine", "sqlite", "--row-budget", "5"]),
+            (2, "explain", lambda c, t: [
+                "explain", "--dataset", "books", "--strategy", "ref-jucq"]),
+            (2, "answer", lambda c, t: [
+                "answer", "--dataset", "file"]),
+            (2, "answer", lambda c, t: [
+                "answer", "--dataset", "lubm"]),
             # -- 3: partial ------------------------------------------------
             (3, "federate", lambda c, t: [
                 "federate", "--dataset", "books", "--endpoints", "2",
@@ -641,5 +674,21 @@ class TestExitCodeTable:
         ],
     )
     def test_exit_code(self, capsys, tmp_path, expected, command, argv_builder):
-        code, _ = run_cli(capsys, *argv_builder(capsys, tmp_path))
+        argv = argv_builder(capsys, tmp_path)
+        capsys.readouterr()  # drop what staging printed
+        code = main(argv)
         assert code == expected
+        if expected == 2:
+            # Usage errors are one line on stderr, never a traceback.
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert len(err.splitlines()) == 1
+
+    def test_internal_value_error_keeps_its_traceback(self, monkeypatch):
+        """Only the typed usage errors become exit 2; a ValueError from
+        inside answering is a bug and must not be relabelled."""
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+        monkeypatch.setattr("repro.core.answerer.reformulate", broken)
+        with pytest.raises(ValueError, match="boom"):
+            main(["answer", "--dataset", "books", "--strategy", "ref-ucq"])

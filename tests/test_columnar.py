@@ -189,8 +189,8 @@ class TestColumnarAccounting:
             run_columnar(node, store, budget=budget, batch_size=4)
         exc = info.value
         assert exc.kind == "rows"
-        # The structured partial state travels like the pipelined
-        # engine's: metrics snapshot plus the rows collected so far.
+        # The structured partial state travels on the error: metrics
+        # snapshot plus the rows collected so far.
         assert exc.partial["operators"]
         assert isinstance(exc.partial_rows, list)
 

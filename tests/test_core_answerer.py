@@ -3,6 +3,7 @@
 import pytest
 
 from repro import QueryAnswerer, Strategy
+from repro.cache import QueryCache
 from repro.core import COMPLETE_STRATEGIES
 from repro.datasets import (
     example1_best_cover,
@@ -73,6 +74,73 @@ class TestStrategies:
         _, _, query = books
         with pytest.raises(ValueError):
             answerer.answer(query, "nope")
+
+
+#: ``AnswerReport.details`` keys each strategy's rewrite step reports,
+#: in order — pinned so the one shared answering tail stays key-for-key
+#: what the per-strategy branches produced.
+DETAIL_KEYS = {
+    Strategy.SAT: ["saturation_seconds"],
+    Strategy.DATALOG: [],
+    Strategy.REF_UCQ: ["ucq_disjuncts", "policy"],
+    Strategy.REF_VIRTUOSO: ["ucq_disjuncts", "policy"],
+    Strategy.REF_ALLEGRO: ["ucq_disjuncts", "policy"],
+    Strategy.REF_SCQ: ["fragments", "atom_count"],
+    Strategy.REF_JUCQ: ["cover", "atom_count"],
+    Strategy.REF_GCOV: ["cover", "estimated_cost", "explored_covers"],
+}
+
+
+class TestDetailsKeys:
+    @pytest.mark.parametrize("encoded", [False, True], ids=["classic", "interval"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
+    @pytest.mark.parametrize(
+        "strategy", list(Strategy), ids=[s.value for s in Strategy]
+    )
+    def test_keys_per_strategy(self, books, strategy, cached, encoded):
+        graph, schema, query = books
+        answerer = QueryAnswerer(
+            graph,
+            schema,
+            cache=QueryCache() if cached else None,
+            interval_encoding=encoded,
+        )
+        cover = (
+            Cover(query, [[0, 1], [2]])
+            if strategy is Strategy.REF_JUCQ
+            else None
+        )
+        expected = list(DETAIL_KEYS[strategy])
+        if encoded and strategy not in (Strategy.SAT, Strategy.DATALOG):
+            expected.append("interval")
+        if cached:
+            expected.append("cache")
+        expected.append("parallelism")
+        report = answerer.answer(query, strategy, cover=cover)
+        assert list(report.details) == expected
+        if cached:
+            # A hit replays the stored details, key for key.
+            hit = answerer.answer(query, strategy, cover=cover)
+            assert hit.details["cache"]["answer"] == "hit"
+            assert list(hit.details) == expected
+
+    def test_budget_fallback_keys(self, books):
+        graph, schema, query = books
+        report = QueryAnswerer(graph, schema).answer(
+            query, Strategy.REF_SCQ, row_budget=12, budget_fallbacks=2
+        )
+        assert list(report.details) == [
+            "fragments",
+            "atom_count",
+            "budget_exceeded",
+            "budget_fallback_cover",
+            "budget_fallback_attempts",
+            "parallelism",
+        ]
+        # The per-atom cover (the SCQ itself) is never retried.
+        assert report.details["budget_fallback_cover"] != repr(
+            Cover.per_atom(query)
+        )
 
 
 class TestParseLimits:

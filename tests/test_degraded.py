@@ -381,10 +381,10 @@ class TestDegradedService:
 
     def test_degraded_partials_are_flagged_subsets_and_never_cached(self):
         graph, query = tiny_dataset()
-        truth = sorted(QueryAnswerer(graph, engine="pipelined").answer(query).answer)
+        truth = sorted(QueryAnswerer(graph, engine="columnar").answer(query).answer)
         service = make_service(
             graph,
-            engine="pipelined",
+            engine="columnar",
             brownout=BrownoutPolicy(degraded_row_budget=1),
             breaker_threshold=0,
         )
@@ -649,13 +649,13 @@ class TestFreshnessProperties:
         graph, query = tiny_dataset()
         service = make_service(
             graph,
-            engine="pipelined",
+            engine="columnar",
             tenants=[TenantConfig("solo", queue_depth=8)],
             brownout=BrownoutPolicy(degraded_row_budget=row_budget),
             breaker_threshold=0,
         )
         truth = sorted(
-            QueryAnswerer(graph, engine="pipelined").answer(query).answer
+            QueryAnswerer(graph, engine="columnar").answer(query).answer
         )
         service.brownout.force(PARTIAL_ANSWERS, "property")
         any_degraded = False

@@ -1,19 +1,18 @@
-"""Differential harness: materialized vs pipelined vs columnar.
+"""Differential harness: materialized vs columnar (vs SQLite).
 
-All three physical engines interpret the same plan IR
-(:mod:`repro.engine.ir`), so their contract is testable head-to-head
-as a three-engine matrix:
+Both in-process engines interpret the same plan IR
+(:mod:`repro.engine.ir`), and the SQL lowering hands it to SQLite, so
+their contract is testable head-to-head as a byte-identical matrix:
 
 * identical answers for every strategy on the books example and a
   LUBM micro workload (and on the reference evaluator's answers);
-* on the Example-1-style SCQ blowup, the pipelined and columnar
-  engines' memory high-water marks (``peak_buffered_rows``) stay
-  strictly below the materialized interpreter's largest operator
-  output — and the columnar peak is no worse than the pipelined one;
-* a row budget aborts the pipelined/columnar run mid-stream — before
-  the blowup materializes — and the error carries the partial metrics
-  and decoded partial answer that the degraded-answer path
-  (``allow_partial``) turns into a ``CompletenessReport``.
+* on the Example-1-style SCQ blowup, the columnar engine's memory
+  high-water mark (``peak_buffered_rows``) stays strictly below the
+  materialized interpreter's largest operator output;
+* a row budget aborts the columnar run mid-stream — before the blowup
+  materializes — and the error carries the partial metrics and decoded
+  partial answer that the degraded-answer path (``allow_partial``)
+  turns into a ``CompletenessReport``.
 """
 
 import pytest
@@ -89,8 +88,8 @@ def blowup():
     return graph, schema, query
 
 
-#: The in-process engines of the three-engine differential matrix.
-ALL_ENGINES = ["materialized", "pipelined", "columnar"]
+#: The in-process engines of the differential matrix.
+ALL_ENGINES = ["materialized", "columnar"]
 
 
 @pytest.fixture(scope="module")
@@ -108,23 +107,21 @@ class TestBooksDifferential:
     def test_same_answers(self, books, books_saturated, strategy):
         graph, schema, query = books
         materialized = QueryAnswerer(graph, schema, engine="materialized")
-        pipelined = QueryAnswerer(graph, schema, engine="pipelined")
         columnar = QueryAnswerer(graph, schema, engine="columnar")
+        sqlite = QueryAnswerer(graph, schema, engine="sqlite")
         cover = _cover_for(strategy, query)
         rm = materialized.answer(query, strategy, cover=cover)
-        rp = pipelined.answer(query, strategy, cover=cover)
         rc = columnar.answer(query, strategy, cover=cover)
-        assert rp.answer == rm.answer, strategy
+        rs = sqlite.answer(query, strategy, cover=cover)
         assert rc.answer == rm.answer, strategy
+        assert rs.answer == rm.answer, strategy
         # All agree with the reference evaluator over the saturation.
-        assert rp.answer == evaluate_cq(books_saturated, query)
+        assert rc.answer == evaluate_cq(books_saturated, query)
         # Engine identity travels on the result, with metrics only on
-        # the streaming engines.
+        # the streaming engine (and no execution at all from SQLite).
         assert rm.execution.engine == "materialized"
         assert rm.execution.metrics is None
-        assert rp.execution.engine == "pipelined"
-        assert rp.execution.metrics is not None
-        assert rp.execution.metrics.total_rows_out() > 0
+        assert rs.execution is None
         assert rc.execution.engine == "columnar"
         assert rc.execution.metrics is not None
         assert rc.execution.metrics.total_rows_out() > 0
@@ -148,50 +145,32 @@ class TestLubmDifferential:
         except (QueryTooLargeError, ReformulationTooLarge) as exc:
             # Size refusals happen at reformulation/planning time, so
             # they must be engine-independent.
-            for engine in ("pipelined", "columnar"):
-                with pytest.raises(type(exc)):
-                    lubm_answerers[engine].answer(query, strategy, cover=cover)
+            with pytest.raises(type(exc)):
+                lubm_answerers["columnar"].answer(query, strategy, cover=cover)
             return
-        for engine in ("pipelined", "columnar"):
-            report = lubm_answerers[engine].answer(query, strategy, cover=cover)
-            assert report.answer == rm.answer, (name, strategy, engine)
+        report = lubm_answerers["columnar"].answer(query, strategy, cover=cover)
+        assert report.answer == rm.answer, (name, strategy)
 
 
 class TestScqBlowup:
     ROW_BUDGET = 1500  # between the merged cover's cost and the SCQ's
 
-    def test_pipelined_peak_strictly_lower(self, blowup):
+    def test_columnar_peak_strictly_lower(self, blowup):
         graph, schema, query = blowup
         materialized = QueryAnswerer(graph, schema, engine="materialized")
-        pipelined = QueryAnswerer(graph, schema, engine="pipelined")
-        rm = materialized.answer(query, Strategy.REF_SCQ)
-        rp = pipelined.answer(query, Strategy.REF_SCQ)
-        assert rp.answer == rm.answer == frozenset({(EX.i1_0, EX.o0)})
-        # The materialized interpreter held the full type-fragment
-        # union; the pipeline streamed it through a hash probe and
-        # only ever buffered the small build side.
-        blowup_rows = rm.execution.max_intermediate_rows()
-        assert blowup_rows >= SUBCLASSES * PER_CLASS
-        assert rp.execution.peak_buffered_rows < blowup_rows
-
-    def test_columnar_peak_no_worse_than_pipelined(self, blowup):
-        graph, schema, query = blowup
-        materialized = QueryAnswerer(graph, schema, engine="materialized")
-        pipelined = QueryAnswerer(graph, schema, engine="pipelined")
         columnar = QueryAnswerer(graph, schema, engine="columnar")
         rm = materialized.answer(query, Strategy.REF_SCQ)
-        rp = pipelined.answer(query, Strategy.REF_SCQ)
         rc = columnar.answer(query, Strategy.REF_SCQ)
         assert rc.answer == rm.answer == frozenset({(EX.i1_0, EX.o0)})
-        # The sorted-run merge dedups the type-fragment union while
-        # streaming and merge-joins it group by group, so the columnar
-        # peak stays at or below the pipelined engine's (which buffers
-        # a hash build side) — and far below the materialized blowup.
+        # The materialized interpreter held the full type-fragment
+        # union; the sorted-run merge dedups it while streaming and
+        # merge-joins it group by group, so the columnar peak stays far
+        # below the blowup.
         blowup_rows = rm.execution.max_intermediate_rows()
-        assert rc.execution.peak_buffered_rows <= rp.execution.peak_buffered_rows
+        assert blowup_rows >= SUBCLASSES * PER_CLASS
         assert rc.execution.peak_buffered_rows < blowup_rows
 
-    def test_columnar_budget_abort_carries_partial(self, blowup):
+    def test_row_budget_aborts_columnar_mid_stream(self, blowup):
         graph, schema, query = blowup
         columnar = QueryAnswerer(graph, schema, engine="columnar")
         with pytest.raises(BudgetExceeded) as info:
@@ -205,39 +184,7 @@ class TestScqBlowup:
         assert exc.kind == "rows"
         assert exc.partial is not None
         assert exc.partial["engine"] == "columnar"
-        assert exc.partial["operators"]
-        assert exc.partial_answer is not None
-
-    def test_columnar_allow_partial_degrades(self, blowup):
-        graph, schema, query = blowup
-        columnar = QueryAnswerer(graph, schema, engine="columnar")
-        report = columnar.answer(
-            query,
-            Strategy.REF_SCQ,
-            row_budget=self.ROW_BUDGET,
-            budget_fallbacks=0,
-            allow_partial=True,
-        )
-        assert report.details["partial"] is True
-        assert report.details["completeness"]["complete"] is False
-        complete = columnar.answer(query, Strategy.REF_SCQ).answer
-        assert report.answer <= complete
-
-    def test_row_budget_aborts_pipelined_mid_stream(self, blowup):
-        graph, schema, query = blowup
-        pipelined = QueryAnswerer(graph, schema, engine="pipelined")
-        with pytest.raises(BudgetExceeded) as info:
-            pipelined.answer(
-                query,
-                Strategy.REF_SCQ,
-                row_budget=self.ROW_BUDGET,
-                budget_fallbacks=0,
-            )
-        exc = info.value
-        assert exc.kind == "rows"
-        assert exc.partial is not None
-        assert exc.partial["engine"] == "pipelined"
-        # The abort happened while streaming: the pipeline never
+        # The abort happened while streaming: the engine never
         # buffered anything near the 1000-row union the materialized
         # interpreter would have built.
         assert exc.partial["peak_buffered_rows"] < SUBCLASSES * PER_CLASS
@@ -270,8 +217,8 @@ class TestScqBlowup:
 
     def test_allow_partial_degrades_instead_of_raising(self, blowup):
         graph, schema, query = blowup
-        pipelined = QueryAnswerer(graph, schema, engine="pipelined")
-        report = pipelined.answer(
+        columnar = QueryAnswerer(graph, schema, engine="columnar")
+        report = columnar.answer(
             query,
             Strategy.REF_SCQ,
             row_budget=self.ROW_BUDGET,
@@ -284,7 +231,7 @@ class TestScqBlowup:
         assert completeness["endpoints"][0]["status"] == "degraded"
         assert report.details["budget_exceeded"]["kind"] == "rows"
         # Degraded answers are sound: a subset of the complete one.
-        complete = pipelined.answer(query, Strategy.REF_SCQ).answer
+        complete = columnar.answer(query, Strategy.REF_SCQ).answer
         assert report.answer <= complete
 
     def test_allow_partial_requires_partial_rows(self, blowup):
@@ -304,10 +251,8 @@ class TestScqBlowup:
     def test_partial_answers_never_cached(self, blowup):
         graph, schema, query = blowup
         cache = QueryCache()
-        pipelined = QueryAnswerer(
-            graph, schema, engine="pipelined", cache=cache
-        )
-        degraded = pipelined.answer(
+        columnar = QueryAnswerer(graph, schema, engine="columnar", cache=cache)
+        degraded = columnar.answer(
             query,
             Strategy.REF_SCQ,
             row_budget=self.ROW_BUDGET,
@@ -315,7 +260,7 @@ class TestScqBlowup:
             allow_partial=True,
         )
         assert degraded.details["partial"] is True
-        follow_up = pipelined.answer(query, Strategy.REF_SCQ)
+        follow_up = columnar.answer(query, Strategy.REF_SCQ)
         assert follow_up.details["cache"]["answer"] == "miss"
         assert follow_up.answer == frozenset({(EX.i1_0, EX.o0)})
 
@@ -393,14 +338,14 @@ class TestParallelBudgetAbort:
 
     def test_concurrent_partial_semantics_match_serial(self, blowup):
         graph, schema, query = blowup
-        pipelined = QueryAnswerer(graph, schema, engine="pipelined")
+        columnar = QueryAnswerer(graph, schema, engine="columnar")
         kwargs = dict(
             row_budget=self.ROW_BUDGET,
             budget_fallbacks=0,
             allow_partial=True,
         )
-        serial = pipelined.answer(query, Strategy.REF_SCQ, **kwargs)
-        fanned = pipelined.answer(
+        serial = columnar.answer(query, Strategy.REF_SCQ, **kwargs)
+        fanned = columnar.answer(
             query, Strategy.REF_SCQ, parallelism=4, **kwargs
         )
         for report in (serial, fanned):
@@ -408,7 +353,7 @@ class TestParallelBudgetAbort:
             assert report.details["budget_exceeded"]["kind"] == "rows"
             assert report.details["completeness"]["complete"] is False
         # Both degraded answers are sound subsets of the complete one.
-        complete = pipelined.answer(query, Strategy.REF_SCQ).answer
+        complete = columnar.answer(query, Strategy.REF_SCQ).answer
         assert serial.answer <= complete
         assert fanned.answer <= complete
 
@@ -417,9 +362,9 @@ class TestParallelBudgetAbort:
         # charging one budget trip at (or just past) the same limit a
         # single thread would, not at 4x.
         graph, schema, query = blowup
-        pipelined = QueryAnswerer(graph, schema, engine="pipelined")
+        columnar = QueryAnswerer(graph, schema, engine="columnar")
         with pytest.raises(BudgetExceeded) as info:
-            pipelined.answer(
+            columnar.answer(
                 query,
                 Strategy.REF_SCQ,
                 row_budget=self.ROW_BUDGET,
@@ -454,8 +399,8 @@ class TestExecutorEngines:
     @pytest.mark.parametrize("backend", [MERGE_BACKEND, LOOP_BACKEND],
                              ids=["merge", "nested-loop"])
     def test_join_algorithms_agree(self, backend):
-        # The merge and nested-loop pipeline operators buffer inputs;
-        # they still must match the materialized interpreter exactly.
+        # Whatever join algorithm the backend profile asks for, the
+        # columnar engine must match the materialized interpreter.
         store = self._store()
         executor = Executor(store, backend)
         query = ConjunctiveQuery(
@@ -463,22 +408,20 @@ class TestExecutorEngines:
             [TriplePattern(x, EX.p, y), TriplePattern(x, EX.q, z)],
         )
         rm = executor.run(query, engine="materialized")
-        rp = executor.run(query, engine="pipelined")
         rc = executor.run(query, engine="columnar")
-        assert rp.answer() == rm.answer()
         assert rc.answer() == rm.answer()
-        assert rp.row_count == 30
+        assert rm.row_count == 30
         assert rc.row_count == 30
 
     def test_cross_product_agrees(self):
         store = self._store()
-        executor = Executor(store, engine="pipelined")
+        executor = Executor(store, engine="columnar")
         query = ConjunctiveQuery(
             [x, z], [TriplePattern(x, EX.p, y), TriplePattern(z, EX.q, w)]
         )
         reference = executor.run(query, engine="materialized").answer()
+        assert len(reference) == 900
         assert executor.run(query).answer() == reference
-        assert executor.run(query, engine="columnar").answer() == reference
 
 
 class TestReferenceEvaluatorBudgets:
@@ -575,11 +518,10 @@ class TestIntervalEncodingDifferential:
         classic = reformulate(query, encoded.schema, encoded.policy)
         assert len(union.disjuncts) < len(classic.disjuncts)
 
-    @pytest.mark.parametrize("engine", ["pipelined", "columnar"])
-    def test_budget_abort_and_allow_partial(self, blowup, engine):
+    def test_budget_abort_and_allow_partial(self, blowup):
         graph, schema, query = blowup
         encoded = QueryAnswerer(
-            graph, schema, engine=engine, interval_encoding=True
+            graph, schema, engine="columnar", interval_encoding=True
         )
         complete = encoded.answer(query, Strategy.REF_SCQ).answer
         with pytest.raises(BudgetExceeded) as info:

@@ -1,10 +1,9 @@
-"""The parallel subsystem: pool, scheduler, and thread-safety contracts.
+"""The parallel subsystem: pool and thread-safety contracts.
 
 Three layers of coverage:
 
 * the primitives — :class:`~repro.parallel.pool.ExecutorPool` ordering,
-  inline degradation, cancel-on-first-failure; :class:`TaskGraph`
-  waves and validation;
+  inline degradation, cancel-on-first-failure;
 * the shared mutable state parallel evaluation leans on — one
   :class:`~repro.resilience.budget.ExecutionBudget` charged from many
   threads trips exactly once, the cache's single-flight gate computes
@@ -25,7 +24,7 @@ from repro.cache import LRUCache, QueryCache
 from repro.datasets import example1_query, lubm_queries, lubm_schema
 from repro.federation import Endpoint, FederatedAnswerer
 from repro.optimizer import beam_search, exhaustive_cover_search
-from repro.parallel import ExecutorPool, TaskGraph, pool_for, primary_error
+from repro.parallel import ExecutorPool, pool_for, primary_error
 from repro.parallel.pool import shared_pool
 from repro.rdf import Graph
 from repro.saturation import saturate
@@ -127,64 +126,6 @@ class TestExecutorPool:
         # The shared pool is process-wide and only ever grows.
         assert shared_pool(2) is pool_for(2)
         assert shared_pool(2).workers >= 2
-
-
-# ---------------------------------------------------------------------------
-# TaskGraph
-
-
-class TestTaskGraph:
-    def test_dependencies_feed_results_forward(self, pool):
-        graph = TaskGraph()
-        graph.add("left", lambda done: 2)
-        graph.add("right", lambda done: 3)
-        graph.add("mul", lambda done: done["left"] * done["right"],
-                  after=("left", "right"))
-        graph.add("final", lambda done: done["mul"] + 1, after=("mul",))
-        results = graph.run(pool)
-        assert results == {"left": 2, "right": 3, "mul": 6, "final": 7}
-        assert len(graph) == 4
-
-    def test_serial_pool_same_results(self):
-        graph = TaskGraph()
-        order = []
-        graph.add("a", lambda done: order.append("a"))
-        graph.add("b", lambda done: order.append("b"), after=("a",))
-        graph.run(ExecutorPool(1))
-        assert order == ["a", "b"]
-
-    def test_duplicate_name_rejected(self):
-        graph = TaskGraph()
-        graph.add("a", lambda done: 1)
-        with pytest.raises(ValueError, match="duplicate"):
-            graph.add("a", lambda done: 2)
-
-    def test_unknown_dependency_rejected(self):
-        graph = TaskGraph()
-        with pytest.raises(ValueError, match="unknown task"):
-            graph.add("b", lambda done: 1, after=("missing",))
-
-    def test_cycle_detected_at_run_time(self, pool):
-        # add() forbids forward references, so a cycle can only be
-        # smuggled in below the public API — run() still refuses it
-        # rather than spinning.
-        graph = TaskGraph()
-        graph._names.update({"a", "b"})
-        graph._tasks = [
-            ("a", lambda done: 1, ("b",)),
-            ("b", lambda done: 2, ("a",)),
-        ]
-        with pytest.raises(ValueError, match="cycle"):
-            graph.run(pool)
-
-    def test_failure_abandons_later_waves(self, pool):
-        graph = TaskGraph()
-        ran = []
-        graph.add("boom", lambda done: 1 / 0)
-        graph.add("never", lambda done: ran.append("never"), after=("boom",))
-        with pytest.raises(ZeroDivisionError):
-            graph.run(pool)
-        assert ran == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Unit tests for the reference evaluator."""
 
+import ast
+import inspect
+
 import pytest
 
+from repro import BudgetExceeded, ExecutionBudget
 from repro.query import (
     ConjunctiveQuery,
     JoinOfUnions,
@@ -13,6 +17,8 @@ from repro.query import (
     evaluate_jucq,
     evaluate_ucq,
 )
+from repro.query import evaluation
+from repro.query.evaluation import join_relations
 from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, Triple
 
 EX = Namespace("http://example.org/")
@@ -143,3 +149,37 @@ class TestDispatch:
     def test_evaluate_rejects_unknown(self, graph):
         with pytest.raises(TypeError):
             evaluate(graph, "not a query")
+
+
+class TestJoinRelations:
+    def test_output_is_charged_and_a_blowup_refused(self):
+        """The oracle's join meters its own output — and stands alone:
+        no engine under test is imported to compute it."""
+        budget = ExecutionBudget(max_rows=100)
+        schema, rows = join_relations(
+            (x, y),
+            {(EX.a, EX.b), (EX.c, EX.d)},
+            (y, EX.k, z),
+            {(EX.b, EX.k, EX.e), (EX.b, EX.k, EX.f), (EX.g, EX.k, EX.h)},
+            budget=budget,
+        )
+        assert schema == (x, y, EX.k, z)
+        assert rows == {(EX.a, EX.b, EX.k, EX.e), (EX.a, EX.b, EX.k, EX.f)}
+        assert budget.rows_charged == 2
+
+        left = {(EX.term("l%d" % i),) for i in range(100)}
+        right = {(EX.term("r%d" % i),) for i in range(100)}
+        with pytest.raises(BudgetExceeded) as info:
+            join_relations(
+                (x,), left, (y,), right, budget=ExecutionBudget(max_rows=2000)
+            )
+        assert info.value.kind == "rows"
+        # Refused mid-join, not after the 10,000-row product was built.
+        assert 2000 < info.value.rows_produced < 100 * 100
+
+        packages = {
+            node.module.split(".")[0]
+            for node in ast.walk(ast.parse(inspect.getsource(evaluation)))
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert not packages & {"engine", "columnar", "storage"}, packages

@@ -274,7 +274,7 @@ class TestWeightedFairness:
         assert order[1:5].count("busy") >= 2
 
 
-@pytest.mark.parametrize("engine", ["builtin", "pipelined"])
+@pytest.mark.parametrize("engine", ["builtin", "columnar"])
 class TestSnapshotIsolation:
     def test_pinned_reads_identical_under_concurrent_inserts(self, engine):
         graph, query = tiny_dataset()
@@ -329,7 +329,7 @@ class TestSnapshotIsolation:
         snapshot = service.pin()
         service.insert(Triple(EX.zed, RDF_TYPE, EX.Student))
         frozen = snapshot.store()
-        other = "pipelined" if engine == "builtin" else "builtin"
+        other = "columnar" if engine == "builtin" else "builtin"
         here = QueryAnswerer(frozen.to_graph(), frozen.schema, engine=engine)
         there = QueryAnswerer(frozen.to_graph(), frozen.schema, engine=other)
         assert rows(here.answer(query).answer) == rows(there.answer(query).answer)
@@ -416,7 +416,7 @@ class TestServiceEquivalence:
             assert ticket.status == DONE
             assert rows(ticket) == rows(direct.answer(query, strategy).answer)
 
-    @pytest.mark.parametrize("engine", ["builtin", "pipelined"])
+    @pytest.mark.parametrize("engine", ["builtin", "columnar"])
     def test_matches_direct_answerer_on_lubm(self, engine):
         graph = generate_lubm(universities=1, seed=7)
         queries = lubm_queries()
