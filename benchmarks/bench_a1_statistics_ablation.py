@@ -94,7 +94,7 @@ def test_constant_scan_errors(lubm_answerer):
             )
             for label, flag in (("exact", True), ("uniform", False)):
                 estimate = cardinality.estimate_scan(
-                    scan, statistics, store.type_property_id, flag
+                    scan.positions, statistics, store.type_property_id, flag
                 )
                 errors[label].append(abs(estimate - actual))
     mean_exact = sum(errors["exact"]) / max(len(errors["exact"]), 1)

@@ -65,7 +65,6 @@ from .datasets import (
     bib_queries,
     geo_queries,
 )
-from .optimizer import gcov
 from .query.visualize import render_strategy
 from .saturation import explain_triple, format_derivation
 from .schema import Schema
@@ -284,6 +283,13 @@ def cmd_answer(args) -> int:
                 for answer_row in sorted(report.answer)[: args.limit]:
                     print("   ", tuple(str(term.lexical()) for term in answer_row))
             if args.show_metrics and len(strategies) == 1:
+                if strategy is Strategy.REF_GCOV:
+                    # The report carries the search's time; its
+                    # counters come from a search of the same inputs.
+                    _print_search(
+                        answerer.cover_search(query)[0],
+                        report.details["search_seconds"],
+                    )
                 interval = report.details.get("interval")
                 if interval is not None:
                     print("interval atoms: %d (collapsed %d union branch(es))"
@@ -488,14 +494,26 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _print_search(search, seconds: float) -> None:
+    """Which cover and why, and what it cost to decide."""
+    costs = sorted(cost for _, cost in search.explored)
+    print("GCov chose %r (estimated cost %.1f, runner-up %s) after "
+          "exploring %d covers"
+          % (search.cover, search.cost,
+             "%.1f" % costs[1] if len(costs) > 1 else "none",
+             search.explored_count))
+    print("cover search: %.1f ms, %d fragments priced, %d estimates computed"
+          % (seconds * 1e3, search.fragments_priced,
+             search.estimates_computed))
+
+
 def cmd_covers(args) -> int:
     answerer = QueryAnswerer(_build_graph(args))
     query = _resolve_query(args)
-    search = gcov(query, answerer.schema, answerer.store, answerer.backend)
+    search, seconds = answerer.cover_search(query)
     print(render_strategy(search.cover))
     print()
-    print("GCov chose %r (estimated cost %.1f) after exploring %d covers"
-          % (search.cover, search.cost, search.explored_count))
+    _print_search(search, seconds)
     ranked = sorted(search.explored, key=lambda pair: pair[1])[: args.top]
     print(format_table(
         ["cover", "estimated cost"],

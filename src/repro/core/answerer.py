@@ -58,6 +58,11 @@ Answer = FrozenSet[Tuple[Term, ...]]
 ANSWERER_ENGINES = ("builtin", "materialized", "columnar", "sqlite")
 
 
+def _ranked(search):
+    """A search's explored ``(cover, cost)`` pairs, cheapest first."""
+    return sorted(search.explored, key=lambda pair: pair[1])
+
+
 class OptionError(ValueError):
     """An engine/strategy/option combination the answerer refuses —
     the caller's mistake, as opposed to a failure inside answering."""
@@ -563,10 +568,20 @@ class QueryAnswerer:
             details,
         )
 
+    def cover_search(self, query: ConjunctiveQuery):
+        """One greedy cover search (GCov) for *query*, as ``REF_GCOV``
+        runs it; returns ``(result, seconds)``."""
+        start = time.perf_counter()
+        search = gcov(
+            query, self.schema, self.store, self.backend, self.policy,
+            encoding=self.encoding,
+        )
+        return search, time.perf_counter() - start
+
     def _fallback_evaluate(
         self,
         jucq,
-        query: ConjunctiveQuery,
+        ranked_covers,
         budget_factory,
         fallbacks: int,
         details: Dict,
@@ -577,27 +592,20 @@ class QueryAnswerer:
         :class:`~repro.resilience.errors.BudgetExceeded`, retry up to
         *fallbacks* next-best covers from the greedy search (cheapest
         estimated cost first, the failed cover excluded), each under a
-        fresh budget.  Exhausting the fallbacks re-raises the original
-        overrun — with every attempt's cover recorded in *details* so
-        the caller can see what was tried."""
+        fresh budget.  *ranked_covers* is called only then: it yields
+        the ``(cover, cost)`` list of the search that chose *jucq* when
+        there was one — an overrun never searches twice.  Exhausting
+        the fallbacks re-raises the original overrun — with every
+        attempt's cover recorded in *details*."""
         try:
             return self._evaluate(jucq, budget=budget_factory(), pool=pool)
         except BudgetExceeded as primary:
             if fallbacks <= 0:
                 raise
             details["budget_exceeded"] = primary.diagnostics()
-            search = gcov(
-                query,
-                self.schema,
-                self.store,
-                self.backend,
-                self.policy,
-                encoding=self.encoding,
-            )
-            ranked = sorted(search.explored, key=lambda pair: pair[1])
             excluded = {exclude_repr} if exclude_repr is not None else set()
             failed: list = []
-            for candidate, _cost in ranked:
+            for candidate, _cost in ranked_covers():
                 shown = repr(candidate)
                 if shown in excluded:
                     continue
@@ -633,9 +641,14 @@ class QueryAnswerer:
         """The rewrite step of the six reformulation strategies: each
         one is a cache kind, a policy, a builder and the cover a budget
         fallback must not retry.  Returns ``(reformulation, details,
-        failed_cover)`` — the UCQ or JUCQ to evaluate, the strategy's
-        diagnostics, and that cover's repr (None for the UCQ family,
-        which has no cover to fall back from)."""
+        failed_cover, ranked_covers)`` — the UCQ or JUCQ to evaluate,
+        the strategy's diagnostics, that cover's repr (None for the UCQ
+        family, which has no cover to fall back from) and what
+        :meth:`_fallback_evaluate` ranks its fallbacks from."""
+
+        def ranked_covers():
+            return _ranked(self.cover_search(query)[0])
+
         policy = self.policy
         extra = None
         if strategy in _UCQ_POLICIES:
@@ -666,7 +679,7 @@ class QueryAnswerer:
 
             def describe(union):
                 details = {"ucq_disjuncts": size, "policy": policy.name}
-                return union, details, None
+                return union, details, None, None
 
         elif strategy is Strategy.REF_SCQ:
             kind = "scq"
@@ -682,7 +695,7 @@ class QueryAnswerer:
                     "atom_count": jucq.atom_count(),
                 }
                 # The SCQ *is* the per-atom cover's JUCQ.
-                return jucq, details, repr(Cover.per_atom(query))
+                return jucq, details, repr(Cover.per_atom(query)), ranked_covers
 
         elif strategy is Strategy.REF_JUCQ:
             kind = "jucq-cover"
@@ -695,7 +708,7 @@ class QueryAnswerer:
 
             def describe(jucq):
                 details = {"cover": repr(cover), "atom_count": jucq.atom_count()}
-                return jucq, details, details["cover"]
+                return jucq, details, details["cover"], ranked_covers
 
         elif strategy is Strategy.REF_GCOV:
             # The cover choice is cost-based, hence data-dependent: the
@@ -704,14 +717,7 @@ class QueryAnswerer:
             kind, extra = "gcov", (self._dataset_token, self.backend.name)
 
             def build():
-                search = gcov(
-                    query,
-                    self.schema,
-                    self.store,
-                    self.backend,
-                    policy,
-                    encoding=self.encoding,
-                )
+                search, seconds = self.cover_search(query)
                 jucq = jucq_for_cover(
                     search.cover, self.schema, policy, encoding=self.encoding
                 )
@@ -721,12 +727,19 @@ class QueryAnswerer:
                         "cover": repr(search.cover),
                         "estimated_cost": search.cost,
                         "explored_covers": search.explored_count,
+                        "search_seconds": seconds,
                     },
+                    _ranked(search),
                 )
 
             def describe(built):
-                jucq, gcov_details = built
-                return jucq, dict(gcov_details), gcov_details["cover"]
+                jucq, gcov_details, ranked = built
+                return (
+                    jucq,
+                    dict(gcov_details),
+                    gcov_details["cover"],
+                    lambda: ranked,
+                )
 
         else:
             raise ValueError("unknown strategy %r" % (strategy,))
@@ -734,9 +747,9 @@ class QueryAnswerer:
         built, reformulation_hit = self._cached_reformulation(
             kind, query, policy, build, extra
         )
-        reformulation, details, failed_cover = describe(built)
+        reformulation, details, failed_cover, ranked_covers = describe(built)
         details["_reformulation_cache"] = reformulation_hit
-        return reformulation, details, failed_cover
+        return reformulation, details, failed_cover, ranked_covers
 
     def _answer_uncached(
         self,
@@ -771,7 +784,7 @@ class QueryAnswerer:
                 strategy, answer, time.perf_counter() - start
             )
 
-        reformulation, details, failed_cover = self._rewrite(
+        reformulation, details, failed_cover, ranked_covers = self._rewrite(
             query, strategy, cover, max_disjuncts
         )
         interval_stats = self._interval_stats(reformulation)
@@ -786,7 +799,7 @@ class QueryAnswerer:
             # it is consulted, that cover has just overrun.
             answer, execution = self._fallback_evaluate(
                 reformulation,
-                query,
+                ranked_covers,
                 budget_factory,
                 budget_fallbacks,
                 details,

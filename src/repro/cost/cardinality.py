@@ -20,23 +20,24 @@ Estimates are floats ≥ 0; downstream code must not assume integers.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Hashable, Sequence
 
-from ..query.algebra import Variable
-from ..engine.ir import (
-    JoinNode,
-    ScanNode,
-)
+from ..engine.ir import PositionSpec
 from ..storage.statistics import StoreStatistics
+
+#: Distinct-value estimates per column, keyed by whatever names a column
+#: for the caller: Variables in the plan IR, ints in the cover estimator.
+Distincts = Dict[Hashable, float]
 
 
 def estimate_scan(
-    scan: ScanNode,
+    positions: Sequence[PositionSpec],
     statistics: StoreStatistics,
     type_property_id,
     exact_constants: bool = False,
 ) -> float:
-    """Estimated output rows of a triple-pattern scan.
+    """Estimated output rows of a triple-pattern scan, given its three
+    position specs (``ScanNode.positions``).
 
     With ``exact_constants`` (an MCV-style lookup), a scan with one
     bound subject/object uses the exact per-value frequency; otherwise
@@ -44,10 +45,12 @@ def estimate_scan(
     the distinct count — the paper's textbook formula, and the
     default.  Ablation A1 compares the two.
     """
-    subject_id, property_id, object_id = scan.bound_positions()
-    range_spec = scan.range_spec()
-    if range_spec is not None:
-        position, (lo, hi) = range_spec
+    subject_id, property_id, object_id = (
+        value if kind == "const" else None for kind, value in positions
+    )
+    ranges = [(i, value) for i, (kind, value) in enumerate(positions) if kind == "range"]
+    if ranges:
+        position, (lo, hi) = ranges[0]
         if position == 1:
             # Property-position interval (subproperty subtree): the
             # stored per-property counts summed over the id range —
@@ -130,12 +133,12 @@ def estimate_scan(
 
 
 def scan_column_distincts(
-    scan: ScanNode, statistics: StoreStatistics, rows: float
-) -> Dict[Variable, float]:
+    positions: Sequence[PositionSpec], statistics: StoreStatistics, rows: float
+) -> Distincts:
     """Distinct-value estimates for each variable column of a scan."""
-    subject_id, property_id, object_id = scan.bound_positions()
-    distincts: Dict[Variable, float] = {}
-    for position, (kind, value) in enumerate(scan.positions):
+    property_id = positions[1][1] if positions[1][0] == "const" else None
+    distincts: Distincts = {}
+    for position, (kind, value) in enumerate(positions):
         if kind != "var":
             continue
         variable = value
@@ -164,8 +167,8 @@ def scan_column_distincts(
 def estimate_join(
     left_rows: float,
     right_rows: float,
-    left_distincts: Dict[Variable, float],
-    right_distincts: Dict[Variable, float],
+    left_distincts: Distincts,
+    right_distincts: Distincts,
     join_variables,
 ) -> float:
     """System-R join cardinality with independence across keys."""
@@ -180,13 +183,13 @@ def estimate_join(
 
 
 def join_column_distincts(
-    join: JoinNode, rows: float
-) -> Dict[Variable, float]:
+    left_distincts: Distincts, right_distincts: Distincts, rows: float
+) -> Distincts:
     """Propagate distinct counts through a join: a surviving column
     keeps at most its input distinct count, capped by the output size."""
-    distincts: Dict[Variable, float] = {}
-    for source in (join.left, join.right):
-        for variable, value in source.column_distincts.items():
+    distincts: Distincts = {}
+    for source in (left_distincts, right_distincts):
+        for variable, value in source.items():
             current = distincts.get(variable)
             candidate = min(value, rows) if rows else 0.0
             if current is None or candidate < current:
@@ -194,7 +197,7 @@ def join_column_distincts(
     return distincts
 
 
-def distinct_output_rows(child_rows: float, child_distincts: Dict[Variable, float]) -> float:
+def distinct_output_rows(child_rows: float, child_distincts: Distincts) -> float:
     """Estimated rows after duplicate elimination: bounded by the
     product of the per-column distincts (independence), and by the
     input size."""

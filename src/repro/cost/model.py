@@ -25,7 +25,7 @@ against observed runtimes.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..storage.backends import BackendProfile
 from ..engine.ir import (
@@ -34,12 +34,17 @@ from ..engine.ir import (
     JoinNode,
     NonLiteralFilterNode,
     PlanNode,
+    PositionSpec,
     ProjectNode,
     ScanNode,
     UnionNode,
 )
 from ..storage.statistics import StoreStatistics
 from . import cardinality
+from .cardinality import Distincts
+
+#: What every formula below returns: rows, column distincts, own cost.
+Numbers = Tuple[float, Distincts, float]
 
 
 def _log2(value: float) -> float:
@@ -66,98 +71,130 @@ def annotate_node(
 ) -> PlanNode:
     """Annotate one node, assuming its children are already annotated.
 
-    The cover optimizer uses this to price join trees over *cached*
-    fragment plans without re-walking their (possibly large) subtrees.
+    Every formula lives in the node-free functions below, which the
+    cover optimizer calls directly: it prices covers on plain numbers
+    and never builds the nodes.
     """
     if isinstance(node, EmptyNode):
-        node.estimated_rows = 0.0
-        node.estimated_cost = 0.0
-        node.column_distincts = {}
-
+        estimate = 0.0, {}, 0.0
     elif isinstance(node, ScanNode):
-        rows = cardinality.estimate_scan(
-            node, statistics, type_property_id, backend.exact_constant_stats
-        )
-        node.estimated_rows = rows
-        node.column_distincts = cardinality.scan_column_distincts(
-            node, statistics, rows
-        )
-        node.estimated_cost = backend.io_cost * rows
-
+        estimate = scan_estimate(node.positions, statistics, backend, type_property_id)
     elif isinstance(node, JoinNode):
-        left, right = node.left, node.right
-        rows = cardinality.estimate_join(
-            left.estimated_rows,
-            right.estimated_rows,
-            left.column_distincts,
-            right.column_distincts,
+        estimate = join_estimate(
+            _numbers(node.left),
+            _numbers(node.right),
             node.join_variables,
+            node.algorithm,
+            backend,
         )
-        node.estimated_rows = rows
-        node.column_distincts = cardinality.join_column_distincts(node, rows)
-        node.estimated_cost = _join_cost(node, backend)
-
     elif isinstance(node, ProjectNode):
-        node.estimated_rows = node.child.estimated_rows
+        rows, distincts = _numbers(node.child)
         kept = {label for label in node.columns if label is not None}
-        node.column_distincts = {
-            variable: value
-            for variable, value in node.child.column_distincts.items()
-            if variable in kept
+        distincts = {
+            variable: value for variable, value in distincts.items() if variable in kept
         }
-        node.estimated_cost = backend.cpu_cost * node.child.estimated_rows
-
+        estimate = rows, distincts, per_row_cost(rows, backend)
     elif isinstance(node, NonLiteralFilterNode):
         # Pass-through estimate: guards rarely drop many rows, and an
         # overestimate only makes guarded plans marginally pricier.
-        node.estimated_rows = node.child.estimated_rows
-        node.column_distincts = dict(node.child.column_distincts)
-        node.estimated_cost = backend.cpu_cost * node.child.estimated_rows
-
+        rows, distincts = _numbers(node.child)
+        estimate = rows, dict(distincts), per_row_cost(rows, backend)
     elif isinstance(node, UnionNode):
-        total = sum(child.estimated_rows for child in node.children())
-        node.estimated_rows = total
-        merged = {}
-        for child in node.children():
-            for variable, value in child.column_distincts.items():
-                merged[variable] = merged.get(variable, 0.0) + value
-        node.column_distincts = {
-            variable: min(value, total) for variable, value in merged.items()
-        }
-        node.estimated_cost = backend.dedup_cost * total
-
-    elif isinstance(node, DistinctNode):
-        child = node.child
-        node.estimated_rows = cardinality.distinct_output_rows(
-            child.estimated_rows, child.column_distincts
+        estimate = union_estimate(
+            (_numbers(child) + (1,) for child in node.children()), backend
         )
-        node.column_distincts = dict(child.column_distincts)
-        node.estimated_cost = backend.dedup_cost * child.estimated_rows
-
+    elif isinstance(node, DistinctNode):
+        rows, distincts = _numbers(node.child)
+        estimate = (
+            cardinality.distinct_output_rows(rows, distincts),
+            dict(distincts),
+            dedup_cost(rows, backend),
+        )
     else:
         raise TypeError("cannot cost %r" % (node,))
+    node.estimated_rows, node.column_distincts, node.estimated_cost = estimate
     return node
 
 
-def _join_cost(node: JoinNode, backend: BackendProfile) -> float:
-    left_rows = node.left.estimated_rows
-    right_rows = node.right.estimated_rows
-    output = node.estimated_rows
-    if node.algorithm == "hash":
+def _numbers(node: PlanNode) -> Tuple[float, Distincts]:
+    return node.estimated_rows, node.column_distincts
+
+
+# ----------------------------------------------------------------------
+# The formulas, over plain numbers: each returns ``(rows, column
+# distincts, own cost)``.
+
+
+def scan_estimate(
+    positions: Sequence[PositionSpec],
+    statistics: StoreStatistics,
+    backend: BackendProfile,
+    type_property_id: Optional[int],
+) -> Numbers:
+    """One triple-pattern scan, given its three position specs."""
+    rows = cardinality.estimate_scan(
+        positions, statistics, type_property_id, backend.exact_constant_stats
+    )
+    distincts = cardinality.scan_column_distincts(positions, statistics, rows)
+    return rows, distincts, backend.io_cost * rows
+
+
+def join_estimate(
+    left: Tuple[float, Distincts],
+    right: Tuple[float, Distincts],
+    join_variables: Sequence,
+    algorithm: str,
+    backend: BackendProfile,
+) -> Numbers:
+    """A binary join of two ``(rows, distincts)`` inputs."""
+    (left_rows, left_distincts), (right_rows, right_distincts) = left, right
+    rows = cardinality.estimate_join(
+        left_rows, right_rows, left_distincts, right_distincts, join_variables
+    )
+    distincts = cardinality.join_column_distincts(
+        left_distincts, right_distincts, rows
+    )
+    if algorithm == "hash":
         build = min(left_rows, right_rows)
         probe = max(left_rows, right_rows)
-        return (
+        cost = (
             backend.hash_build_cost * build
             + backend.cpu_cost * (build + probe)
-            + backend.cpu_cost * output
+            + backend.cpu_cost * rows
         )
-    if node.algorithm == "merge":
+    elif algorithm == "merge":
         sort = backend.sort_cost_factor * (
             left_rows * _log2(left_rows) + right_rows * _log2(right_rows)
         )
-        return sort + backend.cpu_cost * (left_rows + right_rows + output)
-    # nested loop
-    return backend.cpu_cost * (left_rows * max(right_rows, 1.0) + output)
+        cost = sort + backend.cpu_cost * (left_rows + right_rows + rows)
+    else:  # nested loop
+        cost = backend.cpu_cost * (left_rows * max(right_rows, 1.0) + rows)
+    return rows, distincts, cost
+
+
+def union_estimate(
+    inputs: Iterable[Tuple[float, Distincts, int]], backend: BackendProfile
+) -> Numbers:
+    """A deduplicating union of ``(rows, distincts, weight)`` inputs;
+    an input of weight *n* stands for *n* inputs with that estimate."""
+    total = 0.0
+    merged: Distincts = {}
+    for rows, distincts, weight in inputs:
+        total += weight * rows
+        for variable, value in distincts.items():
+            merged[variable] = merged.get(variable, 0.0) + weight * value
+    distincts = {variable: min(value, total) for variable, value in merged.items()}
+    return total, distincts, dedup_cost(total, backend)
+
+
+def per_row_cost(rows: float, backend: BackendProfile) -> float:
+    """Projection and the non-literal guard: CPU per input tuple."""
+    return backend.cpu_cost * rows
+
+
+def dedup_cost(rows: float, backend: BackendProfile) -> float:
+    """Duplicate elimination (union, distinct) per input tuple."""
+    return backend.dedup_cost * rows
 
 
 def plan_cost(node: PlanNode) -> float:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel.pool import ExecutorPool
 from ..query.algebra import ConjunctiveQuery
 from ..query.cover import Cover
 from ..reformulation.policy import COMPLETE, ReformulationPolicy
 from ..schema.schema import Schema
 from ..storage.backends import BackendProfile, HASH_BACKEND
 from ..storage.store import TripleStore
-from .estimator import CoverCostEstimator, INFINITE_COST
+from .estimator import CoverCostEstimator
 from .gcov import GCovResult, _neighbours
 
 
@@ -37,14 +36,9 @@ def beam_search(
     fragment_limit: int = 4096,
     max_rounds: int = 16,
     estimator: Optional[CoverCostEstimator] = None,
-    pool: Optional[ExecutorPool] = None,
 ) -> GCovResult:
     """Beam search from the per-atom cover; returns the same result
     type as :func:`~repro.optimizer.gcov.gcov` for drop-in comparison.
-
-    ``pool`` prices each round's fresh neighbours concurrently; the
-    candidates are collected and ranked in discovery order either way,
-    so the search trajectory is identical to the serial run.
     """
     if estimator is None:
         estimator = CoverCostEstimator(
@@ -60,23 +54,15 @@ def beam_search(
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        fresh: List[Cover] = []
+        candidates: List[Tuple[Cover, float]] = []
         for cover, _ in beam:
             for neighbour in _neighbours(cover):
                 key = neighbour.fragments
                 if key in visited:
                     continue
-                visited[key] = INFINITE_COST  # claimed; cost follows
-                fresh.append(neighbour)
-        if pool is not None and pool.usable() and len(fresh) > 1:
-            costs = pool.map(estimator.cost, fresh)
-        else:
-            costs = [estimator.cost(neighbour) for neighbour in fresh]
-        candidates: List[Tuple[Cover, float]] = []
-        for neighbour, cost in zip(fresh, costs):
-            visited[neighbour.fragments] = cost
-            explored.append((neighbour, cost))
-            candidates.append((neighbour, cost))
+                cost = visited[key] = estimator.cost(neighbour)
+                explored.append((neighbour, cost))
+                candidates.append((neighbour, cost))
         if not candidates:
             break
         candidates.sort(key=lambda pair: pair[1])
@@ -88,4 +74,7 @@ def beam_search(
             # costs are monotone enough that deeper rounds rarely help;
             # one grace round, then stop.
             break
-    return GCovResult(best_cover, best_cost, explored, rounds)
+    result = GCovResult(best_cover, best_cost, explored, rounds)
+    result.fragments_priced = estimator.fragments_priced
+    result.estimates_computed = estimator.estimates_computed
+    return result

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..parallel.pool import ExecutorPool
 from ..query.algebra import ConjunctiveQuery
 from ..query.cover import Cover, enumerate_partition_covers, partition_cover_count
 from ..reformulation.policy import COMPLETE, ReformulationPolicy
@@ -50,17 +49,11 @@ def exhaustive_cover_search(
     fragment_limit: int = 4096,
     max_atoms: int = 8,
     estimator: Optional[CoverCostEstimator] = None,
-    pool: Optional[ExecutorPool] = None,
 ) -> ExhaustiveResult:
     """Price every partition cover of *query* and return the best.
 
     Refuses queries beyond *max_atoms* atoms (Bell(9) is already
     21,147 covers); use GCov there instead.
-
-    ``pool`` scores covers concurrently (the estimator is shareable;
-    see :class:`~repro.optimizer.estimator.CoverCostEstimator`); the
-    priced space comes back in enumeration order regardless, so the
-    result is identical to the serial search.
     """
     atom_count = len(query.atoms)
     if atom_count > max_atoms:
@@ -73,15 +66,11 @@ def exhaustive_cover_search(
         estimator = CoverCostEstimator(
             query, schema, store, backend, policy, fragment_limit
         )
-    covers = list(enumerate_partition_covers(query))
-    if pool is not None and pool.usable() and len(covers) > 1:
-        costs = pool.map(estimator.cost, covers)
-    else:
-        costs = [estimator.cost(cover) for cover in covers]
     best_cover: Optional[Cover] = None
     best_cost = INFINITE_COST
     space: List[Tuple[Cover, float]] = []
-    for cover, cost in zip(covers, costs):
+    for cover in enumerate_partition_covers(query):
+        cost = estimator.cost(cover)
         space.append((cover, cost))
         if cost < best_cost:
             best_cover, best_cost = cover, cost

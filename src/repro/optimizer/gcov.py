@@ -32,7 +32,11 @@ from .estimator import CoverCostEstimator
 
 
 class GCovResult:
-    """Outcome of a greedy search: the chosen cover plus the trace."""
+    """Outcome of a greedy search: the chosen cover plus the trace.
+
+    ``fragments_priced`` / ``estimates_computed`` say what deciding
+    cost: the estimator's counters when the search ended (an estimator
+    shared between searches arrives with their work already on it)."""
 
     def __init__(
         self,
@@ -133,4 +137,7 @@ def gcov(
         current, current_cost = best_candidate, best_cost
         iterations += 1
 
-    return GCovResult(current, current_cost, explored, iterations)
+    result = GCovResult(current, current_cost, explored, iterations)
+    result.fragments_priced = estimator.fragments_priced
+    result.estimates_computed = estimator.estimates_computed
+    return result

@@ -4,8 +4,8 @@ The paper's JUCQ reformulations are joins of *independently evaluable*
 UCQ fragments, and each UCQ is a union of independent CQ disjuncts —
 an embarrassingly parallel shape.  :class:`ExecutorPool` is the one
 pool every parallel code path shares: fragment/disjunct evaluation in
-both engines, federation endpoint fan-out, cover scoring, and chunked
-saturation rounds all submit work here rather than owning threads.
+both engines, federation endpoint fan-out and chunked saturation
+rounds all submit work here rather than owning threads.
 
 Design rules the rest of the codebase relies on:
 

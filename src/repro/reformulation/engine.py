@@ -53,7 +53,7 @@ class ReformulationTooLarge(RuntimeError):
         self.limit = limit
 
 
-def _merge_choices(
+def merge_choices(
     choices: Sequence[Alternative],
 ) -> Optional[Tuple[Substitution, FrozenSet[Variable]]]:
     """Merge one choice of alternative per atom into a (substitution,
@@ -83,7 +83,7 @@ def _merge_choices(
 def _build_disjunct(
     query: ConjunctiveQuery, choices: Sequence[Alternative]
 ) -> Optional[ConjunctiveQuery]:
-    merged = _merge_choices(choices)
+    merged = merge_choices(choices)
     if merged is None:
         return None
     substitution, guard = merged
@@ -169,7 +169,7 @@ def ucq_size(
         return product
     count = 0
     for choices in itertools.product(*alternatives):
-        if _merge_choices(choices) is not None:
+        if merge_choices(choices) is not None:
             count += 1
     return count
 

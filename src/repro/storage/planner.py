@@ -18,7 +18,8 @@ the paper's engines, without first paying plan construction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from ..cost.model import annotate_plan
 from ..query.algebra import (
@@ -58,6 +59,56 @@ def query_atom_total(query: PlannableQuery) -> int:
     if isinstance(query, JoinOfUnions):
         return query.atom_count()
     raise TypeError("not a plannable query: %r" % (query,))
+
+
+def scan_positions(
+    atom: TriplePattern, store: TripleStore
+) -> Optional[List[PositionSpec]]:
+    """The physical form of a triple pattern — one ``("var", v)``,
+    ``("const", id)`` or ``("range", (lo, hi))`` spec per position — or
+    None when a constant is absent from the dictionary (the atom cannot
+    match)."""
+    from ..encoding.hierarchy import HierarchyInterval
+
+    positions: List[PositionSpec] = []
+    for term in atom.as_tuple():
+        if isinstance(term, Variable):
+            positions.append(("var", term))
+        elif isinstance(term, HierarchyInterval):
+            # The hierarchy-encoded interval atom: a half-open id
+            # range predicate on this position.
+            positions.append(("range", (term.lo, term.hi)))
+        else:
+            term_id = store.term_id(term)
+            if term_id is None:
+                return None
+            positions.append(("const", term_id))
+    return positions
+
+
+def greedy_join_order(
+    inputs: Sequence, rows: Callable[..., float], variables: Callable[..., Iterable]
+) -> List:
+    """Greedy left-deep order: start from the smallest input, then
+    repeatedly add the smallest input connected to the variables seen
+    so far (falling back to a cross product only when none connects).
+    Ties keep input order.  Shared with the cover estimator, which
+    orders estimates the way the planner orders nodes."""
+    remaining = sorted(inputs, key=rows)
+    ordered = [remaining.pop(0)]
+    bound = set(variables(ordered[0]))
+    while remaining:
+        connected = [
+            item for item in remaining if not bound.isdisjoint(variables(item))
+        ]
+        best = min(connected or remaining, key=rows)
+        remaining.remove(best)
+        ordered.append(best)
+        bound.update(variables(best))
+    return ordered
+
+
+_rows = attrgetter("estimated_rows")
 
 
 class Planner:
@@ -108,24 +159,15 @@ class Planner:
     def _scan_for_atom(self, atom: TriplePattern) -> Optional[ScanNode]:
         """The scan node for one atom, or None when a constant is
         absent from the dictionary (the atom cannot match)."""
-        from ..encoding.hierarchy import HierarchyInterval
-
-        positions: List[PositionSpec] = []
-        intervals: List[HierarchyInterval] = []
-        for term in atom.as_tuple():
-            if isinstance(term, Variable):
-                positions.append(("var", term))
-            elif isinstance(term, HierarchyInterval):
-                # The hierarchy-encoded interval atom: a half-open id
-                # range predicate on this position.
-                positions.append(("range", (term.lo, term.hi)))
-                intervals.append(term)
-            else:
-                term_id = self.store.term_id(term)
-                if term_id is None:
-                    return None
-                positions.append(("const", term_id))
+        positions = scan_positions(atom, self.store)
+        if positions is None:
+            return None
         scan = ScanNode(positions)
+        intervals = [
+            term
+            for term, (kind, _) in zip(atom.as_tuple(), positions)
+            if kind == "range"
+        ]
         if intervals:
             # Observability payload for explain/--show-metrics: what
             # the range stands for and how many union branches it
@@ -162,7 +204,7 @@ class Planner:
             self._annotate(scan)
             scans.append(scan)
 
-        ordered = self._order_scans(scans)
+        ordered = greedy_join_order(scans, _rows, PlanNode.variable_positions)
         current: PlanNode = ordered[0]
         for scan in ordered[1:]:
             current = JoinNode(current, scan, self.backend.join_algorithm)
@@ -174,28 +216,6 @@ class Planner:
             self._annotate(current)
         project = ProjectNode(current, self._projection_specs(query.head))
         return project
-
-    def _order_scans(self, scans: List[ScanNode]) -> List[PlanNode]:
-        """Greedy left-deep order: start from the cheapest scan, then
-        repeatedly add the cheapest scan connected to the variables
-        seen so far (falling back to a cross product only when no scan
-        connects)."""
-        remaining = list(scans)
-        remaining.sort(key=lambda scan: scan.estimated_rows)
-        ordered: List[PlanNode] = [remaining.pop(0)]
-        bound = set(ordered[0].variable_positions())
-        while remaining:
-            connected = [
-                scan
-                for scan in remaining
-                if bound & set(scan.variable_positions())
-            ]
-            pool = connected if connected else remaining
-            best = min(pool, key=lambda scan: scan.estimated_rows)
-            remaining.remove(best)
-            ordered.append(best)
-            bound.update(best.variable_positions())
-        return ordered
 
     # ------------------------------------------------------------------
     # UCQ planning
@@ -220,7 +240,7 @@ class Planner:
             self._annotate(plan)
             fragment_plans.append(plan)
 
-        ordered = self._order_fragments(fragment_plans)
+        ordered = greedy_join_order(fragment_plans, _rows, PlanNode.variable_positions)
         current = ordered[0]
         for plan in ordered[1:]:
             current = JoinNode(current, plan, self.backend.join_algorithm)
@@ -229,20 +249,3 @@ class Planner:
         self._annotate(project)
         return DistinctNode(project)
 
-    def _order_fragments(self, plans: List[PlanNode]) -> List[PlanNode]:
-        remaining = list(plans)
-        remaining.sort(key=lambda plan: plan.estimated_rows)
-        ordered = [remaining.pop(0)]
-        bound = set(ordered[0].variable_positions())
-        while remaining:
-            connected = [
-                plan
-                for plan in remaining
-                if bound & set(plan.variable_positions())
-            ]
-            pool = connected if connected else remaining
-            best = min(pool, key=lambda plan: plan.estimated_rows)
-            remaining.remove(best)
-            ordered.append(best)
-            bound.update(best.variable_positions())
-        return ordered

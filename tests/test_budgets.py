@@ -118,6 +118,39 @@ class TestAdversarialScqBudget:
         # The cost-chosen cover never needed the fallback machinery.
         assert "budget_fallback_cover" not in report.details
 
+    def test_gcov_fallback_reuses_its_search(self, lubm_small, monkeypatch):
+        """An overrun of the cost-chosen cover ranks its fallbacks from
+        the search that chose it — one search, not two."""
+        import repro.core.answerer as answerer_module
+        from repro.datasets import lubm_queries
+
+        searches = []
+        real_gcov = answerer_module.gcov
+
+        def counting_gcov(*args, **kwargs):
+            searches.append(args[0])
+            return real_gcov(*args, **kwargs)
+
+        monkeypatch.setattr(answerer_module, "gcov", counting_gcov)
+        query = lubm_queries()["Q8"]
+        answerer = QueryAnswerer(lubm_small)
+        unbudgeted = answerer.answer(query, Strategy.REF_GCOV)
+        assert unbudgeted.details["cover"] == "Cover({t1}, {t2,t4}, {t3}, {t5})"
+        del searches[:]
+        # One row short of what the chosen cover produces.
+        report = answerer.answer(
+            query, Strategy.REF_GCOV, row_budget=2967, budget_fallbacks=4
+        )
+        assert len(searches) == 1
+        assert report.answer == unbudgeted.answer
+        assert report.details["budget_fallback_cover"] == (
+            "Cover({t1}, {t2,t4}, {t3,t5})"
+        )
+        assert report.details["budget_fallback_failed"] == [
+            "Cover({t1}, {t2}, {t3}, {t4}, {t5})",
+            "Cover({t1}, {t2,t4,t5}, {t3})",
+        ]
+
     def test_budget_exceeded_answers_never_cached(self, adversarial):
         graph, schema, query = adversarial
         cache = QueryCache()

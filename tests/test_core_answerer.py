@@ -87,7 +87,9 @@ DETAIL_KEYS = {
     Strategy.REF_ALLEGRO: ["ucq_disjuncts", "policy"],
     Strategy.REF_SCQ: ["fragments", "atom_count"],
     Strategy.REF_JUCQ: ["cover", "atom_count"],
-    Strategy.REF_GCOV: ["cover", "estimated_cost", "explored_covers"],
+    Strategy.REF_GCOV: [
+        "cover", "estimated_cost", "explored_covers", "search_seconds",
+    ],
 }
 
 

@@ -1,17 +1,33 @@
 """Tests for the facade's engine option (builtin vs SQLite) and the
 SQL-backend property test."""
 
+import sqlite3
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro import QueryAnswerer, Strategy
 from repro.datasets import generate_lubm, lubm_queries
-from repro.query import Cover, evaluate
+from repro.query import ConjunctiveQuery, Cover, TriplePattern, evaluate
+from repro.rdf import Graph, RDF_TYPE, Triple
 from repro.reformulation import reformulate
 from repro.reformulation.atoms import database_graph
-from repro.storage import SqliteBackend, TripleStore
+from repro.schema import Constraint, Schema
+from repro.storage import (
+    SQLITE_COMPOUND_SELECT_LIMIT,
+    SqliteBackend,
+    TripleStore,
+)
 
-from tests.test_property_based import graph_st, query_st, schema_st
+from tests.test_property_based import (
+    CLASSES,
+    INDIVIDUALS,
+    _VARS,
+    graph_st,
+    query_st,
+    schema_st,
+)
+
 
 
 class TestEngineOption:
@@ -63,12 +79,37 @@ class TestEngineOption:
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph=graph_st, schema=schema_st, query=query_st())
+# A subclass cycle through all five classes makes each open type atom
+# 26 alternatives wide: a 676-disjunct UCQ from two atoms.
+@example(
+    graph=Graph([Triple(INDIVIDUALS[0], RDF_TYPE, CLASSES[0])]),
+    schema=Schema(
+        [
+            Constraint.subclass(CLASSES[index], CLASSES[(index + 1) % 5])
+            for index in range(5)
+        ]
+    ),
+    query=ConjunctiveQuery(
+        _VARS,
+        [
+            TriplePattern(_VARS[0], RDF_TYPE, _VARS[1]),
+            TriplePattern(_VARS[2], RDF_TYPE, _VARS[3]),
+        ],
+    ),
+)
 def test_sqlite_matches_reference_property(graph, schema, query):
     """Generated SQL on SQLite == the reference evaluator, for random
-    graphs, schemas and reformulated queries."""
-    db = database_graph(graph, schema)
+    graphs, schemas and reformulated queries — up to the size SQLite
+    parses; beyond it, the ``OperationalError`` that
+    :meth:`SqliteBackend.run` documents."""
     union = reformulate(query, schema)
-    expected = evaluate(db, union)
     store = TripleStore.from_graph(graph, schema)
     with SqliteBackend(store) as backend:
-        assert backend.run(union) == expected
+        # One SELECT per disjunct whose constants the store knows.
+        selects = backend.to_sql(union)[0].count(" UNION ") + 1
+        if selects > SQLITE_COMPOUND_SELECT_LIMIT:
+            with pytest.raises(sqlite3.OperationalError):
+                backend.run(union)
+        else:
+            db = database_graph(graph, schema)
+            assert backend.run(union) == evaluate(db, union)

@@ -8,8 +8,8 @@ Three layers of coverage:
   :class:`~repro.resilience.budget.ExecutionBudget` charged from many
   threads trips exactly once, the cache's single-flight gate computes
   a missed key exactly once, the LRU survives concurrent hammering;
-* the determinism contracts — saturation, cover search, and federation
-  produce identical results with and without a pool.
+* the determinism contracts — saturation and federation produce
+  identical results with and without a pool.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import pytest
 
 from repro import BudgetExceeded, ExecutionBudget
 from repro.cache import LRUCache, QueryCache
-from repro.datasets import example1_query, lubm_queries, lubm_schema
+from repro.datasets import lubm_queries, lubm_schema
 from repro.federation import Endpoint, FederatedAnswerer
-from repro.optimizer import beam_search, exhaustive_cover_search
 from repro.parallel import ExecutorPool, pool_for, primary_error
 from repro.parallel.pool import shared_pool
 from repro.rdf import Graph
@@ -400,33 +399,6 @@ class TestParallelEqualsSerial:
         serial = saturate(lubm_small)
         parallel = saturate(lubm_small, pool=pool)
         assert set(parallel) == set(serial)
-
-    def test_exhaustive_search_identical(self, lubm_small_store, pool):
-        query = example1_query()
-        schema = lubm_schema()
-        serial = exhaustive_cover_search(query, schema, lubm_small_store)
-        parallel = exhaustive_cover_search(
-            query, schema, lubm_small_store, pool=pool
-        )
-        assert parallel.cover.fragments == serial.cover.fragments
-        assert parallel.cost == serial.cost
-        # The entire priced space matches pairwise, in enumeration order.
-        assert len(parallel.space) == len(serial.space)
-        for (pc, pcost), (sc, scost) in zip(parallel.space, serial.space):
-            assert pc.fragments == sc.fragments
-            assert pcost == scost
-
-    def test_beam_search_identical(self, lubm_small_store, pool):
-        query = example1_query()
-        schema = lubm_schema()
-        serial = beam_search(query, schema, lubm_small_store)
-        parallel = beam_search(query, schema, lubm_small_store, pool=pool)
-        assert parallel.cover.fragments == serial.cover.fragments
-        assert parallel.cost == serial.cost
-        assert parallel.explored_count == serial.explored_count
-        assert [cover.fragments for cover, _ in parallel.explored] == [
-            cover.fragments for cover, _ in serial.explored
-        ]
 
     def _federation(self, graph, parallelism):
         shards = [Graph() for _ in range(3)]
