@@ -508,7 +508,7 @@ EXPERIMENTS: List[Experiment] = [
                "benchmarks/bench_e14_resilience.py", _quick_e14),
     Experiment("E15", "Durability: WAL overhead and checkpointed recovery time",
                "benchmarks/bench_e15_durability.py", _quick_e15),
-    Experiment("E17", "Intra-query parallelism: fragment/federation fan-out",
+    Experiment("E17", "Federation fan-out: per-endpoint fetches overlap latency",
                "benchmarks/bench_e17_parallel.py", _quick_e17),
     Experiment("E18", "Multi-tenant serving: shed rate and latency under load",
                "benchmarks/bench_e18_service.py", _quick_e18),

@@ -248,7 +248,7 @@ class QueryCache:
         """The cached value for *key*, computing (and storing) it at
         most once across concurrent callers; returns ``(value, hit)``.
 
-        Without this, N pool workers missing on the same key would all
+        Without this, N threads missing on the same key would all
         run *compute* — for a reformulation that can be the entire UCQ
         blow-up, N times.  The first caller to miss becomes the
         *leader*: it computes, stores, and wakes the others, who then

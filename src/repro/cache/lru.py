@@ -69,7 +69,7 @@ class LRUCache:
     1
 
     Thread-safe: a ``get`` *mutates* (``move_to_end`` refreshes
-    recency), so concurrent readers — pool workers sharing one cache —
+    recency), so concurrent readers — threads sharing one cache —
     would corrupt the order without the lock.
     """
 

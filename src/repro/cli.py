@@ -225,9 +225,6 @@ def _reject_ref_jucq(args) -> None:
 
 def cmd_answer(args) -> int:
     _reject_ref_jucq(args)
-    if args.parallelism > 1 and args.engine == "sqlite":
-        raise UsageError("--parallelism needs an in-process engine "
-                         "(builtin/materialized/columnar), not sqlite")
     cache = _make_cache(args)
     answerer = QueryAnswerer(
         _build_graph(args),
@@ -256,16 +253,9 @@ def cmd_answer(args) -> int:
             continue  # needs an explicit cover; use `covers`
         if budget_kwargs and strategy is Strategy.DATALOG:
             continue  # no relational evaluation, nothing to budget
-        # Datalog evaluates bottom-up, not relationally: nothing fans
-        # out, so it keeps the (valid) serial default.
-        parallelism = (
-            None if strategy is Strategy.DATALOG else args.parallelism
-        )
         try:
             reports = [
-                answerer.answer(
-                    query, strategy, parallelism=parallelism, **budget_kwargs
-                )
+                answerer.answer(query, strategy, **budget_kwargs)
                 for _ in range(repeat)
             ]
             report = reports[-1]
@@ -421,7 +411,7 @@ def cmd_federate(args) -> int:
         for index, shard in enumerate(shards)
     ]
     if args.outage is not None and not (0 <= args.outage < args.endpoints):
-        raise SystemExit(
+        raise UsageError(
             "--outage must name an endpoint index in [0, %d)" % args.endpoints
         )
     chaotic = args.transient_rate > 0 or args.outage is not None
@@ -637,7 +627,7 @@ def _catalog_query(args, name: str):
     }.get(args.dataset)
     if catalog and name in catalog():
         return catalog()[name]
-    raise SystemExit("unknown query %r for dataset %r" % (name, args.dataset))
+    raise UsageError("unknown query %r for dataset %r" % (name, args.dataset))
 
 
 def _parse_serve_script(lines):
@@ -688,7 +678,7 @@ def _parse_serve_script(lines):
             else:
                 raise ValueError("unknown verb %r" % verb)
         except (IndexError, ValueError) as exc:
-            raise SystemExit("serve script line %d: %s" % (lineno, exc))
+            raise UsageError("serve script line %d: %s" % (lineno, exc))
     return commands
 
 
@@ -986,7 +976,7 @@ def _parse_repl_script(lines):
             else:
                 raise ValueError("unknown verb %r" % verb)
         except (IndexError, ValueError) as exc:
-            raise SystemExit("replicate script line %d: %s" % (lineno, exc))
+            raise UsageError("replicate script line %d: %s" % (lineno, exc))
     return commands
 
 
@@ -1243,10 +1233,6 @@ def build_parser() -> argparse.ArgumentParser:
     answer.add_argument("--row-budget", type=_positive_int, default=None,
                         help="cap on cumulative intermediate rows during "
                              "evaluation (in-process engines)")
-    answer.add_argument("--parallelism", type=_positive_int, default=1,
-                        help="worker threads for fragment/disjunct "
-                             "evaluation (1 = serial; in-process "
-                             "engines only)")
     answer.add_argument("--max-retries", type=_positive_int, default=3,
                         help="budget-exceeded fallback attempts: how many "
                              "next-best covers the optimizer may try "
@@ -1429,13 +1415,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--json", action="store_true",
                        help="print the full service metrics as JSON")
     serve.add_argument("--brownout", action="store_true",
-                       help="enable the degradation ladder (drop parallelism "
-                            "→ partial answers → stale-serving → shed) with "
-                            "the default policy")
+                       help="enable the degradation ladder (partial answers "
+                            "→ stale-serving → replica-reads-only → shed) "
+                            "with the default policy")
     serve.add_argument("--watchdog", type=_positive_float, default=None,
                        metavar="SECONDS",
                        help="hard wall-clock ceiling per execution, enforced "
-                            "through the sibling-abort budget machinery")
+                            "through its time budget")
     serve.add_argument("--breaker-threshold", type=_positive_int, default=None,
                        help="consecutive failures before a tenant's circuit "
                             "breaker opens (default 5 with --brownout; "

@@ -34,16 +34,12 @@ Accounting and control: every operator's output is metered into a
 shared :class:`~repro.engine.metrics.PipelineMetrics` (``rows_out`` counts
 rows *represented* by chunks, not Python objects), charged against the
 caller's :class:`~repro.resilience.budget.ExecutionBudget` per chunk,
-and a budget abort carries the partial metrics and rows.  A pool makes
-multi-child unsorted unions parallel: each child is drained by its own
-worker into a bounded queue the consumer merges chunks from.
+and a budget abort carries the partial metrics and rows.
 """
 
 from __future__ import annotations
 
 import heapq
-import queue as queue_module
-import threading
 import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -58,7 +54,6 @@ from ..engine.ir import (
     UnionNode,
 )
 from ..engine.metrics import OperatorMetrics, PipelineMetrics, _Stopwatch
-from ..parallel.pool import ExecutorPool, primary_error
 from bisect import bisect_left
 from operator import itemgetter
 
@@ -82,14 +77,12 @@ class _ColumnarPipeline:
         metrics: PipelineMetrics,
         budget,
         batch_size: int,
-        pool: Optional[ExecutorPool] = None,
     ):
         self.store = store
         self.indexes = store.columnar()
         self.metrics = metrics
         self.budget = budget
         self.batch_size = batch_size
-        self.pool = pool
 
     # -- plumbing ------------------------------------------------------
 
@@ -419,11 +412,6 @@ class _ColumnarPipeline:
         key = _total_order(streams, arity)
         if key is not None:
             return self._merge_union(streams, arity, key, entry)
-        if (
-            self.pool is not None
-            and self.pool.usable()
-        ):
-            return ColumnStream(self._parallel_union(streams, entry))
 
         def concatenated() -> Iterator[ColumnChunk]:
             for stream in streams:
@@ -467,77 +455,6 @@ class _ColumnarPipeline:
                     yield row
 
         return ColumnStream(self._chunked_rows(rows(), arity), key)
-
-    # -- parallel union / parallel scan --------------------------------
-
-    def _parallel_scan(
-        self,
-        stream: ColumnStream,
-        out: "queue_module.Queue",
-        stop: threading.Event,
-    ) -> None:
-        """Producer half of a parallel union: drain one child on a
-        pool worker into the bounded queue (backpressure: a fast child
-        blocks rather than buffering unboundedly).  Errors — including
-        a shared-budget trip, whose sibling producers abort on their
-        own next charge — are relayed to the consumer; the ``done``
-        marker is unconditional so the consumer always knows when
-        every producer has retired."""
-        try:
-            for chunk in stream.chunks:
-                relayed = False
-                while not stop.is_set():
-                    try:
-                        out.put(("chunk", chunk), timeout=0.05)
-                        relayed = True
-                        break
-                    except queue_module.Full:
-                        continue
-                if not relayed:
-                    return
-        except BaseException as exc:  # relayed; the consumer re-raises
-            while not stop.is_set():
-                try:
-                    out.put(("error", exc), timeout=0.05)
-                    break
-                except queue_module.Full:
-                    continue
-        finally:
-            out.put(("done", None))
-
-    def _parallel_union(
-        self, streams: Sequence[ColumnStream], entry: OperatorMetrics
-    ) -> Iterator[ColumnChunk]:
-        """Consumer half: merge the producers' chunks as they arrive.
-        On any child's error the stop flag cancels the siblings and
-        the primary error is re-raised once every producer has
-        retired; a closed consumer still unblocks producers waiting on
-        a full queue."""
-        capacity = max(4, 2 * self.pool.workers)
-        out: "queue_module.Queue" = queue_module.Queue(maxsize=capacity)
-        stop = threading.Event()
-        for stream in streams:
-            self.pool.submit(self._parallel_scan, stream, out, stop)
-        retired = 0
-        errors: List[BaseException] = []
-        try:
-            while retired < len(streams):
-                kind, payload = out.get()
-                if kind == "done":
-                    retired += 1
-                elif kind == "error":
-                    errors.append(payload)
-                    stop.set()
-                elif not errors:
-                    entry.rows_in += payload.length
-                    yield payload
-            if errors:
-                raise primary_error(errors)
-        finally:
-            stop.set()
-            while retired < len(streams):
-                if out.get()[0] == "done":
-                    retired += 1
 
     # -- projection / selection ----------------------------------------
 
@@ -863,7 +780,6 @@ def run_columnar(
     budget=None,
     batch_size: int = DEFAULT_COLUMNAR_BATCH_SIZE,
     metrics: Optional[PipelineMetrics] = None,
-    pool: Optional[ExecutorPool] = None,
 ) -> Tuple[List[Row], PipelineMetrics]:
     """Execute *plan* against *store* columnar-ly; returns (rows, metrics).
 
@@ -878,9 +794,7 @@ def run_columnar(
     """
     if metrics is None:
         metrics = PipelineMetrics()
-    pipeline = _ColumnarPipeline(
-        store, metrics, budget, batch_size, pool=pool
-    )
+    pipeline = _ColumnarPipeline(store, metrics, budget, batch_size)
     collect = OperatorMetrics("Collect")
     started = time.perf_counter()
     if budget is not None:

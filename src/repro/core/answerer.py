@@ -28,7 +28,6 @@ from ..cache import QueryCache, cover_key, dataset_token
 from ..datalog.encoding import answer_query as datalog_answer
 from ..encoding.hierarchy import HierarchyInterval, preencode_hierarchy
 from ..optimizer.gcov import gcov
-from ..parallel.pool import ExecutorPool, pool_for
 from ..query.algebra import ConjunctiveQuery
 from ..query.cover import Cover
 from ..rdf.graph import Graph
@@ -227,13 +226,11 @@ class QueryAnswerer:
             # data triples retire answers only.
             cache.watch_graph(self.graph)
 
-    def _evaluate(self, query, saturated: bool = False, budget=None, pool=None):
+    def _evaluate(self, query, saturated: bool = False, budget=None):
         """Run a relational query on the selected engine; returns
         (answer, execution-or-None).  ``budget`` (in-process engines
         only) bounds the evaluation's intermediate results — see
-        :class:`~repro.resilience.budget.ExecutionBudget`.  ``pool``
-        fans fragment/disjunct subplans out to the shared worker pool
-        (in-process engines only; validated by :meth:`answer`)."""
+        :class:`~repro.resilience.budget.ExecutionBudget`."""
         if self.engine == "sqlite":
             if budget is not None:
                 raise OptionError(
@@ -254,9 +251,7 @@ class QueryAnswerer:
             if saturated
             else self.executor
         )
-        execution = executor.run(
-            query, budget=budget, engine=self._exec_engine, pool=pool
-        )
+        execution = executor.run(query, budget=budget, engine=self._exec_engine)
         return execution.answer(), execution
 
     # ------------------------------------------------------------------
@@ -373,7 +368,6 @@ class QueryAnswerer:
         time_budget: Optional[float] = None,
         budget_fallbacks: int = 3,
         allow_partial: bool = False,
-        parallelism: Optional[int] = None,
         budget_owner: Optional[str] = None,
     ) -> AnswerReport:
         """Answer *query* with *strategy*.
@@ -407,39 +401,13 @@ class QueryAnswerer:
         the local evaluation ``DEGRADED``.  Partial answers are never
         cached.
 
-        ``parallelism`` (in-process engines only) evaluates a JUCQ's
-        fragments — and a UCQ's disjunct unions — concurrently on the
-        process-wide worker pool; the answer is identical to the serial
-        run (``None``/``1`` keeps the exact serial code path).  Budgets
-        compose: all workers charge the same budget, so the row/time
-        allowance is global, and an overrun cancels the sibling tasks.
-
         ``budget_owner`` (only meaningful with a budget) stamps the
-        minted budgets, so every overrun — the primary and any
-        sibling-abort copies raised by a parallel fan-out — carries the
-        originating caller identity (the query service passes its
-        ``tenant/request-id`` here).
+        minted budgets, so every overrun carries the originating caller
+        identity (the query service passes its ``tenant/request-id``
+        here).
         """
         if strategy is Strategy.REF_JUCQ and cover is None:
             raise OptionError("REF_JUCQ requires a cover")
-        pool: Optional[ExecutorPool] = None
-        if parallelism is not None:
-            if parallelism < 1:
-                raise OptionError(
-                    "parallelism must be >= 1, got %r" % (parallelism,)
-                )
-            if parallelism > 1:
-                if self.engine == "sqlite":
-                    raise OptionError(
-                        "parallel evaluation requires an in-process engine, "
-                        "not %r" % (self.engine,)
-                    )
-                if strategy is Strategy.DATALOG:
-                    raise OptionError(
-                        "the DATALOG strategy does not support parallel "
-                        "evaluation"
-                    )
-            pool = pool_for(parallelism)
         budget_factory = None
         if row_budget is not None or time_budget is not None:
             if self.engine == "sqlite":
@@ -457,8 +425,8 @@ class QueryAnswerer:
             # fresh budget per evaluation attempt, so a fallback cover
             # gets the full allowance, not the failed attempt's dregs.
             # ``budget_owner`` stamps every minted budget, so overruns
-            # (and their sibling-abort copies) stay attributable to the
-            # caller — e.g. the query service's ``tenant/request-id``.
+            # stay attributable to the caller — e.g. the query
+            # service's ``tenant/request-id``.
             ExecutionBudget(max_rows=row_budget, max_seconds=time_budget)
 
             def budget_factory():
@@ -494,7 +462,6 @@ class QueryAnswerer:
                     "reformulation": None,
                     "stats": self.cache.stats(),
                 }
-                details["parallelism"] = parallelism if parallelism else 1
                 return AnswerReport(
                     strategy, answer, time.perf_counter() - start, details
                 )
@@ -507,7 +474,6 @@ class QueryAnswerer:
                 start,
                 budget_factory,
                 budget_fallbacks,
-                pool,
             )
         except BudgetExceeded as exc:
             partial = self._partial_report(strategy, exc, start, allow_partial)
@@ -528,9 +494,6 @@ class QueryAnswerer:
             }
         else:
             report.details.pop("_reformulation_cache", None)
-        # Recorded after the cache store: the answer is parallelism-
-        # independent, so the cached entry must not be either.
-        report.details["parallelism"] = parallelism if parallelism else 1
         return report
 
     def _partial_report(
@@ -586,7 +549,6 @@ class QueryAnswerer:
         fallbacks: int,
         details: Dict,
         exclude_repr: Optional[str],
-        pool: Optional[ExecutorPool] = None,
     ):
         """Evaluate *jucq* under a fresh budget; on
         :class:`~repro.resilience.errors.BudgetExceeded`, retry up to
@@ -598,7 +560,7 @@ class QueryAnswerer:
         the fallbacks re-raises the original overrun — with every
         attempt's cover recorded in *details*."""
         try:
-            return self._evaluate(jucq, budget=budget_factory(), pool=pool)
+            return self._evaluate(jucq, budget=budget_factory())
         except BudgetExceeded as primary:
             if fallbacks <= 0:
                 raise
@@ -616,7 +578,7 @@ class QueryAnswerer:
                 )
                 try:
                     answer, execution = self._evaluate(
-                        candidate_jucq, budget=budget_factory(), pool=pool
+                        candidate_jucq, budget=budget_factory()
                     )
                 except BudgetExceeded:
                     failed.append(shown)
@@ -760,14 +722,13 @@ class QueryAnswerer:
         start: float,
         budget_factory=None,
         budget_fallbacks: int = 0,
-        pool: Optional[ExecutorPool] = None,
     ) -> AnswerReport:
         def budget():
             return None if budget_factory is None else budget_factory()
 
         if strategy == Strategy.SAT:
             answer, execution = self._evaluate(
-                query, saturated=True, budget=budget(), pool=pool
+                query, saturated=True, budget=budget()
             )
             elapsed = time.perf_counter() - start
             return AnswerReport(
@@ -791,9 +752,7 @@ class QueryAnswerer:
         if interval_stats is not None:
             details["interval"] = interval_stats
         if budget_factory is None or failed_cover is None:
-            answer, execution = self._evaluate(
-                reformulation, budget=budget(), pool=pool
-            )
+            answer, execution = self._evaluate(reformulation, budget=budget())
         else:
             # The fallback ranking excludes failed_cover: by the time
             # it is consulted, that cover has just overrun.
@@ -804,7 +763,6 @@ class QueryAnswerer:
                 budget_fallbacks,
                 details,
                 failed_cover,
-                pool,
             )
         return AnswerReport(
             strategy,

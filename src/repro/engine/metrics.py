@@ -68,11 +68,10 @@ class PipelineMetrics:
     the number the differential harness compares against the
     materialized engine's largest operator output.
 
-    Thread-safe: a parallel union drives each child subtree from its
-    own pool worker, so entry creation and the shared buffered-row
-    totals are updated under a lock.  (A single entry's ``rows_in`` /
-    ``rows_out`` counters stay lock-free — each operator is driven by
-    exactly one thread.)
+    Thread-safe: entry creation and the shared buffered-row totals are
+    updated under a lock.  (A single entry's ``rows_in`` / ``rows_out``
+    counters stay lock-free — each operator is driven by exactly one
+    thread.)
     """
 
     def __init__(self):

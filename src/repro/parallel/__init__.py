@@ -1,7 +1,8 @@
-"""Intra-query parallelism: the shared worker pool.
+"""The shared worker pool behind federation's per-endpoint fan-out.
 
-See :mod:`repro.parallel.pool` for the concurrency contract every
-parallel code path in the repository follows.
+Query evaluation and saturation are single-threaded; see
+:mod:`repro.parallel.pool` for the concurrency contract the federation
+client follows.
 """
 
 from .pool import ExecutorPool, pool_for, primary_error, shared_pool

@@ -1,17 +1,15 @@
-"""The worker pool behind intra-query parallelism.
+"""The worker pool behind federation fan-out.
 
-The paper's JUCQ reformulations are joins of *independently evaluable*
-UCQ fragments, and each UCQ is a union of independent CQ disjuncts —
-an embarrassingly parallel shape.  :class:`ExecutorPool` is the one
-pool every parallel code path shares: fragment/disjunct evaluation in
-both engines, federation endpoint fan-out and chunked saturation
-rounds all submit work here rather than owning threads.
+A federated atom is fetched from every endpoint, and those fetches wait
+on endpoint latency, not on the CPU — the one place where threads pay
+under the GIL.  :class:`~repro.federation.FederatedAnswerer` fans them
+out here; query evaluation and saturation run on the calling thread.
 
-Design rules the rest of the codebase relies on:
+Design rules the federation client relies on:
 
 * **Serial is the identity.**  A pool with ``workers == 1`` runs every
   task inline on the calling thread, in submission order — the exact
-  serial code path, so ``parallelism=1`` is byte-for-byte the old
+  serial code path, so ``parallelism=1`` is byte-for-byte the serial
   behaviour and the differential harnesses can compare against it.
 * **No nested fan-out.**  A task running *on* the pool that submits
   more work to the same pool would deadlock a bounded pool (workers
@@ -30,7 +28,7 @@ Design rules the rest of the codebase relies on:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -96,17 +94,6 @@ class ExecutorPool:
             self._worker_threads.discard(ident)
 
     # ------------------------------------------------------------------
-
-    def submit(self, fn: Callable[..., T], *args: Any, **kwargs: Any) -> Future:
-        """Schedule ``fn(*args, **kwargs)``; inline when serial/nested."""
-        if not self.usable():
-            future: Future = Future()
-            try:
-                future.set_result(fn(*args, **kwargs))
-            except BaseException as exc:  # relayed through the future
-                future.set_exception(exc)
-            return future
-        return self._ensure().submit(self._run, lambda: fn(*args, **kwargs))
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """``[fn(item) for item in items]`` with the loop body fanned
@@ -174,9 +161,10 @@ _shared_pool: Optional[ExecutorPool] = None
 def shared_pool(workers: int) -> ExecutorPool:
     """The process-wide pool, grown to at least *workers* workers.
 
-    Every ``answer(parallelism=N)`` call routes here so concurrent
-    queries share one set of threads instead of each spawning their
-    own; growing replaces the pool (the old threads drain and exit).
+    Every ``FederatedAnswerer(parallelism=N)`` routes here so
+    concurrent federated queries share one set of threads instead of
+    each spawning their own; growing replaces the pool (the old threads
+    drain and exit).
     """
     global _shared_pool
     if workers < 1:

@@ -13,11 +13,10 @@ Callers that retry (e.g. the cover-fallback path of
 :class:`~repro.core.answerer.QueryAnswerer`) construct a fresh budget
 per attempt.
 
-**Thread safety.**  One evaluation may fan fragments/disjuncts out to
-the worker pool (:mod:`repro.parallel`), every worker charging this
-same budget — the counters are therefore guarded by a lock, and the
-budget remembers the first overrun as its *trip*: once any worker
-raises :class:`~repro.resilience.errors.BudgetExceeded`, every sibling
+**Thread safety.**  Several threads may charge one budget — the
+counters are therefore guarded by a lock, and the budget remembers
+the first overrun as its *trip*: once any worker raises
+:class:`~repro.resilience.errors.BudgetExceeded`, every sibling
 worker's next charge/probe/check raises immediately (a copy marked
 ``sibling_abort=True``), which is what cancels in-flight sibling tasks
 mid-stream.  The shared total is exactly the serial semantics: N

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from ..parallel.pool import ExecutorPool
 from ..rdf.graph import Graph
 from ..rdf.namespaces import RDF_TYPE
 from ..rdf.terms import BlankNode, URI
@@ -81,7 +80,6 @@ def instance_consequences(triple: Triple, schema: Schema) -> List[Triple]:
 def saturate(
     graph: Graph,
     schema: Optional[Schema] = None,
-    pool: Optional[ExecutorPool] = None,
 ) -> Graph:
     """Compute ``G∞`` efficiently; return a new graph.
 
@@ -90,13 +88,6 @@ def saturate(
     the store, constraints known separately).  The result contains the
     explicit triples, the entailed schema constraints, and every
     entailed instance triple.
-
-    ``pool`` switches to round-based propagation: each round partitions
-    the frontier into contiguous chunks, derives every chunk's
-    consequences on a worker (pure reads — the schema closure is warmed
-    before fan-out), and merges serially into the graph; freshly added
-    triples form the next frontier.  Round-based BFS and the serial
-    worklist reach the same fixpoint — saturation is confluent.
     """
     combined_schema = Schema.from_graph(graph)
     if schema is not None:
@@ -107,8 +98,6 @@ def saturate(
     saturated.add_all(combined_schema.entailed_triples())
 
     frontier: List[Triple] = [t for t in graph if not t.is_schema_triple()]
-    if pool is not None and pool.usable():
-        return _saturate_rounds(saturated, frontier, combined_schema, pool)
     while frontier:
         triple = frontier.pop()
         for consequence in instance_consequences(triple, combined_schema):
@@ -117,41 +106,6 @@ def saturate(
                 # itself fire a rule — e.g. a type triple derived via an
                 # rdf:type superproperty whose class has superclasses.
                 frontier.append(consequence)
-    return saturated
-
-
-def _chunk_consequences(chunk: List[Triple], schema: Schema) -> List[Triple]:
-    """One worker's share of a propagation round."""
-    derived: List[Triple] = []
-    for triple in chunk:
-        derived.extend(instance_consequences(triple, schema))
-    return derived
-
-
-def _saturate_rounds(
-    saturated: Graph,
-    frontier: List[Triple],
-    schema: Schema,
-    pool: ExecutorPool,
-) -> Graph:
-    """Parallel saturation: chunked frontiers, serial merge per round."""
-    while frontier:
-        size = (len(frontier) + pool.workers - 1) // pool.workers
-        chunks = [
-            frontier[start:start + size]
-            for start in range(0, len(frontier), size)
-        ]
-        if len(chunks) > 1:
-            batches = pool.map(
-                lambda chunk: _chunk_consequences(chunk, schema), chunks
-            )
-        else:
-            batches = [_chunk_consequences(chunks[0], schema)]
-        frontier = []
-        for batch in batches:
-            for consequence in batch:
-                if saturated.add(consequence):
-                    frontier.append(consequence)
     return saturated
 
 

@@ -8,7 +8,7 @@ behind a bounded queue with a scheduling weight and optional standing
 quotas, while epoch-pinned snapshots keep in-flight readers isolated
 from concurrent bulk loads and saturation rounds.  Under faults or
 overload an optional brownout controller walks an explicit degradation
-ladder — dropping parallelism, tightening budgets into flagged partial
+ladder — tightening budgets into flagged partial
 answers, serving stale cache entries while refreshes revalidate,
 pushing reads onto follower replicas, and finally shedding new work —
 and recovers level by level as per-round health signals clear.  With a
@@ -33,7 +33,6 @@ from .degrade import (
     BrownoutPolicy,
     LEVEL_NAMES,
     NORMAL,
-    NO_PARALLELISM,
     PARTIAL_ANSWERS,
     REPLICA_READS_ONLY,
     SHED_NEW_WORK,
@@ -56,7 +55,6 @@ __all__ = [
     "HealthSignals",
     "LEVEL_NAMES",
     "NORMAL",
-    "NO_PARALLELISM",
     "PARTIAL_ANSWERS",
     "QUEUED",
     "QueryRequest",

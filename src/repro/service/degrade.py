@@ -2,7 +2,7 @@
 
 Under overload or faults, a front door has better options than the
 binary serve/collapse: it can shed *quality* before it sheds *work*.
-The :class:`BrownoutController` walks a six-level ladder, one level
+The :class:`BrownoutController` walks a five-level ladder, one level
 per observation round, guarded by hysteresis so transient spikes do
 not flap the service between modes:
 
@@ -10,18 +10,17 @@ not flap the service between modes:
 lvl   name                what the service gives up
 ====  ==================  ==================================================
 0     normal              nothing
-1     no-parallelism      intra-query parallelism (frees pool workers)
-2     partial-answers     full answers: budgets tighten, the columnar
+1     partial-answers     full answers: budgets tighten, the columnar
                           engine may return a truncated answer flagged
                           DEGRADED instead of failing it
-3     stale-serving       freshness: expired per-tenant cache entries
+2     stale-serving       freshness: expired per-tenant cache entries
                           are served tagged ``stale=True`` while a
                           single-flight refresh recomputes them
-4     replica-reads-only  primary reads: every routable read is pushed
+3     replica-reads-only  primary reads: every routable read is pushed
                           to follower replicas (tagged with its LSN
                           lag), keeping the primary for writes — a
                           no-op rung when the service has no replicas
-5     shed-new-work       availability for *new* requests: submissions
+4     shed-new-work       availability for *new* requests: submissions
                           are refused with a retry-after hint
 ====  ==================  ==================================================
 
@@ -45,15 +44,13 @@ from ..resilience.clock import Clock, SYSTEM_CLOCK
 from .health import HealthSignals
 
 NORMAL = 0
-NO_PARALLELISM = 1
-PARTIAL_ANSWERS = 2
-STALE_SERVING = 3
-REPLICA_READS_ONLY = 4
-SHED_NEW_WORK = 5
+PARTIAL_ANSWERS = 1
+STALE_SERVING = 2
+REPLICA_READS_ONLY = 3
+SHED_NEW_WORK = 4
 
 LEVEL_NAMES = (
     "normal",
-    "no-parallelism",
     "partial-answers",
     "stale-serving",
     "replica-reads-only",
@@ -149,10 +146,6 @@ class BrownoutController:
     @property
     def level_name(self) -> str:
         return LEVEL_NAMES[self._level]
-
-    @property
-    def allows_parallelism(self) -> bool:
-        return self._level < NO_PARALLELISM
 
     @property
     def allow_partial(self) -> bool:
@@ -278,7 +271,6 @@ __all__ = [
     "BrownoutPolicy",
     "LEVEL_NAMES",
     "NORMAL",
-    "NO_PARALLELISM",
     "PARTIAL_ANSWERS",
     "REPLICA_READS_ONLY",
     "SHED_NEW_WORK",

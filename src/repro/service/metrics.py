@@ -39,9 +39,8 @@ class TenantMetrics:
         self.rows_returned = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Fan-out aborts attributed *to this tenant as originator* —
-        #: sibling-abort copies land here via ``BudgetExceeded.owner``,
-        #: never on the tenant that merely shared the worker pool.
+        #: Budget aborts attributed *to this tenant as originator*, via
+        #: the owner stamped on ``BudgetExceeded.owner``.
         self.budget_trips = 0
         #: Budget aborts split by ``BudgetExceeded.kind`` ("rows" /
         #: "time"), from the exception's own ``details`` attribution.

@@ -15,8 +15,7 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   thread-driven: the scheduling decisions are taken serially under the
   injected clock, which makes every interleaving a deterministic,
   replayable script (the concurrency test harness drives exactly this
-  entry point), while the per-query evaluation itself may still fan
-  out on a worker pool;
+  entry point);
 * **caching** — each tenant owns a private
   :class:`~repro.cache.QueryCache` partition keyed by its own dataset
   token; all partitions watch the one shared store, so a write
@@ -33,13 +32,13 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   :class:`~repro.service.degrade.BrownoutController` observes per-round
   :class:`~repro.service.health.HealthMonitor` signals and walks the
   degradation ladder; the service derives per-request effective
-  budgets, parallelism, partial-answer opt-in, stale-serving, and
+  budgets, partial-answer opt-in, stale-serving, replica routing and
   front-door shedding from the current level.  Per-tenant circuit
   breakers shed a pathological tenant's requests at the door before
   its failures can drag the ladder down for everyone else, a watchdog
-  bounds every execution's wall-clock via the sibling-abort budget
-  machinery, and an optional :class:`~repro.service.chaos.ServiceChaos`
-  injects seeded faults inside this very serving loop.
+  bounds every execution's wall-clock through its time budget, and an
+  optional :class:`~repro.service.chaos.ServiceChaos` injects seeded
+  faults inside this very serving loop.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..cache import QueryCache, dataset_token
 from ..cache.keys import cover_key, query_key
 from ..core.answerer import AnswerReport, QueryAnswerer, Strategy
-from ..parallel import ExecutorPool
 from ..reformulation.engine import ReformulationTooLarge
 from ..resilience.clock import Clock, SYSTEM_CLOCK
 from ..resilience.errors import BudgetExceeded, EndpointFailure
@@ -84,10 +82,8 @@ class QueryService:
 
     ``tenants`` are :class:`~repro.service.admission.TenantConfig`
     entries (bare names get default weight/depth).  ``capacity`` is how
-    many requests one :meth:`step` round executes.  ``pool`` optionally
-    fans the round's requests out over an
-    :class:`~repro.parallel.ExecutorPool`; accounting is applied in
-    deterministic ticket order regardless.  ``clock`` drives every
+    many requests one :meth:`step` round executes, one after another in
+    ticket order.  ``clock`` drives every
     timestamp, deadline, and retry-after hint — tests inject a
     :class:`~repro.resilience.clock.FakeClock` and replay identical
     schedules.
@@ -117,7 +113,6 @@ class QueryService:
         engine: str = "builtin",
         capacity: int = 2,
         clock: Optional[Clock] = None,
-        pool: Optional[ExecutorPool] = None,
         cache_answers: int = 512,
         cache_reformulations: int = 128,
         brownout: Union[None, bool, BrownoutPolicy, BrownoutController] = None,
@@ -129,7 +124,6 @@ class QueryService:
     ):
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.engine = engine
-        self.pool = pool
         #: Optional :class:`~repro.replication.routing.ReplicaRouter`.
         #: When set, writes are mirrored to the replication primary
         #: (fenced writes raise), reads may be offloaded to followers
@@ -292,22 +286,8 @@ class QueryService:
         runnable, expired = self.admission.next_batch(self.capacity)
         for ticket in expired:
             self.metrics.note_expired(ticket.request.tenant)
-        use_pool = (
-            self.pool is not None
-            and self.pool.usable()
-            and len(runnable) > 1
-            and (self.brownout is None or self.brownout.allows_parallelism)
-        )
-        if use_pool:
-            # The pool call only parallelizes evaluation; results land
-            # on the tickets, and accounting below runs in scheduling
-            # order, so the metrics stream is identical to a serial
-            # round.
-            self.pool.map(self._execute, runnable)
-        else:
-            for ticket in runnable:
-                self._execute(ticket)
         for ticket in runnable:
+            self._execute(ticket)
             self._account(ticket)
         self._run_refreshes()
         signals = self.health.end_round(self.admission.backlog())
@@ -642,8 +622,7 @@ class QueryService:
             self.health.note_failure(tenant)
             if isinstance(ticket.error, BudgetExceeded):
                 # Attribute the overrun to the owner stamped on the
-                # budget — under fan-out the observing worker may be a
-                # sibling, but the owner names the true originator.
+                # budget, which names the originating request.
                 owner = getattr(ticket.error, "owner", None) or ticket.owner
                 self.metrics.note_budget_trip(
                     owner.split("/")[0],

@@ -21,7 +21,6 @@ import time
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..engine.metrics import PipelineMetrics
-from ..parallel.pool import ExecutorPool
 from ..rdf.terms import Term
 from .backends import BackendProfile, HASH_BACKEND
 from .plan import (
@@ -293,7 +292,6 @@ def execute_plan(
     node: PlanNode,
     store: TripleStore,
     budget=None,
-    precomputed: Optional[Dict[int, List[Row]]] = None,
 ) -> List[Row]:
     """Recursively execute *node*, recording actual cardinalities.
 
@@ -305,16 +303,7 @@ def execute_plan(
     materialising past it.  Joins additionally probe mid-loop (see
     :func:`_join_rows`), so even one runaway operator cannot overshoot
     the cap by more than ``CHECK_INTERVAL`` rows.
-
-    ``precomputed`` maps ``id(subtree)`` to rows already produced by a
-    pool worker (see :func:`execute_plan_parallel`): such subtrees are
-    returned as-is, without re-executing or re-charging — the worker
-    already paid for them.
     """
-    if precomputed is not None:
-        ready = precomputed.get(id(node))
-        if ready is not None:
-            return ready
     if isinstance(node, EmptyNode):
         rows: List[Row] = []
     elif isinstance(node, ScanNode):
@@ -322,12 +311,12 @@ def execute_plan(
     elif isinstance(node, JoinNode):
         rows = _join_rows(
             node,
-            execute_plan(node.left, store, budget, precomputed),
-            execute_plan(node.right, store, budget, precomputed),
+            execute_plan(node.left, store, budget),
+            execute_plan(node.right, store, budget),
             budget=budget,
         )
     elif isinstance(node, ProjectNode):
-        child_rows = execute_plan(node.child, store, budget, precomputed)
+        child_rows = execute_plan(node.child, store, budget)
         positions = node.child.variable_positions()
         plan_specs = [
             ("col", positions[value]) if kind == "var" else ("const", value)
@@ -341,7 +330,7 @@ def execute_plan(
             for row in child_rows
         ]
     elif isinstance(node, NonLiteralFilterNode):
-        child_rows = execute_plan(node.child, store, budget, precomputed)
+        child_rows = execute_plan(node.child, store, budget)
         positions = node.child.variable_positions()
         guarded = [positions[variable] for variable in node.variables]
         is_literal = store.dictionary.is_literal_id
@@ -353,10 +342,10 @@ def execute_plan(
     elif isinstance(node, UnionNode):
         merged = set()
         for child in node.children():
-            merged.update(execute_plan(child, store, budget, precomputed))
+            merged.update(execute_plan(child, store, budget))
         rows = list(merged)
     elif isinstance(node, DistinctNode):
-        rows = list(set(execute_plan(node.child, store, budget, precomputed)))
+        rows = list(set(execute_plan(node.child, store, budget)))
     else:
         raise TypeError("cannot execute %r" % (node,))
     node.actual_rows = len(rows)
@@ -364,54 +353,6 @@ def execute_plan(
         budget.charge_rows(len(rows), operator=type(node).__name__)
         budget.check_time(operator=type(node).__name__)
     return rows
-
-
-def collect_parallel_units(plan: PlanNode) -> List[PlanNode]:
-    """The independently evaluable subtrees of *plan*: the children of
-    every union reachable from the root through join/unary operators
-    (without crossing another union).
-
-    For a JUCQ plan this is every cover fragment's CQ disjuncts; for a
-    UCQ plan, the disjuncts themselves — the paper's embarrassingly
-    parallel shape, read straight off the plan.
-    """
-    units: List[PlanNode] = []
-
-    def walk(node: PlanNode) -> None:
-        if isinstance(node, (ProjectNode, DistinctNode, NonLiteralFilterNode)):
-            walk(node.child)
-        elif isinstance(node, JoinNode):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnionNode):
-            units.extend(node.children())
-
-    walk(plan)
-    return units
-
-
-def execute_plan_parallel(
-    plan: PlanNode,
-    store: TripleStore,
-    budget,
-    pool: ExecutorPool,
-) -> List[Row]:
-    """:func:`execute_plan` with union children fanned out to *pool*.
-
-    Each parallel unit is evaluated on a worker (each charges the
-    shared budget, so a trip in one unit aborts the siblings at their
-    next charge), then the ordinary interpreter runs over the full plan
-    with the unit results precomputed — the merge/join/projection
-    structure and therefore the answer are exactly the serial ones.
-    """
-    units = collect_parallel_units(plan)
-    if len(units) <= 1 or not pool.usable():
-        return execute_plan(plan, store, budget)
-    unit_rows = pool.map(lambda unit: execute_plan(unit, store, budget), units)
-    return execute_plan(
-        plan, store, budget,
-        precomputed={id(unit): rows for unit, rows in zip(units, unit_rows)},
-    )
 
 
 class Executor:
@@ -441,7 +382,6 @@ class Executor:
         query: PlannableQuery,
         budget=None,
         engine: Optional[str] = None,
-        pool: Optional[ExecutorPool] = None,
     ) -> ExecutionResult:
         """Plan and execute *query* on the chosen physical engine.
 
@@ -451,12 +391,7 @@ class Executor:
         ``budget`` is given and the evaluation outgrows it — with the
         partial per-node cardinalities (and, on the columnar engine,
         the operator metrics and partial answer) attached to the
-        raised error.
-
-        ``pool`` (an :class:`~repro.parallel.ExecutorPool`) evaluates
-        union children — UCQ disjuncts, cover-fragment extents —
-        concurrently on either engine; the answer is identical, per
-        the parallel differential harness."""
+        raised error."""
         engine = engine or self.engine
         if engine not in ENGINES:
             raise ValueError(
@@ -468,17 +403,12 @@ class Executor:
             if engine == "columnar":
                 from ..columnar.engine import run_columnar
 
-                rows, metrics = run_columnar(
-                    plan, self.store, budget=budget, pool=pool
-                )
+                rows, metrics = run_columnar(plan, self.store, budget=budget)
             else:
                 metrics = None
                 if budget is not None:
                     budget.start()
-                if pool is not None and pool.usable():
-                    rows = execute_plan_parallel(plan, self.store, budget, pool)
-                else:
-                    rows = execute_plan(plan, self.store, budget)
+                rows = execute_plan(plan, self.store, budget)
         except Exception as exc:
             self._attach_partial(exc, plan, engine)
             raise

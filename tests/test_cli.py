@@ -238,11 +238,11 @@ class TestResilienceFlags:
         assert "probability" in capsys.readouterr().err
 
     def test_federate_outage_index_validation(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(
-                capsys, "federate", "--dataset", "books",
-                "--outage", "9",
-            )
+        code = main(["federate", "--dataset", "books", "--outage", "9"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["repro: error: --outage must name an endpoint index "
+                       "in [0, 3)"]
 
 
 class TestDurabilityCommands:
@@ -610,6 +610,12 @@ class TestExitCodeTable:
         script.write_text("submit alpha default deadline=0.01\nadvance 9\n")
         return str(script)
 
+    @staticmethod
+    def _write_malformed_script(tmp_path):
+        script = tmp_path / "malformed.txt"
+        script.write_text("step\nstep many\n")
+        return str(script)
+
     @pytest.mark.parametrize(
         "expected,command,argv_builder",
         [
@@ -655,6 +661,13 @@ class TestExitCodeTable:
                 "answer", "--dataset", "file"]),
             (2, "answer", lambda c, t: [
                 "answer", "--dataset", "lubm"]),
+            pytest.param(2, "federate", lambda c, t: [
+                "federate", "--dataset", "books", "--outage", "9"],
+                id="2-federate-outage-index"),
+            pytest.param(2, "serve", lambda c, t: [
+                "serve", "--dataset", "books", "--script",
+                TestExitCodeTable._write_malformed_script(t)],
+                id="2-serve-malformed-script"),
             # -- 3: partial ------------------------------------------------
             (3, "federate", lambda c, t: [
                 "federate", "--dataset", "books", "--endpoints", "2",

@@ -117,7 +117,6 @@ class TestDetailsKeys:
             expected.append("interval")
         if cached:
             expected.append("cache")
-        expected.append("parallelism")
         report = answerer.answer(query, strategy, cover=cover)
         assert list(report.details) == expected
         if cached:
@@ -137,7 +136,6 @@ class TestDetailsKeys:
             "budget_exceeded",
             "budget_fallback_cover",
             "budget_fallback_attempts",
-            "parallelism",
         ]
         # The per-atom cover (the SCQ itself) is never retried.
         assert report.details["budget_fallback_cover"] != repr(

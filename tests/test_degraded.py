@@ -50,8 +50,8 @@ from repro.service import (
     FAILED,
     HealthMonitor,
     HealthSignals,
+    LEVEL_NAMES,
     NORMAL,
-    NO_PARALLELISM,
     PARTIAL_ANSWERS,
     QueryRequest,
     QueryService,
@@ -114,8 +114,8 @@ class TestBrownoutLadder:
     def test_escalates_one_level_per_round_and_saturates(self):
         ladder = BrownoutController(clock=FakeClock())
         pressured = signals(failure_fraction=1.0)
-        levels = [ladder.observe(pressured) for _ in range(7)]
-        assert levels == [1, 2, 3, 4, 5, 5, 5]
+        levels = [ladder.observe(pressured) for _ in range(6)]
+        assert levels == [1, 2, 3, 4, 4, 4]
         assert ladder.level == SHED_NEW_WORK
         assert all(t[2] - t[1] == 1 for t in ladder.transitions)
 
@@ -127,21 +127,21 @@ class TestBrownoutLadder:
             (dict(failure_fraction=0.9), "failures"),
         ]:
             ladder = BrownoutController(clock=FakeClock())
-            assert ladder.observe(signals(**kwargs)) == NO_PARALLELISM
+            assert ladder.observe(signals(**kwargs)) == PARTIAL_ANSWERS
             assert needle in ladder.transitions[-1][3]
 
     def test_recovery_needs_consecutive_clear_rounds(self):
         ladder = BrownoutController(
             BrownoutPolicy(recovery_rounds=3), clock=FakeClock()
         )
-        ladder.force(PARTIAL_ANSWERS)
+        ladder.force(STALE_SERVING)
         clear = signals()
-        assert ladder.observe(clear) == PARTIAL_ANSWERS
-        assert ladder.observe(clear) == PARTIAL_ANSWERS
-        assert ladder.observe(clear) == NO_PARALLELISM  # 3rd clear round
+        assert ladder.observe(clear) == STALE_SERVING
+        assert ladder.observe(clear) == STALE_SERVING
+        assert ladder.observe(clear) == PARTIAL_ANSWERS  # 3rd clear round
         # The streak restarts per level: two more clears hold.
-        assert ladder.observe(clear) == NO_PARALLELISM
-        assert ladder.observe(clear) == NO_PARALLELISM
+        assert ladder.observe(clear) == PARTIAL_ANSWERS
+        assert ladder.observe(clear) == PARTIAL_ANSWERS
         assert ladder.observe(clear) == NORMAL
 
     def test_hysteresis_band_holds_level_and_resets_streak(self):
@@ -175,7 +175,7 @@ class TestBrownoutLadder:
         ladder = BrownoutController(
             BrownoutPolicy(budget_factor=0.5), clock=FakeClock()
         )
-        ladder.force(NO_PARALLELISM)
+        ladder.force(NORMAL)
         assert ladder.effective_budgets(100, 2.0) == (100, 2.0)
         ladder.force(PARTIAL_ANSWERS)
         assert ladder.effective_budgets(100, 2.0) == (50, 1.0)
@@ -202,6 +202,32 @@ class TestBrownoutLadder:
         payload = ladder.as_dict()
         assert payload["transitions"][-1]["reason"] == "operator drill"
         assert payload["level_name"] == "shed-new-work"
+
+    def test_every_rung_gives_something_up(self):
+        """Each level above NORMAL changes at least one thing the
+        service reads off the ladder, so a no-op rung cannot creep
+        back in."""
+
+        def observable(level):
+            ladder = BrownoutController(clock=FakeClock())
+            ladder.force(level)
+            return (
+                ladder.allow_partial,
+                ladder.serve_stale,
+                ladder.replica_reads_only,
+                ladder.shed_new_work,
+                ladder.effective_budgets(100, 2.0),
+            )
+
+        assert LEVEL_NAMES == (
+            "normal",
+            "partial-answers",
+            "stale-serving",
+            "replica-reads-only",
+            "shed-new-work",
+        )
+        for level in range(NORMAL + 1, len(LEVEL_NAMES)):
+            assert observable(level) != observable(level - 1), LEVEL_NAMES[level]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +312,9 @@ class TestDegradedService:
         assert warm.status == DONE and warm.cache == "miss"
         bump_epoch(service, "noise-1")
         chaos.arm()
-        # Three failing rounds climb NORMAL → STALE_SERVING...
-        failures = [round_trip(service, "solo", query) for _ in range(3)]
-        assert [t.status for t in failures] == [FAILED] * 3
+        # Two failing rounds climb NORMAL → STALE_SERVING...
+        failures = [round_trip(service, "solo", query) for _ in range(2)]
+        assert [t.status for t in failures] == [FAILED] * 2
         assert all(
             isinstance(t.error, TransientEndpointError) for t in failures
         )
@@ -315,7 +341,7 @@ class TestDegradedService:
         assert sorted(fresh.answer) == truth
         # The audit trail shows the full round trip.
         trail = [(t["from"], t["to"]) for t in service.brownout.as_dict()["transitions"]]
-        assert (2, 3) in trail and (1, 0) in trail
+        assert (1, 2) in trail and (1, 0) in trail
 
     def test_shed_new_work_refuses_with_retry_hint(self):
         graph, query = tiny_dataset()

@@ -265,56 +265,10 @@ class TestScqBlowup:
         assert follow_up.answer == frozenset({(EX.i1_0, EX.o0)})
 
 
-class TestParallelDifferential:
-    """``answer(parallelism=4)`` is byte-for-byte ``answer()``: the
-    fan-out changes wall-clock shape only, never the answer set."""
-
-    ENGINES = ALL_ENGINES
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_books_answers_identical(self, books, engine, strategy, parallelism):
-        graph, schema, query = books
-        answerer = QueryAnswerer(graph, schema, engine=engine)
-        cover = _cover_for(strategy, query)
-        serial = answerer.answer(query, strategy, cover=cover)
-        fanned = answerer.answer(
-            query, strategy, cover=cover, parallelism=parallelism
-        )
-        assert fanned.answer == serial.answer, (engine, strategy, parallelism)
-        assert fanned.details["parallelism"] == parallelism
-        assert serial.details["parallelism"] == 1
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("name", ["Q5", "Q13"])
-    def test_lubm_jucq_answers_identical(self, lubm_answerers, engine, name):
-        answerer = lubm_answerers[engine]
-        query = lubm_queries()[name]
-        cover = Cover.per_atom(query)
-        serial = answerer.answer(query, Strategy.REF_JUCQ, cover=cover)
-        fanned = answerer.answer(
-            query, Strategy.REF_JUCQ, cover=cover, parallelism=4
-        )
-        assert fanned.answer == serial.answer, (engine, name)
-
-    def test_parallelism_validation(self, books):
-        graph, schema, query = books
-        answerer = QueryAnswerer(graph, schema)
-        with pytest.raises(ValueError):
-            answerer.answer(query, Strategy.REF_UCQ, parallelism=0)
-        sqlite = QueryAnswerer(graph, schema, engine="sqlite")
-        with pytest.raises(ValueError):
-            sqlite.answer(query, Strategy.REF_UCQ, parallelism=2)
-
-
 class TestParallelBudgetAbort:
-    """A shared budget trips once and cancels the sibling fan-out; the
-    degraded-answer semantics match the serial run.  The surfaced
-    exception may be the primary overrun *or* a marked sibling copy of
-    it (the consumer's own charge can race the queue-relayed primary),
-    so these tests assert on ``kind``/diagnostics, never on the
-    ``sibling_abort`` flag being absent."""
+    """A row budget on the SCQ blowup trips once on either engine: the
+    overrun keeps its diagnostics, the degraded answer is a flagged
+    sound subset, and the trip happens near the limit."""
 
     ROW_BUDGET = TestScqBlowup.ROW_BUDGET
 
@@ -328,7 +282,6 @@ class TestParallelBudgetAbort:
                 Strategy.REF_SCQ,
                 row_budget=self.ROW_BUDGET,
                 budget_fallbacks=0,
-                parallelism=4,
             )
         exc = info.value
         assert exc.kind == "rows"
@@ -344,23 +297,17 @@ class TestParallelBudgetAbort:
             budget_fallbacks=0,
             allow_partial=True,
         )
-        serial = columnar.answer(query, Strategy.REF_SCQ, **kwargs)
-        fanned = columnar.answer(
-            query, Strategy.REF_SCQ, parallelism=4, **kwargs
-        )
-        for report in (serial, fanned):
-            assert report.details["partial"] is True
-            assert report.details["budget_exceeded"]["kind"] == "rows"
-            assert report.details["completeness"]["complete"] is False
-        # Both degraded answers are sound subsets of the complete one.
+        report = columnar.answer(query, Strategy.REF_SCQ, **kwargs)
+        assert report.details["partial"] is True
+        assert report.details["budget_exceeded"]["kind"] == "rows"
+        assert report.details["completeness"]["complete"] is False
+        # The degraded answer is a sound subset of the complete one.
         complete = columnar.answer(query, Strategy.REF_SCQ).answer
-        assert serial.answer <= complete
-        assert fanned.answer <= complete
+        assert report.answer <= complete
 
     def test_budget_not_consumed_twice_across_workers(self, blowup):
-        # The shared total is the serial semantics: four workers
-        # charging one budget trip at (or just past) the same limit a
-        # single thread would, not at 4x.
+        # Every chunk is charged once: the trip lands at (or just past)
+        # the limit, not at a multiple of it.
         graph, schema, query = blowup
         columnar = QueryAnswerer(graph, schema, engine="columnar")
         with pytest.raises(BudgetExceeded) as info:
@@ -369,7 +316,6 @@ class TestParallelBudgetAbort:
                 Strategy.REF_SCQ,
                 row_budget=self.ROW_BUDGET,
                 budget_fallbacks=0,
-                parallelism=4,
             )
         # Generous bound: the trip happened well before anything like
         # the unbudgeted evaluation's volume materialized.

@@ -507,10 +507,10 @@ class TestReplicaServing:
 
 class TestLadderRenumbering:
     def test_replica_rung_sits_between_stale_and_shed(self):
-        assert REPLICA_READS_ONLY == 4
-        assert SHED_NEW_WORK == 5
+        assert REPLICA_READS_ONLY == 3
+        assert SHED_NEW_WORK == 4
         assert LEVEL_NAMES[REPLICA_READS_ONLY] == "replica-reads-only"
-        assert len(LEVEL_NAMES) == 6
+        assert len(LEVEL_NAMES) == 5
 
 
 # ---------------------------------------------------------------------------
