@@ -17,7 +17,6 @@ from __future__ import annotations
 import sys
 
 from repro import QueryAnswerer, Strategy
-from repro.bench import format_table
 from repro.datasets import (
     UB,
     bib_queries,
@@ -28,6 +27,7 @@ from repro.datasets import (
     lubm_queries,
 )
 from repro.optimizer import gcov
+from repro.query.visualize import format_table
 from repro.rdf import shorten
 from repro.reformulation import ReformulationTooLarge, ucq_size
 from repro.schema import Constraint

@@ -15,10 +15,10 @@ Run:  python examples/federation.py
 
 from __future__ import annotations
 
-from repro.bench import format_table
 from repro.datasets import generate_lubm, lubm_queries, lubm_schema
 from repro.federation import Endpoint, ExportForbidden, FederatedAnswerer
 from repro.query import ConjunctiveQuery, TriplePattern, Variable, evaluate_cq
+from repro.query.visualize import format_table
 from repro.rdf import Graph
 from repro.saturation import saturate
 

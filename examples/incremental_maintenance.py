@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import time
 
-from repro.bench import format_table
 from repro.datasets import UB, generate_lubm, lubm_queries
+from repro.query.visualize import format_table
 from repro.rdf import RDF_TYPE, Triple, URI
 from repro.saturation import IncrementalSaturator
 from repro.schema import Constraint, Schema

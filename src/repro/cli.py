@@ -51,7 +51,6 @@ import os
 import sys
 from typing import Optional
 
-from .bench import format_table
 from .cache import QueryCache
 from .core import OptionError, QueryAnswerer, Strategy
 from .datasets import (
@@ -65,7 +64,7 @@ from .datasets import (
     bib_queries,
     geo_queries,
 )
-from .query.visualize import render_strategy
+from .query.visualize import format_table, render_strategy
 from .saturation import explain_triple, format_derivation
 from .schema import Schema
 from .query import QueryParseError, parse_query
@@ -1151,31 +1150,6 @@ def cmd_replstatus(args) -> int:
     return EXIT_OK
 
 
-def cmd_experiments(args) -> int:
-    from .bench import EXPERIMENTS, format_table
-
-    if args.run:
-        wanted = None if args.run == "quick" else set(args.run.split(","))
-        for experiment in EXPERIMENTS:
-            if experiment.quick is None:
-                continue
-            if wanted is not None and experiment.identifier not in wanted:
-                continue
-            print("== %s: %s" % (experiment.identifier, experiment.claim))
-            print(experiment.quick())
-            print()
-        return 0
-    rows = [
-        [experiment.identifier, experiment.claim, experiment.bench_file]
-        for experiment in EXPERIMENTS
-    ]
-    print(format_table(["id", "reproduces", "bench target"], rows,
-                       title="experiment index (DESIGN.md §4)"))
-    print("\nrun the full suite:  pytest benchmarks/ -s")
-    print("quick subset:        python -m repro experiments --run quick")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1510,15 +1484,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cluster root a 'replicate --dir' run "
                                  "left behind")
     replstatus.set_defaults(func=cmd_replstatus)
-
-    experiments = subparsers.add_parser(
-        "experiments", help="list or quick-run the experiment suite"
-    )
-    experiments.add_argument(
-        "--run", nargs="?", const="quick",
-        help="run the quick subset (optionally a comma-separated id list)",
-    )
-    experiments.set_defaults(func=cmd_experiments)
 
     return parser
 

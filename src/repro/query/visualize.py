@@ -4,13 +4,14 @@
 covers, which are well suited to a graphical visualization"
 (Section 5).  This module renders the two panels of that visualization
 in plain text: the query's *join graph* (atoms as nodes, shared
-variables as edges) and a cover's fragment grouping over it.
+variables as edges) and a cover's fragment grouping over it — plus
+the aligned tables the CLI and the examples print results in.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebra import ConjunctiveQuery, Variable
 from .cover import Cover
@@ -91,3 +92,36 @@ def render_strategy(cover: Cover) -> str:
         render_cover(cover),
         "strategy: %s" % label,
     )
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    title: Optional[str] = None,
+) -> str:
+    """Render an aligned monospace table.
+
+    >>> print(format_table(["a", "b"], [[1, "x"], [22, "yy"]]))
+    a  | b
+    ---+---
+    1  | x
+    22 | yy
+    """
+    cells = [[str(value) for value in row] for row in rows]
+    widths = [len(header) for header in headers]
+    for row in cells:
+        for index, value in enumerate(row):
+            widths[index] = max(widths[index], len(value))
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+        lines.append("=" * len(title))
+    lines.append(
+        " | ".join(header.ljust(widths[i]) for i, header in enumerate(headers))
+    )
+    lines.append("-+-".join("-" * width for width in widths))
+    for row in cells:
+        lines.append(
+            " | ".join(value.ljust(widths[i]) for i, value in enumerate(row))
+        )
+    return "\n".join(lines)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import re
 from collections import defaultdict
-from typing import Dict, IO, Iterable, List, Optional, Union
+from typing import Dict, IO, Iterable, List, Optional, Tuple, Union
 
 from .graph import Graph
 from .io import ParseError, parse_term
@@ -46,8 +46,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> List[str]:
+def _tokenize(text: str) -> Tuple[List[str], List[int]]:
+    """The document's tokens and, parallel to them, their line numbers."""
     tokens: List[str] = []
+    lines: List[int] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = _strip_comment(line)
         position = 0
@@ -59,8 +61,9 @@ def _tokenize(text: str) -> List[str]:
                     line_number,
                 )
             tokens.append(match.group(1))
+            lines.append(line_number)
             position = match.end()
-    return tokens
+    return tokens, lines
 
 
 def _strip_comment(line: str) -> str:
@@ -87,8 +90,9 @@ def _strip_comment(line: str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: List[str]):
+    def __init__(self, tokens: List[str], lines: List[int]):
         self.tokens = tokens
+        self.lines = lines
         self.index = 0
         self.prefixes: Dict[str, str] = {
             short: prefix for prefix, short in WELL_KNOWN_PREFIXES.items()
@@ -168,7 +172,13 @@ class _Parser:
             predicate = self._term(self.next())
             while True:
                 obj = self._term(self.next())
-                graph.add(Triple(subject, predicate, obj))
+                try:
+                    triple = Triple(subject, predicate, obj)
+                except ValueError as exc:
+                    # A literal subject or a non-URI property: typed
+                    # like the N-Triples reader's, with the line.
+                    raise ParseError(str(exc), self.lines[self.index - 1]) from None
+                graph.add(triple)
                 if self.peek() == ",":
                     self.next()
                     continue
@@ -194,7 +204,7 @@ def read_turtle(source: Union[str, IO[str]]) -> Graph:
     """
     if not isinstance(source, str):
         source = source.read()
-    return _Parser(_tokenize(source)).parse()
+    return _Parser(*_tokenize(source)).parse()
 
 
 def write_turtle(

@@ -1,10 +1,10 @@
 """Service observability: per-tenant counters and latency percentiles.
 
-The same nearest-rank percentile convention as the benchmark suite
-(:mod:`repro.bench`): ``p50`` of N sorted samples is element
-``ceil(0.50 * N) - 1``.  All counters are plain integers updated under
-one lock; :meth:`ServiceMetrics.as_dict` is the JSON-ready view the
-CLI and benchmark E18 emit.
+The same nearest-rank percentile convention as the repository
+benchmark (``bench/metrics.py``): ``p50`` of N sorted samples is
+element ``ceil(0.50 * N) - 1``.  All counters are plain integers
+updated under one lock; :meth:`ServiceMetrics.as_dict` is the
+JSON-ready view ``repro serve --json`` emits.
 """
 
 from __future__ import annotations

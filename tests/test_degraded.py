@@ -747,3 +747,10 @@ class TestAvailabilityScenario:
         assert ladder_availability > bare_availability
         assert with_ladder.metrics.totals()["stale_serves"] > 0
         assert with_ladder.brownout.level == NORMAL  # recovered
+
+    def test_scenario_replays_identically(self):
+        first, _ = self._run(ladder=True)
+        second, _ = self._run(ladder=True)
+        assert first.metrics.totals() == second.metrics.totals()
+        assert (first.brownout.as_dict()["transitions"]
+                == second.brownout.as_dict()["transitions"])

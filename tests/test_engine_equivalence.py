@@ -19,7 +19,7 @@ import pytest
 
 from repro import BudgetExceeded, ExecutionBudget, QueryAnswerer, Strategy
 from repro.cache import QueryCache
-from repro.datasets import lubm_queries
+from repro.datasets import example1_query, lubm_queries
 from repro.query import (
     ConjunctiveQuery,
     Cover,
@@ -134,11 +134,11 @@ class TestBooksDifferential:
 
 
 class TestLubmDifferential:
-    @pytest.mark.parametrize("name", ["Q1", "Q5", "Q9", "Q13"])
+    @pytest.mark.parametrize("name", ["Q1", "Q5", "Q9", "Q13", "Ex1"])
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
     def test_same_answers(self, lubm_answerers, name, strategy):
         materialized = lubm_answerers["materialized"]
-        query = lubm_queries()[name]
+        query = example1_query() if name == "Ex1" else lubm_queries()[name]
         cover = _cover_for(strategy, query)
         try:
             rm = materialized.answer(query, strategy, cover=cover)

@@ -1,5 +1,5 @@
 """Fuzz tests (hypothesis) for the two byte-level codecs the system's
-durability rests on:
+durability rests on, and for the text parsers in front of it:
 
 * the N-Triples reader/writer (``repro.rdf.io``) — arbitrary terms must
   survive serialize→parse, and arbitrary garbage must be *rejected*
@@ -9,7 +9,9 @@ durability rests on:
   sequences must round-trip, and arbitrary corruption (bit flips,
   truncation, garbage buffers) must never raise from
   :func:`decode_records` and always yields an exact *prefix* of the
-  original records — the invariant crash recovery is built on.
+  original records — the invariant crash recovery is built on;
+* the SPARQL-lite, Turtle-lite and N-Triples parsers — arbitrary text
+  raises their typed errors only.
 
 Like the chaos tests, the exploration is seeded from
 ``REPRO_CHAOS_SEED`` so each CI matrix leg fuzzes a distinct but
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import os
 
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.durability import (
@@ -35,6 +37,7 @@ from repro.durability.ops import (
     decode_op,
     encode_op,
 )
+from repro.query import QueryParseError, parse_query
 from repro.rdf import (
     BlankNode,
     Graph,
@@ -47,6 +50,7 @@ from repro.rdf import (
     parse_term,
     read_ntriples,
 )
+from repro.rdf.turtle import read_turtle
 
 #: CI sets this per matrix leg; locally the default keeps runs stable.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -212,6 +216,42 @@ def test_lenient_load_recovers_good_lines(graph, junk):
     junk_is_bad = _line_is_garbage(junk_line)
     assert recovered == graph
     assert len(errors) == (len(good_lines) + 1 if junk_is_bad else 0)
+
+
+# ---------------------------------------------------------------------------
+# Text parsers: typed errors only
+
+#: Tokens of the three input languages, so that generated documents get
+#: past the tokenizers often enough to reach term and triple checks.
+_SOURCE_TOKENS = [
+    "@prefix", "@base", "ex:", "ex:a", "ex:p", ":a", "a", "<http://e/a>", "<>",
+    "< >", "_:b", '"lit"', '"x"^^<http://e/t>', '"x"^^ex:t', ";", ",", ".",
+    "PREFIX", "SELECT", "DISTINCT", "WHERE", "FILTER", "{", "}", "(", ")", "*",
+    "?x", "?y", "rdf:type", "rdfs:subClassOf", "#", "\n",
+]
+source_text_st = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60),
+    st.lists(st.sampled_from(_SOURCE_TOKENS), max_size=14).map(" ".join),
+)
+
+
+@seed(CHAOS_SEED + 11)
+@fuzz_settings
+@example(text="_:b _:b _:b")
+@example(text='"lit" a <http://a/>')
+@given(text=source_text_st)
+def test_text_parsers_raise_only_typed_errors(text):
+    """Malformed input gets a typed error (and the CLI exit code 2),
+    never a traceback from a constructor underneath."""
+    for parse, typed in (
+        (parse_query, QueryParseError),
+        (read_turtle, ParseError),
+        (read_ntriples, ParseError),
+    ):
+        try:
+            parse(text)
+        except typed:
+            pass
 
 
 # ---------------------------------------------------------------------------

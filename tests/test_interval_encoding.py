@@ -16,7 +16,8 @@ Three layers of guarantees:
 
 Plus the query-side no-mutation rule: answering — including pricing
 covers and planning constants the data never stored — must not grow
-the store's dictionary.
+the store's dictionary; and Example 1's counts, where the encoding
+turns a UCQ every backend refuses into one that answers.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import QueryAnswerer, Strategy
+from repro.datasets import example1_query, generate_lubm
 from repro.encoding import (
     HierarchyEncoding,
     HierarchyInterval,
@@ -31,10 +33,11 @@ from repro.encoding import (
     rebuild_with_hierarchy,
 )
 from repro.encoding.hierarchy import detect_encoding
-from repro.query import ConjunctiveQuery, TriplePattern, Variable
+from repro.query import ConjunctiveQuery, Cover, TriplePattern, Variable
 from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
+from repro.reformulation import ReformulationPolicy, ucq_size
 from repro.schema import Constraint, Schema
-from repro.storage import TripleStore
+from repro.storage import QueryTooLargeError, TripleStore
 from repro.storage.executor import ENGINES, Executor
 
 EX = Namespace("http://example.org/")
@@ -360,3 +363,57 @@ class TestNoDictionaryMutation:
         report = answerer.answer(query, Strategy.REF_UCQ)
         assert report.answer == frozenset({(EX.i1, EX.NeverStored)})
         assert len(answerer.store.dictionary) == before
+
+
+class TestExample1:
+    """Example 1 on one LUBM university.  Under hierarchy-only
+    reasoning — the subclass/subproperty unions the layout encodes —
+    its classic UCQ is past every backend's atom limit, while the
+    interval UCQ answers."""
+
+    HIERARCHY = ReformulationPolicy(subclass=True, subproperty=True, domain_range=False)
+
+    @pytest.fixture(scope="class")
+    def answerers(self):
+        graph = generate_lubm(universities=1, seed=1)
+        return {
+            interval: QueryAnswerer(
+                graph, engine="columnar", policy=self.HIERARCHY, interval_encoding=interval
+            )
+            for interval in (False, True)
+        }
+
+    def test_full_reasoning_ucq_size(self, answerers):
+        encoded = answerers[True]
+        query = example1_query()
+        assert ucq_size(query, encoded.schema) == 186_624
+        assert ucq_size(query, encoded.schema, encoding=encoded.encoding) == 19_044
+
+    def test_hierarchy_only_type_side_collapses(self, answerers):
+        """Example 1's x side — its open type atom, the degree constant
+        and memberOf — is where enumeration is the whole cost."""
+        full = example1_query()
+        x_side = ConjunctiveQuery(
+            (full.atoms[0].subject, full.atoms[0].object),
+            (full.atoms[0], full.atoms[2], full.atoms[4]),
+        )
+        encoded = answerers[True]
+        assert ucq_size(x_side, encoded.schema, self.HIERARCHY) == 264
+        assert ucq_size(x_side, encoded.schema, self.HIERARCHY, encoded.encoding) == 26
+
+    def test_hierarchy_only_classic_ucq_is_refused(self, answerers):
+        classic = answerers[False]
+        query = example1_query()
+        assert ucq_size(query, classic.schema, self.HIERARCHY) == 69_696
+        with pytest.raises(QueryTooLargeError):
+            classic.answer(query, Strategy.REF_UCQ, max_disjuncts=200_000)
+
+    def test_hierarchy_only_interval_ucq_answers_like_the_jucq(self, answerers):
+        encoded = answerers[True]
+        query = example1_query()
+        assert ucq_size(query, encoded.schema, self.HIERARCHY, encoded.encoding) == 676
+        report = encoded.answer(query, Strategy.REF_UCQ, max_disjuncts=200_000)
+        reference = answerers[False].answer(
+            query, Strategy.REF_JUCQ, cover=Cover.per_atom(query)
+        )
+        assert report.answer == reference.answer

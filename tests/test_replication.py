@@ -464,6 +464,27 @@ class TestReplicaServing:
         finally:
             cluster.close()
 
+    def test_bounded_reads_survive_a_primary_crash(self, tmp_path):
+        """A single node loses every request while it is down; the
+        replicated service keeps answering bounded reads from the
+        follower, exactly, and only writes are refused."""
+        cluster = self._cluster(tmp_path)
+        try:
+            service, _router = make_service(
+                cluster, [TenantConfig("bounded", replica_max_lag=2)])
+            before = service.submit(QueryRequest("bounded", STUDENT_QUERY))
+            service.drain()
+            cluster.kill_primary()
+            with pytest.raises(PrimaryFenced):
+                service.insert(Triple(EX.lost, RDF_TYPE, EX.Student))
+            after = service.submit(QueryRequest("bounded", STUDENT_QUERY))
+            service.drain()
+            assert after.status == DONE
+            assert after.report.details["replica"]["node"] == "n2"
+            assert sorted(after.answer) == sorted(before.answer)
+        finally:
+            cluster.close()
+
     def test_brownout_rung_forces_replica_reads(self, tmp_path):
         cluster = self._cluster(tmp_path)
         try:

@@ -94,6 +94,12 @@ class TestRead:
         with pytest.raises(ParseError):
             read_turtle("@prefix ex: <http://e/> .\nex:a ex:p ex:b")
 
+    @pytest.mark.parametrize("statement", ['"lit" a <http://a/> .', "_:b _:b _:b ."])
+    def test_ill_formed_triple_is_a_parse_error_with_its_line(self, statement):
+        with pytest.raises(ParseError) as raised:
+            read_turtle("<http://a/> a <http://b/> .\n" + statement)
+        assert raised.value.line_number == 2
+
     def test_trailing_semicolon_tolerated(self):
         graph = read_turtle(
             "@prefix ex: <http://example.org/> .\n"

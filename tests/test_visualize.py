@@ -1,4 +1,5 @@
-"""Unit tests for query/cover visualization and the new CLI commands."""
+"""Unit tests for query/cover visualization, table rendering and the
+new CLI commands."""
 
 
 from repro.cli import main
@@ -13,6 +14,7 @@ from repro.query import (
     render_query,
     render_strategy,
 )
+from repro.query.visualize import format_table
 from repro.rdf import Namespace, RDF_TYPE
 
 EX = Namespace("http://example.org/")
@@ -67,6 +69,27 @@ class TestRendering:
         assert "SCQ" in render_strategy(Cover.per_atom(query))
         assert "UCQ" in render_strategy(Cover.single_fragment(query))
         assert "JUCQ" in render_strategy(example1_best_cover(query))
+
+
+class TestFormatTable:
+    def test_alignment(self):
+        text = format_table(["a", "bb"], [[1, "x"], [22, "yy"]])
+        lines = text.splitlines()
+        assert lines[0].startswith("a ")
+        assert all("|" in line for line in lines if "-" not in line)
+
+    def test_title(self):
+        text = format_table(["h"], [["v"]], title="My Table")
+        assert text.splitlines()[0] == "My Table"
+        assert text.splitlines()[1] == "========"
+
+    def test_empty_rows(self):
+        text = format_table(["col"], [])
+        assert "col" in text
+
+    def test_wide_values_stretch_columns(self):
+        text = format_table(["c"], [["wide value here"]])
+        assert "wide value here" in text
 
 
 class TestCliAdditions:
