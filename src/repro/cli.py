@@ -52,7 +52,7 @@ import sys
 from typing import Optional
 
 from .cache import QueryCache
-from .core import OptionError, QueryAnswerer, Strategy
+from .core import DEFAULT_ENGINE, OptionError, QueryAnswerer, Strategy
 from .datasets import (
     books_dataset,
     example1_best_cover,
@@ -1177,12 +1177,13 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["all"] + [s.value for s in Strategy])
     answer.add_argument("--show-answers", action="store_true")
     answer.add_argument("--limit", type=int, default=20)
-    answer.add_argument("--engine", default="builtin",
+    answer.add_argument("--engine", default=DEFAULT_ENGINE,
                         choices=["builtin", "materialized", "columnar",
                                  "sqlite"],
-                        help="evaluation engine: materialized (builtin is "
-                             "its alias), columnar (vectorized sorted-run "
-                             "execution, per-operator metrics), or sqlite")
+                        help="evaluation engine: columnar (the default; "
+                             "vectorized sorted-run execution, per-operator "
+                             "metrics), materialized (builtin is its alias), "
+                             "or sqlite")
     answer.add_argument("--show-metrics", action="store_true",
                         help="print the per-operator metric table (single "
                              "strategy, columnar engine)")
@@ -1261,7 +1262,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_stats.add_argument("--sparql", help="an inline SPARQL-lite query")
     cache_stats.add_argument("--strategy", default="all",
                              choices=["all"] + [s.value for s in Strategy])
-    cache_stats.add_argument("--engine", default="builtin",
+    cache_stats.add_argument("--engine", default=DEFAULT_ENGINE,
                              choices=["builtin", "materialized", "columnar",
                                       "sqlite"])
     cache_stats.add_argument("--cache-size", type=_positive_int, default=1024,
@@ -1276,7 +1277,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--sparql")
     explain.add_argument("--strategy", default="ref-gcov",
                          choices=[s.value for s in Strategy])
-    explain.add_argument("--engine", default="builtin",
+    explain.add_argument("--engine", default=DEFAULT_ENGINE,
                          choices=["builtin", "materialized", "columnar"],
                          help="evaluation engine; columnar appends the "
                               "per-operator metric table to the plan")
@@ -1375,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 2)")
     serve.add_argument("--queue-depth", type=_positive_int, default=None,
                        help="override every tenant's queue depth")
-    serve.add_argument("--engine", default="builtin",
+    serve.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=["builtin", "materialized", "columnar",
                                 "sqlite"])
     serve.add_argument("--row-budget", type=_positive_int, default=None,

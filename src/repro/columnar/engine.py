@@ -11,14 +11,16 @@ never become Python objects until the answer boundary:
   range of one SPO/POS/OSP sorted run; emitting a chunk is slicing
   ``array('q')`` columns (a C-level copy), not building per-row
   dicts and tuples.  The residual key order of the range becomes the
-  stream's sortedness metadata.
+  stream's sortedness metadata.  Runs are patched in place by writes,
+  so every run scan checks the store's epoch between chunks (the reader
+  rule of :mod:`repro.columnar.indexes`).
 * **K-way sorted union** — when every input of a union is fully
   sorted (scans and their projections are), inputs are merged with
   adjacent-duplicate elimination: the union's set semantics fall out
   of the merge for free, *before* any join multiplies rows — the
-  grouping effect the paper measures, applied physically.  Unsorted
-  inputs degrade to streamed concatenation (dedup deferred to the
-  nearest downstream distinct or the final answer set).
+  grouping effect the paper measures, applied physically.  Inputs
+  with no common order degrade to concatenation deduped through a
+  seen-set, so a union never emits a row twice either way.
 * **Merge joins on sorted runs** — taken only when both inputs are
   provably sorted on the join key; buffers only the current
   equal-key groups.  Otherwise the join hashes, building on the
@@ -58,7 +60,7 @@ from bisect import bisect_left
 from operator import itemgetter
 
 from .chunks import ColumnChunk, ColumnStream, as_column
-from .indexes import ORDER_PERMUTATIONS
+from .indexes import ORDER_PERMUTATIONS, StaleRunError
 
 Row = Tuple
 
@@ -198,38 +200,72 @@ class _ColumnarPipeline:
             for group in positions_of.values()
             if len(group) > 1
         ]
+
+        def select(start: int, end: int) -> List[int]:
+            # Repeated-variable pattern: keep rows where every
+            # occurrence of the variable carries the same id.
+            return [
+                i
+                for i in range(start, end)
+                if all(
+                    group[0][i] == other[i]
+                    for group in duplicates
+                    for other in group[1:]
+                )
+            ]
+
+        return ColumnStream(
+            self._run_chunks(lo, hi, sources, select if duplicates else None),
+            tuple(order),
+        )
+
+    def _run_chunks(
+        self,
+        lo: int,
+        hi: int,
+        sources: Sequence[Sequence[int]],
+        select=None,
+    ) -> Iterator[ColumnChunk]:
+        """The chunks of run rows [lo, hi), one batch at a time: column
+        slices of *sources*, or — given ``select(start, end)`` — the
+        rows of each batch it keeps, gathered.
+
+        Serves every scan that reads a live run range.  The store's
+        mutation epoch is recorded here, at probe time, and a write
+        before any later chunk raises
+        :class:`~repro.columnar.indexes.StaleRunError`: the reader rule
+        of :mod:`repro.columnar.indexes`, since a patch shifts rows.
+        """
+        store = self.store
+        epoch = store.mutation_epoch
         step = self.batch_size
 
         def chunks() -> Iterator[ColumnChunk]:
             for start in range(lo, hi, step):
+                if store.mutation_epoch != epoch:
+                    raise StaleRunError(
+                        "the store was written (epoch %d -> %d) while a "
+                        "scan of its sorted runs was in flight"
+                        % (epoch, store.mutation_epoch)
+                    )
                 end = min(start + step, hi)
-                if duplicates:
-                    # Repeated-variable pattern: keep rows where every
-                    # occurrence of the variable carries the same id.
-                    keep = [
-                        i
-                        for i in range(start, end)
-                        if all(
-                            group[0][i] == other[i]
-                            for group in duplicates
-                            for other in group[1:]
-                        )
-                    ]
-                    if keep:
-                        yield ColumnChunk(
-                            tuple(
-                                as_column(src[i] for i in keep)
-                                for src in sources
-                            ),
-                            len(keep),
-                        )
-                else:
+                if select is None:
                     yield ColumnChunk(
                         tuple(src[start:end] for src in sources),
                         end - start,
                     )
+                    continue
+                keep = select(start, end)
+                if keep:
+                    yield ColumnChunk(
+                        tuple(
+                            as_column(src[i] for i in keep)
+                            for src in sources
+                        ),
+                        len(keep),
+                    )
 
-        return ColumnStream(chunks(), tuple(order))
+        return chunks()
 
     def _range_scan(
         self, node: ScanNode, range_info: Tuple[int, Tuple[int, int]]
@@ -295,15 +331,9 @@ class _ColumnarPipeline:
             # Zero or one distinct id in the interval: the narrowed
             # range behaves exactly like a (prefix + id) probe —
             # plain column slices, residual order intact.
-            def sliced() -> Iterator[ColumnChunk]:
-                for start in range(lo, hi, step):
-                    end = min(start + step, hi)
-                    yield ColumnChunk(
-                        tuple(src[start:end] for src in sources),
-                        end - start,
-                    )
-
-            return ColumnStream(sliced(), tuple(order))
+            return ColumnStream(
+                self._run_chunks(lo, hi, sources), tuple(order)
+            )
 
         # Several distinct ids inside the interval: the groups must be
         # re-sorted on the residual key and deduped (the same row can
@@ -375,31 +405,22 @@ class _ColumnarPipeline:
             for group in positions_of.values()
             if len(group) > 1
         ]
-        step = self.batch_size
 
-        def chunks() -> Iterator[ColumnChunk]:
-            for start in range(lo, hi, step):
-                end = min(start + step, hi)
-                keep = [
-                    i
-                    for i in range(start, end)
-                    if range_lo <= filter_column[i] < range_hi
-                    and all(
-                        group[0][i] == other[i]
-                        for group in duplicates
-                        for other in group[1:]
-                    )
-                ]
-                if keep:
-                    yield ColumnChunk(
-                        tuple(
-                            as_column(src[i] for i in keep)
-                            for src in sources
-                        ),
-                        len(keep),
-                    )
+        def select(start: int, end: int) -> List[int]:
+            return [
+                i
+                for i in range(start, end)
+                if range_lo <= filter_column[i] < range_hi
+                and all(
+                    group[0][i] == other[i]
+                    for group in duplicates
+                    for other in group[1:]
+                )
+            ]
 
-        return ColumnStream(chunks(), tuple(order))
+        return ColumnStream(
+            self._run_chunks(lo, hi, sources, select), tuple(order)
+        )
 
     # -- union ---------------------------------------------------------
 
@@ -417,7 +438,8 @@ class _ColumnarPipeline:
             for stream in streams:
                 yield from self._counted(stream, entry)
 
-        return ColumnStream(concatenated())
+        # No common order: set semantics through a seen-set instead.
+        return ColumnStream(self._hashed_distinct(concatenated(), entry))
 
     def _merge_union(
         self,
@@ -462,18 +484,21 @@ class _ColumnarPipeline:
         child = self._pull(node.child, entry)
         positions = node.child.variable_positions()
         specs = [
-            ("col", positions[value]) if kind == "var" else ("const", value)
+            ("col", positions[value]) if kind == "var" else (kind, value)
             for kind, value in node.specs
         ]
-        # Metadata: constants are injected constants plus surviving
+        # Metadata: constants are injected id constants plus surviving
         # constant child columns; the order claim follows the child's
-        # order until a non-constant order column is dropped.
+        # order until a non-constant order column is dropped.  A
+        # ("term", Term) column is constant too, but not an id: treated
+        # as order-transparent, it would let a sorted union compare it
+        # with the id column another input carries in its place.
         constants = set()
         first_output: dict = {}
         for output, (kind, value) in enumerate(specs):
             if kind == "const":
                 constants.add(output)
-            else:
+            elif kind == "col":
                 first_output.setdefault(value, output)
                 if value in child.constants:
                     constants.add(output)
@@ -555,22 +580,30 @@ class _ColumnarPipeline:
                 sorted_chunks(), child.order, child.constants
             )
 
-        def hashed_chunks() -> Iterator[ColumnChunk]:
-            seen: set = set()
-            for chunk in child.chunks:
-                keep = []
-                for i, row in enumerate(chunk.rows()):
-                    if row not in seen:
-                        seen.add(row)
-                        keep.append(i)
-                if keep:
-                    self.metrics.buffer(entry, len(keep))
-                    if len(keep) == chunk.length:
-                        yield chunk
-                    else:
-                        yield chunk.take(keep)
+        return ColumnStream(
+            self._hashed_distinct(child.chunks, entry),
+            child.order,
+            child.constants,
+        )
 
-        return ColumnStream(hashed_chunks(), child.order, child.constants)
+    def _hashed_distinct(
+        self, chunks: Iterator[ColumnChunk], entry: OperatorMetrics
+    ) -> Iterator[ColumnChunk]:
+        """Drop the rows of *chunks* already seen, through a seen-set
+        whose rows are charged to *entry* as buffered state."""
+        seen: set = set()
+        for chunk in chunks:
+            keep = []
+            for i, row in enumerate(chunk.rows()):
+                if row not in seen:
+                    seen.add(row)
+                    keep.append(i)
+            if keep:
+                self.metrics.buffer(entry, len(keep))
+                if len(keep) == chunk.length:
+                    yield chunk
+                else:
+                    yield chunk.take(keep)
 
     # -- joins ---------------------------------------------------------
 
@@ -783,9 +816,10 @@ def run_columnar(
 ) -> Tuple[List[Row], PipelineMetrics]:
     """Execute *plan* against *store* columnar-ly; returns (rows, metrics).
 
-    The collected answer is distinct (collecting through a seen-set
-    is what lets unions stream without their own dedup buffers), metrics report rows *represented* (a chunk of
-    1,024 rows counts 1,024, whatever its Python object count), and a
+    The collected answer is distinct (joins and projections may
+    repeat rows; the final seen-set removes them), metrics report rows
+    *represented* (a chunk of 1,024 rows counts 1,024, whatever its
+    Python object count), and a
     :class:`~repro.resilience.errors.BudgetExceeded` mid-stream carries
     the metrics snapshot and partial rows (``partial`` /
     ``partial_rows``) — a budget abort reports how far execution got,

@@ -20,14 +20,41 @@ scan is an ``array`` slice (a C-level copy).  A run for a fixed prefix
 is itself sorted on the remaining columns, which is what the engine's
 merge joins and k-way sorted unions consume.
 
-Indexes are built **lazily** (first probe pays the sort) from the
-store's triple set, and invalidated through the store's existing
-mutation machinery: every successful encoded-level insert/delete bumps
-``TripleStore.mutation_epoch``, and the set drops its built runs when
-its epoch falls behind — covering Triple-level writes, bulk loads,
-WAL replay and checkpoint restore alike.  A Triple-level listener
-additionally drops the arrays eagerly so a write burst does not retain
-stale runs in memory.
+**Maintenance.**  A run is built lazily: the first probe of an order
+sorts the store's triple set once.  After that it is kept current in
+one of two ways, decided by ``TripleStore.mutation_epoch`` (bumped by
+every successful encoded-level insert/delete, whatever path made it):
+
+* *Patch.*  :meth:`TripleStore.insert`/``delete`` notify the store's
+  listeners; the set's listener patches every built run in place — one
+  :meth:`SortedRunIndex.range` bisect to the row, then one
+  ``array.insert`` / ``del`` per column, a memmove rather than a
+  re-sort — and advances the epoch the runs are current at.  It does so
+  only when that write is the only one since the runs were current
+  (``mutation_epoch == built_epoch + 1``); any other gap drops the runs.
+* *Rebuild.*  Checkpoint restore and :meth:`TripleStore.from_encoded`
+  write through ``_insert_encoded``, which bumps the epoch without
+  notifying anyone, so the next probe finds the runs behind and sorts
+  afresh.  WAL replay does go through ``insert``/``delete``, but
+  recovery replays into a restored store whose runs were never built,
+  so the first probe after recovery pays the sort.
+  :meth:`TripleStore.load` invalidates up front: a bulk load pays one
+  sort, not one patch per triple.
+
+**Reader rule.**  A patch shifts rows, so a scan that read part of a
+run range and is about to read the rest must not see a write in
+between.  Every run scan of the engine records ``mutation_epoch`` when
+it probes and raises :class:`StaleRunError` if the epoch has moved
+before it emits its next chunk — a wrong answer becomes an error.  The
+check cannot fire today, because no write can land inside a scan:
+
+* ``run_columnar`` drains its whole plan within one call, and nothing
+  it calls writes;
+* ``QueryService.step`` is serial: it executes each ticket to the end
+  before the next one, and writes are separate calls;
+* a pinned ``StoreSnapshot`` that saw a write reads a separate frozen
+  store (rebuilt through ``from_encoded``), not the live runs;
+* federation's fan-out threads only read their endpoints' stores.
 """
 
 from __future__ import annotations
@@ -43,6 +70,11 @@ ORDER_PERMUTATIONS: Dict[str, Tuple[int, int, int]] = {
     "pos": (1, 2, 0),
     "osp": (2, 0, 1),
 }
+
+
+class StaleRunError(RuntimeError):
+    """A run scan saw the store change between two of its chunks (a
+    breach of the reader rule in the module docstring)."""
 
 
 class SortedRunIndex:
@@ -89,6 +121,20 @@ class SortedRunIndex:
                 return lo, lo
         return lo, hi
 
+    def patch(self, encoded: Tuple[int, int, int], insert: bool) -> None:
+        """Insert (or delete) the ``(s, p, o)`` triple *encoded* in
+        place, keeping the run sorted: one bisect to its row, then one
+        ``array.insert`` / ``del`` per column."""
+        key = tuple(encoded[position] for position in self.permutation)
+        lo, hi = self.range(*key)
+        if insert:
+            if lo == hi:
+                for column, value in zip(self.columns, key):
+                    column.insert(lo, value)
+        elif lo < hi:
+            for column in self.columns:
+                del column[lo]
+
     def iter_triples(
         self, lo: int = 0, hi: Optional[int] = None
     ) -> Iterator[Tuple[int, int, int]]:
@@ -106,25 +152,35 @@ class SortedRunIndex:
 
 
 class ColumnarIndexSet:
-    """The lazily built, epoch-invalidated index family of one store."""
+    """The index family of one store: built lazily, patched on single
+    writes, rebuilt when the epoch says it fell behind."""
 
     def __init__(self, store) -> None:
         self._store = store
         self._orders: Dict[str, SortedRunIndex] = {}
         self._built_epoch: Optional[int] = None
         #: Total index builds performed — observable by tests asserting
-        #: that mutations invalidate and re-probes rebuild.
+        #: that single writes patch and only bulk/restore paths rebuild.
         self.build_count = 0
-        # Eager invalidation: drop the arrays on the write itself, not
-        # on the next probe, so a write burst is not charged the memory
-        # of runs it already obsoleted.
         store.add_listener(self._on_mutation)
 
     # ------------------------------------------------------------------
 
-    def _on_mutation(self, _triple, _operation) -> None:
-        self._orders.clear()
-        self._built_epoch = None
+    def _on_mutation(self, triple, operation) -> None:
+        """The patch path (see the module docstring)."""
+        if (
+            self._built_epoch is None
+            or self._store.mutation_epoch != self._built_epoch + 1
+        ):
+            self.invalidate()
+            return
+        if self._orders:
+            lookup = self._store.dictionary.lookup
+            encoded = tuple(lookup(term) for term in triple.as_tuple())
+            insert = operation == "insert"
+            for run in self._orders.values():
+                run.patch(encoded, insert)
+        self._built_epoch += 1
 
     def _current(self) -> bool:
         return (
@@ -140,15 +196,16 @@ class ColumnarIndexSet:
 
     def invalidate(self) -> None:
         """Drop every built run (next probe rebuilds)."""
-        self._on_mutation(None, None)
+        self._orders.clear()
+        self._built_epoch = None
 
     def order(self, name: str) -> SortedRunIndex:
         """The (built-on-demand) sorted run for ordering *name*.
 
         Staleness is decided by the store's mutation epoch, which every
         encoded-level write path bumps — so runs survive read-only use
-        indefinitely and never survive a write, whatever code path
-        performed it.
+        indefinitely, follow listener-notified writes by patching, and
+        are rebuilt after any write that bypassed the listeners.
         """
         if not self._current():
             self._orders.clear()

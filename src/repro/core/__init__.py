@@ -4,6 +4,7 @@ from .answerer import (
     Answer,
     AnswerReport,
     COMPLETE_STRATEGIES,
+    DEFAULT_ENGINE,
     OptionError,
     QueryAnswerer,
     Strategy,
@@ -13,6 +14,7 @@ __all__ = [
     "Answer",
     "AnswerReport",
     "COMPLETE_STRATEGIES",
+    "DEFAULT_ENGINE",
     "OptionError",
     "QueryAnswerer",
     "Strategy",

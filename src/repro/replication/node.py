@@ -35,6 +35,7 @@ import struct
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..core.answerer import DEFAULT_ENGINE
 from ..durability.checkpoint import build_snapshot, encode_checkpoint
 from ..durability.io import FileSystem
 from ..durability.manager import DurableStore
@@ -445,7 +446,7 @@ class ReplicaNode:
     # ------------------------------------------------------------------
     # Reads
 
-    def reader(self, engine: str = "builtin"):
+    def reader(self, engine: str = DEFAULT_ENGINE):
         """A query answerer over this node's current state, rebuilt
         lazily when the LSN moves (replica-read serving path)."""
         key = (self.lsn, engine)

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cache import QueryCache, dataset_token
 from ..cache.keys import cover_key, query_key
-from ..core.answerer import AnswerReport, QueryAnswerer, Strategy
+from ..core.answerer import DEFAULT_ENGINE, AnswerReport, QueryAnswerer, Strategy
 from ..reformulation.engine import ReformulationTooLarge
 from ..resilience.clock import Clock, SYSTEM_CLOCK
 from ..resilience.errors import BudgetExceeded, EndpointFailure
@@ -110,7 +110,7 @@ class QueryService:
         schema=None,
         *,
         tenants: Sequence[Union[str, TenantConfig]],
-        engine: str = "builtin",
+        engine: str = DEFAULT_ENGINE,
         capacity: int = 2,
         clock: Optional[Clock] = None,
         cache_answers: int = 512,
@@ -426,8 +426,9 @@ class QueryService:
                     return
         kwargs = self._budget_kwargs(config, ticket.owner, degrade=True)
         if self.brownout is not None and self.brownout.allow_partial:
-            # Only the columnar engine carries partial rows on the
-            # exception; elsewhere the flag is a harmless no-op and the overrun still fails the ticket.
+            # Only the columnar engine (the default) carries partial
+            # rows on the exception; on the others the flag is a
+            # harmless no-op and the overrun still fails the ticket.
             kwargs["allow_partial"] = True
         try:
             if self.chaos is not None:

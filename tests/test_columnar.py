@@ -14,8 +14,10 @@ import pytest
 
 from repro import BudgetExceeded, ExecutionBudget
 from repro.columnar.chunks import ColumnChunk, ColumnStream
-from repro.columnar.engine import run_columnar
-from repro.engine.ir import DistinctNode, ScanNode, UnionNode
+from repro.columnar.engine import _ColumnarPipeline, run_columnar
+from repro.columnar.indexes import StaleRunError
+from repro.engine.ir import DistinctNode, ProjectNode, ScanNode, UnionNode
+from repro.engine.metrics import PipelineMetrics
 from repro.query import ConjunctiveQuery, TriplePattern, Variable
 from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, Triple
 from repro.storage import TripleStore
@@ -151,6 +153,54 @@ class TestColumnarOperators:
         assert entry.peak_buffered_rows == 0
         assert entry.rows_out == len(rows)
 
+    def test_union_of_term_constant_and_id_column(self):
+        """A projected ``("term", Term)`` constant — one the store's
+        dictionary lacks — is not an id, so it must not count as
+        order-transparent: the union cannot merge-compare it with the
+        id column the other input carries there."""
+        store = small_store()
+        type_id = store.term_id(RDF_TYPE)
+        by_class = ProjectNode(
+            ScanNode([("var", x), ("const", type_id), ("var", y)]),
+            [("var", y), ("var", x)],
+        )
+        unstored = ProjectNode(
+            ScanNode(
+                [("var", x), ("const", type_id), ("const", store.term_id(EX.C))]
+            ),
+            [("term", EX.Unstored), ("var", x)],
+        )
+        union = UnionNode([by_class, unstored], [None, x])
+        rows, _ = run_columnar(union, store)
+        typed = {store.term_id(EX.term("s%d" % i)) for i in range(8)}
+        assert set(rows) == {(store.term_id(EX.C), s) for s in typed} | {
+            (EX.Unstored, s) for s in typed
+        }
+
+    def test_unordered_union_dedups_through_a_seen_set(self):
+        store = small_store()
+        p_id = store.term_id(EX.p)
+        # The scan is sorted by (y, x); projected to (y, x) it is sorted
+        # by its first column, the plain scan by its second: no common
+        # total order, so the union concatenates.
+        def scan():
+            return ScanNode([("var", x), ("const", p_id), ("var", y)])
+
+        def swapped():
+            return ProjectNode(scan(), [("var", y), ("var", x)])
+
+        union = UnionNode([swapped(), scan(), swapped()], [None, None])
+        rows, metrics = run_columnar(union, store)
+        pairs = set(run_columnar(scan(), store)[0])
+        expected = pairs | {(b, a) for a, b in pairs}
+        assert set(rows) == expected
+        # 13 pairs each way; (loop, loop) is its own swap.
+        assert union.actual_rows == len(expected) == 25
+        union_entry = next(
+            e for e in metrics.per_operator() if e.label.startswith("Union")
+        )
+        assert union_entry.peak_buffered_rows == 25
+
     def test_unbound_property_patterns_agree_with_materialized(self):
         store = small_store()
         executor = Executor(store)
@@ -223,6 +273,18 @@ class TestColumnarAccounting:
             actual is not None and actual > 0
             for _repr, _est, actual in result.node_cardinalities()
         )
+
+    def test_write_during_scan_breaks_the_reader_rule(self):
+        """A patch shifts run rows, so a scan that already emitted a
+        chunk must refuse to read on after a write."""
+        store = small_store()
+        node = ScanNode([("var", x), ("const", store.term_id(EX.p)), ("var", y)])
+        pipeline = _ColumnarPipeline(store, PipelineMetrics(), None, 4)
+        chunks = pipeline.stream(node).chunks
+        assert len(next(chunks)) == 4
+        store.insert(Triple(EX.fresh, EX.p, EX.fresh_o))
+        with pytest.raises(StaleRunError):
+            next(chunks)
 
     def test_mutation_between_runs_is_visible(self):
         store = small_store()

@@ -1,13 +1,15 @@
 """The columnar index layer: sorted runs stay exact under any
 mutation history.
 
-The headline property (hypothesis): after ANY interleaving of inserts,
-deletes, bulk loads and checkpoint-restore recoveries, each of the
-SPO/POS/OSP sorted integer runs equals the set-based triple table
+The headline properties (hypothesis): after ANY interleaving of
+inserts, deletes, bulk loads and checkpoint-restore recoveries, each of
+the SPO/POS/OSP sorted integer runs equals the set-based triple table
 sorted under its permutation, and every ``match`` probe equals a
 brute-force filter of the set — including rebuild-after-restore, where
 mutations reached the store through ``_insert_encoded`` without ever
-touching the Triple-level listeners (the epoch machinery's job).
+touching the Triple-level listeners (the epoch machinery's job).  And a
+single write patches the built runs in place: only bulk loads and
+restores (checkpoint, ``from_encoded``, WAL replay) ever sort a run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar.indexes import ORDER_PERMUTATIONS, SortedRunIndex
+from repro.durability.ops import OP_DELETE, OP_INSERT, apply_op, decode_op, encode_op
 from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, Triple
 from repro.storage import TripleStore
 
@@ -38,12 +41,22 @@ triple_st = st.builds(
     st.sampled_from(OBJECTS),
 )
 
+#: Steps of the write-history property; the second element picks the
+#: triple (or bulk payload) the step uses.
 operation_st = st.one_of(
     st.tuples(st.just("insert"), triple_st),
     st.tuples(st.just("delete"), triple_st),
-    st.tuples(st.just("bulk"), st.lists(triple_st, max_size=8)),
-    st.tuples(st.just("restore"), st.none()),
+    st.tuples(st.just("insert-duplicate"), st.integers(0, 50)),
+    st.tuples(st.just("delete-absent"), triple_st),
+    st.tuples(st.just("load"), st.lists(triple_st, max_size=8)),
+    st.tuples(st.just("from-encoded"), st.none()),
+    st.tuples(st.just("wal-replay"), st.none()),
 )
+
+#: Steps allowed to sort a run: bulk loads and restores.
+REBUILDING_STEPS = frozenset({"load", "from-encoded", "wal-replay"})
+
+GHOST = EX.term("ghost")
 
 
 def assert_runs_exact(store: TripleStore) -> None:
@@ -80,34 +93,79 @@ def assert_runs_exact(store: TripleStore) -> None:
             assert len(got) == len(set(got))
 
 
+def assert_built_runs_exact(store: TripleStore) -> None:
+    """Every *built* run equals the set store sorted its way (probes
+    nothing, so it builds nothing)."""
+    triples = store._triples
+    for name, run in store.columnar()._orders.items():
+        permutation = ORDER_PERMUTATIONS[name]
+        expected = sorted(tuple(t[p] for p in permutation) for t in triples)
+        assert list(zip(*run.columns)) == expected, name
+
+
+def _logging(store: TripleStore, log: list) -> TripleStore:
+    """Log every successful write of *store* as a WAL payload, the way
+    a durable store's listener does."""
+    store.add_listener(
+        lambda triple, operation: log.append(
+            encode_op(OP_INSERT if operation == "insert" else OP_DELETE, triple)
+        )
+    )
+    return store
+
+
 @settings(
-    max_examples=60,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(operations=st.lists(operation_st, max_size=25))
 def test_indexes_exact_under_interleaved_histories(operations):
-    store = TripleStore()
-    # Probe up front so invalidation (not just cold building) is on
-    # the tested path from the first mutation.
-    store.columnar().order("spo")
+    """After every step each built run equals the store's triples sorted
+    its way, and ``build_count`` grows only on bulk or restore steps:
+    single writes patch the runs in place, duplicate inserts and absent
+    deletes leave them alone."""
+    log: list = []
+    store = _logging(TripleStore(), log)
+    for name in ORDER_PERMUTATIONS:
+        store.columnar().order(name)
     for kind, payload in operations:
+        before = store.columnar().build_count
         if kind == "insert":
             store.insert(payload)
         elif kind == "delete":
             store.delete(payload)
-        elif kind == "bulk":
-            graph = Graph(list(payload))
-            store.load(graph)
-        else:  # restore: checkpoint round-trip into a fresh store
+        elif kind == "insert-duplicate":
+            present = sorted(store._triples)
+            if present:
+                encoded = present[payload % len(present)]
+                triple = Triple(*(store.dictionary.decode(i) for i in encoded))
+                assert not store.insert(triple)
+        elif kind == "delete-absent":
+            assert not store.delete(Triple(GHOST, payload.property, payload.object))
+        elif kind == "load":
+            store.load(Graph(list(payload)))
+        elif kind == "from-encoded":  # checkpoint restore into a fresh store
             terms, encoded = store.encoded_state()
             assert encoded == sorted(encoded)  # the documented contract
-            store = TripleStore.from_encoded(terms, encoded, store.schema)
-        assert_runs_exact(store)
+            store = _logging(
+                TripleStore.from_encoded(terms, encoded, store.schema), log
+            )
+            before = 0
+        else:  # WAL replay: recover the whole log into a fresh store
+            replayed = TripleStore()
+            for record in log:
+                apply_op(replayed, None, *decode_op(record))
+            assert replayed.to_graph() == store.to_graph()
+            store = _logging(replayed, log)
+            before = 0
+        assert_runs_exact(store)  # probes every order, building any missing
+        if kind not in REBUILDING_STEPS:
+            assert store.columnar().build_count == before, kind
 
 
 def test_encoded_mutations_invalidate_without_listeners():
-    """WAL replay and checkpoint restore write through
+    """Checkpoint restore and ``from_encoded`` write through
     ``_insert_encoded`` — no Triple-level listener fires, and the
     epoch alone must invalidate the built runs."""
     store = TripleStore()
@@ -127,16 +185,47 @@ def test_encoded_mutations_invalidate_without_listeners():
     assert_runs_exact(store)
 
 
-def test_listener_drops_runs_eagerly():
+def test_single_writes_patch_runs_in_place():
+    store = TripleStore()
+    for subject in SUBJECTS[:3]:
+        store.insert(Triple(subject, PROPERTIES[0], OBJECTS[0]))
+    indexes = store.columnar()
+    built = {name: indexes.order(name) for name in ("spo", "pos")}
+    before = indexes.build_count
+    store.insert(Triple(SUBJECTS[4], PROPERTIES[1], OBJECTS[2]))
+    assert indexes.has_current("spo") and indexes.has_current("pos")
+    assert_built_runs_exact(store)
+    store.delete(Triple(SUBJECTS[1], PROPERTIES[0], OBJECTS[0]))
+    assert_built_runs_exact(store)
+    for name, run in built.items():
+        assert indexes.order(name) is run  # the same arrays, patched
+    assert indexes.build_count == before
+    # An order never probed is still built on demand, from the store.
+    indexes.order("osp")
+    assert indexes.build_count == before + 1
+    assert_built_runs_exact(store)
+
+
+def test_patch_is_a_no_op_on_present_insert_and_absent_delete():
+    run = SortedRunIndex("pos", [(1, 2, 3), (4, 2, 5)])
+    run.patch((1, 2, 3), insert=True)
+    run.patch((9, 9, 9), insert=False)
+    assert list(run.iter_triples()) == [(1, 2, 3), (4, 2, 5)]
+    run.patch((0, 2, 4), insert=True)
+    assert list(zip(*run.columns)) == [(2, 3, 1), (2, 4, 0), (2, 5, 4)]
+
+
+def test_load_invalidates_up_front():
     store = TripleStore()
     store.insert(Triple(SUBJECTS[0], PROPERTIES[0], OBJECTS[0]))
     indexes = store.columnar()
     indexes.order("spo")
+    store.load(Graph([Triple(s, PROPERTIES[1], OBJECTS[1]) for s in SUBJECTS]))
+    assert indexes._orders == {}  # no patch per loaded triple
     before = indexes.build_count
-    store.insert(Triple(SUBJECTS[1], PROPERTIES[1], OBJECTS[1]))
-    assert indexes._orders == {}  # dropped on the write, not the probe
     indexes.order("spo")
     assert indexes.build_count == before + 1
+    assert_runs_exact(store)
 
 
 def test_reads_do_not_rebuild():

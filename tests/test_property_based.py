@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random as random_module
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import answer_query as datalog_answer
@@ -303,6 +303,16 @@ def test_incomplete_policies_are_sound(graph, schema, query):
     schema=schema_st,
     query=query_st(),
     parts=st.integers(1, 3),
+)
+# The endpoint's dictionary lacks C1, so the reformulated union projects
+# it as a ready term next to a disjunct carrying class ids there.
+@example(
+    graph=Graph([Triple(INDIVIDUALS[0], RDF_TYPE, CLASSES[0])]),
+    schema=Schema([Constraint.subclass(CLASSES[0], CLASSES[1])]),
+    query=ConjunctiveQuery(
+        [_VARS[0], _VARS[1]], [TriplePattern(_VARS[0], RDF_TYPE, _VARS[1])]
+    ),
+    parts=1,
 )
 def test_federation_matches_centralized(graph, schema, query, parts):
     from repro.federation import Endpoint, FederatedAnswerer
