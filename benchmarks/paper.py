@@ -83,9 +83,9 @@ from repro.storage import (
     QueryTooLargeError,
     SqliteBackend,
     TripleStore,
+    execute_plan,
 )
 from repro.storage.charsets import CharacteristicSets
-from repro.storage.executor import _execute_scan
 
 SEED = 1
 
@@ -727,7 +727,7 @@ def e12(quick: bool) -> Result:
     if not quick:
         assert speedups[-1] > speedups[0], speedups  # the gap grows with data
     return (
-        "LUBM, seed %d, SQLite %s, best of 3 per cell; SQLite returns the built-in executor's "
+        "LUBM, seed %d, SQLite %s, best of 3 per cell; SQLite returns the columnar engine's "
         "answers on Q1, Q4, Q5, Q6, Q13, Q14 and both Example 1 JUCQs, and refuses %d compound "
         "SELECTs (limit %d)" % (SEED, sqlite3.sqlite_version, SQLITE_COMPOUND_SELECT_LIMIT + 1,
                                 SQLITE_COMPOUND_SELECT_LIMIT),
@@ -755,7 +755,7 @@ def a1(quick: bool) -> Result:
             scan = planner._scan_for_atom(atom)
             if scan is None or scan.bound_positions()[::2] == (None, None):
                 continue  # no constant beyond the property
-            actual = len(_execute_scan(scan, store))
+            actual = len(execute_plan(scan, store))
             for exact in errors:
                 estimate = estimate_scan(
                     scan.positions, store.statistics, store.type_property_id, exact)

@@ -52,7 +52,13 @@ import sys
 from typing import Optional
 
 from .cache import QueryCache
-from .core import DEFAULT_ENGINE, OptionError, QueryAnswerer, Strategy
+from .core import (
+    ANSWERER_ENGINES,
+    DEFAULT_ENGINE,
+    OptionError,
+    QueryAnswerer,
+    Strategy,
+)
 from .datasets import (
     books_dataset,
     example1_best_cover,
@@ -87,6 +93,15 @@ EXIT_REPLICATION = 7
 class UsageError(Exception):
     """A bad flag value or combination; ``main`` reports it on one
     line and exits 2."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a flag argparse rejects (an unknown ``--engine``, a
+    non-positive budget) like every other usage error: one
+    ``repro: error:`` line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, "repro: error: %s\n" % message)
 
 
 def _build_graph(args):
@@ -197,11 +212,11 @@ _METRIC_HEADER = ["operator", "rows in", "rows out", "batches", "peak buffered",
 
 
 def _print_metrics(execution) -> None:
-    """Print the per-operator metrics (columnar engine), when any."""
-    metrics = getattr(execution, "metrics", None)
-    if metrics is None:
+    """Print the per-operator metrics (none on the SQLite engine)."""
+    if execution is None:
         print("no per-operator metrics (run with --engine columnar)")
         return
+    metrics = execution.metrics
     print(format_table(_METRIC_HEADER, metrics.table_rows(),
                        title="per-operator metrics"))
     print("peak buffered rows: %d" % metrics.peak_buffered_rows)
@@ -477,9 +492,8 @@ def cmd_explain(args) -> int:
         print("interval atoms: %d (collapsed %d union branch(es))"
               % (interval["interval_atoms"], interval["branches_collapsed"]))
     print(explain_plan(report.execution.plan, answerer.store))
-    if report.execution.metrics is not None:
-        print()
-        _print_metrics(report.execution)
+    print()
+    _print_metrics(report.execution)
     return 0
 
 
@@ -1151,7 +1165,7 @@ def cmd_replstatus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro",
         description="Reformulation-based RDF query answering (VLDB 2015 demo reproduction)",
     )
@@ -1178,12 +1192,10 @@ def build_parser() -> argparse.ArgumentParser:
     answer.add_argument("--show-answers", action="store_true")
     answer.add_argument("--limit", type=int, default=20)
     answer.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=["builtin", "materialized", "columnar",
-                                 "sqlite"],
+                        choices=ANSWERER_ENGINES,
                         help="evaluation engine: columnar (the default; "
                              "vectorized sorted-run execution, per-operator "
-                             "metrics), materialized (builtin is its alias), "
-                             "or sqlite")
+                             "metrics) or sqlite (the SQL cross-check)")
     answer.add_argument("--show-metrics", action="store_true",
                         help="print the per-operator metric table (single "
                              "strategy, columnar engine)")
@@ -1207,7 +1219,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "fail cleanly instead of hanging")
     answer.add_argument("--row-budget", type=_positive_int, default=None,
                         help="cap on cumulative intermediate rows during "
-                             "evaluation (in-process engines)")
+                             "evaluation (columnar engine)")
     answer.add_argument("--max-retries", type=_positive_int, default=3,
                         help="budget-exceeded fallback attempts: how many "
                              "next-best covers the optimizer may try "
@@ -1263,8 +1275,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_stats.add_argument("--strategy", default="all",
                              choices=["all"] + [s.value for s in Strategy])
     cache_stats.add_argument("--engine", default=DEFAULT_ENGINE,
-                             choices=["builtin", "materialized", "columnar",
-                                      "sqlite"])
+                             choices=ANSWERER_ENGINES)
     cache_stats.add_argument("--cache-size", type=_positive_int, default=1024,
                              help="LRU capacity per cache tier (default 1024)")
     cache_stats.add_argument("--repeat", type=int, default=3,
@@ -1278,9 +1289,11 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--strategy", default="ref-gcov",
                          choices=[s.value for s in Strategy])
     explain.add_argument("--engine", default=DEFAULT_ENGINE,
-                         choices=["builtin", "materialized", "columnar"],
-                         help="evaluation engine; columnar appends the "
-                              "per-operator metric table to the plan")
+                         choices=[engine for engine in ANSWERER_ENGINES
+                                  if engine != "sqlite"],
+                         help="in-process evaluation engine (a plan is "
+                              "needed); the per-operator metric table "
+                              "follows the plan")
     explain.add_argument("--interval-encoding", action="store_true",
                          help="hierarchy-aware dictionary encoding: interval "
                               "atoms appear in the plan as range scans with "
@@ -1377,8 +1390,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=_positive_int, default=None,
                        help="override every tenant's queue depth")
     serve.add_argument("--engine", default=DEFAULT_ENGINE,
-                       choices=["builtin", "materialized", "columnar",
-                                "sqlite"])
+                       choices=ANSWERER_ENGINES)
     serve.add_argument("--row-budget", type=_positive_int, default=None,
                        help="per-request row budget charged to the "
                             "submitting tenant")

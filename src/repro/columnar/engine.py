@@ -1,8 +1,7 @@
 """The columnar executor: vectorized operators over the shared plan IR.
 
-The streaming engine over the same plan language as the materialized
-interpreter (:mod:`repro.storage.executor`).  Where the interpreter
-materializes every operator's tuples, this one streams
+The in-process engine behind :class:`repro.storage.executor.Executor`.
+Rather than materialize every operator's tuples, it streams
 :class:`~repro.columnar.chunks.ColumnChunk` column batches whose cells
 never become Python objects until the answer boundary:
 
@@ -823,8 +822,8 @@ def run_columnar(
     :class:`~repro.resilience.errors.BudgetExceeded` mid-stream carries
     the metrics snapshot and partial rows (``partial`` /
     ``partial_rows``) — a budget abort reports how far execution got,
-    it does not erase it.  Differential harnesses compare its answers
-    with the interpreter's byte for byte.
+    it does not erase it.  The differential harness compares its answers
+    with SQLite's and the reference evaluator's.
     """
     if metrics is None:
         metrics = PipelineMetrics()

@@ -1,6 +1,7 @@
 """Public facade: strategies and the query answerer (S11)."""
 
 from .answerer import (
+    ANSWERER_ENGINES,
     Answer,
     AnswerReport,
     COMPLETE_STRATEGIES,
@@ -11,6 +12,7 @@ from .answerer import (
 )
 
 __all__ = [
+    "ANSWERER_ENGINES",
     "Answer",
     "AnswerReport",
     "COMPLETE_STRATEGIES",

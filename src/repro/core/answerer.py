@@ -52,13 +52,13 @@ from ..storage.store import TripleStore
 
 Answer = FrozenSet[Tuple[Term, ...]]
 
-#: Engines the answerer accepts. ``"builtin"`` is the historical alias
-#: of the materialized interpreter; ``"columnar"`` runs the same plans
-#: through the vectorized executor of :mod:`repro.columnar.engine`.
-ANSWERER_ENGINES = ("builtin", "materialized", "columnar", "sqlite")
+#: Engines the answerer accepts: ``"columnar"``, the in-process
+#: executor of :mod:`repro.columnar.engine`, and ``"sqlite"``, the
+#: same plans lowered to SQL on a real RDBMS (the external cross-check).
+ANSWERER_ENGINES = ("columnar", "sqlite")
 
 #: The engine every front door — answerer, service, replica reader,
-#: federation endpoint, CLI — uses unless told otherwise.
+#: CLI — uses unless told otherwise.
 DEFAULT_ENGINE = "columnar"
 
 
@@ -166,12 +166,10 @@ class QueryAnswerer:
         """``engine`` selects the evaluation engine for the relational
         strategies: ``"columnar"`` (the default: the vectorized executor
         of :mod:`repro.columnar.engine` over sorted integer-run indexes,
-        with per-operator metrics and mid-stream budget enforcement),
-        ``"materialized"`` (the instrumented operator-at-a-time
-        interpreter, kept as the differential cross-check; ``"builtin"``
-        is its historical alias), or ``"sqlite"`` (generated SQL on a
-        real RDBMS — answers are identical, per the test-suite, but
-        plan metrics are the engine's own and not reported).
+        with per-operator metrics and mid-stream budget enforcement) or
+        ``"sqlite"`` (generated SQL on a real RDBMS — answers are
+        identical, per the test-suite, but plan metrics are the
+        engine's own and not reported).
 
         ``cache`` (opt-in) amortizes repeated answering: reformulations
         and answers are served from a :class:`~repro.cache.QueryCache`
@@ -198,8 +196,6 @@ class QueryAnswerer:
         self.backend = backend
         self.policy = policy
         self.engine = engine
-        # The executor-level engine name ("builtin" is an alias).
-        self._exec_engine = "columnar" if engine == "columnar" else "materialized"
         self.interval_encoding = interval_encoding
         if interval_encoding:
             # Hierarchy ids must be assigned before any data term grabs
@@ -233,15 +229,11 @@ class QueryAnswerer:
 
     def _evaluate(self, query, saturated: bool = False, budget=None):
         """Run a relational query on the selected engine; returns
-        (answer, execution-or-None).  ``budget`` (in-process engines
-        only) bounds the evaluation's intermediate results — see
+        (answer, execution-or-None).  ``budget`` (columnar engine
+        only; :meth:`answer` refuses it on SQLite) bounds the
+        evaluation's intermediate results — see
         :class:`~repro.resilience.budget.ExecutionBudget`."""
         if self.engine == "sqlite":
-            if budget is not None:
-                raise OptionError(
-                    "execution budgets require the builtin engine; the "
-                    "sqlite engine evaluates inside the RDBMS"
-                )
             if saturated:
                 if self._saturated_sql_backend is None:
                     self._saturated_sql_backend = SqliteBackend(
@@ -256,7 +248,7 @@ class QueryAnswerer:
             if saturated
             else self.executor
         )
-        execution = executor.run(query, budget=budget, engine=self._exec_engine)
+        execution = executor.run(query, budget=budget)
         return execution.answer(), execution
 
     # ------------------------------------------------------------------
@@ -301,7 +293,7 @@ class QueryAnswerer:
         """The store over ``G∞``, built (and timed) on first use and
         maintained incrementally by :meth:`insert`/:meth:`delete`.
 
-        On the columnar engine the timed build includes the three
+        Unless the engine is SQLite, the timed build includes the three
         sorted runs: Sat pays its preparation up front, and each later
         write patches the runs instead of leaving a sort to the next
         read."""
@@ -313,7 +305,7 @@ class QueryAnswerer:
                 self.schema, self.graph.data_triples()
             )
             store = TripleStore.from_graph(saturator.saturated(), self.schema)
-            if self.engine == "columnar":
+            if self.engine != "sqlite":
                 indexes = store.columnar()
                 for name in ORDER_PERMUTATIONS:
                     indexes.order(name)
@@ -394,7 +386,7 @@ class QueryAnswerer:
         strategy genuinely cannot run — the failure modes the paper
         demonstrates, surfaced rather than hidden.
 
-        ``row_budget`` / ``time_budget`` (in-process engines only)
+        ``row_budget`` / ``time_budget`` (columnar engine only)
         bound the evaluation's cumulative intermediate rows and wall
         time; an overrun raises
         :class:`~repro.resilience.errors.BudgetExceeded` — with one
@@ -426,7 +418,7 @@ class QueryAnswerer:
         if row_budget is not None or time_budget is not None:
             if self.engine == "sqlite":
                 raise OptionError(
-                    "execution budgets require an in-process engine, not %r"
+                    "execution budgets require the columnar engine, not %r"
                     % (self.engine,)
                 )
             if strategy is Strategy.DATALOG:
@@ -518,9 +510,8 @@ class QueryAnswerer:
         allow_partial: bool,
     ) -> Optional[AnswerReport]:
         """Build the degraded :class:`AnswerReport` for a budget
-        overrun, or None when the caller did not opt in (or the engine
-        produced no partial rows — the materialized interpreter aborts
-        whole operators, so only the columnar engine carries them)."""
+        overrun, or None when the caller did not opt in (or the error
+        carries no partial rows)."""
         if not allow_partial:
             return None
         partial_answer = getattr(exc, "partial_answer", None)

@@ -84,7 +84,6 @@ def annotate_node(
             _numbers(node.left),
             _numbers(node.right),
             node.join_variables,
-            node.algorithm,
             backend,
         )
     elif isinstance(node, ProjectNode):
@@ -143,10 +142,10 @@ def join_estimate(
     left: Tuple[float, Distincts],
     right: Tuple[float, Distincts],
     join_variables: Sequence,
-    algorithm: str,
     backend: BackendProfile,
 ) -> Numbers:
-    """A binary join of two ``(rows, distincts)`` inputs."""
+    """A binary join of two ``(rows, distincts)`` inputs, priced as the
+    backend profile's join algorithm."""
     (left_rows, left_distincts), (right_rows, right_distincts) = left, right
     rows = cardinality.estimate_join(
         left_rows, right_rows, left_distincts, right_distincts, join_variables
@@ -154,6 +153,7 @@ def join_estimate(
     distincts = cardinality.join_column_distincts(
         left_distincts, right_distincts, rows
     )
+    algorithm = backend.join_algorithm
     if algorithm == "hash":
         build = min(left_rows, right_rows)
         probe = max(left_rows, right_rows)

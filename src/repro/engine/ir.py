@@ -3,17 +3,15 @@
 A plan is a tree of nodes over dictionary-encoded rows.  Plans are
 *descriptions*: the planner builds them, the cost model annotates them
 (``estimated_rows`` / ``estimated_cost`` / ``column_distincts``), and
-an executor interprets them.  Keeping the three phases separate is
-what lets GCov price a cover without running it — the whole point of
-cost-based reformulation — and what lets several executors share one
-plan language:
+an executor runs them.  Keeping the three phases separate is what
+lets GCov price a cover without running it — the whole point of
+cost-based reformulation — and what lets two consumers share one plan
+language:
 
-* the **materialized** interpreter (:mod:`repro.storage.executor`),
-  which computes every operator's full output — the paper's RDBMS
-  model, where Example 1's SCQ materializes 33M intermediate rows;
-* the **columnar** executor (:mod:`repro.columnar.engine`), whose
-  operators stream fixed-size column chunks over sorted integer runs,
-  so the same plan runs in bounded memory with per-operator metrics;
+* the **columnar** executor (:mod:`repro.columnar.engine`, behind
+  :class:`repro.storage.executor.Executor`), whose operators stream
+  fixed-size column chunks over sorted integer runs, so a plan runs in
+  bounded memory with per-operator metrics;
 * the **SQL lowering** (:mod:`repro.engine.lowering`), which turns a
   plan into one statement for a real RDBMS.
 
@@ -148,16 +146,14 @@ class EmptyNode(PlanNode):
 class JoinNode(PlanNode):
     """A binary join on the variables common to both inputs.
 
-    ``algorithm`` is one of 'hash', 'merge', 'nested_loop'; with no
-    common variables the join degenerates to a cross product (legal,
-    costed accordingly)."""
+    The node names no algorithm: the executing engine chooses one, and
+    the cost model prices the backend profile's.  With no common
+    variables the join degenerates to a cross product (legal, costed
+    accordingly)."""
 
-    def __init__(self, left: PlanNode, right: PlanNode, algorithm: str):
-        if algorithm not in ("hash", "merge", "nested_loop"):
-            raise ValueError("unknown join algorithm %r" % algorithm)
+    def __init__(self, left: PlanNode, right: PlanNode):
         self.left = left
         self.right = right
-        self.algorithm = algorithm
         left_vars = left.variable_positions()
         self.join_variables: Tuple[Variable, ...] = tuple(
             label
@@ -179,8 +175,7 @@ class JoinNode(PlanNode):
         return [self.left, self.right]
 
     def __repr__(self) -> str:
-        return "Join[%s on %s]" % (
-            self.algorithm,
+        return "Join[on %s]" % (
             ",".join("?%s" % v.name for v in self.join_variables) or "×",
         )
 

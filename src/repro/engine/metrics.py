@@ -2,10 +2,9 @@
 
 The paper's whole argument is about *intermediate result sizes*
 (Example 1: 33M rows for the open type atoms vs 2,296 after grouping).
-The materialized interpreter exposes that as each node's
-``actual_rows``; the columnar executor streams instead of
-materializing, so the interesting quantity becomes what each operator
-*buffers* — hash-join build tables, sort buffers, dedup sets — and the
+Each plan node's ``actual_rows`` records what it emitted; the columnar
+executor streams instead of materializing, so the other interesting
+quantity is what each operator *buffers* — hash-join build tables, sort buffers, dedup sets — and the
 global peak of all concurrent buffers, the engine's true memory high-
 water mark.  :class:`PipelineMetrics` records both, per operator:
 
@@ -65,8 +64,8 @@ class PipelineMetrics:
 
     Also tracks the *global* buffered-row high-water mark across all
     concurrently live operator buffers (plus the collected result),
-    the number the differential harness compares against the
-    materialized engine's largest operator output.
+    the number the differential harness compares against the same
+    run's largest operator output.
 
     Thread-safe: entry creation and the shared buffered-row totals are
     updated under a lock.  (A single entry's ``rows_in`` / ``rows_out``

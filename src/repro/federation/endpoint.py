@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional, Tuple
 
-from ..core.answerer import DEFAULT_ENGINE
 from ..query.algebra import ConjunctiveQuery, UnionQuery
 from ..rdf.graph import Graph
 from ..rdf.terms import Term
@@ -99,7 +98,7 @@ class Endpoint:
         self.name = name
         self.result_limit = result_limit
         self._store = TripleStore.from_graph(graph)
-        self._executor = Executor(self._store, backend, DEFAULT_ENGINE)
+        self._executor = Executor(self._store, backend)
         self.requests_served = 0
         self.rows_returned = 0
 

@@ -140,9 +140,7 @@ class CoverCostEstimator:
 
     def _join(self, left: Estimate, right: Estimate) -> Estimate:
         shared = [v for v in right.variables if v in left.variables]
-        rows, distincts, cost = join_estimate(
-            left[:2], right[:2], shared, self.backend.join_algorithm, self.backend
-        )
+        rows, distincts, cost = join_estimate(left[:2], right[:2], shared, self.backend)
         self.estimates_computed += 1
         return Estimate(
             rows,

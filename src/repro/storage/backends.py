@@ -33,7 +33,9 @@ class QueryTooLargeError(RuntimeError):
 class BackendProfile:
     """One simulated RDBMS: join preference, cost constants, limits.
 
-    ``join_algorithm``    — 'hash', 'merge' or 'nested_loop';
+    ``join_algorithm``    — 'hash', 'merge' or 'nested_loop': how the
+                          cost model prices a join (a cost constant;
+                          the executing engine picks its own);
     ``max_query_atoms``   — parser/planner limit on total atom count;
     ``io_cost``           — cost units per tuple read from a base index;
     ``cpu_cost``          — cost units per tuple processed by an operator;

@@ -70,10 +70,7 @@ def _describe(node: PlanNode, store: Optional[TripleStore]) -> str:
         return described
     if isinstance(node, JoinNode):
         keys = ", ".join("?%s" % v.name for v in node.join_variables)
-        return "%sJoin(%s)" % (
-            node.algorithm.replace("_", " ").title().replace(" ", ""),
-            keys or "cross product",
-        )
+        return "Join(%s)" % (keys or "cross product")
     if isinstance(node, ProjectNode):
         columns = ", ".join(
             position(kind, value) for kind, value in node.specs

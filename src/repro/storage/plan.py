@@ -2,7 +2,7 @@
 
 The plan node classes moved to :mod:`repro.engine.ir`: one
 backend-neutral IR that the planner, the cost model, EXPLAIN and every
-executor (materialized, columnar, SQL lowering) share.  This module
+consumer (columnar executor, SQL lowering) share.  This module
 re-exports them so existing imports keep working.
 """
 

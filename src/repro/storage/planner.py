@@ -6,7 +6,7 @@ RDBMSs do with the SQL the reformulations translate to:
 
 * **CQ** — one scan per atom; greedy cardinality-driven left-deep join
   ordering that avoids cross products while a connected choice exists;
-  joins use the backend's algorithm; projection to the head.
+  joins priced as the backend's algorithm; projection to the head.
 * **UCQ** — the disjunct plans under a deduplicating union.
 * **JUCQ** — fragment UCQ plans joined on their shared variables (in
   greedy cardinality order), projected on the query head, distinct.
@@ -207,7 +207,7 @@ class Planner:
         ordered = greedy_join_order(scans, _rows, PlanNode.variable_positions)
         current: PlanNode = ordered[0]
         for scan in ordered[1:]:
-            current = JoinNode(current, scan, self.backend.join_algorithm)
+            current = JoinNode(current, scan)
             self._annotate(current)
         if query.nonliteral_variables:
             current = NonLiteralFilterNode(
@@ -243,7 +243,7 @@ class Planner:
         ordered = greedy_join_order(fragment_plans, _rows, PlanNode.variable_positions)
         current = ordered[0]
         for plan in ordered[1:]:
-            current = JoinNode(current, plan, self.backend.join_algorithm)
+            current = JoinNode(current, plan)
             self._annotate(current)
         project = ProjectNode(current, self._projection_specs(query.head))
         self._annotate(project)

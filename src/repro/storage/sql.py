@@ -6,8 +6,8 @@ over a triple table and handed to the engine.  This module does the
 same against SQLite (in the standard library), making the repository's
 central claims checkable on a *real* SQL engine:
 
-* the dictionary-encoded triple table ``t(s, p, o)`` with the
-  ``(p, s)`` / ``(p, o)`` indexes of :class:`TripleStore`;
+* the dictionary-encoded triple table ``t(s, p, o)`` of
+  :class:`TripleStore`, with ``(p, s)`` / ``(p, o)`` indexes;
 * CQ → ``SELECT``: one self-join of ``t`` per atom, constants in the
   ``WHERE`` clause, shared variables as join predicates, non-literal
   guards as a ``kind`` filter via the dictionary table;

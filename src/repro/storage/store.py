@@ -4,11 +4,9 @@ The paper evaluates Ref strategies "through performant relational
 database management systems" holding a triple table ``t(s, p, o)``.
 :class:`TripleStore` is this repository's stand-in (see DESIGN.md's
 substitution table): a single logical triple table of integer codes
-with the secondary access paths such an RDBMS would use —
-
-* ``pso``: property → subject → objects  (clustered index on (p, s));
-* ``pos``: property → object → subjects  (index on (p, o));
-* the bare property extent (for scans with unbound s and o).
+whose secondary access paths — the indexes such an RDBMS would use —
+are the SPO/POS/OSP sorted runs of :meth:`TripleStore.columnar`,
+built on first probe and patched in place on every write.
 
 Loading a graph always stores the *closed* schema alongside the data
 (the database contract of :mod:`repro.reformulation.atoms`), and keeps
@@ -17,8 +15,7 @@ the statistics of :mod:`repro.storage.statistics` current.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.graph import Graph
 from ..rdf.namespaces import RDF_TYPE
@@ -45,12 +42,6 @@ class TripleStore:
     def __init__(self):
         self.dictionary = Dictionary()
         self._triples: Set[EncodedTriple] = set()
-        self._pso: Dict[int, Dict[int, List[int]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
-        self._pos: Dict[int, Dict[int, List[int]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
         self._type_id: Optional[int] = None
         self.statistics = StoreStatistics(lambda: self._type_id)
         self.schema = Schema()
@@ -177,11 +168,8 @@ class TripleStore:
     def _insert_encoded(self, encoded: EncodedTriple) -> bool:
         if encoded in self._triples:
             return False
-        subject_id, property_id, object_id = encoded
         self._triples.add(encoded)
-        self._pso[property_id][subject_id].append(object_id)
-        self._pos[property_id][object_id].append(subject_id)
-        self.statistics.record(subject_id, property_id, object_id)
+        self.statistics.record(*encoded)
         self._mutation_epoch += 1
         return True
 
@@ -196,21 +184,8 @@ class TripleStore:
         )
         if None in encoded or encoded not in self._triples:
             return False
-        subject_id, property_id, object_id = encoded  # type: ignore[misc]
         self._triples.discard(encoded)  # type: ignore[arg-type]
-        objects = self._pso[property_id][subject_id]
-        objects.remove(object_id)
-        if not objects:
-            del self._pso[property_id][subject_id]
-            if not self._pso[property_id]:
-                del self._pso[property_id]
-        subjects = self._pos[property_id][object_id]
-        subjects.remove(subject_id)
-        if not subjects:
-            del self._pos[property_id][object_id]
-            if not self._pos[property_id]:
-                del self._pos[property_id]
-        self.statistics.unrecord(subject_id, property_id, object_id)
+        self.statistics.unrecord(*encoded)
         self._mutation_epoch += 1
         if self._listeners:
             self._notify(triple, "delete")
@@ -237,87 +212,11 @@ class TripleStore:
         return self._type_id
 
     # ------------------------------------------------------------------
-    # Access paths (the executor's scan primitives)
+    # Access paths
 
     @property
     def triple_count(self) -> int:
         return len(self._triples)
-
-    def property_ids(self) -> List[int]:
-        return list(self._pso.keys())
-
-    def scan_property(self, property_id: int) -> Iterator[Tuple[int, int]]:
-        """All (subject, object) pairs of one property (extent scan)."""
-        for subject_id, objects in self._pso.get(property_id, {}).items():
-            for object_id in objects:
-                yield (subject_id, object_id)
-
-    def scan_property_subject(
-        self, property_id: int, subject_id: int
-    ) -> Iterator[int]:
-        """Objects of (subject, property) via the (p, s) index."""
-        by_subject = self._pso.get(property_id)
-        if by_subject is None:
-            return iter(())
-        return iter(by_subject.get(subject_id, ()))
-
-    def scan_property_object(
-        self, property_id: int, object_id: int
-    ) -> Iterator[int]:
-        """Subjects of (property, object) via the (p, o) index."""
-        by_object = self._pos.get(property_id)
-        if by_object is None:
-            return iter(())
-        return iter(by_object.get(object_id, ()))
-
-    def scan_property_object_range(
-        self, property_id: int, lo: int, hi: int
-    ) -> Iterator[Tuple[int, int]]:
-        """All (subject, object) pairs of *property* whose object id
-        lies in the half-open interval ``[lo, hi)`` — the interval-atom
-        access path of the hierarchy-aware encoding.  Probes each id in
-        the (narrow, schema-sized) window against the (p, o) index;
-        groups ascend by object id, subjects iterate in set order like
-        the point-scan paths (sorting here would cost more than the
-        collapsed union saves)."""
-        by_object = self._pos.get(property_id)
-        if by_object is None:
-            return
-        for object_id in range(lo, hi):
-            subjects = by_object.get(object_id)
-            if subjects:
-                for subject_id in subjects:
-                    yield (subject_id, object_id)
-
-    def scan_property_range(
-        self,
-        lo: int,
-        hi: int,
-        subject_id: Optional[int] = None,
-        object_id: Optional[int] = None,
-    ) -> Iterator[Tuple[int, int, int]]:
-        """All (subject, property, object) triples whose *property* id
-        lies in ``[lo, hi)`` — the access path of a subproperty
-        interval atom.  Probes each id in the window against the
-        per-property indexes instead of scanning the triple table, and
-        honours bound subject/object positions."""
-        for property_id in range(lo, hi):
-            if subject_id is not None and object_id is not None:
-                if (subject_id, property_id, object_id) in self._triples:
-                    yield (subject_id, property_id, object_id)
-            elif subject_id is not None:
-                for value in self.scan_property_subject(
-                    property_id, subject_id
-                ):
-                    yield (subject_id, property_id, value)
-            elif object_id is not None:
-                for value in self.scan_property_object(
-                    property_id, object_id
-                ):
-                    yield (value, property_id, object_id)
-            else:
-                for subject, object_ in self.scan_property(property_id):
-                    yield (subject, property_id, object_)
 
     def contains(self, encoded: EncodedTriple) -> bool:
         return encoded in self._triples

@@ -235,8 +235,9 @@ class TestExecutorBudget:
         executor = self._executor()
         # Every monotonic() read advances the fake clock: evaluation
         # "takes time" without any wall-clock sleep.
+        # The scan's chunk is charged at 1 s, the projection's at 2 s.
         clock = FakeClock(auto_advance=1.0)
-        budget = ExecutionBudget(max_seconds=2.0, clock=clock)
+        budget = ExecutionBudget(max_seconds=1.5, clock=clock)
         query = ConjunctiveQuery([x, y], [TriplePattern(x, EX.p, y)])
         with pytest.raises(BudgetExceeded) as info:
             executor.run(query, budget=budget)

@@ -668,6 +668,9 @@ class TestExitCodeTable:
                 "serve", "--dataset", "books", "--script",
                 TestExitCodeTable._write_malformed_script(t)],
                 id="2-serve-malformed-script"),
+            pytest.param(2, "answer", lambda c, t: [
+                "answer", "--dataset", "books", "--engine", "materialized"],
+                id="2-answer-retired-engine"),
             # -- 3: partial ------------------------------------------------
             (3, "federate", lambda c, t: [
                 "federate", "--dataset", "books", "--endpoints", "2",
@@ -689,7 +692,10 @@ class TestExitCodeTable:
     def test_exit_code(self, capsys, tmp_path, expected, command, argv_builder):
         argv = argv_builder(capsys, tmp_path)
         capsys.readouterr()  # drop what staging printed
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse refused a flag
+            code = exit_.code
         assert code == expected
         if expected == 2:
             # Usage errors are one line on stderr, never a traceback.

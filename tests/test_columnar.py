@@ -1,11 +1,11 @@
 """The columnar engine's own legs: chunk algebra, sortedness
 metadata, operator behavior, and budget/metric parity.
 
-The three-engine answer equality lives in
+The columnar × SQLite × reference-evaluator answer equality lives in
 ``tests/test_engine_equivalence.py``; this file covers what is
 specific to the columnar execution path — the places where it takes a
-different physical route (merge unions, sorted distinct, index-range
-scans) and must still behave like the other engines.
+distinctive physical route (merge unions, sorted distinct, index-range
+scans) and must still answer like the reference evaluator.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.columnar.engine import _ColumnarPipeline, run_columnar
 from repro.columnar.indexes import StaleRunError
 from repro.engine.ir import DistinctNode, ProjectNode, ScanNode, UnionNode
 from repro.engine.metrics import PipelineMetrics
-from repro.query import ConjunctiveQuery, TriplePattern, Variable
+from repro.query import ConjunctiveQuery, TriplePattern, Variable, evaluate
 from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, Triple
 from repro.storage import TripleStore
 from repro.storage.executor import Executor
@@ -201,27 +201,24 @@ class TestColumnarOperators:
         )
         assert union_entry.peak_buffered_rows == 25
 
-    def test_unbound_property_patterns_agree_with_materialized(self):
+    def test_unbound_property_patterns_agree_with_reference(self):
         store = small_store()
         executor = Executor(store)
+        graph = store.to_graph()
         for query in (
             ConjunctiveQuery([x, y, z], [TriplePattern(x, y, z)]),
             ConjunctiveQuery([y], [TriplePattern(EX.s1, y, z)]),
             ConjunctiveQuery([y], [TriplePattern(x, y, EX.o1)]),
             ConjunctiveQuery([y], [TriplePattern(EX.loop, y, EX.loop)]),
         ):
-            rm = executor.run(query, engine="materialized")
-            rc = executor.run(query, engine="columnar")
-            assert rc.answer() == rm.answer(), query
+            assert executor.run(query).answer() == evaluate(graph, query), query
 
-    def test_literal_guard_matches_materialized(self):
+    def test_literal_guard_matches_reference(self):
         store = small_store()
-        executor = Executor(store)
         query = ConjunctiveQuery([x, y], [TriplePattern(x, EX.q, y)])
-        rm = executor.run(query, engine="materialized")
-        rc = executor.run(query, engine="columnar")
-        assert rc.answer() == rm.answer()
-        assert all(isinstance(row[1], Literal) for row in rc.answer())
+        answer = Executor(store).run(query).answer()
+        assert answer == evaluate(store.to_graph(), query)
+        assert all(isinstance(row[1], Literal) for row in answer)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +252,17 @@ class TestColumnarAccounting:
 
     def test_execution_result_reports_columnar_peak(self):
         store = small_store()
-        executor = Executor(store, engine="columnar")
+        executor = Executor(store)
         query = ConjunctiveQuery(
             [x, y], [TriplePattern(x, EX.p, y), TriplePattern(x, RDF_TYPE, EX.C)]
         )
         result = executor.run(query)
-        assert result.engine == "columnar"
         assert result.metrics is not None
         assert result.peak_buffered_rows == result.metrics.peak_buffered_rows
 
     def test_explain_cardinalities_populated(self):
         store = small_store()
-        executor = Executor(store, engine="columnar")
+        executor = Executor(store)
         query = ConjunctiveQuery([x, y], [TriplePattern(x, EX.p, y)])
         result = executor.run(query)
         assert any(
@@ -288,7 +284,7 @@ class TestColumnarAccounting:
 
     def test_mutation_between_runs_is_visible(self):
         store = small_store()
-        executor = Executor(store, engine="columnar")
+        executor = Executor(store)
         query = ConjunctiveQuery([x, y], [TriplePattern(x, EX.p, y)])
         before = executor.run(query).answer()
         store.insert(Triple(EX.fresh, EX.p, EX.fresh_o))

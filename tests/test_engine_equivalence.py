@@ -1,14 +1,15 @@
-"""Differential harness: materialized vs columnar (vs SQLite).
+"""Differential harness: columnar × SQLite × the reference evaluator.
 
-Both in-process engines interpret the same plan IR
-(:mod:`repro.engine.ir`), and the SQL lowering hands it to SQLite, so
-their contract is testable head-to-head as a byte-identical matrix:
+The columnar engine runs the plan IR (:mod:`repro.engine.ir`) and the
+SQL lowering hands the same plans to SQLite; the oracle is the
+reference evaluator (:func:`repro.query.evaluate` / ``evaluate_cq``)
+over the saturation, which shares no code with either.  Checked:
 
 * identical answers for every strategy on the books example and a
-  LUBM micro workload (and on the reference evaluator's answers);
+  LUBM micro workload;
 * on the Example-1-style SCQ blowup, the columnar engine's memory
   high-water mark (``peak_buffered_rows``) stays strictly below the
-  materialized interpreter's largest operator output;
+  largest operator output of the same run;
 * a row budget aborts the columnar run mid-stream — before the blowup
   materializes — and the error carries the partial metrics and decoded
   partial answer that the degraded-answer path (``allow_partial``)
@@ -30,11 +31,12 @@ from repro.query import (
     evaluate_cq,
 )
 from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
+from repro.core import OptionError
 from repro.reformulation import ReformulationTooLarge
+from repro.saturation import saturate
 from repro.schema import Constraint, Schema
 from repro.storage import (
-    LOOP_BACKEND,
-    MERGE_BACKEND,
+    DEFAULT_BACKENDS,
     QueryTooLargeError,
     TripleStore,
 )
@@ -88,68 +90,58 @@ def blowup():
     return graph, schema, query
 
 
-#: The in-process engines of the differential matrix.
-ALL_ENGINES = ["materialized", "columnar"]
+#: The engines of the differential matrix (the reference evaluator is
+#: the third column).
+ENGINES = ["columnar", "sqlite"]
 
 
 @pytest.fixture(scope="module")
-def lubm_answerers():
+def lubm_matrix():
+    """(answerer per engine, saturated graph) over one LUBM university."""
     from repro.datasets import generate_lubm
 
     graph = generate_lubm(universities=1, seed=3)
-    return {
-        engine: QueryAnswerer(graph, engine=engine) for engine in ALL_ENGINES
+    answerers = {
+        engine: QueryAnswerer(graph, engine=engine) for engine in ENGINES
     }
+    return answerers, saturate(graph, answerers["columnar"].schema)
 
 
 class TestBooksDifferential:
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
     def test_same_answers(self, books, books_saturated, strategy):
         graph, schema, query = books
-        materialized = QueryAnswerer(graph, schema, engine="materialized")
         columnar = QueryAnswerer(graph, schema, engine="columnar")
         sqlite = QueryAnswerer(graph, schema, engine="sqlite")
         cover = _cover_for(strategy, query)
-        rm = materialized.answer(query, strategy, cover=cover)
         rc = columnar.answer(query, strategy, cover=cover)
         rs = sqlite.answer(query, strategy, cover=cover)
-        assert rc.answer == rm.answer, strategy
-        assert rs.answer == rm.answer, strategy
-        # All agree with the reference evaluator over the saturation.
-        assert rc.answer == evaluate_cq(books_saturated, query)
-        # Engine identity travels on the result, with metrics only on
-        # the streaming engine (and no execution at all from SQLite).
-        assert rm.execution.engine == "materialized"
-        assert rm.execution.metrics is None
+        # Both agree with the reference evaluator over the saturation.
+        reference = evaluate_cq(books_saturated, query)
+        assert rc.answer == reference, strategy
+        assert rs.answer == reference, strategy
+        # Metrics travel on the columnar result; SQLite has no
+        # in-process execution at all.
         assert rs.execution is None
-        assert rc.execution.engine == "columnar"
-        assert rc.execution.metrics is not None
         assert rc.execution.metrics.total_rows_out() > 0
-
-    def test_builtin_is_materialized_alias(self, books):
-        graph, schema, query = books
-        answerer = QueryAnswerer(graph, schema, engine="builtin")
-        report = answerer.answer(query, Strategy.REF_UCQ)
-        assert report.execution.engine == "materialized"
 
 
 class TestLubmDifferential:
     @pytest.mark.parametrize("name", ["Q1", "Q5", "Q9", "Q13", "Ex1"])
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
-    def test_same_answers(self, lubm_answerers, name, strategy):
-        materialized = lubm_answerers["materialized"]
+    def test_same_answers(self, lubm_matrix, name, strategy):
+        answerers, saturated = lubm_matrix
         query = example1_query() if name == "Ex1" else lubm_queries()[name]
         cover = _cover_for(strategy, query)
         try:
-            rm = materialized.answer(query, strategy, cover=cover)
+            report = answerers["columnar"].answer(query, strategy, cover=cover)
         except (QueryTooLargeError, ReformulationTooLarge) as exc:
             # Size refusals happen at reformulation/planning time, so
             # they must be engine-independent.
             with pytest.raises(type(exc)):
-                lubm_answerers["columnar"].answer(query, strategy, cover=cover)
+                answerers["sqlite"].answer(query, strategy, cover=cover)
             return
-        report = lubm_answerers["columnar"].answer(query, strategy, cover=cover)
-        assert report.answer == rm.answer, (name, strategy)
+        assert report.answer == evaluate_cq(saturated, query), (name, strategy)
 
 
 class TestScqBlowup:
@@ -157,16 +149,13 @@ class TestScqBlowup:
 
     def test_columnar_peak_strictly_lower(self, blowup):
         graph, schema, query = blowup
-        materialized = QueryAnswerer(graph, schema, engine="materialized")
         columnar = QueryAnswerer(graph, schema, engine="columnar")
-        rm = materialized.answer(query, Strategy.REF_SCQ)
         rc = columnar.answer(query, Strategy.REF_SCQ)
-        assert rc.answer == rm.answer == frozenset({(EX.i1_0, EX.o0)})
-        # The materialized interpreter held the full type-fragment
-        # union; the sorted-run merge dedups it while streaming and
-        # merge-joins it group by group, so the columnar peak stays far
-        # below the blowup.
-        blowup_rows = rm.execution.max_intermediate_rows()
+        assert rc.answer == frozenset({(EX.i1_0, EX.o0)})
+        # The type fragment's union is the blowup; the sorted-run merge
+        # dedups it while streaming and merge-joins it group by group,
+        # so the engine never buffers anything near that many rows.
+        blowup_rows = rc.execution.max_intermediate_rows()
         assert blowup_rows >= SUBCLASSES * PER_CLASS
         assert rc.execution.peak_buffered_rows < blowup_rows
 
@@ -185,8 +174,7 @@ class TestScqBlowup:
         assert exc.partial is not None
         assert exc.partial["engine"] == "columnar"
         # The abort happened while streaming: the engine never
-        # buffered anything near the 1000-row union the materialized
-        # interpreter would have built.
+        # buffered anything near the 1000-row union.
         assert exc.partial["peak_buffered_rows"] < SUBCLASSES * PER_CLASS
         assert exc.partial["operators"]  # per-operator metrics travel
         assert any(
@@ -195,25 +183,6 @@ class TestScqBlowup:
         # Decoded partial rows ride along for the degraded path.
         assert exc.partial_answer is not None
         assert exc.diagnostics()["partial_row_count"] == len(exc.partial_rows)
-
-    def test_materialized_abort_reports_cardinalities(self, blowup):
-        graph, schema, query = blowup
-        materialized = QueryAnswerer(graph, schema, engine="materialized")
-        with pytest.raises(BudgetExceeded) as info:
-            materialized.answer(
-                query,
-                Strategy.REF_SCQ,
-                row_budget=self.ROW_BUDGET,
-                budget_fallbacks=0,
-            )
-        exc = info.value
-        assert exc.partial is not None
-        assert exc.partial["engine"] == "materialized"
-        # Completed subtrees report their actual cardinality; the
-        # aborted ancestors stay None.
-        cardinalities = exc.partial["node_cardinalities"]
-        assert any(actual is not None for _r, _e, actual in cardinalities)
-        assert any(actual is None for _r, _e, actual in cardinalities)
 
     def test_allow_partial_degrades_instead_of_raising(self, blowup):
         graph, schema, query = blowup
@@ -234,20 +203,6 @@ class TestScqBlowup:
         complete = columnar.answer(query, Strategy.REF_SCQ).answer
         assert report.answer <= complete
 
-    def test_allow_partial_requires_partial_rows(self, blowup):
-        # The materialized interpreter aborts whole operators and has
-        # no partial rows to keep — allow_partial re-raises there.
-        graph, schema, query = blowup
-        materialized = QueryAnswerer(graph, schema, engine="materialized")
-        with pytest.raises(BudgetExceeded):
-            materialized.answer(
-                query,
-                Strategy.REF_SCQ,
-                row_budget=self.ROW_BUDGET,
-                budget_fallbacks=0,
-                allow_partial=True,
-            )
-
     def test_partial_answers_never_cached(self, blowup):
         graph, schema, query = blowup
         cache = QueryCache()
@@ -266,13 +221,13 @@ class TestScqBlowup:
 
 
 class TestParallelBudgetAbort:
-    """A row budget on the SCQ blowup trips once on either engine: the
-    overrun keeps its diagnostics, the degraded answer is a flagged
-    sound subset, and the trip happens near the limit."""
+    """A row budget on the SCQ blowup trips once: the overrun keeps its
+    diagnostics, the degraded answer is a flagged sound subset, and the
+    trip happens near the limit."""
 
     ROW_BUDGET = TestScqBlowup.ROW_BUDGET
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ["columnar"])
     def test_concurrent_abort_keeps_diagnostics(self, blowup, engine):
         graph, schema, query = blowup
         answerer = QueryAnswerer(graph, schema, engine=engine)
@@ -333,41 +288,34 @@ class TestExecutorEngines:
         return TripleStore.from_graph(graph)
 
     def test_engine_validation(self):
-        store = self._store()
-        with pytest.raises(ValueError):
-            Executor(store, engine="vectorized")
-        with pytest.raises(ValueError):
-            Executor(store).run(
-                ConjunctiveQuery([x, y], [TriplePattern(x, EX.p, y)]),
-                engine="vectorized",
-            )
+        # One in-process engine: the interpreter's names are gone.
+        graph = self._store().to_graph()
+        for engine in ("materialized", "builtin", "vectorized"):
+            with pytest.raises(OptionError):
+                QueryAnswerer(graph, engine=engine)
 
-    @pytest.mark.parametrize("backend", [MERGE_BACKEND, LOOP_BACKEND],
-                             ids=["merge", "nested-loop"])
+    @pytest.mark.parametrize("backend", DEFAULT_BACKENDS,
+                             ids=["hash", "merge", "nested-loop"])
     def test_join_algorithms_agree(self, backend):
-        # Whatever join algorithm the backend profile asks for, the
-        # columnar engine must match the materialized interpreter.
+        # Whichever join algorithm the backend profile prices, its plan
+        # on the columnar engine gives the reference answer.
         store = self._store()
-        executor = Executor(store, backend)
         query = ConjunctiveQuery(
             [x, y, z],
             [TriplePattern(x, EX.p, y), TriplePattern(x, EX.q, z)],
         )
-        rm = executor.run(query, engine="materialized")
-        rc = executor.run(query, engine="columnar")
-        assert rc.answer() == rm.answer()
-        assert rm.row_count == 30
-        assert rc.row_count == 30
+        result = Executor(store, backend).run(query)
+        assert result.answer() == evaluate(store.to_graph(), query)
+        assert result.row_count == 30
 
     def test_cross_product_agrees(self):
         store = self._store()
-        executor = Executor(store, engine="columnar")
         query = ConjunctiveQuery(
             [x, z], [TriplePattern(x, EX.p, y), TriplePattern(z, EX.q, w)]
         )
-        reference = executor.run(query, engine="materialized").answer()
+        reference = evaluate(store.to_graph(), query)
         assert len(reference) == 900
-        assert executor.run(query).answer() == reference
+        assert Executor(store).run(query).answer() == reference
 
 
 class TestReferenceEvaluatorBudgets:
@@ -406,15 +354,14 @@ class TestReferenceEvaluatorBudgets:
 
 class TestIntervalEncodingDifferential:
     """Interval-encoded answering is byte-identical to the classic
-    unions on every engine: the hierarchy encoding changes plan shape
-    (one range-scanned interval atom per covered union), never the
-    answer set — including under budgets and degraded answers."""
-
-    ENGINES = ALL_ENGINES + ["sqlite"]
+    unions and to the reference evaluator on every engine: the hierarchy
+    encoding changes plan shape (one range-scanned interval atom per
+    covered union), never the answer set — including under budgets and
+    degraded answers."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
-    def test_books_same_answers(self, books, engine, strategy):
+    def test_books_same_answers(self, books, books_saturated, engine, strategy):
         graph, schema, query = books
         classic = QueryAnswerer(graph, schema, engine=engine)
         encoded = QueryAnswerer(
@@ -424,6 +371,7 @@ class TestIntervalEncodingDifferential:
         expected = classic.answer(query, strategy, cover=cover).answer
         report = encoded.answer(query, strategy, cover=cover)
         assert report.answer == expected, (engine, strategy)
+        assert report.answer == evaluate_cq(books_saturated, query)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_blowup_same_answer_with_collapsed_union(self, blowup, engine):

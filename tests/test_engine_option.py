@@ -1,4 +1,4 @@
-"""Tests for the facade's engine option (builtin vs SQLite) and the
+"""Tests for the facade's engine option (columnar vs SQLite) and the
 SQL-backend property test."""
 
 import sqlite3
@@ -38,7 +38,7 @@ class TestEngineOption:
 
     def test_books_same_answers(self, books):
         graph, schema, query = books
-        builtin = QueryAnswerer(graph, schema)
+        columnar = QueryAnswerer(graph, schema)
         sqlite = QueryAnswerer(graph, schema, engine="sqlite")
         for strategy in (
             Strategy.SAT,
@@ -48,7 +48,7 @@ class TestEngineOption:
         ):
             assert (
                 sqlite.answer(query, strategy).answer
-                == builtin.answer(query, strategy).answer
+                == columnar.answer(query, strategy).answer
             ), strategy
 
     def test_jucq_cover_on_sqlite(self, books):
@@ -61,13 +61,13 @@ class TestEngineOption:
 
     def test_lubm_workload_same_answers(self):
         graph = generate_lubm(universities=1, seed=7)
-        builtin = QueryAnswerer(graph)
+        columnar = QueryAnswerer(graph)
         sqlite = QueryAnswerer(graph, engine="sqlite")
         for name in ("Q1", "Q5", "Q9", "Q13"):
             query = lubm_queries()[name]
             assert (
                 sqlite.answer(query, Strategy.REF_SCQ).answer
-                == builtin.answer(query, Strategy.REF_SCQ).answer
+                == columnar.answer(query, Strategy.REF_SCQ).answer
             ), name
 
     def test_datalog_unaffected_by_engine(self, books):

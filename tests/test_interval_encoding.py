@@ -12,7 +12,7 @@ Three layers of guarantees:
   (``rebuild_with_hierarchy``) restores full coverage.
 * **Semantics** (hypothesis): under random schema DAGs and interleaved
   hierarchy/data mutations, matching by interval equals the explicit
-  transitive-closure union, on every engine.
+  transitive-closure union.
 
 Plus the query-side no-mutation rule: answering — including pricing
 covers and planning constants the data never stored — must not grow
@@ -37,8 +37,9 @@ from repro.query import ConjunctiveQuery, Cover, TriplePattern, Variable
 from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
 from repro.reformulation import ReformulationPolicy, ucq_size
 from repro.schema import Constraint, Schema
+from repro.core.answerer import ANSWERER_ENGINES
 from repro.storage import QueryTooLargeError, TripleStore
-from repro.storage.executor import ENGINES, Executor
+from repro.storage.executor import Executor
 
 EX = Namespace("http://example.org/")
 x, y = Variable("x"), Variable("y")
@@ -220,22 +221,19 @@ def _edge_members(store, schema, prop):
 
 def _assert_intervals_match_closure(store, schema, encoding):
     """Every covered node's interval atom matches exactly its explicit
-    transitive-closure union, on every engine."""
+    transitive-closure union (SQLite's interval legs are in
+    ``test_engine_equivalence.py``)."""
     executor = Executor(store)
     for klass, interval in encoding.class_intervals.items():
         query = ConjunctiveQuery(
             [x], [TriplePattern(x, RDF_TYPE, interval)]
         )
         expected = _type_members(store, schema, klass)
-        for engine in ENGINES:
-            got = executor.run(query, engine=engine).answer()
-            assert got == expected, (klass, engine)
+        assert executor.run(query).answer() == expected, klass
     for prop, interval in encoding.property_intervals.items():
         query = ConjunctiveQuery([x, y], [TriplePattern(x, interval, y)])
         expected = _edge_members(store, schema, prop)
-        for engine in ENGINES:
-            got = executor.run(query, engine=engine).answer()
-            assert got == expected, (prop, engine)
+        assert executor.run(query).answer() == expected, prop
 
 
 class TestIntervalSemantics:
@@ -328,7 +326,7 @@ class TestNoDictionaryMutation:
         graph.add(Triple(EX.i1, EX.q1, EX.i2))
         return graph, schema
 
-    @pytest.mark.parametrize("engine", list(ENGINES) + ["sqlite"])
+    @pytest.mark.parametrize("engine", ANSWERER_ENGINES)
     @pytest.mark.parametrize("interval", [False, True])
     def test_answering_never_grows_dictionary(self, engine, interval):
         graph, schema = self._fixture()

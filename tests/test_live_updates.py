@@ -19,10 +19,11 @@ class TestStoreDelete:
         store = TripleStore()
         triple = Triple(EX.a, EX.p, EX.b)
         store.insert(triple)
+        p_id = store.term_id(EX.p)
+        assert len(list(store.match(property_id=p_id))) == 1  # runs built
         assert store.delete(triple) is True
         assert store.triple_count == 0
-        p_id = store.term_id(EX.p)
-        assert list(store.scan_property(p_id)) == []
+        assert list(store.match(property_id=p_id)) == []
         assert store.statistics.property_count(p_id) == 0
 
     def test_delete_absent_is_noop(self):
@@ -35,9 +36,10 @@ class TestStoreDelete:
         second = Triple(EX.a, EX.p, EX.c)
         store.insert(first)
         store.insert(second)
-        store.delete(first)
         p_id, a_id = store.term_id(EX.p), store.term_id(EX.a)
-        assert list(store.scan_property_subject(p_id, a_id)) == [
+        assert len(list(store.match(a_id, p_id))) == 2  # runs built
+        store.delete(first)
+        assert [o for _, _, o in store.match(a_id, p_id)] == [
             store.term_id(EX.c)
         ]
         assert store.statistics.property_count(p_id) == 1

@@ -306,15 +306,20 @@ class TestFailover:
         try:
             cluster.primary_node.load(tiny_graph())
             cluster.pump_until_converged()
-            before = sorted(
-                cluster.primary_node.reader("builtin")
-                .answer(STUDENT_QUERY).answer)
+            engines = ("columnar", "sqlite")
+
+            def answers():
+                return [
+                    sorted(cluster.primary_node.reader(engine)
+                           .answer(STUDENT_QUERY).answer)
+                    for engine in engines
+                ]
+
+            before = answers()
             cluster.kill_primary()
             cluster.pump(4)
-            after = sorted(
-                cluster.primary_node.reader("builtin")
-                .answer(STUDENT_QUERY).answer)
-            assert after == before
+            assert answers() == before
+            assert before[0] == before[1]
         finally:
             cluster.close()
 

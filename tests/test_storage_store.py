@@ -86,26 +86,25 @@ class TestTripleStore:
     def test_scan_property(self):
         store = TripleStore.from_graph(self.graph())
         p_id = store.term_id(EX.p)
-        pairs = list(store.scan_property(p_id))
-        assert len(pairs) == 1
+        assert len(list(store.match(property_id=p_id))) == 1
 
     def test_scan_property_subject(self):
         store = TripleStore.from_graph(self.graph())
         p_id, a_id = store.term_id(EX.p), store.term_id(EX.a)
-        assert list(store.scan_property_subject(p_id, a_id)) == [
+        assert [o for _, _, o in store.match(a_id, p_id)] == [
             store.term_id(EX.b)
         ]
 
     def test_scan_property_object(self):
         store = TripleStore.from_graph(self.graph())
         type_id, c_id = store.term_id(RDF_TYPE), store.term_id(EX.C)
-        subjects = set(store.scan_property_object(type_id, c_id))
+        subjects = {s for s, _, _ in store.match(None, type_id, c_id)}
         assert subjects == {store.term_id(EX.a), store.term_id(EX.b)}
 
     def test_scan_missing_property(self):
         store = TripleStore.from_graph(self.graph())
-        assert list(store.scan_property(99999)) == []
-        assert list(store.scan_property_subject(99999, 0)) == []
+        assert list(store.match(property_id=99999)) == []
+        assert list(store.match(0, 99999)) == []
 
     def test_type_property_id(self):
         store = TripleStore.from_graph(self.graph())
