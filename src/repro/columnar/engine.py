@@ -22,10 +22,13 @@ never become Python objects until the answer boundary:
   seen-set, so a union never emits a row twice either way.
 * **Merge joins on sorted runs** — taken only when both inputs are
   provably sorted on the join key; buffers only the current
-  equal-key groups.  Otherwise the join hashes, building on the
-  smaller *estimated* side (actual sizes are unknowable without
-  materializing, which is the point of not doing so) and streaming
-  the probe side.
+  equal-key groups.  The side that is behind gallops to the other's
+  key with one C-level bisect over its chunk's key column, so
+  Python-level work grows with the equal-key groups and bisects, not
+  with the rows of the larger input.  Otherwise the join hashes,
+  building on the smaller *estimated* side (actual sizes are
+  unknowable without materializing, which is the point of not doing
+  so) and streaming the probe side.
 * **Mask selections / distinct** — filters compute keep-index lists
   per chunk and gather; distinct over a fully sorted stream is
   adjacent-row comparison with *zero* buffered state, and falls back
@@ -55,7 +58,7 @@ from ..engine.ir import (
     UnionNode,
 )
 from ..engine.metrics import OperatorMetrics, PipelineMetrics, _Stopwatch
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
 from .chunks import ColumnChunk, ColumnStream, as_column
@@ -646,53 +649,41 @@ class _ColumnarPipeline:
         right_key: Sequence[int],
         entry: OperatorMetrics,
     ) -> Iterator[ColumnChunk]:
-        """Streaming merge join of two key-sorted streams.
+        """Galloping merge join of two key-sorted streams.
 
-        Only the current equal-key group of each side is held (and
-        charged to the metrics while held) — the sorted-run payoff: a
-        join over grouped type-atom unions touches each group once.
+        Each side is a :class:`_MergeCursor` into its current chunk's
+        key column.  The side that is behind jumps to the other's key
+        with one C-level ``bisect_left``, and an equal-key group ends at
+        ``bisect_right`` (continuing into the next chunk when it reaches
+        the end of this one), so Python-level work grows with the
+        equal-key groups and bisects, not with the rows of the larger
+        input.  Row tuples are built only for matching groups; both
+        groups are charged to the metrics while held.
         """
         keep = node.keep_right_indexes
-        arity = node.arity
-        if len(left_key) == 1:
-            li, ri = left_key[0], right_key[0]
-            lkey_of = lambda row: row[li]  # noqa: E731
-            rkey_of = lambda row: row[ri]  # noqa: E731
-        else:
-            lkey_of = lambda row: tuple(row[i] for i in left_key)  # noqa: E731
-            rkey_of = lambda row: tuple(row[i] for i in right_key)  # noqa: E731
+        buffer = self.metrics.buffer
 
         def rows() -> Iterator[Row]:
-            left_rows = left.iter_rows()
-            right_rows = right.iter_rows()
-            lrow = next(left_rows, None)
-            rrow = next(right_rows, None)
-            while lrow is not None and rrow is not None:
-                lkey = lkey_of(lrow)
-                rkey = rkey_of(rrow)
+            lside = _MergeCursor(left.chunks, left_key, range(node.left.arity))
+            rside = _MergeCursor(right.chunks, right_key, keep)
+            while lside.keys is not None and rside.keys is not None:
+                lkey = lside.keys[lside.pos]
+                rkey = rside.keys[rside.pos]
                 if lkey < rkey:
-                    lrow = next(left_rows, None)
-                elif lkey > rkey:
-                    rrow = next(right_rows, None)
+                    lside.seek(rkey)
+                elif rkey < lkey:
+                    rside.seek(lkey)
                 else:
-                    lgroup = [lrow]
-                    lrow = next(left_rows, None)
-                    while lrow is not None and lkey_of(lrow) == lkey:
-                        lgroup.append(lrow)
-                        lrow = next(left_rows, None)
-                    rgroup = [tuple(rrow[i] for i in keep)]
-                    rrow = next(right_rows, None)
-                    while rrow is not None and rkey_of(rrow) == rkey:
-                        rgroup.append(tuple(rrow[i] for i in keep))
-                        rrow = next(right_rows, None)
+                    lgroup = lside.group(lkey)
+                    rgroup = rside.group(rkey)
                     held = len(lgroup) + len(rgroup)
-                    self.metrics.buffer(entry, held)
+                    buffer(entry, held)
                     for lmatch in lgroup:
                         for rmatch in rgroup:
                             yield lmatch + rmatch
-                    self.metrics.buffer(entry, -held)
+                    buffer(entry, -held)
 
-        return self._chunked_rows(rows(), arity)
+        return self._chunked_rows(rows(), node.arity)
 
     def _hash_join(
         self,
@@ -769,6 +760,68 @@ class _ColumnarPipeline:
                         yield lrow + rkept
 
         return self._chunked_rows(rows(), arity)
+
+
+class _MergeCursor:
+    """One side of a merge join: a position in the current chunk of a
+    key-sorted chunk stream.
+
+    ``keys`` is the chunk's key column — the column itself for a
+    one-column key, its key tuples otherwise (which bisect by tuple
+    order) — and None once the stream is exhausted.  *take* names the
+    columns a matched row keeps.
+    """
+
+    __slots__ = ("chunks", "key", "take", "columns", "keys", "pos", "end")
+
+    def __init__(self, chunks: Iterator[ColumnChunk], key, take):
+        self.chunks = iter(chunks)
+        self.key = tuple(key)
+        self.take = take
+        self._load()
+
+    def _load(self) -> None:
+        """Move to the first row of the next non-empty chunk."""
+        for chunk in self.chunks:
+            if chunk.length:
+                columns = chunk.columns
+                self.columns = [columns[i] for i in self.take]
+                key = self.key
+                if len(key) == 1:
+                    self.keys = columns[key[0]]
+                else:
+                    self.keys = list(zip(*(columns[i] for i in key)))
+                self.pos, self.end = 0, chunk.length
+                return
+        self.keys = None
+
+    def seek(self, target) -> None:
+        """Skip to the first row whose key is not below *target*."""
+        pos = bisect_left(self.keys, target, self.pos + 1, self.end)
+        while pos == self.end:
+            self._load()
+            if self.keys is None:
+                return
+            pos = bisect_left(self.keys, target, 0, self.end)
+        self.pos = pos
+
+    def group(self, key) -> List[Row]:
+        """The kept rows whose key equals *key*, from the cursor on
+        (spanning chunks); leaves the cursor just past them."""
+        rows: List[Row] = []
+        while True:
+            pos = self.pos
+            end = bisect_right(self.keys, key, pos + 1, self.end)
+            if self.columns:
+                rows.extend(zip(*[column[pos:end] for column in self.columns]))
+            else:
+                rows.extend([()] * (end - pos))
+            if end < self.end:
+                self.pos = end
+                return rows
+            self._load()
+            if self.keys is None or self.keys[0] != key:
+                return rows
 
 
 def _total_order(

@@ -22,7 +22,6 @@ In-flight batches are not counted as buffered: they are bounded by
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List, Optional
 
@@ -67,10 +66,9 @@ class PipelineMetrics:
     the number the differential harness compares against the same
     run's largest operator output.
 
-    Thread-safe: entry creation and the shared buffered-row totals are
-    updated under a lock.  (A single entry's ``rows_in`` / ``rows_out``
-    counters stay lock-free — each operator is driven by exactly one
-    thread.)
+    Not thread-safe, and it needs no lock: one instance belongs to one
+    single-threaded run (``run_columnar`` creates and drains it within
+    one call), and federation endpoints each run their own pipeline.
     """
 
     def __init__(self):
@@ -80,36 +78,32 @@ class PipelineMetrics:
         self.peak_buffered_rows = 0
         self.started_at: Optional[float] = None
         self.elapsed_seconds = 0.0
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
     def operator(self, node: PlanNode) -> OperatorMetrics:
         """The (lazily created) metrics entry for *node*."""
         key = id(node)
-        with self._lock:
-            entry = self._per_node.get(key)
-            if entry is None:
-                entry = OperatorMetrics(repr(node))
-                self._per_node[key] = entry
-                self._order.append(entry)
-            return entry
+        entry = self._per_node.get(key)
+        if entry is None:
+            entry = OperatorMetrics(repr(node))
+            self._per_node[key] = entry
+            self._order.append(entry)
+        return entry
 
     def buffer(self, entry: OperatorMetrics, rows: int) -> None:
         """Record *rows* newly held in *entry*'s operator state."""
-        with self._lock:
-            entry.buffered_rows += rows
-            if entry.buffered_rows > entry.peak_buffered_rows:
-                entry.peak_buffered_rows = entry.buffered_rows
-            self._buffered_total += rows
-            if self._buffered_total > self.peak_buffered_rows:
-                self.peak_buffered_rows = self._buffered_total
+        entry.buffered_rows += rows
+        if entry.buffered_rows > entry.peak_buffered_rows:
+            entry.peak_buffered_rows = entry.buffered_rows
+        self._buffered_total += rows
+        if self._buffered_total > self.peak_buffered_rows:
+            self.peak_buffered_rows = self._buffered_total
 
     def release(self, entry: OperatorMetrics) -> None:
         """An operator's state was dropped (stream closed/exhausted)."""
-        with self._lock:
-            self._buffered_total -= entry.buffered_rows
-            entry.buffered_rows = 0
+        self._buffered_total -= entry.buffered_rows
+        entry.buffered_rows = 0
 
     # ------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
-from ..cost.model import annotate_plan
+from ..cost.model import annotate_node
 from ..query.algebra import (
     ConjunctiveQuery,
     HeadTerm,
@@ -137,19 +137,19 @@ class Planner:
         """Plan any query form, enforcing the backend's parse limit."""
         self.backend.check_parse_limit(query_atom_total(query))
         if isinstance(query, ConjunctiveQuery):
-            node = self._plan_cq(query)
-        elif isinstance(query, UnionQuery):
-            node = self._plan_ucq(query, self._head_labels(query.disjuncts[0].head))
-        elif isinstance(query, JoinOfUnions):
-            node = self._plan_jucq(query)
-        else:
-            raise TypeError("cannot plan %r" % (query,))
-        return self._annotate(node)
+            return self._plan_cq(query)
+        if isinstance(query, UnionQuery):
+            return self._plan_ucq(query, self._head_labels(query.disjuncts[0].head))
+        if isinstance(query, JoinOfUnions):
+            return self._plan_jucq(query)
+        raise TypeError("cannot plan %r" % (query,))
 
     def _annotate(self, node: PlanNode) -> PlanNode:
+        """Cost one newly built node; its children already are, so
+        every node of a plan is annotated exactly once."""
         if not self.annotate:
             return node
-        return annotate_plan(
+        return annotate_node(
             node, self.store.statistics, self.backend, self.store.type_property_id
         )
 
@@ -200,7 +200,7 @@ class Planner:
         for atom in query.atoms:
             scan = self._scan_for_atom(atom)
             if scan is None:
-                return EmptyNode(self._head_labels(query.head))
+                return self._annotate(EmptyNode(self._head_labels(query.head)))
             self._annotate(scan)
             scans.append(scan)
 
@@ -214,8 +214,9 @@ class Planner:
                 current, sorted(query.nonliteral_variables)
             )
             self._annotate(current)
-        project = ProjectNode(current, self._projection_specs(query.head))
-        return project
+        return self._annotate(
+            ProjectNode(current, self._projection_specs(query.head))
+        )
 
     # ------------------------------------------------------------------
     # UCQ planning
@@ -224,10 +225,7 @@ class Planner:
         self, query: UnionQuery, labels: Sequence[ColumnLabel]
     ) -> PlanNode:
         children = [self._plan_cq(disjunct) for disjunct in query.disjuncts]
-        for child in children:
-            self._annotate(child)
-        union = UnionNode(children, labels)
-        return union
+        return self._annotate(UnionNode(children, labels))
 
     # ------------------------------------------------------------------
     # JUCQ planning
@@ -236,9 +234,7 @@ class Planner:
         fragment_plans: List[PlanNode] = []
         for fragment_head, union in zip(query.fragment_heads, query.fragments):
             labels = self._head_labels(fragment_head)
-            plan = self._plan_ucq(union, labels)
-            self._annotate(plan)
-            fragment_plans.append(plan)
+            fragment_plans.append(self._plan_ucq(union, labels))
 
         ordered = greedy_join_order(fragment_plans, _rows, PlanNode.variable_positions)
         current = ordered[0]
@@ -247,5 +243,5 @@ class Planner:
             self._annotate(current)
         project = ProjectNode(current, self._projection_specs(query.head))
         self._annotate(project)
-        return DistinctNode(project)
+        return self._annotate(DistinctNode(project))
 

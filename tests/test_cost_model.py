@@ -135,3 +135,45 @@ class TestCostOrdering:
         assert cardinality.distinct_output_rows(10.0, {x: 3.0}) == 3.0
         assert cardinality.distinct_output_rows(2.0, {x: 30.0}) == 2.0
         assert cardinality.distinct_output_rows(0.0, {}) == 0.0
+
+
+class TestPlannerAnnotation:
+    """The planner costs each node once, as it builds it."""
+
+    def test_each_node_of_a_jucq_plan_is_annotated_once(self, monkeypatch):
+        from repro.cost import annotate_node
+        from repro.datasets import (
+            example1_best_cover,
+            example1_query,
+            generate_lubm,
+        )
+        from repro.reformulation import jucq_for_cover
+        from repro.storage import planner as planner_module
+
+        store = TripleStore.from_graph(generate_lubm(universities=1, seed=9))
+        query = example1_query()
+        jucq = jucq_for_cover(example1_best_cover(query), store.schema)
+        calls = []
+
+        def counting(node, *args):
+            calls.append(id(node))
+            return annotate_node(node, *args)
+
+        monkeypatch.setattr(planner_module, "annotate_node", counting)
+        plan = Planner(store).plan(jucq)
+        nodes = list(plan.walk())
+        assert len(nodes) > 100
+        assert sorted(calls) == sorted(id(node) for node in nodes)
+
+        # Annotating the whole tree again changes no estimate.
+        before = [
+            (n.estimated_rows, n.estimated_cost, dict(n.column_distincts))
+            for n in nodes
+        ]
+        annotate_plan(
+            plan, store.statistics, HASH_BACKEND, store.type_property_id
+        )
+        assert before == [
+            (n.estimated_rows, n.estimated_cost, dict(n.column_distincts))
+            for n in nodes
+        ]
