@@ -6,10 +6,9 @@ scans unioned and joined, so per-row Python object overhead dominates
 exactly where the paper measures its bottleneck.  This package keeps
 triples as dense integer IDs end to end:
 
-* :mod:`repro.columnar.indexes` — SPO/POS/OSP sorted integer-run
-  indexes over ``array('q')`` columns with binary-search range probes,
-  built lazily from the triple store and invalidated through its
-  mutation listeners and epoch;
+* :mod:`repro.columnar.indexes` — SPO/POS/OSP sorted integer runs
+  over ``array('q')`` columns with binary-search range probes: the
+  triple store's table itself, patched or merged on every write;
 * :mod:`repro.columnar.chunks` — the column-batch exchange format and
   its sortedness metadata;
 * :mod:`repro.columnar.engine` — the streaming execution engine: operators

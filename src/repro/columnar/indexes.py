@@ -20,26 +20,17 @@ scan is an ``array`` slice (a C-level copy).  A run for a fixed prefix
 is itself sorted on the remaining columns, which is what the engine's
 merge joins and k-way sorted unions consume.
 
-**Maintenance.**  A run is built lazily: the first probe of an order
-sorts the store's triple set once.  After that it is kept current in
-one of two ways, decided by ``TripleStore.mutation_epoch`` (bumped by
-every successful encoded-level insert/delete, whatever path made it):
-
-* *Patch.*  :meth:`TripleStore.insert`/``delete`` notify the store's
-  listeners; the set's listener patches every built run in place — one
-  :meth:`SortedRunIndex.range` bisect to the row, then one
-  ``array.insert`` / ``del`` per column, a memmove rather than a
-  re-sort — and advances the epoch the runs are current at.  It does so
-  only when that write is the only one since the runs were current
-  (``mutation_epoch == built_epoch + 1``); any other gap drops the runs.
-* *Rebuild.*  Checkpoint restore and :meth:`TripleStore.from_encoded`
-  write through ``_insert_encoded``, which bumps the epoch without
-  notifying anyone, so the next probe finds the runs behind and sorts
-  afresh.  WAL replay does go through ``insert``/``delete``, but
-  recovery replays into a restored store whose runs were never built,
-  so the first probe after recovery pays the sort.
-  :meth:`TripleStore.load` invalidates up front: a bulk load pays one
-  sort, not one patch per triple.
+**The runs are the table.**  :class:`ColumnarIndexSet` is the store's
+only copy of its triples.  SPO always exists and answers membership
+with one bisect; POS and OSP are built from it on their first probe.
+A single insert/delete *patches* SPO first, whose bisect decides
+whether anything changes, then every other built run: a bisect to the
+row and one ``array.insert`` / ``del`` per column, a memmove.  A batch
+(``TripleStore.insert_many`` / ``insert_encoded``: loads, checkpoint
+restore, WAL replay) is sorted, stripped of duplicates and stored
+triples, and *merged* into every built run
+(:meth:`SortedRunIndex.merge`), so n triples cost one sort, not n
+memmoves.
 
 **Reader rule.**  A patch shifts rows, so a scan that read part of a
 run range and is about to read the rest must not see a write in
@@ -61,8 +52,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Key sequence of each ordering, as physical positions (0=s, 1=p, 2=o).
 ORDER_PERMUTATIONS: Dict[str, Tuple[int, int, int]] = {
@@ -77,24 +69,57 @@ class StaleRunError(RuntimeError):
     breach of the reader rule in the module docstring)."""
 
 
+#: A batch under 1/_SPLICE_RATIO of a run is handled row by row, a
+#: bisect each (~3 µs a row); a larger one in one pass over the whole
+#: run (~0.5 µs a row).  The measured crossover is near 1/5.
+_SPLICE_RATIO = 8
+
+
+def _columns(rows) -> Tuple[array, array, array]:
+    """The three ``array('q')`` key columns of sorted key tuples."""
+    return tuple(array("q", map(itemgetter(depth), rows)) for depth in range(3))
+
+
 class SortedRunIndex:
     """One ordering of the triple table as three sorted ID columns."""
 
     __slots__ = ("name", "permutation", "columns")
 
-    def __init__(self, name: str, triples) -> None:
+    def __init__(self, name: str, triples=()) -> None:
         if name not in ORDER_PERMUTATIONS:
             raise ValueError("unknown triple order %r" % (name,))
         self.name = name
         self.permutation = ORDER_PERMUTATIONS[name]
-        if name == "spo":
+        self.columns: Tuple[array, array, array] = _columns(())
+        self.merge(triples)
+
+    def merge(self, triples) -> None:
+        """Add *triples* — distinct ``(s, p, o)`` tuples, none stored
+        yet — keeping the run sorted.  A small batch is spliced in (a
+        bisect per row, then each column rebuilt from C-level slice
+        copies); a larger one is sorted in with the run's rows, two
+        sorted runs that the sort merges in linear time."""
+        if self.name == "spo":
             rows = sorted(triples)  # triples already are (s, p, o)
         else:
-            rows = sorted(triples, key=itemgetter(*self.permutation))
-        self.columns: Tuple[array, array, array] = tuple(
-            array("q", map(itemgetter(position), rows))
-            for position in self.permutation
-        )
+            rows = sorted(map(itemgetter(*self.permutation), triples))
+        if len(rows) * _SPLICE_RATIO >= len(self):
+            if len(self):
+                rows = sorted(chain(zip(*self.columns), rows))
+            self.columns = _columns(rows)
+            return
+        places = [self.range(*row)[0] for row in rows]
+        columns = []
+        for depth, old in enumerate(self.columns):
+            new = array("q")
+            start = 0
+            for place, row in zip(places, rows):
+                new += old[start:place]
+                new.append(row[depth])
+                start = place
+            new += old[start:]
+            columns.append(new)
+        self.columns = tuple(columns)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -121,19 +146,25 @@ class SortedRunIndex:
                 return lo, lo
         return lo, hi
 
-    def patch(self, encoded: Tuple[int, int, int], insert: bool) -> None:
+    def patch(self, encoded: Tuple[int, int, int], insert: bool) -> bool:
         """Insert (or delete) the ``(s, p, o)`` triple *encoded* in
         place, keeping the run sorted: one bisect to its row, then one
-        ``array.insert`` / ``del`` per column."""
+        ``array.insert`` / ``del`` per column.  Returns False, leaving
+        the run alone, when the triple is already present (insert) or
+        absent (delete)."""
         key = tuple(encoded[position] for position in self.permutation)
         lo, hi = self.range(*key)
         if insert:
+            if lo < hi:
+                return False
+            for column, value in zip(self.columns, key):
+                column.insert(lo, value)
+        else:
             if lo == hi:
-                for column, value in zip(self.columns, key):
-                    column.insert(lo, value)
-        elif lo < hi:
+                return False
             for column in self.columns:
                 del column[lo]
+        return True
 
     def iter_triples(
         self, lo: int = 0, hi: Optional[int] = None
@@ -152,70 +183,58 @@ class SortedRunIndex:
 
 
 class ColumnarIndexSet:
-    """The index family of one store: built lazily, patched on single
-    writes, rebuilt when the epoch says it fell behind."""
+    """The triple table of one store: the SPO run, always present, and
+    the POS and OSP runs, each built from SPO on its first probe."""
 
-    def __init__(self, store) -> None:
-        self._store = store
-        self._orders: Dict[str, SortedRunIndex] = {}
-        self._built_epoch: Optional[int] = None
-        #: Total index builds performed — observable by tests asserting
-        #: that single writes patch and only bulk/restore paths rebuild.
-        self.build_count = 0
-        store.add_listener(self._on_mutation)
-
-    # ------------------------------------------------------------------
-
-    def _on_mutation(self, triple, operation) -> None:
-        """The patch path (see the module docstring)."""
-        if (
-            self._built_epoch is None
-            or self._store.mutation_epoch != self._built_epoch + 1
-        ):
-            self.invalidate()
-            return
-        if self._orders:
-            lookup = self._store.dictionary.lookup
-            encoded = tuple(lookup(term) for term in triple.as_tuple())
-            insert = operation == "insert"
-            for run in self._orders.values():
-                run.patch(encoded, insert)
-        self._built_epoch += 1
-
-    def _current(self) -> bool:
-        return (
-            self._built_epoch is not None
-            and self._built_epoch == self._store.mutation_epoch
-        )
-
-    def has_current(self, name: str) -> bool:
-        """True when order *name* is built and not stale — the cheap
-        probe ``scan_all`` uses to reuse the SPO run without forcing a
-        build."""
-        return self._current() and name in self._orders
-
-    def invalidate(self) -> None:
-        """Drop every built run (next probe rebuilds)."""
-        self._orders.clear()
-        self._built_epoch = None
+    def __init__(self) -> None:
+        self._orders: Dict[str, SortedRunIndex] = {"spo": SortedRunIndex("spo")}
 
     def order(self, name: str) -> SortedRunIndex:
-        """The (built-on-demand) sorted run for ordering *name*.
-
-        Staleness is decided by the store's mutation epoch, which every
-        encoded-level write path bumps — so runs survive read-only use
-        indefinitely, follow listener-notified writes by patching, and
-        are rebuilt after any write that bypassed the listeners.
-        """
-        if not self._current():
-            self._orders.clear()
-            self._built_epoch = self._store.mutation_epoch
+        """The sorted run for ordering *name*, built from the SPO
+        columns on first use."""
         run = self._orders.get(name)
         if run is None:
-            run = SortedRunIndex(name, self._store._triples)
+            run = SortedRunIndex(name, self._orders["spo"].iter_triples())
             self._orders[name] = run
-            self.build_count += 1
         return run
+
+    def __len__(self) -> int:
+        return len(self._orders["spo"])
+
+    def contains(self, encoded: Tuple[int, int, int]) -> bool:
+        """Whether the ``(s, p, o)`` triple *encoded* is stored: one
+        SPO bisect."""
+        lo, hi = self._orders["spo"].range(*encoded)
+        return lo < hi
+
+    def patch(self, encoded: Tuple[int, int, int], insert: bool) -> bool:
+        """Insert or delete one ``(s, p, o)`` triple in every built run.
+        SPO goes first and decides: False (nothing changed) when the
+        triple is already present (insert) or absent (delete)."""
+        runs = iter(self._orders.values())  # "spo" is always first
+        if not next(runs).patch(encoded, insert):
+            return False
+        for run in runs:
+            run.patch(encoded, insert)
+        return True
+
+    def missing(self, triples: List[Tuple[int, int, int]]) -> List:
+        """Those of the sorted, distinct ``(s, p, o)`` *triples* that
+        the table does not hold, in order: a bisect each for a small
+        batch, one set of the stored triples for a large one."""
+        spo = self._orders["spo"]
+        if not len(spo):
+            return triples
+        if len(triples) * _SPLICE_RATIO < len(spo):
+            return [triple for triple in triples if not self.contains(triple)]
+        stored = set(zip(*spo.columns))
+        return [triple for triple in triples if triple not in stored]
+
+    def extend(self, triples) -> None:
+        """Add *triples* — the output of :meth:`missing` — to every
+        built run with :meth:`SortedRunIndex.merge`."""
+        for run in self._orders.values():
+            run.merge(triples)
 
     # ------------------------------------------------------------------
 
@@ -277,7 +296,7 @@ class ColumnarIndexSet:
         return run.iter_triples(lo, hi)
 
     def __repr__(self) -> str:
-        return "ColumnarIndexSet(built=%s, epoch=%s)" % (
+        return "ColumnarIndexSet(%d triples, built=%s)" % (
+            len(self),
             sorted(self._orders),
-            self._built_epoch,
         )

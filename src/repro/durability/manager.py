@@ -289,7 +289,8 @@ class DurableStore:
         :meth:`insert` would have written, but the side effects are
         applied in bulk: one closure derivation for the whole
         constraint batch (instead of one per constraint — replay, which
-        works record by record, re-derives the same end state) and one
+        works record by record, re-derives the same end state), one
+        sort per triple batch (the store's ``insert_many``) and one
         coalesced WAL write.
         """
         before = self.records_logged
@@ -306,8 +307,7 @@ class DurableStore:
                     if self.store.schema.add(constraint):
                         added.append(constraint)
                 if added:
-                    for triple in self.store.schema.entailed_triples():
-                        self.store.insert(triple)
+                    self.store.insert_many(self.store.schema.entailed_triples())
                     if self.saturator is not None:
                         for constraint in added:
                             self.saturator.add_constraint(constraint)
@@ -317,8 +317,9 @@ class DurableStore:
                 self._log(OP_CONSTRAINT_ADD, constraint.to_triple())
                 if self.cache is not None:
                     self.cache.note_schema_change()
-            for triple in graph.data_triples():
-                self.insert(triple)
+            for triple in self.store.insert_many(graph.data_triples()):
+                if self.saturator is not None:
+                    self.saturator.insert(triple)
         return self.records_logged - before
 
     # ------------------------------------------------------------------

@@ -20,13 +20,13 @@ code path shared by the live mutation methods and recovery.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..rdf.io import ParseError, parse_line
 from ..rdf.triples import Triple
 from ..saturation.incremental import IncrementalSaturator
 from ..schema.constraints import Constraint
-from ..storage.store import TripleStore
+from ..storage.store import EncodedTriple, TripleStore
 
 #: Op tags (payload prefix, one space, then the triple's n3 line).
 OP_INSERT = "T+"
@@ -84,8 +84,7 @@ def apply_constraint_add(
     # The store mirrors the closure as schema triples (TripleStore.load
     # does the same); inserts are idempotent, so re-deriving the whole
     # entailed set per constraint stays correct.
-    for triple in store.schema.entailed_triples():
-        store.insert(triple)
+    store.insert_many(store.schema.entailed_triples())
     if saturator is not None:
         saturator.add_constraint(constraint)
     return True
@@ -107,6 +106,21 @@ def apply_constraint_remove(
     if saturator is not None:
         saturator.remove_constraint(constraint)
     return True
+
+
+def apply_inserts(
+    store: TripleStore,
+    saturator: Optional[IncrementalSaturator],
+    keys: Iterable[EncodedTriple],
+) -> None:
+    """Apply a run of ``T+`` operations, encoded with
+    :meth:`TripleStore.encode`, as :func:`apply_op` would one by one,
+    but through the store's bulk path: one sort for the run."""
+    for key in store.insert_encoded(keys):
+        if saturator is not None:
+            triple = store.decode_triple(key)
+            if triple.is_data_triple():
+                saturator.insert(triple)
 
 
 def apply_op(

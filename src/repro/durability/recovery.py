@@ -20,10 +20,10 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from ..saturation.incremental import IncrementalSaturator
-from ..storage.store import TripleStore
+from ..storage.store import EncodedTriple, TripleStore
 from .checkpoint import CheckpointCorrupt, decode_checkpoint, restore_snapshot
 from .io import FileSystem
-from .ops import WALFormatError, apply_op, decode_op
+from .ops import OP_INSERT, WALFormatError, apply_inserts, apply_op, decode_op
 from .wal import HEADER_SIZE, WriteAheadLog
 
 #: On-disk names.  Zero-padded so lexicographic == numeric order.
@@ -173,11 +173,23 @@ def recover(
         if decoded.records or io.exists(log.path):
             result.empty = False
         consumed = offset
+        # Each run of consecutive T+ records goes in as one bulk insert,
+        # when another op or the end of the valid records closes it.  A
+        # record is encoded as it is read: holding the parsed triples of
+        # a long run instead would make a full GC pass likely.
+        inserts: List[EncodedTriple] = []
         for payload in decoded.records:
             try:
                 op, triple = decode_op(payload)
-                epoch_class = apply_op(
-                    result.store, result.saturator, op, triple)
+                if op == OP_INSERT:
+                    inserts.append(result.store.encode(triple))
+                    epoch_class = (
+                        "schema" if triple.is_schema_triple() else "data")
+                else:
+                    apply_inserts(result.store, result.saturator, inserts)
+                    inserts = []
+                    epoch_class = apply_op(
+                        result.store, result.saturator, op, triple)
             except (WALFormatError, ValueError) as exc:
                 # A CRC-valid frame with an alien payload: same
                 # treatment as corruption — this record and everything
@@ -192,6 +204,7 @@ def recover(
                 result.schema_epoch += 1
             else:
                 result.data_epoch += 1
+        apply_inserts(result.store, result.saturator, inserts)
         valid_end = offset + decoded.valid_length
         if decoded.truncated:
             result.truncated = True

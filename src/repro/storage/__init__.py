@@ -1,6 +1,16 @@
 """The relational substrate: dictionary-encoded triple store,
 physical plans, planner, executor, backend profiles (S6)."""
 
+from ..engine.ir import (
+    DistinctNode,
+    EmptyNode,
+    JoinNode,
+    NonLiteralFilterNode,
+    PlanNode,
+    ProjectNode,
+    ScanNode,
+    UnionNode,
+)
 from .backends import (
     BackendProfile,
     DEFAULT_BACKENDS,
@@ -11,16 +21,6 @@ from .backends import (
 )
 from .charsets import CharacteristicSets
 from .dictionary import Dictionary
-from .plan import (
-    DistinctNode,
-    EmptyNode,
-    JoinNode,
-    NonLiteralFilterNode,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    UnionNode,
-)
 from .store import TripleStore
 from .snapshot import SnapshotManager, StoreSnapshot
 from .planner import Planner, query_atom_total

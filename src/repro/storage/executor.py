@@ -18,10 +18,10 @@ import time
 from typing import FrozenSet, List, Optional, Tuple
 
 from ..columnar.engine import run_columnar
+from ..engine.ir import PlanNode
 from ..engine.metrics import PipelineMetrics
 from ..rdf.terms import Term
 from .backends import BackendProfile, HASH_BACKEND
-from .plan import PlanNode
 from .planner import PlannableQuery, Planner
 from .store import TripleStore
 

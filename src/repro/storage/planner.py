@@ -22,16 +22,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from ..cost.model import annotate_node
-from ..query.algebra import (
-    ConjunctiveQuery,
-    HeadTerm,
-    JoinOfUnions,
-    TriplePattern,
-    UnionQuery,
-    Variable,
-)
-from .backends import BackendProfile, HASH_BACKEND
-from .plan import (
+from ..engine.ir import (
     ColumnLabel,
     DistinctNode,
     EmptyNode,
@@ -44,6 +35,15 @@ from .plan import (
     ScanNode,
     UnionNode,
 )
+from ..query.algebra import (
+    ConjunctiveQuery,
+    HeadTerm,
+    JoinOfUnions,
+    TriplePattern,
+    UnionQuery,
+    Variable,
+)
+from .backends import BackendProfile, HASH_BACKEND
 from .store import TripleStore
 
 #: Any query form the planner accepts.

@@ -3,10 +3,12 @@
 The paper evaluates Ref strategies "through performant relational
 database management systems" holding a triple table ``t(s, p, o)``.
 :class:`TripleStore` is this repository's stand-in (see DESIGN.md's
-substitution table): a single logical triple table of integer codes
-whose secondary access paths — the indexes such an RDBMS would use —
-are the SPO/POS/OSP sorted runs of :meth:`TripleStore.columnar`,
-built on first probe and patched in place on every write.
+substitution table): one triple table of integer codes, stored once
+as the SPO/POS/OSP sorted runs of :meth:`TripleStore.columnar` — the
+clustered indexes such an RDBMS would keep *are* the table.  Single
+writes patch the runs in place; loads, checkpoint restore and WAL
+replay go through :meth:`TripleStore.insert_many` (or
+:meth:`TripleStore.insert_encoded`), one sort a batch.
 
 Loading a graph always stores the *closed* schema alongside the data
 (the database contract of :mod:`repro.reformulation.atoms`), and keeps
@@ -15,8 +17,10 @@ the statistics of :mod:`repro.storage.statistics` current.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain, groupby
+from typing import Iterable, Iterator, List, Optional, Tuple
 
+from ..columnar.indexes import ColumnarIndexSet
 from ..rdf.graph import Graph
 from ..rdf.namespaces import RDF_TYPE
 from ..rdf.terms import Term
@@ -30,7 +34,8 @@ EncodedTriple = Tuple[int, int, int]
 
 
 class TripleStore:
-    """An in-memory relational triple table with indexes and statistics.
+    """An in-memory relational triple table, held as sorted runs, with
+    statistics.
 
     >>> from repro.rdf import Namespace, RDF_TYPE, Triple, Graph
     >>> EX = Namespace("http://example.org/")
@@ -41,23 +46,21 @@ class TripleStore:
 
     def __init__(self):
         self.dictionary = Dictionary()
-        self._triples: Set[EncodedTriple] = set()
         self._type_id: Optional[int] = None
         self.statistics = StoreStatistics(lambda: self._type_id)
         self.schema = Schema()
         self._listeners = []
         self._pre_listeners = []
-        # Bumped on every successful encoded-level mutation — including
-        # paths that bypass the Triple-level listeners (checkpoint
-        # restore).  The columnar index set compares this against the
-        # epoch its runs are current at to patch or rebuild them.
+        # Bumped by every triple a write adds or removes: the clock of
+        # the reader rule in repro.columnar.indexes.
         self._mutation_epoch = 0
-        self._columnar = None
+        self._runs = ColumnarIndexSet()
 
     def add_listener(self, callback) -> None:
         """Register ``callback(triple, operation)`` invoked after every
-        successful :meth:`insert`/:meth:`delete` (operation ``"insert"``
-        or ``"delete"``) — the cache subsystem's invalidation hook."""
+        successful :meth:`insert`/:meth:`delete` and for each new triple
+        of a bulk insert (operation ``"insert"`` or ``"delete"``) — the
+        cache subsystem's invalidation hook."""
         self._listeners.append(callback)
 
     def add_pre_listener(self, callback) -> None:
@@ -90,22 +93,18 @@ class TripleStore:
         return store
 
     def load(self, graph: Graph, schema: Optional[Schema] = None) -> None:
-        """Load a graph (and optional extra constraints) into the store.
-
-        Built columnar runs are dropped first: the next probe pays one
-        sort instead of the load paying one patch per triple."""
-        if self._columnar is not None:
-            self._columnar.invalidate()
+        """Load a graph (and optional extra constraints) into the store:
+        its data triples, then the closed schema's, in one
+        :meth:`insert_many`."""
         combined = Schema.from_graph(graph)
         if schema is not None:
             for constraint in schema.direct_constraints():
                 combined.add(constraint)
         for constraint in combined.direct_constraints():
             self.schema.add(constraint)
-        for triple in graph.data_triples():
-            self.insert(triple)
-        for triple in self.schema.entailed_triples():
-            self.insert(triple)
+        self.insert_many(
+            chain(graph.data_triples(), self.schema.entailed_triples())
+        )
 
     @classmethod
     def from_encoded(
@@ -119,9 +118,11 @@ class TripleStore:
 
         Re-encoding *terms* in order reproduces the exact id
         assignment (ids are dense, first-seen), so the encoded triples
-        drop straight into the indexes; statistics are re-derived
-        triple by triple, which makes them equal a fresh
-        :meth:`from_graph` build by construction.
+        go straight into the runs.  The triple list is input from
+        outside the program, so it goes through the bulk path: sorted
+        (linear when it already is) and stripped of duplicates.
+        Statistics are re-derived triple by triple, which makes them
+        equal a fresh :meth:`from_graph` build by construction.
         """
         store = cls()
         for term in terms:
@@ -132,8 +133,7 @@ class TripleStore:
         type_id = store.dictionary.lookup(RDF_TYPE)
         if type_id is not None:
             store._type_id = type_id
-        for encoded in triples:
-            store._insert_encoded(tuple(encoded))
+        store.insert_encoded(map(tuple, triples))
         if schema is not None:
             for constraint in schema.direct_constraints():
                 store.schema.add(constraint)
@@ -144,37 +144,88 @@ class TripleStore:
         triples) — everything :meth:`from_encoded` needs.
 
         The triple list is **sorted by (s, p, o)** — a contract, not an
-        accident: checkpoint bytes must not depend on set iteration
-        order (``PYTHONHASHSEED``), and the columnar SPO index can be
-        rebuilt from a restored checkpoint without re-sorting."""
-        return self.dictionary.terms(), sorted(self._triples)
+        accident: checkpoint bytes must not depend on ``PYTHONHASHSEED``.
+        It is the SPO run, read out."""
+        return self.dictionary.terms(), list(self.scan_all())
+
+    def encode(self, triple: Triple) -> EncodedTriple:
+        """The ids of *triple*'s terms, assigning new ones in the order
+        :meth:`insert` does."""
+        if self._type_id is None and triple.property == RDF_TYPE:
+            self._type_id = self.dictionary.encode(RDF_TYPE)
+        encode = self.dictionary.encode
+        return encode(triple.subject), encode(triple.property), encode(triple.object)
 
     def insert(self, triple: Triple) -> bool:
         """Insert one triple; return True when it was new."""
         if self._pre_listeners:
             self._notify_pre(triple, "insert")
-        if triple.property == RDF_TYPE and self._type_id is None:
-            self._type_id = self.dictionary.encode(RDF_TYPE)
-        encoded = (
-            self.dictionary.encode(triple.subject),
-            self.dictionary.encode(triple.property),
-            self.dictionary.encode(triple.object),
-        )
-        inserted = self._insert_encoded(encoded)
-        if inserted and self._listeners:
-            self._notify(triple, "insert")
-        return inserted
-
-    def _insert_encoded(self, encoded: EncodedTriple) -> bool:
-        if encoded in self._triples:
+        encoded = self.encode(triple)
+        if not self._runs.patch(encoded, True):
             return False
-        self._triples.add(encoded)
         self.statistics.record(*encoded)
         self._mutation_epoch += 1
+        if self._listeners:
+            self._notify(triple, "insert")
         return True
 
+    def insert_many(self, triples: Iterable[Triple]) -> List[Triple]:
+        """Insert a batch; return the triples that were new, in input
+        order.
+
+        The bulk path of loads: ids are assigned as a loop of
+        :meth:`insert` would assign them, then the batch is sorted once,
+        stripped of duplicates and of triples already stored, and merged
+        into the runs.  Pre-listeners and listeners fire once per new
+        triple.  (A loop of :meth:`insert` would patch the runs once per
+        triple: quadratic in the batch.)"""
+        triples = list(triples)
+        keys = list(map(self.encode, triples))
+        fresh = self._fresh(keys)
+        new = triples
+        if len(fresh) < len(triples):  # keep each new triple's first place
+            kept = set(fresh)
+            new = list({k: t for k, t in zip(keys, triples) if k in kept}.values())
+        self._extend(fresh, new)
+        return new
+
+    def insert_encoded(self, keys: Iterable[EncodedTriple]) -> List[EncodedTriple]:
+        """:meth:`insert_many` for triples already encoded (by
+        :meth:`encode`, or in a checkpoint); returns the new ones,
+        sorted.  Listeners get them decoded.  WAL replay encodes each
+        record as it reads it and keeps only the ids, not the parsed
+        triples, until the run of inserts ends."""
+        fresh = self._fresh(keys)
+        listened = self._listeners or self._pre_listeners
+        self._extend(fresh, map(self.decode_triple, fresh) if listened else ())
+        return fresh
+
+    def decode_triple(self, encoded: EncodedTriple) -> Triple:
+        """The triple an encoded ``(s, p, o)`` stands for."""
+        return Triple(*map(self.dictionary.decode, encoded))
+
+    def _fresh(self, keys: Iterable[EncodedTriple]) -> List[EncodedTriple]:
+        """*keys* sorted, without duplicates or triples already stored."""
+        return self._runs.missing([key for key, _ in groupby(sorted(keys))])
+
+    def _extend(self, fresh: List[EncodedTriple], new: Iterable[Triple]) -> None:
+        """Add the output of :meth:`_fresh` to the runs and statistics,
+        firing the listeners for *new*, the same triples decoded."""
+        if not fresh:
+            return
+        new = list(new)
+        if self._pre_listeners:
+            for triple in new:
+                self._notify_pre(triple, "insert")
+        self._runs.extend(fresh)
+        self.statistics.record_many(fresh)
+        self._mutation_epoch += len(fresh)
+        if self._listeners:
+            for triple in new:
+                self._notify(triple, "insert")
+
     def delete(self, triple: Triple) -> bool:
-        """Remove one triple (if present); keeps indexes and statistics
+        """Remove one triple (if present); keeps the runs and statistics
         consistent.  Dictionary entries are never reclaimed (ids are
         stable by design)."""
         if self._pre_listeners:
@@ -182,9 +233,8 @@ class TripleStore:
         encoded = tuple(
             self.dictionary.lookup(term) for term in triple.as_tuple()
         )
-        if None in encoded or encoded not in self._triples:
+        if None in encoded or not self._runs.patch(encoded, False):
             return False
-        self._triples.discard(encoded)  # type: ignore[arg-type]
         self.statistics.unrecord(*encoded)
         self._mutation_epoch += 1
         if self._listeners:
@@ -216,24 +266,16 @@ class TripleStore:
 
     @property
     def triple_count(self) -> int:
-        return len(self._triples)
+        return len(self._runs)
 
     def contains(self, encoded: EncodedTriple) -> bool:
-        return encoded in self._triples
+        return self._runs.contains(encoded)
 
     def scan_all(self) -> Iterator[EncodedTriple]:
-        """Full triple-table scan (patterns with unbound property).
-
-        Deterministically **sorted by (s, p, o)**: the columnar engine's
-        sorted-run indexes assume a stable base order, and every engine's
-        scan output must not vary with ``PYTHONHASHSEED`` (set iteration
-        order).  Served from the columnar SPO run when one is already
-        built and current, so the sort is not paid twice.
-        """
-        columnar = self._columnar
-        if columnar is not None and columnar.has_current("spo"):
-            return columnar.order("spo").iter_triples()
-        return iter(sorted(self._triples))
+        """Full triple-table scan (patterns with unbound property): the
+        SPO run, so deterministically **sorted by (s, p, o)** whatever
+        ``PYTHONHASHSEED`` is."""
+        return self._runs.order("spo").iter_triples()
 
     def __iter__(self) -> Iterator[EncodedTriple]:
         """Iterate the encoded triple table in sorted (s, p, o) order —
@@ -255,47 +297,27 @@ class TripleStore:
         hash order, so repeated runs under different ``PYTHONHASHSEED``
         values enumerate identically.
         """
-        return self.columnar().match(subject_id, property_id, object_id)
-
-    # ------------------------------------------------------------------
-    # Columnar sorted-run indexes (the vectorized engine's access paths)
+        return self._runs.match(subject_id, property_id, object_id)
 
     @property
     def mutation_epoch(self) -> int:
-        """Monotone counter of successful encoded-level mutations."""
+        """Monotone count of the triples writes have added or removed."""
         return self._mutation_epoch
 
-    def columnar(self):
-        """The store's :class:`~repro.columnar.indexes.ColumnarIndexSet`
-        — SPO/POS/OSP sorted integer-run indexes, built lazily on first
-        probe, patched by the mutation listener and rebuilt when the
-        epoch shows a write that bypassed it."""
-        if self._columnar is None:
-            from ..columnar.indexes import ColumnarIndexSet
-
-            self._columnar = ColumnarIndexSet(self)
-        return self._columnar
-
-    # ------------------------------------------------------------------
+    def columnar(self) -> ColumnarIndexSet:
+        """The store's :class:`~repro.columnar.indexes.ColumnarIndexSet`:
+        the SPO/POS/OSP sorted runs that hold its triples."""
+        return self._runs
 
     def to_graph(self) -> Graph:
         """Decode the full store back into a logical graph."""
-        graph = Graph()
-        for subject_id, property_id, object_id in self._triples:
-            graph.add(
-                Triple(
-                    self.dictionary.decode(subject_id),
-                    self.dictionary.decode(property_id),
-                    self.dictionary.decode(object_id),
-                )
-            )
-        return graph
+        return Graph(map(self.decode_triple, self.scan_all()))
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self._runs)
 
     def __repr__(self) -> str:
         return "TripleStore(<%d triples, %d terms>)" % (
-            len(self._triples),
+            len(self._runs),
             len(self.dictionary),
         )

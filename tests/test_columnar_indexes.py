@@ -1,19 +1,19 @@
-"""The columnar index layer: sorted runs stay exact under any
-mutation history.
+"""The columnar index layer: the sorted runs are the triple table and
+stay exact under any mutation history.
 
-The headline properties (hypothesis): after ANY interleaving of
-inserts, deletes, bulk loads and checkpoint-restore recoveries, each of
-the SPO/POS/OSP sorted integer runs equals the set-based triple table
-sorted under its permutation, and every ``match`` probe equals a
-brute-force filter of the set — including rebuild-after-restore, where
-mutations reached the store through ``_insert_encoded`` without ever
-touching the Triple-level listeners (the epoch machinery's job).  And a
-single write patches the built runs in place: only bulk loads and
-restores (checkpoint, ``from_encoded``, WAL replay) ever sort a run.
+The headline property (hypothesis): after ANY interleaving of inserts,
+deletes, duplicate inserts, absent deletes, bulk loads (into empty and
+non-empty stores), checkpoint restores, WAL replays and snapshot pins
+followed by a write, each of the SPO/POS/OSP sorted integer runs
+equals a set of triples the test keeps itself, sorted under its
+permutation, and every ``match`` probe equals a brute-force filter of
+that model.  A pinned snapshot's frozen copy equals the model as it
+was before the write.
 """
 
 from __future__ import annotations
 
+import random
 from operator import itemgetter
 
 import pytest
@@ -21,9 +21,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar.indexes import ORDER_PERMUTATIONS, SortedRunIndex
-from repro.durability.ops import OP_DELETE, OP_INSERT, apply_op, decode_op, encode_op
+from repro.durability.ops import (
+    OP_DELETE,
+    OP_INSERT,
+    apply_inserts,
+    apply_op,
+    decode_op,
+    encode_op,
+)
 from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, Triple
-from repro.storage import TripleStore
+from repro.storage import SnapshotManager, TripleStore
 
 EX = Namespace("http://example.org/")
 
@@ -49,33 +56,36 @@ operation_st = st.one_of(
     st.tuples(st.just("insert-duplicate"), st.integers(0, 50)),
     st.tuples(st.just("delete-absent"), triple_st),
     st.tuples(st.just("load"), st.lists(triple_st, max_size=8)),
+    st.tuples(st.just("load-non-empty"), st.lists(triple_st, min_size=1, max_size=8)),
     st.tuples(st.just("from-encoded"), st.none()),
     st.tuples(st.just("wal-replay"), st.none()),
+    st.tuples(st.just("pin-write"), st.tuples(triple_st, st.booleans())),
 )
-
-#: Steps allowed to sort a run: bulk loads and restores.
-REBUILDING_STEPS = frozenset({"load", "from-encoded", "wal-replay"})
 
 GHOST = EX.term("ghost")
 
 
-def assert_runs_exact(store: TripleStore) -> None:
-    """Every order's run is exactly the set store, sorted its way, and
-    probing agrees with a brute-force filter."""
+def encode_model(store: TripleStore, model) -> set:
+    """The model's triples as the store's ids."""
+    return {tuple(store.term_id(term) for term in t.as_tuple()) for t in model}
+
+
+def assert_runs_exact(store: TripleStore, model) -> None:
+    """Every order's run is exactly the model, sorted its way, and
+    probing agrees with a brute-force filter of it."""
+    triples = encode_model(store, model)
+    assert len(store) == store.statistics.total_triples == len(triples)
     indexes = store.columnar()
-    triples = set(store._triples)
     for name, permutation in ORDER_PERMUTATIONS.items():
         run = indexes.order(name)
-        expected = sorted(triples, key=itemgetter(*permutation))
-        assert len(run) == len(expected)
-        assert list(run.iter_triples()) != [] or not expected
-        # The run enumerates the permuted sort of the set, exactly.
-        permuted = [tuple(t[p] for p in permutation) for t in expected]
-        assert list(zip(*run.columns)) == permuted if expected else True
+        expected = sorted(tuple(t[p] for p in permutation) for t in triples)
+        assert list(zip(*run.columns)) == expected, name
+    assert list(store) == sorted(triples)
     # Probes: every (s, p, o) binding subset over one present and one
-    # absent triple agrees with a brute-force filter of the set.
+    # absent triple agrees with a brute-force filter of the model.
     samples = sorted(triples)[:1] + [(-1, -2, -3)]
     for s, p, o in samples:
+        assert store.contains((s, p, o)) == ((s, p, o) in triples)
         for mask in range(8):
             bound = (
                 s if mask & 4 else None,
@@ -94,23 +104,40 @@ def assert_runs_exact(store: TripleStore) -> None:
 
 
 def assert_built_runs_exact(store: TripleStore) -> None:
-    """Every *built* run equals the set store sorted its way (probes
-    nothing, so it builds nothing)."""
-    triples = store._triples
+    """Every *built* run holds the SPO run's triples, sorted its way
+    (probes nothing, so it builds nothing)."""
+    triples = list(store.columnar().order("spo").iter_triples())
     for name, run in store.columnar()._orders.items():
         permutation = ORDER_PERMUTATIONS[name]
         expected = sorted(tuple(t[p] for p in permutation) for t in triples)
         assert list(zip(*run.columns)) == expected, name
 
 
-def _logging(store: TripleStore, log: list) -> TripleStore:
+def _watched(store: TripleStore, log: list):
     """Log every successful write of *store* as a WAL payload, the way
-    a durable store's listener does."""
+    a durable store's listener does, and put a snapshot manager on it."""
     store.add_listener(
         lambda triple, operation: log.append(
             encode_op(OP_INSERT if operation == "insert" else OP_DELETE, triple)
         )
     )
+    return store, SnapshotManager(store)
+
+
+def _replay(log: list) -> TripleStore:
+    """Recover *log* into a fresh store the way recovery does: each run
+    of consecutive ``T+`` records, encoded as read, in one bulk insert."""
+    store = TripleStore()
+    inserts = []
+    for record in log:
+        op, triple = decode_op(record)
+        if op == OP_INSERT:
+            inserts.append(store.encode(triple))
+            continue
+        apply_inserts(store, None, inserts)
+        inserts = []
+        apply_op(store, None, op, triple)
+    apply_inserts(store, None, inserts)
     return store
 
 
@@ -121,68 +148,55 @@ def _logging(store: TripleStore, log: list) -> TripleStore:
 )
 @given(operations=st.lists(operation_st, max_size=25))
 def test_indexes_exact_under_interleaved_histories(operations):
-    """After every step each built run equals the store's triples sorted
-    its way, and ``build_count`` grows only on bulk or restore steps:
-    single writes patch the runs in place, duplicate inserts and absent
-    deletes leave them alone."""
+    """After every step each run equals the model sorted its way, every
+    write reports whether it changed the store, and listeners saw one
+    record per triple added or removed."""
     log: list = []
-    store = _logging(TripleStore(), log)
+    model: set = set()
+    store, manager = _watched(TripleStore(), log)
     for name in ORDER_PERMUTATIONS:
         store.columnar().order(name)
     for kind, payload in operations:
-        before = store.columnar().build_count
+        previous, logged = set(model), len(log)
         if kind == "insert":
-            store.insert(payload)
+            assert store.insert(payload) == (payload not in model)
+            model.add(payload)
         elif kind == "delete":
-            store.delete(payload)
+            assert store.delete(payload) == (payload in model)
+            model.discard(payload)
         elif kind == "insert-duplicate":
-            present = sorted(store._triples)
+            present = sorted(model, key=Triple.n3)
             if present:
-                encoded = present[payload % len(present)]
-                triple = Triple(*(store.dictionary.decode(i) for i in encoded))
-                assert not store.insert(triple)
+                assert not store.insert(present[payload % len(present)])
         elif kind == "delete-absent":
             assert not store.delete(Triple(GHOST, payload.property, payload.object))
-        elif kind == "load":
+        elif kind in ("load", "load-non-empty"):
+            if kind == "load-non-empty" and not model:
+                assert store.insert(payload[0])
+                model.add(payload[0])
             store.load(Graph(list(payload)))
+            model.update(payload)
         elif kind == "from-encoded":  # checkpoint restore into a fresh store
             terms, encoded = store.encoded_state()
             assert encoded == sorted(encoded)  # the documented contract
-            store = _logging(
+            store, manager = _watched(
                 TripleStore.from_encoded(terms, encoded, store.schema), log
             )
-            before = 0
-        else:  # WAL replay: recover the whole log into a fresh store
-            replayed = TripleStore()
-            for record in log:
-                apply_op(replayed, None, *decode_op(record))
+        elif kind == "wal-replay":  # recover the whole log into a fresh store
+            replayed = _replay(log)
             assert replayed.to_graph() == store.to_graph()
-            store = _logging(replayed, log)
-            before = 0
-        assert_runs_exact(store)  # probes every order, building any missing
-        if kind not in REBUILDING_STEPS:
-            assert store.columnar().build_count == before, kind
-
-
-def test_encoded_mutations_invalidate_without_listeners():
-    """Checkpoint restore and ``from_encoded`` write through
-    ``_insert_encoded`` — no Triple-level listener fires, and the
-    epoch alone must invalidate the built runs."""
-    store = TripleStore()
-    store.insert(Triple(SUBJECTS[0], PROPERTIES[0], OBJECTS[0]))
-    indexes = store.columnar()
-    run = indexes.order("spo")
-    assert indexes.has_current("spo")
-    ids = [
-        store.dictionary.encode(term)
-        for term in (SUBJECTS[1], PROPERTIES[0], OBJECTS[1])
-    ]
-    assert store._insert_encoded(tuple(ids))
-    assert not indexes.has_current("spo")
-    rebuilt = indexes.order("spo")
-    assert rebuilt is not run
-    assert len(rebuilt) == 2
-    assert_runs_exact(store)
+            store, manager = _watched(replayed, log)
+        else:  # pin a snapshot, then write one triple, alone or as a load
+            triple, bulk = payload
+            with manager.pin() as snapshot:
+                if bulk:
+                    store.load(Graph([triple]))
+                else:
+                    store.insert(triple)
+                model.add(triple)
+                assert set(snapshot.store().to_graph()) == previous
+        assert len(log) - logged == len(model ^ previous), kind
+        assert_runs_exact(store, model)
 
 
 def test_single_writes_patch_runs_in_place():
@@ -191,41 +205,59 @@ def test_single_writes_patch_runs_in_place():
         store.insert(Triple(subject, PROPERTIES[0], OBJECTS[0]))
     indexes = store.columnar()
     built = {name: indexes.order(name) for name in ("spo", "pos")}
-    before = indexes.build_count
     store.insert(Triple(SUBJECTS[4], PROPERTIES[1], OBJECTS[2]))
-    assert indexes.has_current("spo") and indexes.has_current("pos")
     assert_built_runs_exact(store)
     store.delete(Triple(SUBJECTS[1], PROPERTIES[0], OBJECTS[0]))
     assert_built_runs_exact(store)
     for name, run in built.items():
         assert indexes.order(name) is run  # the same arrays, patched
-    assert indexes.build_count == before
-    # An order never probed is still built on demand, from the store.
+    # An order never probed is still built on demand, from SPO.
+    assert "osp" not in indexes._orders
     indexes.order("osp")
-    assert indexes.build_count == before + 1
     assert_built_runs_exact(store)
 
 
 def test_patch_is_a_no_op_on_present_insert_and_absent_delete():
     run = SortedRunIndex("pos", [(1, 2, 3), (4, 2, 5)])
-    run.patch((1, 2, 3), insert=True)
-    run.patch((9, 9, 9), insert=False)
+    assert run.patch((1, 2, 3), insert=True) is False
+    assert run.patch((9, 9, 9), insert=False) is False
     assert list(run.iter_triples()) == [(1, 2, 3), (4, 2, 5)]
-    run.patch((0, 2, 4), insert=True)
+    assert run.patch((0, 2, 4), insert=True) is True
     assert list(zip(*run.columns)) == [(2, 3, 1), (2, 4, 0), (2, 5, 4)]
+    assert run.patch((1, 2, 3), insert=False) is True
+    assert list(zip(*run.columns)) == [(2, 4, 0), (2, 5, 4)]
 
 
-def test_load_invalidates_up_front():
-    store = TripleStore()
-    store.insert(Triple(SUBJECTS[0], PROPERTIES[0], OBJECTS[0]))
-    indexes = store.columnar()
-    indexes.order("spo")
-    store.load(Graph([Triple(s, PROPERTIES[1], OBJECTS[1]) for s in SUBJECTS]))
-    assert indexes._orders == {}  # no patch per loaded triple
-    before = indexes.build_count
-    indexes.order("spo")
-    assert indexes.build_count == before + 1
-    assert_runs_exact(store)
+@pytest.mark.parametrize("name", sorted(ORDER_PERMUTATIONS))
+@pytest.mark.parametrize("batch", [1, 3, 40, 400])
+def test_merge_keeps_runs_exact(name, batch):
+    """A batch much smaller than the run is spliced in; a larger one is
+    sorted in with it.  Both leave the run equal to a fresh sort."""
+    rng = random.Random(batch)
+    universe = [(s, p, o) for s in range(12) for p in range(4) for o in range(12)]
+    rng.shuffle(universe)
+    base, extra = universe[:100], universe[100:100 + batch]
+    run = SortedRunIndex(name, base)
+    run.merge(sorted(extra))
+    expected = sorted(map(itemgetter(*ORDER_PERMUTATIONS[name]), base + extra))
+    assert list(zip(*run.columns)) == expected
+
+
+def test_from_encoded_sorts_and_dedups_untrusted_input():
+    """A checkpoint is input from outside the program: a shuffled
+    triple list with a duplicate still gives exact runs and counts."""
+    source = TripleStore()
+    for subject in SUBJECTS:
+        for obj in OBJECTS[:4]:
+            source.insert(Triple(subject, PROPERTIES[0], obj))
+    terms, encoded = source.encoded_state()
+    shuffled = encoded + [encoded[3]]
+    random.Random(7).shuffle(shuffled)
+    restored = TripleStore.from_encoded(terms, shuffled)
+    assert restored.triple_count == len(encoded) == 20
+    assert restored.statistics.total_triples == 20
+    assert restored.encoded_state() == (terms, encoded)
+    assert_runs_exact(restored, set(source.to_graph()))
 
 
 def test_reads_do_not_rebuild():
@@ -233,11 +265,12 @@ def test_reads_do_not_rebuild():
     for subject in SUBJECTS:
         store.insert(Triple(subject, PROPERTIES[0], OBJECTS[0]))
     indexes = store.columnar()
+    runs = {name: indexes.order(name) for name in ("spo", "pos")}
     for _ in range(3):
-        indexes.order("spo")
-        indexes.order("pos")
         list(store.match(property_id=store.term_id(PROPERTIES[0])))
-    assert indexes.build_count == 2  # one build per probed order, ever
+        list(store)
+    for name, run in runs.items():
+        assert indexes.order(name) is run  # one build per probed order, ever
 
 
 def test_range_prefix_narrowing():
@@ -265,6 +298,4 @@ def test_store_iteration_is_sorted_and_deterministic():
     first = list(store)
     assert first == sorted(first)
     assert list(store.scan_all()) == first
-    # Serving from the built SPO run changes nothing.
-    store.columnar().order("spo")
-    assert list(store) == first
+    assert store.encoded_state()[1] == first

@@ -83,6 +83,26 @@ class TestTripleStore:
         assert store.insert(triple) is False
         assert store.triple_count == 1
 
+    def test_bulk_inserts_notify_once_per_new_triple(self):
+        """Both bulk paths report and notify each new triple once, and
+        no triple that was already stored or repeated in the batch."""
+        a, b, c = (Triple(EX.a, EX.p, o) for o in (EX.x, EX.y, EX.z))
+        store = TripleStore()
+        store.insert(a)
+        seen = {"pre": [], "post": []}
+        store.add_pre_listener(lambda t, op: seen["pre"].append((t, op)))
+        store.add_listener(lambda t, op: seen["post"].append((t, op)))
+        assert store.insert_many([a, b, b]) == [b]
+        keys = [store.encode(t) for t in (a, b, c, c)]
+        assert store.insert_encoded(keys) == [store.encode(c)]
+        expected = [(b, "insert"), (c, "insert")]
+        assert seen == {"pre": expected, "post": expected}
+        assert store.triple_count == 3
+        columns = store.columnar().order("spo").columns
+        assert store.insert_many([a, c]) == []  # nothing new: no work
+        assert store.columnar().order("spo").columns is columns
+        assert seen == {"pre": expected, "post": expected}
+
     def test_scan_property(self):
         store = TripleStore.from_graph(self.graph())
         p_id = store.term_id(EX.p)
@@ -173,3 +193,40 @@ class TestStatistics:
         top = store.statistics.per_property[p_id].top_subjects(1)
         assert top[0][0] == store.term_id(EX.a)
         assert top[0][1] == 2
+
+    def test_bulk_statistics_equal_per_triple_statistics(self):
+        """A load records its statistics in one bulk pass; they equal
+        what inserting the same triples one at a time records."""
+        graph = Graph(
+            [
+                Triple(EX.a, RDF_TYPE, EX.C),
+                Triple(EX.b, RDF_TYPE, EX.C),
+                Triple(EX.c, RDF_TYPE, EX.D),
+                Triple(EX.a, EX.p, EX.b),
+                Triple(EX.c, EX.p, EX.a),
+                Triple(EX.c, EX.q, EX.a),
+            ]
+        )
+        bulk = TripleStore.from_graph(graph)
+        single = TripleStore()
+        for triple in bulk.to_graph():
+            single.insert(triple)
+
+        def counts(store):
+            stats = store.statistics
+            decode = store.dictionary.decode
+            return (
+                stats.summary(),
+                {
+                    decode(p): (
+                        s.triples,
+                        {decode(k): v for k, v in s._subjects.items()},
+                        {decode(k): v for k, v in s._objects.items()},
+                    )
+                    for p, s in stats.per_property.items()
+                },
+                {decode(c): n for c, n in stats.class_cardinality.items()},
+            )
+
+        assert counts(bulk) == counts(single)
+        assert counts(bulk)[2] == {EX.C: 2, EX.D: 1}
