@@ -284,7 +284,7 @@ def e2(quick: bool) -> Result:
         assert search.cover == best_cover, (universities, search.cover)
         rows.append([
             universities,
-            count(len(at_scale.graph)),
+            count(len(lubm(universities))),
             ms(scq.elapsed_seconds),
             ms(best.elapsed_seconds),
             count(scq_peak),

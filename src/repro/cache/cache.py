@@ -20,11 +20,11 @@ Three tiers:
    *plus* a dataset token, the evaluation engine/backend, and the
    **data epoch**: a counter bumped on every data mutation, so any
    update retires all previously cached answers without scanning them.
-3. **Invalidation hooks** — ``watch_graph`` / ``watch_store`` /
-   ``watch_saturator`` subscribe the cache to live updates: data-triple
-   changes bump the data epoch (answers stale, reformulations kept);
-   schema-triple/constraint changes additionally purge the
-   reformulation tier (reformulations are schema-derived).
+3. **Invalidation hooks** — ``watch_store`` / ``watch_saturator``
+   subscribe the cache to live updates: data-triple changes bump the
+   data epoch (answers stale, reformulations kept); schema-triple/
+   constraint changes additionally purge the reformulation tier
+   (reformulations are schema-derived).
 
 Epoch semantics: invalidation by epoch is *lazy* — stale answer
 entries are not eagerly removed, they simply become unreachable (their
@@ -130,10 +130,6 @@ class QueryCache:
 
     # ------------------------------------------------------------------
     # Watch hooks (wired into the mutable containers' listener lists)
-
-    def watch_graph(self, graph) -> None:
-        """Subscribe to a :class:`~repro.rdf.graph.Graph`'s mutations."""
-        graph.add_listener(self.note_triple_change)
 
     def watch_store(self, store) -> None:
         """Subscribe to a :class:`~repro.storage.store.TripleStore`."""

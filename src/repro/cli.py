@@ -845,7 +845,11 @@ def cmd_serve(args) -> int:
             if snapshot is not None:
                 service.release(snapshot)
         elif verb == "insert":
-            service.insert(parse_line(_expand_rdf_prefixes(payload) + " ."))
+            triple = parse_line(_expand_rdf_prefixes(payload) + " .")
+            try:
+                service.insert(triple)
+            except ValueError as exc:  # a schema triple
+                raise UsageError("serve script: %s" % exc)
         elif verb == "advance":
             clock.advance(payload)
         elif verb == "chaos":

@@ -44,7 +44,8 @@ check cannot fire today, because no write can land inside a scan:
 * ``QueryService.step`` is serial: it executes each ticket to the end
   before the next one, and writes are separate calls;
 * a pinned ``StoreSnapshot`` that saw a write reads a separate frozen
-  store (rebuilt through ``from_encoded``), not the live runs;
+  store (a ``TripleStore.copy`` taken before the write), not the live
+  runs;
 * federation's fan-out threads only read their endpoints' stores.
 """
 
@@ -197,6 +198,15 @@ class ColumnarIndexSet:
             run = SortedRunIndex(name, self._orders["spo"].iter_triples())
             self._orders[name] = run
         return run
+
+    def copy(self) -> "ColumnarIndexSet":
+        """An independent table with the same runs built: three array
+        slices a run."""
+        clone = ColumnarIndexSet()
+        for name, run in self._orders.items():
+            clone._orders[name] = copied = SortedRunIndex(name)
+            copied.columns = tuple(column[:] for column in run.columns)
+        return clone
 
     def __len__(self) -> int:
         return len(self._orders["spo"])

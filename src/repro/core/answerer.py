@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..cache import QueryCache, cover_key, dataset_token
 from ..columnar.indexes import ORDER_PERMUTATIONS
@@ -70,6 +70,18 @@ def _ranked(search):
 class OptionError(ValueError):
     """An engine/strategy/option combination the answerer refuses —
     the caller's mistake, as opposed to a failure inside answering."""
+
+
+def check_data_triple(triple) -> None:
+    """Refuse a schema triple with ``ValueError``: a constraint changes
+    the closed schema, the entailed schema triples and the saturation
+    together, which a triple write would only half apply."""
+    if triple.is_schema_triple():
+        raise ValueError(
+            "%s is a schema triple: insert/delete take data triples only; "
+            "change constraints with DurableStore.add_constraint / "
+            "remove_constraint" % triple.n3()
+        )
 
 
 class Strategy(enum.Enum):
@@ -155,7 +167,7 @@ class QueryAnswerer:
 
     def __init__(
         self,
-        graph: Graph,
+        graph: Union[Graph, TripleStore],
         schema: Optional[Schema] = None,
         backend: BackendProfile = HASH_BACKEND,
         policy: ReformulationPolicy = COMPLETE,
@@ -163,7 +175,14 @@ class QueryAnswerer:
         cache: Optional[QueryCache] = None,
         interval_encoding: bool = False,
     ):
-        """``engine`` selects the evaluation engine for the relational
+        """``graph`` is a :class:`~repro.rdf.graph.Graph`, loaded into a
+        fresh store with its constraints and *schema*'s, or a
+        :class:`~repro.storage.store.TripleStore`, answered over as-is
+        (no copy; ``schema`` and ``interval_encoding`` are refused, as
+        the store carries its closed schema and ids).  The store is the
+        answerer's only copy of the data.
+
+        ``engine`` selects the evaluation engine for the relational
         strategies: ``"columnar"`` (the default: the vectorized executor
         of :mod:`repro.columnar.engine` over sorted integer-run indexes,
         with per-operator metrics and mid-stream budget enforcement) or
@@ -173,7 +192,7 @@ class QueryAnswerer:
 
         ``cache`` (opt-in) amortizes repeated answering: reformulations
         and answers are served from a :class:`~repro.cache.QueryCache`
-        and invalidated through the live-update hooks — see
+        and invalidated through the store's write hooks — see
         :mod:`repro.cache.cache`.  One cache may be shared by several
         answerers.
 
@@ -187,27 +206,34 @@ class QueryAnswerer:
         shape and speed change."""
         if engine not in ANSWERER_ENGINES:
             raise OptionError("unknown engine %r" % (engine,))
-        self.graph = graph
-        merged = Schema.from_graph(graph)
-        if schema is not None:
-            for constraint in schema.direct_constraints():
-                merged.add(constraint)
-        self.schema = merged
+        self.encoding = None
+        if isinstance(graph, TripleStore):
+            if schema is not None or interval_encoding:
+                raise OptionError(
+                    "a TripleStore carries its own closed schema and ids: "
+                    "pass neither schema nor interval_encoding with one"
+                )
+            store = graph
+        else:
+            merged = Schema.from_graph(graph)
+            if schema is not None:
+                for constraint in schema.direct_constraints():
+                    merged.add(constraint)
+            if interval_encoding:
+                # Hierarchy ids must be assigned before any data term
+                # grabs one, so the store is built empty, pre-encoded
+                # from the merged schema, and only then loaded.
+                store = TripleStore()
+                self.encoding = preencode_hierarchy(store, merged)
+                store.load(graph, merged)
+            else:
+                store = TripleStore.from_graph(graph, merged)
+        self.store = store
+        self.schema = store.schema
         self.backend = backend
         self.policy = policy
         self.engine = engine
         self.interval_encoding = interval_encoding
-        if interval_encoding:
-            # Hierarchy ids must be assigned before any data term grabs
-            # one, so the store is built empty, pre-encoded from the
-            # merged schema, and only then loaded.
-            store = TripleStore()
-            self.encoding = preencode_hierarchy(store, merged)
-            store.load(graph, merged)
-            self.store = store
-        else:
-            self.encoding = None
-            self.store = TripleStore.from_graph(graph, merged)
         self._encoding_token = (
             None if self.encoding is None else self.encoding.token()
         )
@@ -221,11 +247,11 @@ class QueryAnswerer:
         self._dataset_token: Optional[int] = None
         if cache is not None:
             self._dataset_token = dataset_token()
-            # Invalidation hook: every mutation of the logical graph
-            # (the answerer's own insert/delete included) bumps the
-            # cache's epochs — schema triples purge reformulations,
-            # data triples retire answers only.
-            cache.watch_graph(self.graph)
+            # Invalidation hook: every write to the store (the
+            # answerer's own insert/delete included) bumps the cache's
+            # epochs — schema triples purge reformulations, data
+            # triples retire answers only.
+            cache.watch_store(self.store)
 
     def _evaluate(self, query, saturated: bool = False, budget=None):
         """Run a relational query on the selected engine; returns
@@ -260,12 +286,13 @@ class QueryAnswerer:
         The base store is extended in place; the saturated store (when
         already built) is maintained incrementally through the support-
         counting saturator, not rebuilt.  Returns False when the triple
-        was already present.
+        was already present.  A schema triple is refused with
+        ``ValueError`` before anything changes (see
+        :func:`check_data_triple`).
         """
-        if triple in self.graph:
+        check_data_triple(triple)
+        if not self.store.insert(triple):
             return False
-        self.graph.add(triple)
-        self.store.insert(triple)
         self._sql_backend = None
         if self._saturator is not None:
             for added in self._saturator.insert(triple):
@@ -274,11 +301,11 @@ class QueryAnswerer:
         return True
 
     def delete(self, triple) -> bool:
-        """Delete one data triple everywhere; returns False if absent."""
-        if triple not in self.graph:
+        """Delete one data triple everywhere; returns False if absent.
+        A schema triple is refused like :meth:`insert` refuses it."""
+        check_data_triple(triple)
+        if not self.store.delete(triple):
             return False
-        self.graph.discard(triple)
-        self.store.delete(triple)
         self._sql_backend = None
         if self._saturator is not None:
             for removed in self._saturator.delete(triple):
@@ -302,7 +329,7 @@ class QueryAnswerer:
 
             start = time.perf_counter()
             saturator = IncrementalSaturator(
-                self.schema, self.graph.data_triples()
+                self.schema, self.store.data_triples()
             )
             store = TripleStore.from_graph(saturator.saturated(), self.schema)
             if self.engine != "sqlite":
@@ -745,7 +772,9 @@ class QueryAnswerer:
             )
 
         if strategy == Strategy.DATALOG:
-            answer = datalog_answer(self.graph, self.schema, query)
+            answer = datalog_answer(
+                self.store.data_triples(), self.schema, query
+            )
             return AnswerReport(
                 strategy, answer, time.perf_counter() - start
             )

@@ -26,10 +26,9 @@ only), matching the other engines' treatment exactly.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Set, Tuple
+from typing import FrozenSet, Iterable, Set, Tuple
 
 from ..query.algebra import ConjunctiveQuery, Variable
-from ..rdf.graph import Graph
 from ..rdf.namespaces import (
     RDF_TYPE,
     RDFS_DOMAIN,
@@ -38,6 +37,7 @@ from ..rdf.namespaces import (
     RDFS_SUBPROPERTYOF,
 )
 from ..rdf.terms import BlankNode, Term, URI
+from ..rdf.triples import Triple
 from ..schema.constraints import ConstraintKind, is_admissible_constraint
 from ..schema.schema import Schema
 from .engine import evaluate_program
@@ -97,11 +97,12 @@ def entailment_rules() -> Tuple[DatalogRule, ...]:
 
 
 def encode(
-    graph: Graph,
+    graph: Iterable[Triple],
     schema: Schema,
     query: ConjunctiveQuery,
 ) -> DatalogProgram:
     """Build the full Dat program for answering *query* over *graph*
+    (a :class:`~repro.rdf.graph.Graph` or any iterable of triples)
     under the constraints of *schema* (merged with those in the graph).
     """
     program = DatalogProgram()
@@ -159,7 +160,7 @@ def encode(
 
 
 def answer_query(
-    graph: Graph,
+    graph: Iterable[Triple],
     schema: Schema,
     query: ConjunctiveQuery,
 ) -> FrozenSet[Tuple[Term, ...]]:

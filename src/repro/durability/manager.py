@@ -387,10 +387,11 @@ class DurableStore:
         the durable ``(data_epoch, schema_epoch)`` pair at pin time.
 
         Pinning is O(1); the first write after a pin freezes the
-        pre-write state through the checkpoint codec, so in-flight
+        pre-write state with :meth:`TripleStore.copy`, so in-flight
         readers never observe a concurrent bulk load or saturation
-        round.  Release the handle (or use it as a context manager) to
-        free the frozen copy."""
+        round; ``QueryAnswerer(snapshot.store())`` answers over it
+        without another copy.  Release the handle (or use it as a
+        context manager) to free the frozen copy."""
         if self._snapshots is None:
             from ..storage.snapshot import SnapshotManager
 

@@ -19,6 +19,7 @@ import os
 import re
 from typing import Dict, List, Optional, Tuple
 
+from ..rdf.graph import Graph
 from ..saturation.incremental import IncrementalSaturator
 from ..storage.store import EncodedTriple, TripleStore
 from .checkpoint import CheckpointCorrupt, decode_checkpoint, restore_snapshot
@@ -156,7 +157,7 @@ def recover(
         result.wal_offset = int(body["wal_offset"])
     if with_saturator and result.saturator is None:
         result.saturator = IncrementalSaturator(result.store.schema)
-        for triple in result.store.to_graph().data_triples():
+        for triple in result.store.data_triples():
             result.saturator.insert(triple)
 
     # 2. Replay the WAL suffix: the checkpoint's segment from its
@@ -239,8 +240,8 @@ def recover(
 def verify_recovery(result: RecoveryResult) -> List[str]:
     """Cross-check a recovered store against a fresh rebuild.
 
-    Decodes the recovered store back to a logical graph, rebuilds a
-    store from scratch with :meth:`TripleStore.from_graph`, and
+    Decodes the recovered store's triples, rebuilds a store from them
+    from scratch with :meth:`TripleStore.from_graph`, and
     compares triples, schema and per-property statistics *keyed by
     decoded term* (id assignment differs between the two builds, so
     raw-id comparison would be meaningless).  Returns human-readable
@@ -248,10 +249,9 @@ def verify_recovery(result: RecoveryResult) -> List[str]:
     """
     problems: List[str] = []
     recovered = result.store
-    fresh = TripleStore.from_graph(recovered.to_graph(), recovered.schema)
-
-    recovered_triples = set(recovered.to_graph())
-    fresh_triples = set(fresh.to_graph())
+    recovered_triples = set(recovered.triples())
+    fresh = TripleStore.from_graph(Graph(recovered_triples), recovered.schema)
+    fresh_triples = set(fresh.triples())
     if recovered_triples != fresh_triples:
         missing = len(fresh_triples - recovered_triples)
         extra = len(recovered_triples - fresh_triples)

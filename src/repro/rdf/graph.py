@@ -36,23 +36,11 @@ class Graph:
         self._by_subject: Dict[Term, Set[Triple]] = defaultdict(set)
         self._by_property: Dict[Term, Set[Triple]] = defaultdict(set)
         self._by_object: Dict[Term, Set[Triple]] = defaultdict(set)
-        self._listeners = []
         if triples is not None:
             self.add_all(triples)
 
     # ------------------------------------------------------------------
     # Mutation
-
-    def add_listener(self, callback) -> None:
-        """Register ``callback(triple, operation)`` to be invoked after
-        every successful mutation (operation is ``"add"`` or
-        ``"discard"``).  Cache invalidation hooks attach here; copies
-        and unions do not inherit listeners."""
-        self._listeners.append(callback)
-
-    def _notify(self, triple: Triple, operation: str) -> None:
-        for callback in self._listeners:
-            callback(triple, operation)
 
     def add(self, triple: Triple) -> bool:
         """Add *triple*; return True when it was not already present."""
@@ -64,8 +52,6 @@ class Graph:
         self._by_subject[triple.subject].add(triple)
         self._by_property[triple.property].add(triple)
         self._by_object[triple.object].add(triple)
-        if self._listeners:
-            self._notify(triple, "add")
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -90,8 +76,6 @@ class Graph:
             bucket.discard(triple)
             if not bucket:
                 del index[key]
-        if self._listeners:
-            self._notify(triple, "discard")
         return True
 
     # ------------------------------------------------------------------

@@ -447,15 +447,15 @@ class ReplicaNode:
     # Reads
 
     def reader(self, engine: str = DEFAULT_ENGINE):
-        """A query answerer over this node's current state, rebuilt
-        lazily when the LSN moves (replica-read serving path)."""
+        """A query answerer over this node's store (replica-read
+        serving path).  It wraps the store, no copy; a new one replaces
+        it when the LSN moves, so state it builds lazily (the saturated
+        store, the SQLite mirror) never outlives the writes it saw."""
         key = (self.lsn, engine)
         if self._reader is None or self._reader_key != key:
             from ..core.answerer import QueryAnswerer
 
-            store = self.durable.store
-            self._reader = QueryAnswerer(
-                store.to_graph(), store.schema, engine=engine)
+            self._reader = QueryAnswerer(self.durable.store, engine=engine)
             self._reader_key = key
         return self._reader
 

@@ -26,8 +26,9 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   expired entries are served tagged ``stale=True``);
 * **snapshot reads** — :meth:`pin` hands out an epoch-pinned
   :class:`~repro.storage.snapshot.StoreSnapshot`; a request carrying
-  one is answered by a reader answerer materialized from the pinned
-  state, byte-identical no matter what the writer does concurrently;
+  one is answered over the pinned state — the live store until a write
+  lands, then the store frozen before that write — byte-identical no
+  matter what the writer does concurrently;
 * **degraded-mode serving** — an optional
   :class:`~repro.service.degrade.BrownoutController` observes per-round
   :class:`~repro.service.health.HealthMonitor` signals and walks the
@@ -48,7 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cache import QueryCache, dataset_token
 from ..cache.keys import cover_key, query_key
-from ..core.answerer import DEFAULT_ENGINE, AnswerReport, QueryAnswerer, Strategy
+from ..core.answerer import (
+    DEFAULT_ENGINE, AnswerReport, QueryAnswerer, Strategy, check_data_triple)
 from ..reformulation.engine import ReformulationTooLarge
 from ..resilience.clock import Clock, SYSTEM_CLOCK
 from ..resilience.errors import BudgetExceeded, EndpointFailure
@@ -180,7 +182,7 @@ class QueryService:
             cache.watch_store(self.answerer.store)
             self._caches[config.name] = cache
             self._tokens[config.name] = dataset_token()
-        #: Reader answerers materialized per pinned snapshot epoch,
+        #: Reader answerers over each pinned epoch's frozen store,
         #: shared by every request pinned at that epoch.
         self._readers: Dict[int, QueryAnswerer] = {}
 
@@ -247,6 +249,7 @@ class QueryService:
     # hooks and every tenant's cache invalidation fire on the way)
 
     def insert(self, triple) -> bool:
+        check_data_triple(triple)  # before the replicas see it
         if self.replicas is not None:
             # The primary writes (and ships) first: a fenced write
             # raises here and the serving copy stays untouched.
@@ -254,6 +257,7 @@ class QueryService:
         return self.answerer.insert(triple)
 
     def delete(self, triple) -> bool:
+        check_data_triple(triple)
         if self.replicas is not None:
             self.replicas.delete(triple)
         return self.answerer.delete(triple)
@@ -317,10 +321,11 @@ class QueryService:
     def _answerer_for(
         self, request: QueryRequest
     ) -> Tuple[QueryAnswerer, bool, Optional[dict]]:
-        """The answerer evaluating *request*: the live writer, a
-        reader materialized from the request's pinned snapshot (one
-        reader per epoch, shared across requests), or a follower
-        replica's reader when routing applies.  Returns ``(answerer,
+        """The answerer evaluating *request*: the live writer (also
+        for a pinned request when nothing was written since its pin),
+        a reader over the pinned snapshot's frozen store (one reader
+        per epoch, shared across requests), or a follower replica's
+        reader when routing applies.  Returns ``(answerer,
         bypass_cache, replica_info)`` — snapshot and replica reads
         bypass the tenant cache (their freshness is the pin/lag, not
         the epoch)."""
@@ -345,12 +350,12 @@ class QueryService:
                     }
                     return node.reader(self.engine), True, info
             return self.answerer, False, None
+        store = snapshot.store()
+        if store is self.answerer.store:  # no write since the pin
+            return self.answerer, True, None
         reader = self._readers.get(snapshot.epoch)
         if reader is None:
-            store = snapshot.store()
-            reader = QueryAnswerer(
-                store.to_graph(), store.schema, engine=self.engine
-            )
+            reader = QueryAnswerer(store, engine=self.engine)
             self._readers[snapshot.epoch] = reader
         return reader, True, None
 

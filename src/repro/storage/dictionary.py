@@ -40,6 +40,15 @@ class Dictionary:
         # incremental growth without re-encoding).
         self._holes: Set[int] = set()
 
+    def copy(self) -> "Dictionary":
+        """An independent dictionary with the same id assignment."""
+        clone = Dictionary()
+        clone._term_to_id = dict(self._term_to_id)
+        clone._id_to_term = list(self._id_to_term)
+        clone._literal_ids = set(self._literal_ids)
+        clone._holes = set(self._holes)
+        return clone
+
     def encode(self, term: Term) -> int:
         """Return the id of *term*, assigning a fresh one when new."""
         term_id = self._term_to_id.get(term)

@@ -1,4 +1,4 @@
-"""Epoch-pinned snapshot reads: copy-on-write over the checkpoint codec.
+"""Epoch-pinned snapshot reads: copy-on-write over the store.
 
 A serving layer answers many queries while bulk loads and saturation
 rounds mutate the store underneath them.  :class:`SnapshotManager`
@@ -6,12 +6,11 @@ gives readers a stable view without blocking writers:
 
 * :meth:`~SnapshotManager.pin` is O(1) — it records the store's current
   *state epoch* and hands back a :class:`StoreSnapshot`;
-* the first write after a pin pays one materialization: the pre-write
-  state is frozen through the **checkpoint machinery**
-  (:meth:`~repro.storage.store.TripleStore.encoded_state` →
-  :meth:`~repro.storage.store.TripleStore.from_encoded`, exactly the
-  bytes-on-disk snapshot path, so the frozen store equals a fresh
-  build by construction);
+* the first write after a pin pays one copy: the pre-write state is
+  frozen with :meth:`~repro.storage.store.TripleStore.copy` (array
+  slices of the sorted runs plus copies of the dictionary, statistics
+  and schema), so the frozen store equals the live one at the pin and
+  a pinned query plans exactly as it would have then;
 * every pin taken at the same epoch shares that one frozen copy, and
   it is dropped as soon as the last pin releases.
 
@@ -147,10 +146,7 @@ class SnapshotManager:
     def _before_write(self, _triple, _operation) -> None:
         with self._lock:
             if self._pins.get(self.epoch) and self.epoch not in self._frozen:
-                terms, triples = self.store.encoded_state()
-                self._frozen[self.epoch] = TripleStore.from_encoded(
-                    terms, triples, self.store.schema
-                )
+                self._frozen[self.epoch] = self.store.copy()
             # Every write attempt opens a new epoch: later pins must
             # never share a frozen copy taken before this write.
             self.epoch += 1

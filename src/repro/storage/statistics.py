@@ -37,6 +37,13 @@ class PropertyStatistics:
         self._subjects[subject_id] += 1
         self._objects[object_id] += 1
 
+    def copy(self) -> "PropertyStatistics":
+        clone = PropertyStatistics()
+        clone.triples = self.triples
+        clone._subjects = self._subjects.copy()
+        clone._objects = self._objects.copy()
+        return clone
+
     def unrecord(self, subject_id: int, object_id: int) -> None:
         self.triples -= 1
         for counter, key in ((self._subjects, subject_id), (self._objects, object_id)):
@@ -79,6 +86,18 @@ class StoreStatistics:
         self.class_cardinality: Counter = Counter()
         self._all_subjects: Set[int] = set()
         self._all_objects: Set[int] = set()
+
+    def copy(self, type_property_id_getter) -> "StoreStatistics":
+        """Independent statistics equal to these, reading the type
+        id through *type_property_id_getter* (the copy's store's)."""
+        clone = StoreStatistics(type_property_id_getter)
+        clone.total_triples = self.total_triples
+        for property_id, stats in self.per_property.items():
+            clone.per_property[property_id] = stats.copy()
+        clone.class_cardinality = self.class_cardinality.copy()
+        clone._all_subjects = set(self._all_subjects)
+        clone._all_objects = set(self._all_objects)
+        return clone
 
     def record(self, subject_id: int, property_id: int, object_id: int) -> None:
         self.total_triples += 1

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..columnar.indexes import ColumnarIndexSet
 from ..rdf.graph import Graph
-from ..rdf.namespaces import RDF_TYPE
+from ..rdf.namespaces import RDF_TYPE, SCHEMA_PROPERTIES
 from ..rdf.terms import Term
 from ..rdf.triples import Triple
 from ..schema.schema import Schema
@@ -138,6 +138,21 @@ class TripleStore:
             for constraint in schema.direct_constraints():
                 store.schema.add(constraint)
         return store
+
+    def copy(self) -> "TripleStore":
+        """An independent store equal to this one — same ids, runs,
+        statistics and schema, so a query plans and answers over the
+        copy exactly as over the original — with no listeners.  The
+        snapshot freeze: array slices and container copies, no
+        re-encoding and no sort."""
+        clone = TripleStore()
+        clone.dictionary = self.dictionary.copy()
+        clone._type_id = self._type_id
+        clone.statistics = self.statistics.copy(lambda: clone._type_id)
+        clone.schema = self.schema.copy()
+        clone._mutation_epoch = self._mutation_epoch
+        clone._runs = self._runs.copy()
+        return clone
 
     def encoded_state(self) -> Tuple[List[Term], List[EncodedTriple]]:
         """The checkpoint payload: (terms in id order, sorted encoded
@@ -309,9 +324,24 @@ class TripleStore:
         the SPO/POS/OSP sorted runs that hold its triples."""
         return self._runs
 
+    def triples(self) -> Iterator[Triple]:
+        """Every stored triple, decoded, in (s, p, o) order."""
+        return map(self.decode_triple, self.scan_all())
+
+    def data_triples(self) -> Iterator[Triple]:
+        """The stored data triples, decoded, in (s, p, o) order: the
+        SPO run without the rows of the four schema properties (the
+        closed schema's triples)."""
+        lookup = self.dictionary.lookup
+        schema_ids = {lookup(prop) for prop in SCHEMA_PROPERTIES}
+        decode = self.dictionary.decode
+        for s, p, o in self.scan_all():
+            if p not in schema_ids:
+                yield Triple(decode(s), decode(p), decode(o))
+
     def to_graph(self) -> Graph:
         """Decode the full store back into a logical graph."""
-        return Graph(map(self.decode_triple, self.scan_all()))
+        return Graph(self.triples())
 
     def __len__(self) -> int:
         return len(self._runs)

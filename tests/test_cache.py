@@ -18,6 +18,12 @@ EX = Namespace("http://example.org/")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
+def books_data_triple():
+    """A data triple of the books dataset, read from its model graph
+    (the answerer keeps no graph of its own)."""
+    return min(books_dataset()[0].data_triples())
+
+
 class TestLRUCache:
     def test_bound_is_enforced(self):
         cache = LRUCache(capacity=3)
@@ -175,7 +181,7 @@ class TestEpochInvalidation:
 
     def test_delete_bumps_epoch(self):
         answerer, query, cache = self._answerer()
-        triple = next(iter(answerer.graph.data_triples()))
+        triple = books_data_triple()
         answerer.answer(query, Strategy.SAT)
         epoch = cache.data_epoch
         assert answerer.delete(triple)
@@ -189,7 +195,7 @@ class TestEpochInvalidation:
         answerer, query, cache = self._answerer()
         answerer.answer(query, Strategy.REF_GCOV)
         epoch = cache.data_epoch
-        triple = next(iter(answerer.graph.data_triples()))
+        triple = books_data_triple()
         assert not answerer.insert(triple)  # already present
         assert not answerer.delete(
             Triple(EX.absent, RDF_TYPE, EX.Nothing)
@@ -219,21 +225,21 @@ class TestEpochInvalidation:
 class TestInvalidationGranularity:
     def test_schema_triple_purges_reformulations(self):
         cache = QueryCache()
-        graph = Graph([Triple(EX.a, RDF_TYPE, EX.B)])
-        cache.watch_graph(graph)
+        store = TripleStore.from_graph(Graph([Triple(EX.a, RDF_TYPE, EX.B)]))
+        cache.watch_store(store)
         cache.store_reformulation(("k",), "value")
         cache.store_answer(("a",), "value")
-        graph.add(Triple(EX.B, RDFS_SUBCLASSOF, EX.A))
+        assert store.insert(Triple(EX.B, RDFS_SUBCLASSOF, EX.A))
         assert cache.schema_invalidations == 1
         assert len(cache.reformulations) == 0
         assert len(cache.answers) == 0
 
     def test_data_triple_keeps_reformulations(self):
         cache = QueryCache()
-        graph = Graph()
-        cache.watch_graph(graph)
+        store = TripleStore()
+        cache.watch_store(store)
         cache.store_reformulation(("k",), "value")
-        graph.add(Triple(EX.a, RDF_TYPE, EX.B))
+        assert store.insert(Triple(EX.a, RDF_TYPE, EX.B))
         assert cache.data_invalidations == 1
         assert cache.schema_invalidations == 0
         assert len(cache.reformulations) == 1  # still there

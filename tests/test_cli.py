@@ -416,6 +416,20 @@ class TestServe:
         assert summary["completed"] == 2
         assert summary["snapshots"]["active_pins"] == 0
 
+    def test_serve_script_schema_insert_is_usage_error(self, capsys, tmp_path):
+        """A constraint cannot be written as a triple through the
+        service: the script line is refused with one line, exit 2."""
+        script = tmp_path / "session.txt"
+        script.write_text(
+            "insert <http://example.org/A> rdfs:subClassOf "
+            "<http://example.org/B>\n"
+        )
+        code = main(["serve", "--dataset", "books", "--script", str(script)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "add_constraint" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     def test_serve_is_deterministic(self, capsys):
         argv = [
             "serve", "--dataset", "books", "--requests", "7",

@@ -30,6 +30,7 @@ from repro.durability.ops import (
     encode_op,
 )
 from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, Triple
+from repro.schema import Constraint, Schema
 from repro.storage import SnapshotManager, TripleStore
 
 EX = Namespace("http://example.org/")
@@ -195,8 +196,62 @@ def test_indexes_exact_under_interleaved_histories(operations):
                     store.insert(triple)
                 model.add(triple)
                 assert set(snapshot.store().to_graph()) == previous
+                assert_runs_exact(snapshot.store(), previous)
         assert len(log) - logged == len(model ^ previous), kind
         assert_runs_exact(store, model)
+
+
+def _state(store: TripleStore):
+    """Everything a copy must equal: ids, triples, statistics (summary,
+    per-property and per-class counts), schema and the built runs."""
+    stats = store.statistics
+    return (
+        store.encoded_state(),
+        stats.summary(),
+        {
+            prop: (entry.triples, entry.distinct_subjects, entry.distinct_objects)
+            for prop, entry in stats.per_property.items()
+        },
+        dict(stats.class_cardinality),
+        store.schema.fingerprint(),
+        {name: list(zip(*run.columns)) for name, run in store.columnar()._orders.items()},
+    )
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    loaded=st.lists(triple_st, max_size=20),
+    deleted=st.lists(triple_st, max_size=5),
+    orders=st.sets(st.sampled_from(["pos", "osp"])),
+    writes=st.lists(
+        st.tuples(st.booleans(), st.booleans(), triple_st), min_size=1, max_size=6
+    ),
+)
+def test_copy_equals_the_store_and_is_independent(loaded, deleted, orders, writes):
+    """``TripleStore.copy`` (the snapshot freeze) equals the store —
+    ids, runs, statistics, schema — and a write to either side leaves
+    the other unchanged."""
+    schema = Schema([Constraint.subclass(OBJECTS[5], OBJECTS[6])])
+    store = TripleStore.from_graph(Graph(loaded), schema)
+    for triple in deleted:
+        store.delete(triple)
+    for name in orders:
+        store.columnar().order(name)
+    copy = store.copy()
+    assert _state(copy) == _state(store)
+    copy.schema.add(Constraint.domain(PROPERTIES[0], OBJECTS[7]))
+    assert store.schema == schema  # the schemas are separate too
+    for to_copy, insert, triple in writes:
+        side, other = (copy, store) if to_copy else (store, copy)
+        untouched = _state(other)
+        (side.insert if insert else side.delete)(triple)
+        assert _state(other) == untouched
+    for side in (store, copy):
+        assert_runs_exact(side, set(side.to_graph()))
 
 
 def test_single_writes_patch_runs_in_place():

@@ -430,6 +430,21 @@ class TestReplicaServing:
         finally:
             cluster.close()
 
+    def test_schema_triple_is_refused_before_mirroring(self, tmp_path):
+        """The service refuses a schema triple before the primary logs
+        it: a constraint goes through ``add_constraint``, never a
+        mirrored triple write."""
+        cluster = self._cluster(tmp_path)
+        try:
+            service, _ = make_service(cluster, ["plain"])
+            lsn = cluster.primary_node.lsn
+            for write in (service.insert, service.delete):
+                with pytest.raises(ValueError, match="add_constraint"):
+                    write(Triple(EX.Grad, RDFS_SUBCLASSOF, EX.Student))
+            assert cluster.primary_node.lsn == lsn
+        finally:
+            cluster.close()
+
     def test_lagging_follower_read_is_flagged_stale(self, tmp_path):
         cluster = self._cluster(tmp_path)
         try:
