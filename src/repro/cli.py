@@ -59,6 +59,7 @@ from .core import (
     QueryAnswerer,
     Strategy,
 )
+from .core.answerer import search_details
 from .datasets import (
     books_dataset,
     example1_best_cover,
@@ -75,7 +76,7 @@ from .saturation import explain_triple, format_derivation
 from .schema import Schema
 from .query import QueryParseError, parse_query
 from .rdf import ParseError, load_file, shorten
-from .reformulation import ReformulationTooLarge
+from .reformulation import ReformulationTooLarge, minimize_under_schema
 from .resilience.errors import BudgetExceeded
 from .storage import QueryTooLargeError, explain as explain_plan
 
@@ -287,13 +288,9 @@ def cmd_answer(args) -> int:
                 for answer_row in sorted(report.answer)[: args.limit]:
                     print("   ", tuple(str(term.lexical()) for term in answer_row))
             if args.show_metrics and len(strategies) == 1:
+                _print_minimised(report.details.get("minimised"))
                 if strategy is Strategy.REF_GCOV:
-                    # The report carries the search's time; its
-                    # counters come from a search of the same inputs.
-                    _print_search(
-                        answerer.cover_search(query)[0],
-                        report.details["search_seconds"],
-                    )
+                    _print_search(report.details)
                 interval = report.details.get("interval")
                 if interval is not None:
                     print("interval atoms: %d (collapsed %d union branch(es))"
@@ -487,6 +484,7 @@ def cmd_explain(args) -> int:
     if report.execution is None:
         print("strategy %s has no relational plan" % args.strategy)
         return EXIT_FAILURE
+    _print_minimised(report.details.get("minimised"))
     interval = report.details.get("interval")
     if interval is not None:
         print("interval atoms: %d (collapsed %d union branch(es))"
@@ -497,26 +495,37 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _print_search(search, seconds: float) -> None:
-    """Which cover and why, and what it cost to decide."""
-    costs = sorted(cost for _, cost in search.explored)
-    print("GCov chose %r (estimated cost %.1f, runner-up %s) after "
+def _print_minimised(dropped) -> None:
+    """The atoms schema minimisation dropped, if any."""
+    if dropped:
+        print("minimised: dropped %s (implied under the schema)"
+              % ", ".join("t%d" % (index + 1) for index in dropped))
+
+
+def _print_search(details) -> None:
+    """Which cover and why, and what it cost to decide (search_details)."""
+    runner_up = details["runner_up_cost"]
+    print("GCov chose %s (estimated cost %.1f, runner-up %s) after "
           "exploring %d covers"
-          % (search.cover, search.cost,
-             "%.1f" % costs[1] if len(costs) > 1 else "none",
-             search.explored_count))
+          % (details["cover"], details["estimated_cost"],
+             "none" if runner_up is None else "%.1f" % runner_up,
+             details["explored_covers"]))
     print("cover search: %.1f ms, %d fragments priced, %d estimates computed"
-          % (seconds * 1e3, search.fragments_priced,
-             search.estimates_computed))
+          % (details["search_seconds"] * 1e3, details["fragments_priced"],
+             details["estimates_computed"]))
 
 
 def cmd_covers(args) -> int:
+    """GCov's search over the minimised query ``ref-gcov`` answers."""
     answerer = QueryAnswerer(_build_graph(args))
-    query = _resolve_query(args)
+    query, dropped = minimize_under_schema(
+        _resolve_query(args), answerer.schema, answerer.policy
+    )
     search, seconds = answerer.cover_search(query)
     print(render_strategy(search.cover))
     print()
-    _print_search(search, seconds)
+    _print_minimised(dropped)
+    _print_search(search_details(search, seconds))
     ranked = sorted(search.explored, key=lambda pair: pair[1])[: args.top]
     print(format_table(
         ["cover", "estimated cost"],

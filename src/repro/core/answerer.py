@@ -16,6 +16,10 @@ Every call returns an :class:`AnswerReport` carrying the answer, wall
 time, and strategy-specific diagnostics (reformulation sizes, the
 chosen cover, estimated costs, intermediate result sizes) — the data
 behind the demo's inspection panels.
+
+Every strategy but ``REF_JUCQ`` first drops the atoms the schema implies
+(:func:`~repro.reformulation.pruning.minimize_under_schema`); reported
+covers name the atoms of the query that remains.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from ..reformulation.policy import (
     ReformulationPolicy,
     VIRTUOSO_STYLE,
 )
+from ..reformulation.pruning import minimize_under_schema
 from ..resilience.budget import ExecutionBudget
 from ..resilience.errors import BudgetExceeded
 from ..resilience.report import CompletenessReport, DEGRADED
@@ -65,6 +70,21 @@ DEFAULT_ENGINE = "columnar"
 def _ranked(search):
     """A search's explored ``(cover, cost)`` pairs, cheapest first."""
     return sorted(search.explored, key=lambda pair: pair[1])
+
+
+def search_details(search, seconds: float) -> Dict:
+    """What a GCov search chose, the runner-up's cost and what deciding
+    took — ``REF_GCOV``'s details, and what the CLI prints of a search."""
+    ranked = _ranked(search)
+    return {
+        "cover": repr(search.cover),
+        "estimated_cost": search.cost,
+        "runner_up_cost": ranked[1][1] if len(ranked) > 1 else None,
+        "explored_covers": search.explored_count,
+        "fragments_priced": search.fragments_priced,
+        "estimates_computed": search.estimates_computed,
+        "search_seconds": seconds,
+    }
 
 
 class OptionError(ValueError):
@@ -715,16 +735,7 @@ class QueryAnswerer:
                 jucq = jucq_for_cover(
                     search.cover, self.schema, policy, encoding=self.encoding
                 )
-                return (
-                    jucq,
-                    {
-                        "cover": repr(search.cover),
-                        "estimated_cost": search.cost,
-                        "explored_covers": search.explored_count,
-                        "search_seconds": seconds,
-                    },
-                    _ranked(search),
-                )
+                return jucq, search_details(search, seconds), _ranked(search)
 
             def describe(built):
                 jucq, gcov_details, ranked = built
@@ -758,6 +769,12 @@ class QueryAnswerer:
         def budget():
             return None if budget_factory is None else budget_factory()
 
+        dropped: Tuple[int, ...] = ()  # details["minimised"]: caller's indices
+        if strategy is not Strategy.REF_JUCQ:  # its cover names the caller's atoms
+            query, dropped = minimize_under_schema(
+                query, self.schema, _UCQ_POLICIES.get(strategy) or self.policy
+            )
+
         if strategy == Strategy.SAT:
             answer, execution = self._evaluate(
                 query, saturated=True, budget=budget()
@@ -767,7 +784,7 @@ class QueryAnswerer:
                 strategy,
                 answer,
                 elapsed,
-                {"saturation_seconds": self._saturation_seconds},
+                {"saturation_seconds": self._saturation_seconds, "minimised": dropped},
                 execution,
             )
 
@@ -776,12 +793,13 @@ class QueryAnswerer:
                 self.store.data_triples(), self.schema, query
             )
             return AnswerReport(
-                strategy, answer, time.perf_counter() - start
+                strategy, answer, time.perf_counter() - start, {"minimised": dropped}
             )
 
         reformulation, details, failed_cover, ranked_covers = self._rewrite(
             query, strategy, cover, max_disjuncts
         )
+        details["minimised"] = dropped
         interval_stats = self._interval_stats(reformulation)
         if interval_stats is not None:
             details["interval"] = interval_stats

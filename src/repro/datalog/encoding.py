@@ -155,6 +155,8 @@ def encode(
             for term in atom.as_tuple()
         ]
         body.append(DatalogAtom(TRIPLE, args))
+    for variable in sorted(query.nonliteral_variables):
+        body.append(DatalogAtom(SUBJECTABLE, [DVar(variable.name)]))
     program.add_rule(DatalogRule(DatalogAtom(ANSWER, head_args), body))
     return program
 

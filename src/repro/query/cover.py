@@ -118,8 +118,11 @@ class Cover:
         return tuple(variable for variable in exposed if variable in own)
 
     def fragment_query(self, fragment: Fragment) -> ConjunctiveQuery:
-        """The CQ a fragment contributes to the JUCQ."""
-        return ConjunctiveQuery(self.fragment_head(fragment), self.fragment_atoms(fragment))
+        """The CQ a fragment contributes to the JUCQ, with the query's
+        non-literal guards on its variables."""
+        atoms = self.fragment_atoms(fragment)
+        guard = self.query.nonliteral_variables & set().union(*(a.variables() for a in atoms))
+        return ConjunctiveQuery(self.fragment_head(fragment), atoms, guard)
 
     def fragment_queries(self) -> List[ConjunctiveQuery]:
         return [self.fragment_query(fragment) for fragment in self.fragments]

@@ -10,6 +10,7 @@ from .engine import (
 )
 from .jucq import jucq_for_cover, jucq_fragment_sizes, scq_reformulation
 from .pruning import find_homomorphism, is_contained, minimize, prune_subsumed
+from .pruning import minimize_under_schema
 from .policy import ALLEGROGRAPH_STYLE, COMPLETE, VIRTUOSO_STYLE, ReformulationPolicy
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "find_homomorphism",
     "is_contained",
     "minimize",
+    "minimize_under_schema",
     "prune_subsumed",
     "iterate_reformulations",
     "jucq_for_cover",

@@ -90,8 +90,9 @@ def _build_disjunct(
     atoms: List[TriplePattern] = [
         choice.atom.substitute(substitution) for choice in choices
     ]
-    head = query.substitute(substitution).head
-    return ConjunctiveQuery(head, atoms, guard)
+    # The query's own guard (minimize_under_schema's) rides along.
+    substituted = query.substitute(substitution)
+    return ConjunctiveQuery(substituted.head, atoms, guard | substituted.nonliteral_variables)
 
 
 def atom_alternatives(

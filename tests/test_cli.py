@@ -145,6 +145,80 @@ class TestCovers:
         assert "estimated cost" in out
 
 
+class TestMinimised:
+    """Schema minimisation on the CLI: what was dropped is printed, and
+    ``--show-metrics`` reads the one search ``answer`` ran."""
+
+    @pytest.fixture
+    def gcov_calls(self, monkeypatch):
+        import repro.core.answerer as answerer_module
+
+        calls = []
+        real = answerer_module.gcov
+
+        def counting(query, *args, **kwargs):
+            calls.append(query)
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(answerer_module, "gcov", counting)
+        return calls
+
+    def test_show_metrics_searches_once(self, capsys, gcov_calls):
+        code, out = run_cli(
+            capsys, "answer", "--dataset", "lubm", "--query", "Q9",
+            "--strategy", "ref-gcov", "--show-metrics", "--seed", "3",
+        )
+        assert code == 0
+        assert len(gcov_calls) == 1
+        # Q9's three type atoms follow from advisor/teacherOf/takesCourse.
+        assert len(gcov_calls[0].atoms) == 3
+        assert "minimised: dropped t1, t2, t3 (implied under the schema)\n" in out
+        assert "after exploring 7 covers" in out
+
+    def test_covers_shows_the_search_answer_runs(self, capsys):
+        argv = ("--dataset", "lubm", "--query", "Q9", "--seed", "3")
+        code, answered = run_cli(
+            capsys, "answer", "--strategy", "ref-gcov", "--show-metrics", *argv
+        )
+        assert code == 0
+        code, covered = run_cli(capsys, "covers", *argv)
+        assert code == 0
+        chose = [line for line in answered.splitlines() if "GCov chose" in line]
+        assert len(chose) == 1 and chose[0] in covered.splitlines()
+        assert "minimised: dropped t1, t2, t3 (implied under the schema)" in covered
+
+    def test_cached_answer_keeps_minimised(self, capsys, gcov_calls):
+        code, out = run_cli(
+            capsys, "answer", "--dataset", "lubm", "--query", "Q7",
+            "--strategy", "ref-gcov", "--show-metrics", "--seed", "3",
+            "--cache", "--repeat", "2",
+        )
+        assert code == 0
+        assert len(gcov_calls) == 1  # the second answer is a hit
+        assert "minimised: dropped t1, t2 (implied under the schema)" in out
+        assert "GCov chose" in out
+
+    def test_explain_prints_dropped(self, capsys):
+        code, out = run_cli(
+            capsys, "explain", "--dataset", "lubm", "--query", "Q7",
+            "--seed", "3",
+        )
+        assert code == 0
+        assert out.startswith(
+            "minimised: dropped t1, t2 (implied under the schema)\n"
+        )
+        assert "Filter(non-literal: ?y)" in out
+
+    def test_nothing_dropped_prints_nothing(self, capsys):
+        code, out = run_cli(
+            capsys, "answer", "--dataset", "lubm", "--query", "Q1",
+            "--strategy", "ref-gcov", "--show-metrics", "--seed", "3",
+        )
+        assert code == 0
+        assert "minimised:" not in out
+        assert "GCov chose" in out
+
+
 class TestFileDataset:
     def test_ntriples_file(self, capsys, tmp_path):
         from repro.datasets import books_graph

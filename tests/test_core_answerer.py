@@ -80,15 +80,17 @@ class TestStrategies:
 #: in order — pinned so the one shared answering tail stays key-for-key
 #: what the per-strategy branches produced.
 DETAIL_KEYS = {
-    Strategy.SAT: ["saturation_seconds"],
-    Strategy.DATALOG: [],
-    Strategy.REF_UCQ: ["ucq_disjuncts", "policy"],
-    Strategy.REF_VIRTUOSO: ["ucq_disjuncts", "policy"],
-    Strategy.REF_ALLEGRO: ["ucq_disjuncts", "policy"],
-    Strategy.REF_SCQ: ["fragments", "atom_count"],
-    Strategy.REF_JUCQ: ["cover", "atom_count"],
+    Strategy.SAT: ["saturation_seconds", "minimised"],
+    Strategy.DATALOG: ["minimised"],
+    Strategy.REF_UCQ: ["ucq_disjuncts", "policy", "minimised"],
+    Strategy.REF_VIRTUOSO: ["ucq_disjuncts", "policy", "minimised"],
+    Strategy.REF_ALLEGRO: ["ucq_disjuncts", "policy", "minimised"],
+    Strategy.REF_SCQ: ["fragments", "atom_count", "minimised"],
+    Strategy.REF_JUCQ: ["cover", "atom_count", "minimised"],
     Strategy.REF_GCOV: [
-        "cover", "estimated_cost", "explored_covers", "search_seconds",
+        "cover", "estimated_cost", "runner_up_cost", "explored_covers",
+        "fragments_priced", "estimates_computed", "search_seconds",
+        "minimised",
     ],
 }
 
@@ -133,6 +135,7 @@ class TestDetailsKeys:
         assert list(report.details) == [
             "fragments",
             "atom_count",
+            "minimised",
             "budget_exceeded",
             "budget_fallback_cover",
             "budget_fallback_attempts",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random as random_module
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import answer_query as datalog_answer
@@ -290,6 +290,97 @@ def test_incomplete_policies_are_sound(graph, schema, query):
     for policy in (VIRTUOSO_STYLE, ALLEGROGRAPH_STYLE):
         partial = evaluate(db, reformulate(query, schema, policy))
         assert partial <= complete
+
+
+# ---------------------------------------------------------------------------
+# Schema minimisation: dropping entailed atoms changes no answer
+
+
+@st.composite
+def implied_query_st(draw):
+    """``(schema, query)``: a random CQ plus one atom an existing atom
+    entails by construction — the atom's superclass or superproperty,
+    or its property's domain or range (the range over whatever the
+    object is, a literal included) — with the constraint that makes it
+    so added to a random schema."""
+    constraints = draw(st.lists(constraint_st, max_size=6))
+    query = draw(query_st())
+    anchors = [
+        atom
+        for atom in query.atoms
+        if not isinstance(atom.property, Variable)
+        and not (atom.property == RDF_TYPE and isinstance(atom.object, Variable))
+    ]
+    atoms = list(query.atoms)
+    if anchors:
+        anchor = draw(st.sampled_from(anchors))
+    else:
+        anchor = TriplePattern(
+            draw(st.sampled_from(_VARS)),
+            draw(st.sampled_from(PROPERTIES)),
+            draw(st.sampled_from(_VARS + INDIVIDUALS[:2] + LITERALS[:1])),
+        )
+        atoms.append(anchor)
+    subject, prop, obj = anchor.as_tuple()
+    if prop == RDF_TYPE:
+        parent = draw(st.sampled_from([c for c in CLASSES if c != obj]))
+        constraints.append(Constraint.subclass(obj, parent))
+        implied = TriplePattern(subject, RDF_TYPE, parent)
+    else:
+        kind = draw(st.sampled_from(["superproperty", "domain", "range"]))
+        if kind == "superproperty":
+            parent = draw(st.sampled_from([p for p in PROPERTIES if p != prop]))
+            constraints.append(Constraint.subproperty(prop, parent))
+            implied = TriplePattern(subject, parent, obj)
+        else:
+            klass = draw(st.sampled_from(CLASSES))
+            if kind == "domain":
+                constraints.append(Constraint.domain(prop, klass))
+                implied = TriplePattern(subject, RDF_TYPE, klass)
+            else:
+                constraints.append(Constraint.range(prop, klass))
+                implied = TriplePattern(obj, RDF_TYPE, klass)
+    atoms.insert(draw(st.integers(0, len(atoms))), implied)
+    variables = sorted(
+        {v for atom in atoms for v in atom.variables()}, key=lambda v: v.name
+    )
+    return Schema(constraints), ConjunctiveQuery(variables, atoms)
+
+
+@common_settings
+@given(graph=graph_st, case=implied_query_st())
+def test_schema_minimisation_preserves_answers(graph, case):
+    from repro import QueryAnswerer, Strategy
+    from repro.reformulation import (
+        ALLEGROGRAPH_STYLE,
+        VIRTUOSO_STYLE,
+        minimize_under_schema,
+    )
+
+    schema, query = case
+    minimised, dropped = minimize_under_schema(query, schema)
+    event("dropped %s atom(s)" % ("no" if not dropped else "some"))
+    saturated = saturate(graph, schema)
+    expected = evaluate_cq(saturated, query)
+    assert evaluate_cq(saturated, minimised) == expected
+    answerer = QueryAnswerer(graph, schema)
+    for strategy in (
+        Strategy.REF_GCOV, Strategy.REF_UCQ, Strategy.REF_SCQ, Strategy.SAT,
+        Strategy.DATALOG,
+    ):
+        report = answerer.answer(query, strategy)
+        assert report.details["minimised"] == dropped, strategy
+        assert report.answer == expected, strategy
+    # The incomplete strategies minimise under their own policy and
+    # still answer exactly what their unminimised reformulation does.
+    db = database_graph(graph, schema)
+    for strategy, policy in (
+        (Strategy.REF_VIRTUOSO, VIRTUOSO_STYLE),
+        (Strategy.REF_ALLEGRO, ALLEGROGRAPH_STYLE),
+    ):
+        assert answerer.answer(query, strategy).answer == evaluate(
+            db, reformulate(query, schema, policy)
+        ), strategy
 
 
 # ---------------------------------------------------------------------------
