@@ -59,7 +59,6 @@ from .core import (
     QueryAnswerer,
     Strategy,
 )
-from .core.answerer import search_details
 from .datasets import (
     books_dataset,
     example1_best_cover,
@@ -76,7 +75,7 @@ from .saturation import explain_triple, format_derivation
 from .schema import Schema
 from .query import QueryParseError, parse_query
 from .rdf import ParseError, load_file, shorten
-from .reformulation import ReformulationTooLarge, minimize_under_schema
+from .reformulation import ReformulationTooLarge
 from .resilience.errors import BudgetExceeded
 from .storage import QueryTooLargeError, explain as explain_plan
 
@@ -503,7 +502,8 @@ def _print_minimised(dropped) -> None:
 
 
 def _print_search(details) -> None:
-    """Which cover and why, and what it cost to decide (search_details)."""
+    """Which cover and why, and what it cost to decide (``REF_GCOV``'s
+    details)."""
     runner_up = details["runner_up_cost"]
     print("GCov chose %s (estimated cost %.1f, runner-up %s) after "
           "exploring %d covers"
@@ -518,22 +518,18 @@ def _print_search(details) -> None:
 def cmd_covers(args) -> int:
     """GCov's search over the minimised query ``ref-gcov`` answers."""
     answerer = QueryAnswerer(_build_graph(args))
-    query, dropped = minimize_under_schema(
-        _resolve_query(args), answerer.schema, answerer.policy
-    )
-    search, seconds = answerer.cover_search(query)
-    print(render_strategy(search.cover))
+    compiled = answerer.compile(_resolve_query(args), Strategy.REF_GCOV)
+    print(render_strategy(compiled.cover))
     print()
-    _print_minimised(dropped)
-    _print_search(search_details(search, seconds))
-    ranked = sorted(search.explored, key=lambda pair: pair[1])[: args.top]
+    _print_minimised(compiled.dropped)
+    _print_search(compiled.details)
     print(format_table(
         ["cover", "estimated cost"],
-        [[repr(cover), "%.1f" % cost] for cover, cost in ranked],
+        [[repr(cover), "%.1f" % cost] for cover, cost in compiled.ranked[: args.top]],
         title="cheapest explored covers",
     ))
     if args.dataset == "lubm" and args.query == "Ex1":
-        paper = example1_best_cover(query)
+        paper = example1_best_cover(compiled.minimised)
         print("\npaper's cover: %r" % paper)
     return 0
 

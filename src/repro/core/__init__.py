@@ -5,6 +5,7 @@ from .answerer import (
     Answer,
     AnswerReport,
     COMPLETE_STRATEGIES,
+    CompiledQuery,
     DEFAULT_ENGINE,
     OptionError,
     QueryAnswerer,
@@ -16,6 +17,7 @@ __all__ = [
     "Answer",
     "AnswerReport",
     "COMPLETE_STRATEGIES",
+    "CompiledQuery",
     "DEFAULT_ENGINE",
     "OptionError",
     "QueryAnswerer",

@@ -17,16 +17,20 @@ time, and strategy-specific diagnostics (reformulation sizes, the
 chosen cover, estimated costs, intermediate result sizes) — the data
 behind the demo's inspection panels.
 
-Every strategy but ``REF_JUCQ`` first drops the atoms the schema implies
-(:func:`~repro.reformulation.pruning.minimize_under_schema`); reported
-covers name the atoms of the query that remains.
+Answering is two steps: :meth:`QueryAnswerer.compile` minimises the
+query (every strategy but ``REF_JUCQ`` drops the atoms the schema
+implies, :func:`~repro.reformulation.pruning.minimize_under_schema`;
+reported covers name the atoms of the query that remains), searches a
+cover and rewrites it into one :class:`CompiledQuery`, and
+:meth:`QueryAnswerer.execute` evaluates that record.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ..cache import QueryCache, cover_key, dataset_token
 from ..columnar.indexes import ORDER_PERMUTATIONS
@@ -38,7 +42,7 @@ from ..query.cover import Cover
 from ..rdf.graph import Graph
 from ..rdf.terms import Term
 from ..reformulation.engine import ReformulationTooLarge, reformulate, ucq_size
-from ..reformulation.jucq import jucq_for_cover, scq_reformulation
+from ..reformulation.jucq import jucq_for_cover
 from ..reformulation.policy import (
     ALLEGROGRAPH_STYLE,
     COMPLETE,
@@ -68,23 +72,9 @@ DEFAULT_ENGINE = "columnar"
 
 
 def _ranked(search):
-    """A search's explored ``(cover, cost)`` pairs, cheapest first."""
-    return sorted(search.explored, key=lambda pair: pair[1])
-
-
-def search_details(search, seconds: float) -> Dict:
-    """What a GCov search chose, the runner-up's cost and what deciding
-    took — ``REF_GCOV``'s details, and what the CLI prints of a search."""
-    ranked = _ranked(search)
-    return {
-        "cover": repr(search.cover),
-        "estimated_cost": search.cost,
-        "runner_up_cost": ranked[1][1] if len(ranked) > 1 else None,
-        "explored_covers": search.explored_count,
-        "fragments_priced": search.fragments_priced,
-        "estimates_computed": search.estimates_computed,
-        "search_seconds": seconds,
-    }
+    """A search's explored ``(cover, cost)`` pairs, cheapest first (ties
+    in exploration order)."""
+    return tuple(sorted(search.explored, key=lambda pair: pair[1]))
 
 
 class OptionError(ValueError):
@@ -139,6 +129,33 @@ _UCQ_POLICIES = {
 }
 
 
+class CompiledQuery(NamedTuple):
+    """What :meth:`QueryAnswerer.compile` decided for one query and
+    strategy: all :meth:`QueryAnswerer.execute` evaluates, and no plan
+    (the columnar engine writes ``actual_rows`` into plan nodes, so a
+    record holding one could not be shared)."""
+
+    strategy: Strategy
+    #: The caller's query, the query minimisation left and the indices
+    #: (in the caller's query) of the atoms it dropped.
+    query: ConjunctiveQuery
+    minimised: ConjunctiveQuery
+    dropped: Tuple[int, ...]
+    #: What is evaluated: the minimised CQ for ``SAT``/``DATALOG``, the
+    #: UCQ or JUCQ otherwise.
+    relational: object
+    #: The strategy's diagnostics, ``"minimised"`` included.
+    details: Mapping
+    #: The cover the JUCQ came from (``REF_SCQ``: the per-atom cover);
+    #: None for the UCQ family, ``SAT`` and ``DATALOG``.
+    cover: Optional[Cover] = None
+    #: ``REF_GCOV``'s explored ``(cover, cost)`` pairs, cheapest first.
+    ranked: Optional[Tuple[Tuple[Cover, float], ...]] = None
+    #: Whether the reformulation tier served the rewrite (None: no
+    #: cache, or nothing rewritten).
+    reformulation_hit: Optional[bool] = None
+
+
 class AnswerReport:
     """An answer plus how it was obtained."""
 
@@ -183,6 +200,16 @@ class QueryAnswerer:
     >>> answerer = QueryAnswerer(graph, schema)
     >>> sorted(answerer.answer(query, Strategy.SAT).answer)[0][0].value
     'J. L. Borges'
+
+    :meth:`answer` is :meth:`execute` of :meth:`compile` behind the
+    cache's answer tier:
+
+    >>> compiled = answerer.compile(query, Strategy.REF_SCQ)
+    >>> compiled.cover, compiled.details["fragments"]
+    (Cover({t1}, {t2}, {t3}), 3)
+    >>> report = answerer.execute(compiled)
+    >>> report.answer == answerer.answer(query, Strategy.REF_SCQ).answer
+    True
     """
 
     def __init__(
@@ -273,12 +300,17 @@ class QueryAnswerer:
             # triples retire answers only.
             cache.watch_store(self.store)
 
-    def _evaluate(self, query, saturated: bool = False, budget=None):
-        """Run a relational query on the selected engine; returns
-        (answer, execution-or-None).  ``budget`` (columnar engine
-        only; :meth:`answer` refuses it on SQLite) bounds the
-        evaluation's intermediate results — see
+    def _evaluate(self, compiled: CompiledQuery, budget=None):
+        """Run *compiled*'s relational query on the selected engine (the
+        Datalog program for ``DATALOG``); returns (answer,
+        execution-or-None).  ``budget`` (columnar engine only;
+        :meth:`answer` refuses it on SQLite and for ``DATALOG``) bounds
+        the evaluation's intermediate results — see
         :class:`~repro.resilience.budget.ExecutionBudget`."""
+        query = compiled.relational
+        if compiled.strategy is Strategy.DATALOG:
+            return datalog_answer(self.store.data_triples(), self.schema, query), None
+        saturated = compiled.strategy is Strategy.SAT
         if self.engine == "sqlite":
             if saturated:
                 if self._saturated_sql_backend is None:
@@ -423,9 +455,12 @@ class QueryAnswerer:
         allow_partial: bool = False,
         budget_owner: Optional[str] = None,
     ) -> AnswerReport:
-        """Answer *query* with *strategy*.
+        """Answer *query* with *strategy*: :meth:`execute` of
+        :meth:`compile`, served from the cache's answer tier when it can.
 
-        ``cover`` is required by ``REF_JUCQ`` and ignored elsewhere.
+        ``cover`` is required by ``REF_JUCQ``, must be a cover of
+        *query* (:class:`OptionError` otherwise), and is ignored
+        elsewhere.
         ``max_disjuncts`` optionally caps UCQ materialization over the
         backend's own parse limit.  Raises
         :class:`~repro.reformulation.engine.ReformulationTooLarge` or
@@ -459,9 +494,7 @@ class QueryAnswerer:
         identity (the query service passes its ``tenant/request-id``
         here).
         """
-        if strategy is Strategy.REF_JUCQ and cover is None:
-            raise OptionError("REF_JUCQ requires a cover")
-        budget_factory = None
+        budget = None
         if row_budget is not None or time_budget is not None:
             if self.engine == "sqlite":
                 raise OptionError(
@@ -474,20 +507,13 @@ class QueryAnswerer:
                 )
             if budget_fallbacks < 0:
                 raise OptionError("budget_fallbacks must be >= 0")
-            # Validate eagerly (and once): the factory then mints a
-            # fresh budget per evaluation attempt, so a fallback cover
-            # gets the full allowance, not the failed attempt's dregs.
-            # ``budget_owner`` stamps every minted budget, so overruns
-            # stay attributable to the caller — e.g. the query
-            # service's ``tenant/request-id``.
-            ExecutionBudget(max_rows=row_budget, max_seconds=time_budget)
-
-            def budget_factory():
-                return ExecutionBudget(
-                    max_rows=row_budget,
-                    max_seconds=time_budget,
-                    owner=budget_owner,
-                )
+            # Built (and so validated) eagerly and once; each fallback
+            # cover runs under a fresh copy, with the full allowance.
+            # ``budget_owner`` makes overruns attributable to the
+            # caller — e.g. the query service's ``tenant/request-id``.
+            budget = ExecutionBudget(
+                max_rows=row_budget, max_seconds=time_budget, owner=budget_owner
+            )
 
         start = time.perf_counter()
         answer_key = None
@@ -519,34 +545,24 @@ class QueryAnswerer:
                     strategy, answer, time.perf_counter() - start, details
                 )
         try:
-            report = self._answer_uncached(
-                query,
-                strategy,
-                cover,
-                max_disjuncts,
-                start,
-                budget_factory,
-                budget_fallbacks,
-            )
+            compiled = self.compile(query, strategy, cover, max_disjuncts)
+            report = self.execute(compiled, budget, budget_fallbacks)
         except BudgetExceeded as exc:
             partial = self._partial_report(strategy, exc, start, allow_partial)
             if partial is None:
                 raise
             return partial  # degraded answers are never cached
+        report.elapsed_seconds = time.perf_counter() - start
         if self.cache is not None:
-            reformulation_hit = report.details.pop("_reformulation_cache", None)
             self.cache.store_answer(answer_key, (report.answer, dict(report.details)))
+            hit = compiled.reformulation_hit
             report.details["cache"] = {
                 "answer": "miss",
                 "reformulation": (
-                    None
-                    if reformulation_hit is None
-                    else ("hit" if reformulation_hit else "miss")
+                    None if hit is None else ("hit" if hit else "miss")
                 ),
                 "stats": self.cache.stats(),
             }
-        else:
-            report.details.pop("_reformulation_cache", None)
         return report
 
     def _partial_report(
@@ -583,246 +599,209 @@ class QueryAnswerer:
             details,
         )
 
-    def cover_search(self, query: ConjunctiveQuery):
-        """One greedy cover search (GCov) for *query*, as ``REF_GCOV``
-        runs it; returns ``(result, seconds)``."""
-        start = time.perf_counter()
-        search = gcov(
-            query, self.schema, self.store, self.backend, self.policy,
-            encoding=self.encoding,
-        )
-        return search, time.perf_counter() - start
-
-    def _fallback_evaluate(
-        self,
-        jucq,
-        ranked_covers,
-        budget_factory,
-        fallbacks: int,
-        details: Dict,
-        exclude_repr: Optional[str],
-    ):
-        """Evaluate *jucq* under a fresh budget; on
-        :class:`~repro.resilience.errors.BudgetExceeded`, retry up to
-        *fallbacks* next-best covers from the greedy search (cheapest
-        estimated cost first, the failed cover excluded), each under a
-        fresh budget.  *ranked_covers* is called only then: it yields
-        the ``(cover, cost)`` list of the search that chose *jucq* when
-        there was one — an overrun never searches twice.  Exhausting
-        the fallbacks re-raises the original overrun — with every
-        attempt's cover recorded in *details*."""
-        try:
-            return self._evaluate(jucq, budget=budget_factory())
-        except BudgetExceeded as primary:
-            if fallbacks <= 0:
-                raise
-            details["budget_exceeded"] = primary.diagnostics()
-            excluded = {exclude_repr} if exclude_repr is not None else set()
-            failed: list = []
-            for candidate, _cost in ranked_covers():
-                shown = repr(candidate)
-                if shown in excluded:
-                    continue
-                excluded.add(shown)
-                candidate_jucq = jucq_for_cover(
-                    candidate, self.schema, self.policy,
-                    encoding=self.encoding,
-                )
-                try:
-                    answer, execution = self._evaluate(
-                        candidate_jucq, budget=budget_factory()
-                    )
-                except BudgetExceeded:
-                    failed.append(shown)
-                    if len(failed) >= fallbacks:
-                        break
-                    continue
-                details["budget_fallback_cover"] = shown
-                details["budget_fallback_attempts"] = len(failed) + 1
-                if failed:
-                    details["budget_fallback_failed"] = failed
-                return answer, execution
-            details["budget_fallback_failed"] = failed
-            raise primary
-
-    def _rewrite(
+    def compile(
         self,
         query: ConjunctiveQuery,
-        strategy: Strategy,
-        cover: Optional[Cover],
-        max_disjuncts: Optional[int],
-    ):
-        """The rewrite step of the six reformulation strategies: each
-        one is a cache kind, a policy, a builder and the cover a budget
-        fallback must not retry.  Returns ``(reformulation, details,
-        failed_cover, ranked_covers)`` — the UCQ or JUCQ to evaluate,
-        the strategy's diagnostics, that cover's repr (None for the UCQ
-        family, which has no cover to fall back from) and what
-        :meth:`_fallback_evaluate` ranks its fallbacks from."""
+        strategy: Strategy = Strategy.REF_GCOV,
+        cover: Optional[Cover] = None,
+        max_disjuncts: Optional[int] = None,
+    ) -> CompiledQuery:
+        """Everything answering *query* with *strategy* decides before
+        evaluating: the minimisation, the cover search and the rewrite,
+        as one :class:`CompiledQuery` for :meth:`execute`.
 
-        def ranked_covers():
-            return _ranked(self.cover_search(query)[0])
-
-        policy = self.policy
+        ``cover`` is required by ``REF_JUCQ`` — a cover of *query*
+        itself, else :class:`OptionError` — and ignored elsewhere;
+        ``max_disjuncts`` is as in :meth:`answer`.  The rewrite goes
+        through the cache's reformulation tier, keyed on the minimised
+        query."""
+        if not isinstance(strategy, Strategy):
+            raise ValueError("unknown strategy %r" % (strategy,))
+        policy = _UCQ_POLICIES.get(strategy) or self.policy
+        if strategy is Strategy.REF_JUCQ:
+            if cover is None:
+                raise OptionError("REF_JUCQ requires a cover")
+            if cover.query != query:
+                raise OptionError(
+                    "the cover covers %r, not the query answered, %r"
+                    % (cover.query, query)
+                )
+            minimised, dropped = query, ()  # its cover names the caller's atoms
+        else:
+            minimised, dropped = minimize_under_schema(query, self.schema, policy)
+        if strategy in (Strategy.SAT, Strategy.DATALOG):
+            return CompiledQuery(
+                strategy, query, minimised, dropped, minimised,
+                MappingProxyType({"minimised": dropped}),
+            )
+        size = None
         extra = None
         if strategy in _UCQ_POLICIES:
-            policy = _UCQ_POLICIES[strategy] or policy
             size, _ = self._cached_reformulation(
                 "ucq-size",
-                query,
+                minimised,
                 policy,
-                lambda: ucq_size(query, self.schema, policy, self.encoding),
+                lambda: ucq_size(minimised, self.schema, policy, self.encoding),
             )
             # A UCQ of n disjuncts over an α-atom query has ~n·α atoms;
             # refuse before materializing what the backend cannot parse.
-            projected_atoms = size * len(query.atoms)
+            projected_atoms = size * len(minimised.atoms)
             if projected_atoms > self.backend.max_query_atoms:
                 raise QueryTooLargeError(
                     projected_atoms, self.backend.max_query_atoms, self.backend.name
                 )
             kind, extra = "ucq", max_disjuncts
-
-            def build():
-                return reformulate(
-                    query,
-                    self.schema,
-                    policy,
-                    max_disjuncts=max_disjuncts,
-                    encoding=self.encoding,
-                )
-
-            def describe(union):
-                details = {"ucq_disjuncts": size, "policy": policy.name}
-                return union, details, None, None
-
         elif strategy is Strategy.REF_SCQ:
             kind = "scq"
-
-            def build():
-                return scq_reformulation(
-                    query, self.schema, policy, encoding=self.encoding
-                )
-
-            def describe(jucq):
-                details = {
-                    "fragments": jucq.fragment_count(),
-                    "atom_count": jucq.atom_count(),
-                }
-                # The SCQ *is* the per-atom cover's JUCQ.
-                return jucq, details, repr(Cover.per_atom(query)), ranked_covers
-
         elif strategy is Strategy.REF_JUCQ:
             kind = "jucq-cover"
             extra = None if self.cache is None else cover_key(cover)
-
-            def build():
-                return jucq_for_cover(
-                    cover, self.schema, policy, encoding=self.encoding
-                )
-
-            def describe(jucq):
-                details = {"cover": repr(cover), "atom_count": jucq.atom_count()}
-                return jucq, details, details["cover"], ranked_covers
-
-        elif strategy is Strategy.REF_GCOV:
+        else:
             # The cover choice is cost-based, hence data-dependent: the
             # entry carries the dataset token so answerers sharing one
             # cache never trade covers tuned to each other's data.
             kind, extra = "gcov", (self._dataset_token, self.backend.name)
-
-            def build():
-                search, seconds = self.cover_search(query)
-                jucq = jucq_for_cover(
-                    search.cover, self.schema, policy, encoding=self.encoding
-                )
-                return jucq, search_details(search, seconds), _ranked(search)
-
-            def describe(built):
-                jucq, gcov_details, ranked = built
-                return (
-                    jucq,
-                    dict(gcov_details),
-                    gcov_details["cover"],
-                    lambda: ranked,
-                )
-
-        else:
-            raise ValueError("unknown strategy %r" % (strategy,))
-
-        built, reformulation_hit = self._cached_reformulation(
-            kind, query, policy, build, extra
+        built, hit = self._cached_reformulation(
+            kind,
+            minimised,
+            policy,
+            lambda: self._reformulate(
+                strategy, minimised, policy, cover, max_disjuncts, size
+            ),
+            extra,
         )
-        reformulation, details, failed_cover, ranked_covers = describe(built)
-        details["_reformulation_cache"] = reformulation_hit
-        return reformulation, details, failed_cover, ranked_covers
-
-    def _answer_uncached(
-        self,
-        query: ConjunctiveQuery,
-        strategy: Strategy,
-        cover: Optional[Cover],
-        max_disjuncts: Optional[int],
-        start: float,
-        budget_factory=None,
-        budget_fallbacks: int = 0,
-    ) -> AnswerReport:
-        def budget():
-            return None if budget_factory is None else budget_factory()
-
-        dropped: Tuple[int, ...] = ()  # details["minimised"]: caller's indices
-        if strategy is not Strategy.REF_JUCQ:  # its cover names the caller's atoms
-            query, dropped = minimize_under_schema(
-                query, self.schema, _UCQ_POLICIES.get(strategy) or self.policy
-            )
-
-        if strategy == Strategy.SAT:
-            answer, execution = self._evaluate(
-                query, saturated=True, budget=budget()
-            )
-            elapsed = time.perf_counter() - start
-            return AnswerReport(
-                strategy,
-                answer,
-                elapsed,
-                {"saturation_seconds": self._saturation_seconds, "minimised": dropped},
-                execution,
-            )
-
-        if strategy == Strategy.DATALOG:
-            answer = datalog_answer(
-                self.store.data_triples(), self.schema, query
-            )
-            return AnswerReport(
-                strategy, answer, time.perf_counter() - start, {"minimised": dropped}
-            )
-
-        reformulation, details, failed_cover, ranked_covers = self._rewrite(
-            query, strategy, cover, max_disjuncts
-        )
-        details["minimised"] = dropped
-        interval_stats = self._interval_stats(reformulation)
+        details = dict(built.details, minimised=dropped)
+        interval_stats = self._interval_stats(built.relational)
         if interval_stats is not None:
             details["interval"] = interval_stats
-        if budget_factory is None or failed_cover is None:
-            answer, execution = self._evaluate(reformulation, budget=budget())
-        else:
-            # The fallback ranking excludes failed_cover: by the time
-            # it is consulted, that cover has just overrun.
-            answer, execution = self._fallback_evaluate(
-                reformulation,
-                ranked_covers,
-                budget_factory,
-                budget_fallbacks,
-                details,
-                failed_cover,
+        return built._replace(
+            strategy=strategy,
+            query=query,
+            dropped=dropped,
+            details=MappingProxyType(details),
+            reformulation_hit=hit,
+        )
+
+    def _reformulate(self, strategy, query, policy, cover, max_disjuncts, size):
+        """The rewrite of the minimised *query* with one of the six
+        reformulation strategies, as the reformulation tier caches it:
+        a :class:`CompiledQuery` of *query* itself, nothing dropped."""
+        ranked = None
+        if strategy in _UCQ_POLICIES:
+            relational = reformulate(
+                query, self.schema, policy, max_disjuncts, encoding=self.encoding
             )
+            return CompiledQuery(
+                strategy, query, query, (), relational,
+                MappingProxyType({"ucq_disjuncts": size, "policy": policy.name}),
+            )
+        if strategy is Strategy.REF_SCQ:
+            cover = Cover.per_atom(query)  # the SCQ *is* its JUCQ
+            relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
+            details = {
+                "fragments": relational.fragment_count(),
+                "atom_count": relational.atom_count(),
+            }
+        elif strategy is Strategy.REF_JUCQ:
+            relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
+            details = {"cover": repr(cover), "atom_count": relational.atom_count()}
+        else:
+            start = time.perf_counter()
+            search = self._search(query)
+            seconds = time.perf_counter() - start
+            cover, ranked = search.cover, _ranked(search)
+            relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
+            details = {
+                "cover": repr(cover),
+                "estimated_cost": search.cost,
+                "runner_up_cost": ranked[1][1] if len(ranked) > 1 else None,
+                "explored_covers": search.explored_count,
+                "fragments_priced": search.fragments_priced,
+                "estimates_computed": search.estimates_computed,
+                "search_seconds": seconds,
+            }
+        return CompiledQuery(
+            strategy, query, query, (), relational, MappingProxyType(details),
+            cover, ranked,
+        )
+
+    def _search(self, query: ConjunctiveQuery):
+        """One greedy cover search (GCov) of *query*."""
+        return gcov(
+            query, self.schema, self.store, self.backend, self.policy,
+            encoding=self.encoding,
+        )
+
+    def execute(
+        self,
+        compiled: CompiledQuery,
+        budget: Optional[ExecutionBudget] = None,
+        budget_fallbacks: int = 0,
+    ) -> AnswerReport:
+        """Evaluate *compiled* on the selected engine, planning it on the
+        way, and report it with the record's details.
+
+        ``budget`` (columnar engine only) bounds the evaluation.  When
+        it overruns the JUCQ of a cover strategy, up to
+        ``budget_fallbacks`` next-ranked covers are compiled and
+        executed in turn, each under a fresh copy of ``budget``.  The
+        ranking is the record's own for ``REF_GCOV`` and one search of
+        the minimised query otherwise, run on the first overrun only.
+        The overrun cover is never retried; exhausting the fallbacks
+        re-raises the first overrun."""
+        start = time.perf_counter()
+        details = dict(compiled.details)
+        try:
+            answer, execution = self._evaluate(compiled, budget)
+        except BudgetExceeded as overrun:
+            if compiled.cover is None or budget_fallbacks <= 0:
+                raise
+            details["budget_exceeded"] = overrun.diagnostics()
+            answer, execution = self._fall_back(
+                compiled, budget, budget_fallbacks, details, overrun
+            )
+        if compiled.strategy is Strategy.SAT:
+            details = {"saturation_seconds": self._saturation_seconds, **details}
         return AnswerReport(
-            strategy,
+            compiled.strategy,
             answer,
             time.perf_counter() - start,
             details,
             execution,
         )
+
+    def _fall_back(self, compiled, budget, fallbacks, details, overrun):
+        """The budget fallbacks of :meth:`execute`; *details* records
+        the cover that answered and the attempts it took."""
+        ranked = compiled.ranked
+        if ranked is None:
+            ranked = _ranked(self._search(compiled.minimised))
+        tried = {repr(compiled.cover)}
+        failed: list = []
+        for candidate, _cost in ranked:
+            shown = repr(candidate)
+            if shown in tried:
+                continue
+            tried.add(shown)
+            fresh = ExecutionBudget(
+                budget.max_rows, budget.max_seconds, budget.clock, budget.owner
+            )
+            try:
+                report = self.execute(
+                    self.compile(compiled.minimised, Strategy.REF_JUCQ, candidate),
+                    fresh,
+                )
+            except BudgetExceeded:
+                failed.append(shown)
+                if len(failed) >= fallbacks:
+                    break
+                continue
+            details["budget_fallback_cover"] = shown
+            details["budget_fallback_attempts"] = len(failed) + 1
+            if failed:
+                details["budget_fallback_failed"] = failed
+            return report.answer, report.execution
+        raise overrun
 
     # ------------------------------------------------------------------
 

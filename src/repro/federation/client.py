@@ -7,8 +7,9 @@ practice fetched once from an ontology endpoint, which is feasible
 because schemas are tiny), answer conjunctive queries completely
 without ever saturating anything:
 
-1. reformulate each query atom into its UCQ of alternatives (the same
-   per-atom rules as everywhere else);
+1. drop the atoms the schema implies (the answerer's minimisation, under
+   the client's policy), then reformulate each remaining atom into its
+   UCQ of alternatives (the same per-atom rules as everywhere else);
 2. send each atomic UCQ to every endpoint (atoms are the unit of
    distribution: a join may need one triple from one source and one
    from another, so multi-atom fragments cannot be pushed down to a
@@ -59,6 +60,7 @@ from ..query.evaluation import join_relations
 from ..rdf.terms import Term
 from ..reformulation.engine import reformulate
 from ..reformulation.policy import COMPLETE, ReformulationPolicy
+from ..reformulation.pruning import minimize_under_schema
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.budget import ExecutionBudget
 from ..resilience.clock import Clock, Deadline, SYSTEM_CLOCK
@@ -210,9 +212,8 @@ class FederatedAnswerer:
         if self.cache is not None:
             self.cache.note_data_change()
 
-    def _atom_union(self, atom: TriplePattern, head: Sequence[HeadTerm]) -> UnionQuery:
-        """The UCQ of alternatives for one atom, projected on *head*."""
-        single = ConjunctiveQuery(head, [atom])
+    def _atom_union(self, single: ConjunctiveQuery) -> UnionQuery:
+        """The UCQ of alternatives of a one-atom query."""
         if self.cache is None:
             return reformulate(single, self.schema, self.policy)
         key = self.cache.reformulation_key(
@@ -311,9 +312,13 @@ class FederatedAnswerer:
         atom: TriplePattern,
         head: Tuple[HeadTerm, ...],
         entries: Sequence[EndpointReport],
+        guard: FrozenSet[Variable],
     ) -> Tuple[Set[Row], bool, int, int]:
         """Evaluate one atom's UCQ on every endpoint; union the rows.
-        Constraint atoms short-circuit to the client's schema.
+        Constraint atoms short-circuit to the client's schema.  *guard*
+        is the query's non-literal variables (minimisation's range
+        guards); rows binding one of the atom's to a literal are not
+        fetched.
 
         Three phases so the per-endpoint requests may overlap: a serial
         cache-lookup pass (cache access stays single-threaded) collects
@@ -327,7 +332,7 @@ class FederatedAnswerer:
         if atom.property in SCHEMA_PROPERTIES:
             return self._schema_atom_rows(atom, head), False, 0, 0
         union: Optional[UnionQuery] = None
-        single = ConjunctiveQuery(head, [atom])
+        single = ConjunctiveQuery(head, [atom], guard & atom.variables())
         rows: Set[Row] = set()
         truncated = False
         requests = 0
@@ -356,7 +361,7 @@ class FederatedAnswerer:
                         entry.note_status(TRUNCATED)
                     continue  # no request made: the hit is the point
             if union is None:
-                union = self._atom_union(atom, head)
+                union = self._atom_union(single)
             pending.append((index, endpoint, entry, key, entry.requests))
         # -- phase 2: the guarded endpoint calls, fanned out -----------
         if self.pool is not None and self.pool.usable() and len(pending) > 1:
@@ -404,7 +409,9 @@ class FederatedAnswerer:
         ``budget`` (opt-in) bounds the *local* join evaluation: a
         cross-endpoint blowup raises
         :class:`~repro.resilience.errors.BudgetExceeded` instead of
-        consuming the client."""
+        consuming the client.  *query* is first minimised under the
+        client's schema and policy: an implied atom costs no requests."""
+        query, _ = minimize_under_schema(query, self.schema, self.policy)
         started = self.clock.monotonic()
         report = CompletenessReport(self._labels)
         entries = [report[label] for label in self._labels]
@@ -432,7 +439,9 @@ class FederatedAnswerer:
             if not atom.variables():
                 exposed = ()
             atom_rows, atom_truncated, atom_requests, atom_transferred = (
-                self._fetch_atom(atom, exposed, entries)
+                self._fetch_atom(
+                    atom, exposed, entries, query.nonliteral_variables
+                )
             )
             requests += atom_requests
             transferred += atom_transferred

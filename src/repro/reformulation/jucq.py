@@ -12,7 +12,7 @@ fragment query with the engine of
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..query.algebra import HeadTerm, JoinOfUnions, UnionQuery
 from ..query.cover import Cover
@@ -25,7 +25,6 @@ def jucq_for_cover(
     cover: Cover,
     schema: Schema,
     policy: ReformulationPolicy = COMPLETE,
-    max_disjuncts_per_fragment: Optional[int] = None,
     encoding=None,
 ) -> JoinOfUnions:
     """Compile *cover* into the JUCQ it induces.
@@ -40,13 +39,7 @@ def jucq_for_cover(
     fragments: List[Tuple[Tuple[HeadTerm, ...], UnionQuery]] = []
     for fragment in cover.fragments:
         fragment_query = cover.fragment_query(fragment)
-        union = reformulate(
-            fragment_query,
-            schema,
-            policy,
-            max_disjuncts=max_disjuncts_per_fragment,
-            encoding=encoding,
-        )
+        union = reformulate(fragment_query, schema, policy, encoding=encoding)
         fragments.append((fragment_query.head, union))
     return JoinOfUnions(cover.query.head, fragments)
 

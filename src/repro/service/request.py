@@ -55,8 +55,11 @@ class QueryRequest:
             raise ValueError(
                 "a deadline needs a positive horizon, got %r" % (deadline,)
             )
-        if strategy is Strategy.REF_JUCQ and cover is None:
-            raise ValueError("REF_JUCQ requests need a cover")
+        if strategy is Strategy.REF_JUCQ:
+            if cover is None:
+                raise ValueError("REF_JUCQ requests need a cover")
+            if cover.query != query:
+                raise ValueError("a REF_JUCQ request's cover must cover its query")
         self.tenant = tenant
         self.query = query
         self.strategy = strategy

@@ -149,7 +149,3 @@ class Executor:
             exc.partial_answer = frozenset(
                 self.store.decode_row(row) for row in partial_rows
             )
-
-    def estimated_cost(self, query: PlannableQuery) -> float:
-        """The cost model's price for *query*, without executing it."""
-        return self.planner.plan(query).total_estimated_cost()

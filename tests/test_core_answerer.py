@@ -4,14 +4,18 @@ import pytest
 
 from repro import QueryAnswerer, Strategy
 from repro.cache import QueryCache
-from repro.core import COMPLETE_STRATEGIES
+from repro.core import COMPLETE_STRATEGIES, OptionError
 from repro.datasets import (
     example1_best_cover,
     example1_query,
     generate_lubm,
+    lubm_queries,
 )
-from repro.query import Cover
+from repro.query import ConjunctiveQuery, Cover
 from repro.rdf import Literal, Namespace
+from repro.reformulation import ReformulationTooLarge
+from repro.resilience.budget import ExecutionBudget
+from repro.resilience.errors import BudgetExceeded
 from repro.storage import QueryTooLargeError
 
 EX = Namespace("http://example.org/")
@@ -216,3 +220,133 @@ class TestExample1EndToEnd:
             best.execution.max_intermediate_rows()
             < scq.execution.max_intermediate_rows()
         )
+
+
+LUBM_NAMES = ["Q%d" % number for number in range(1, 15)] + ["Ex1"]
+
+
+def _split_matches(answerer, query, strategy, cover):
+    """``execute(compile(...))`` answers like ``answer``, with the same
+    detail keys in the same order — or fails with the same error."""
+    try:
+        expected = answerer.answer(query, strategy, cover=cover)
+    except (QueryTooLargeError, ReformulationTooLarge) as exc:
+        with pytest.raises(type(exc)):
+            answerer.execute(answerer.compile(query, strategy, cover=cover))
+        return
+    report = answerer.execute(answerer.compile(query, strategy, cover=cover))
+    assert report.answer == expected.answer, strategy
+    assert list(report.details) == list(expected.details), strategy
+
+
+class TestCompileExecute:
+    """``answer`` is ``execute(compile(...))`` behind the answer tier."""
+
+    @pytest.fixture(scope="class")
+    def lubm_answerer(self):
+        return QueryAnswerer(generate_lubm(universities=1, seed=1))
+
+    @pytest.mark.parametrize(
+        "strategy", list(Strategy), ids=[s.value for s in Strategy]
+    )
+    def test_books_split_matches_answer(self, answerer, books, strategy):
+        _, _, query = books
+        _split_matches(answerer, query, strategy, Cover(query, [[0, 1], [2]]))
+
+    @pytest.mark.parametrize("name", LUBM_NAMES)
+    def test_lubm_split_matches_answer(self, lubm_answerer, name):
+        query = example1_query() if name == "Ex1" else lubm_queries()[name]
+        cover = (
+            example1_best_cover(query) if name == "Ex1" else Cover.per_atom(query)
+        )
+        for strategy in Strategy:
+            _split_matches(lubm_answerer, query, strategy, cover)
+
+    def test_record_fields(self, lubm_answerer):
+        query = lubm_queries()["Q7"]  # t1 and t2 follow from the schema
+        sat = lubm_answerer.compile(query, Strategy.SAT)
+        assert sat.query == query and sat.dropped == (0, 1)
+        assert sat.relational == sat.minimised and len(sat.minimised.atoms) == 2
+        assert sat.cover is None and sat.ranked is None
+        assert sat.details["minimised"] == (0, 1)
+        assert lubm_answerer.compile(query, Strategy.REF_UCQ).cover is None
+        scq = lubm_answerer.compile(query, Strategy.REF_SCQ)
+        assert scq.cover == Cover.per_atom(scq.minimised) and scq.ranked is None
+        gcov = lubm_answerer.compile(query, Strategy.REF_GCOV)
+        assert gcov.cover.query == gcov.minimised
+        assert repr(gcov.cover) == gcov.details["cover"]
+        costs = [cost for _, cost in gcov.ranked]
+        assert costs == sorted(costs) and costs[0] == gcov.details["estimated_cost"]
+        jucq = lubm_answerer.compile(query, Strategy.REF_JUCQ, Cover.per_atom(query))
+        assert jucq.minimised == query and jucq.dropped == ()
+        with pytest.raises(AttributeError):
+            gcov.cover = None
+        with pytest.raises(TypeError):
+            gcov.details["cover"] = None
+
+    def test_reformulation_hit_flag(self, books):
+        graph, schema, query = books
+        plain = QueryAnswerer(graph, schema)
+        assert plain.compile(query, Strategy.REF_SCQ).reformulation_hit is None
+        cached = QueryAnswerer(graph, schema, cache=QueryCache())
+        assert cached.compile(query, Strategy.REF_SCQ).reformulation_hit is False
+        assert cached.compile(query, Strategy.REF_SCQ).reformulation_hit is True
+        assert cached.compile(query, Strategy.SAT).reformulation_hit is None
+
+
+class TestCoverMustCoverTheQuery:
+    def test_foreign_cover_refused(self):
+        """The cover of another query used to answer *that* query."""
+        answerer = QueryAnswerer(generate_lubm(universities=1, seed=1))
+        queries = lubm_queries()
+        with pytest.raises(OptionError, match="cover"):
+            answerer.answer(
+                queries["Q6"], Strategy.REF_JUCQ, cover=Cover.per_atom(queries["Q14"])
+            )
+
+    def test_equal_query_accepted(self, answerer, books):
+        _, _, query = books
+        rebuilt = ConjunctiveQuery(query.head, query.atoms)
+        report = answerer.answer(
+            query, Strategy.REF_JUCQ, cover=Cover.per_atom(rebuilt)
+        )
+        assert report.answer == answerer.answer(query, Strategy.SAT).answer
+
+
+class TestBudgetFallbackSearchesOnce:
+    @pytest.fixture
+    def gcov_calls(self, monkeypatch):
+        import repro.core.answerer as answerer_module
+
+        calls = []
+        real = answerer_module.gcov
+
+        def counting(query, *args, **kwargs):
+            calls.append(query)
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(answerer_module, "gcov", counting)
+        return calls
+
+    def test_scq_overrun_searches_once(self, books, gcov_calls):
+        graph, schema, query = books
+        report = QueryAnswerer(graph, schema).answer(
+            query, Strategy.REF_SCQ, row_budget=12, budget_fallbacks=2
+        )
+        assert "budget_fallback_cover" in report.details
+        assert len(gcov_calls) == 1
+
+    def test_gcov_overrun_falls_back_on_its_ranking(self, books, gcov_calls):
+        graph, schema, query = books
+        answerer = QueryAnswerer(graph, schema)
+        compiled = answerer.compile(query, Strategy.REF_GCOV)
+        assert len(gcov_calls) == 1
+        with pytest.raises(BudgetExceeded):
+            answerer.execute(compiled, ExecutionBudget(max_rows=12))
+        report = answerer.execute(
+            compiled, ExecutionBudget(max_rows=12), budget_fallbacks=3
+        )
+        assert len(gcov_calls) == 1  # the record's ranking, no new search
+        ranked = [repr(cover) for cover, _ in compiled.ranked]
+        assert report.details["budget_fallback_cover"] in ranked[1:]
+        assert report.answer == answerer.answer(query, Strategy.SAT).answer

@@ -9,7 +9,7 @@ from repro.federation import (
     FederatedAnswerer,
 )
 from repro.query import ConjunctiveQuery, TriplePattern, Variable, evaluate_cq
-from repro.rdf import Graph, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
+from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
 from repro.saturation import saturate
 from repro.schema import Constraint, Schema
 
@@ -329,3 +329,33 @@ class TestCachedFederation:
         # Same endpoint name, same query — but a different federation:
         # the dataset token keeps the sub-answers apart.
         assert second.answer(query).rows == frozenset({(EX.c,)})
+
+
+class TestMinimisation:
+    """The client drops the atoms its schema implies before fetching."""
+
+    def test_implied_atom_costs_no_requests(self, lubm_setup):
+        _, schema, endpoints, closure = lubm_setup
+        query = lubm_queries()["Q5"]  # memberOf's domain implies Person
+        answer = FederatedAnswerer(endpoints, schema).answer(query)
+        # One request per endpoint for the one remaining atom, where the
+        # unminimised query costs one per endpoint for each of its two.
+        assert answer.requests == len(endpoints)
+        assert answer.requests < len(query.atoms) * len(endpoints)
+        assert answer.rows == evaluate_cq(closure, query)
+        assert answer.rows
+
+    def test_range_guard_keeps_literals_out(self):
+        """``?x type C`` implied by ``?y p ?x`` under range(p) = C only
+        for a non-literal ``?x``: the dropped atom's guard must hold."""
+        schema = Schema([Constraint.range(EX.p, EX.C)])
+        graph = Graph([Triple(EX.a, EX.p, EX.b), Triple(EX.a, EX.p, Literal("v"))])
+        query = ConjunctiveQuery(
+            [x], [TriplePattern(y, EX.p, x), TriplePattern(x, RDF_TYPE, EX.C)]
+        )
+        answer = FederatedAnswerer([Endpoint("e", graph)], schema).answer(query)
+        assert answer.rows == frozenset({(EX.b,)})
+        assert answer.requests == 1
+        full = graph.copy()
+        full.add_all(schema.to_triples())
+        assert answer.rows == evaluate_cq(saturate(full), query)

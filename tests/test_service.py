@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core import QueryAnswerer, Strategy
 from repro.datasets import books_dataset, generate_lubm, lubm_queries
-from repro.query import parse_query
+from repro.query import Cover, parse_query
 from repro.rdf import Graph, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
 from repro.resilience.clock import FakeClock
 from repro.resilience.errors import BudgetExceeded
@@ -71,6 +71,26 @@ def make_service(graph, schema=None, *, tenants, clock=None, **kwargs):
 def rows(ticket_or_report):
     answer = getattr(ticket_or_report, "answer", ticket_or_report)
     return sorted(answer)
+
+
+class TestRequestValidation:
+    def test_jucq_cover_must_cover_the_query(self):
+        """A foreign cover is refused at the door: the answerer's
+        OptionError is not a serving error, so it would escape step()."""
+        _, query = tiny_dataset()
+        other = parse_query(
+            "SELECT ?x WHERE { ?x rdf:type <http://example.org/svc/Grad> }"
+        )
+        with pytest.raises(ValueError, match="cover"):
+            QueryRequest("alpha", query, Strategy.REF_JUCQ, cover=Cover.per_atom(other))
+        request = QueryRequest(
+            "alpha", query, Strategy.REF_JUCQ, cover=Cover.per_atom(query)
+        )
+        service = make_service(tiny_dataset()[0], tenants=["alpha"])
+        ticket = service.submit(request)
+        service.step()
+        assert ticket.status == DONE
+        assert rows(ticket.report) == [(EX.alice,), (EX.bob,)]
 
 
 class TestAdmission:

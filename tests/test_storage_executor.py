@@ -146,11 +146,6 @@ class TestPlannerBehaviour:
         union = reformulate(query, schema)
         assert query_atom_total(union) == union.atom_count()
 
-    def test_estimated_cost_positive(self, setup):
-        _, schema, store, _ = setup
-        executor = Executor(store)
-        assert executor.estimated_cost(queries()[1]) > 0
-
     def test_cardinalities_recorded(self, setup):
         _, _, store, _ = setup
         executor = Executor(store)
