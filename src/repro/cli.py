@@ -1334,7 +1334,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fsync every WAL record (always) or only on "
                            "checkpoints (never); default always")
     load.add_argument("--saturate", action="store_true",
-                      help="maintain incremental saturation state durably")
+                      help="maintain incremental saturation while loading")
     load.add_argument("--checkpoint", action="store_true",
                       help="write a checkpoint after loading")
     load.add_argument("--lenient", action="store_true",
@@ -1348,8 +1348,8 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint.add_argument("--wal", required=True,
                             help="durability directory")
     checkpoint.add_argument("--saturate", action="store_true",
-                            help="carry incremental saturation state in the "
-                                 "checkpoint")
+                            help="also saturate on open (checkpoints never "
+                                 "hold the saturation: recovery rebuilds it)")
     checkpoint.set_defaults(func=cmd_checkpoint)
 
     recover_cmd = subparsers.add_parser(
@@ -1367,7 +1367,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover_cmd.add_argument("--read-only", action="store_true",
                              help="inspect only: leave torn WAL tails on disk")
     recover_cmd.add_argument("--saturate", action="store_true",
-                             help="rebuild incremental saturation state too")
+                             help="saturate the recovered store too")
     recover_cmd.set_defaults(func=cmd_recover)
 
     serve = subparsers.add_parser(

@@ -287,7 +287,6 @@ class QueryAnswerer:
         self.executor = Executor(self.store, backend)
         self._sql_backend: Optional[SqliteBackend] = None
         self._saturated_sql_backend: Optional[SqliteBackend] = None
-        self._saturated_store: Optional[TripleStore] = None
         self._saturator = None
         self._saturation_seconds: Optional[float] = None
         self.cache = cache
@@ -347,8 +346,7 @@ class QueryAnswerer:
             return False
         self._sql_backend = None
         if self._saturator is not None:
-            for added in self._saturator.insert(triple):
-                self._saturated_store.insert(added)
+            self._saturator.insert(triple)
             self._saturated_sql_backend = None
         return True
 
@@ -360,8 +358,7 @@ class QueryAnswerer:
             return False
         self._sql_backend = None
         if self._saturator is not None:
-            for removed in self._saturator.delete(triple):
-                self._saturated_store.delete(removed)
+            self._saturator.delete(triple)
             self._saturated_sql_backend = None
         return True
 
@@ -372,26 +369,22 @@ class QueryAnswerer:
         """The store over ``G∞``, built (and timed) on first use and
         maintained incrementally by :meth:`insert`/:meth:`delete`.
 
-        Unless the engine is SQLite, the timed build includes the three
-        sorted runs: Sat pays its preparation up front, and each later
-        write patches the runs instead of leaving a sort to the next
-        read."""
-        if self._saturated_store is None:
+        It is the saturator's, the only copy of ``G∞``: a fork of the
+        base store's runs, same ids, plus the derived triples.  Unless
+        the engine is SQLite, the timed build includes the three sorted
+        runs: Sat pays its preparation up front, and each later write
+        patches the runs instead of leaving a sort to the next read."""
+        if self._saturator is None:
             from ..saturation.incremental import IncrementalSaturator
 
             start = time.perf_counter()
-            saturator = IncrementalSaturator(
-                self.schema, self.store.data_triples()
-            )
-            store = TripleStore.from_graph(saturator.saturated(), self.schema)
+            self._saturator = IncrementalSaturator.over(self.store)
             if self.engine != "sqlite":
-                indexes = store.columnar()
+                indexes = self._saturator.store.columnar()
                 for name in ORDER_PERMUTATIONS:
                     indexes.order(name)
             self._saturation_seconds = time.perf_counter() - start
-            self._saturator = saturator
-            self._saturated_store = store
-        return self._saturated_store
+        return self._saturator.store
 
     @property
     def saturation_seconds(self) -> Optional[float]:

@@ -19,21 +19,24 @@ The body snapshots everything a restarted process needs:
   load, which makes them equal a fresh ``from_graph`` build by
   construction — the cost model's guard);
 * the closed schema's direct constraints (triple form);
-* optionally the incremental saturator's (explicit, support-count)
-  state, so restart skips re-saturation;
 * the cache's data/schema epochs;
 * the WAL position (segment, offset) the snapshot corresponds to —
   recovery replays only the WAL suffix past it.
+
+It holds no saturation: a saturator is rebuilt over the restored
+store in one pass (see :mod:`repro.saturation.incremental`), which is
+cheaper than parsing its triples back.  A body with any other key —
+an older body's saturation section among them — restores as if the
+key were absent.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..rdf.io import ParseError, parse_line, parse_term
-from ..saturation.incremental import IncrementalSaturator
 from ..schema.constraints import Constraint
 from ..schema.schema import Schema
 from ..storage.store import TripleStore
@@ -103,7 +106,6 @@ def decode_checkpoint(data: bytes) -> Dict:
 
 def build_snapshot(
     store: TripleStore,
-    saturator: Optional[IncrementalSaturator],
     sequence: int,
     wal_segment: int,
     wal_offset: int,
@@ -112,7 +114,7 @@ def build_snapshot(
 ) -> Dict:
     """Capture the full state as a JSON-serializable body."""
     terms, triples = store.encoded_state()
-    body: Dict = {
+    return {
         "format": FORMAT_VERSION,
         "sequence": sequence,
         "wal_segment": wal_segment,
@@ -129,25 +131,10 @@ def build_snapshot(
         "epochs": {"data": data_epoch, "schema": schema_epoch},
         "statistics": store.statistics.summary(),
     }
-    if saturator is not None:
-        explicit, support = saturator.export_state()
-        body["saturation"] = {
-            "schema": sorted(
-                constraint.to_triple().n3()
-                for constraint in saturator.schema().direct_constraints()
-            ),
-            "explicit": sorted(triple.n3() for triple in explicit),
-            "support": sorted(
-                (triple.n3(), count) for triple, count in support.items()
-            ),
-        }
-    return body
 
 
-def restore_snapshot(
-    body: Dict,
-) -> Tuple[TripleStore, Optional[IncrementalSaturator]]:
-    """Rebuild (store, saturator) from a validated checkpoint body.
+def restore_snapshot(body: Dict) -> TripleStore:
+    """Rebuild the store from a validated checkpoint body.
 
     Structural surprises inside a CRC-valid body (a term that does not
     parse, a triple id out of range) are promoted to
@@ -176,22 +163,7 @@ def restore_snapshot(
                     raise CheckpointCorrupt(
                         "restored statistics disagree with snapshot on "
                         "%s: %r != %r" % (field, rebuilt[field], summary[field]))
-        saturator = None
-        saturation = body.get("saturation")
-        if saturation is not None:
-            sat_schema = Schema(
-                Constraint.from_triple(parse_line(line))
-                for line in saturation["schema"]
-            )
-            saturator = IncrementalSaturator.from_state(
-                sat_schema,
-                (parse_line(line) for line in saturation["explicit"]),
-                {
-                    parse_line(line): count
-                    for line, count in saturation["support"]
-                },
-            )
-        return store, saturator
+        return store
     except CheckpointCorrupt:
         raise
     except (KeyError, TypeError, ValueError, IndexError, ParseError) as exc:

@@ -211,8 +211,7 @@ class DurableStore:
         often either checkpointed; replication uses this for
         divergence detection and the byte-identity invariant."""
         body = build_snapshot(
-            self.store, self.saturator, 0, 0, 0,
-            self.data_epoch, self.schema_epoch)
+            self.store, 0, 0, 0, self.data_epoch, self.schema_epoch)
         return zlib.crc32(encode_checkpoint(body))
 
     # ------------------------------------------------------------------
@@ -330,15 +329,8 @@ class DurableStore:
         checkpoint path.  See the module doc for the crash windows."""
         sequence = self.checkpoint_sequence + 1
         next_segment = self.segment + 1
-        body = build_snapshot(
-            self.store,
-            self.saturator,
-            sequence,
-            next_segment,
-            0,
-            self.data_epoch,
-            self.schema_epoch,
-        )
+        body = build_snapshot(self.store, sequence, next_segment, 0,
+                              self.data_epoch, self.schema_epoch)
         self.wal.sync()
         temp = os.path.join(self.directory, _TEMP_NAME)
         final = checkpoint_path(self.directory, sequence)

@@ -14,19 +14,21 @@ store always equals some operation-prefix replay — a constraint
 addition can never be half-applied.  The side effects a constraint
 implies (the closure's entailed schema triples in the store, the
 saturator's re-saturation) are deliberately *not* logged; replaying
-the ``C±`` record re-derives them through :func:`apply_op`, the single
-code path shared by the live mutation methods and recovery.
+the ``C±`` record re-derives the store's through :func:`apply_op`, the
+single code path shared by the live mutation methods and recovery.
+Recovery replays without a saturator and saturates the recovered store
+once, at the end.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..rdf.io import ParseError, parse_line
 from ..rdf.triples import Triple
 from ..saturation.incremental import IncrementalSaturator
 from ..schema.constraints import Constraint
-from ..storage.store import EncodedTriple, TripleStore
+from ..storage.store import TripleStore
 
 #: Op tags (payload prefix, one space, then the triple's n3 line).
 OP_INSERT = "T+"
@@ -106,21 +108,6 @@ def apply_constraint_remove(
     if saturator is not None:
         saturator.remove_constraint(constraint)
     return True
-
-
-def apply_inserts(
-    store: TripleStore,
-    saturator: Optional[IncrementalSaturator],
-    keys: Iterable[EncodedTriple],
-) -> None:
-    """Apply a run of ``T+`` operations, encoded with
-    :meth:`TripleStore.encode`, as :func:`apply_op` would one by one,
-    but through the store's bulk path: one sort for the run."""
-    for key in store.insert_encoded(keys):
-        if saturator is not None:
-            triple = store.decode_triple(key)
-            if triple.is_data_triple():
-                saturator.insert(triple)
 
 
 def apply_op(

@@ -24,7 +24,7 @@ from ..saturation.incremental import IncrementalSaturator
 from ..storage.store import EncodedTriple, TripleStore
 from .checkpoint import CheckpointCorrupt, decode_checkpoint, restore_snapshot
 from .io import FileSystem
-from .ops import OP_INSERT, WALFormatError, apply_inserts, apply_op, decode_op
+from .ops import OP_INSERT, WALFormatError, apply_op, decode_op
 from .wal import HEADER_SIZE, WriteAheadLog
 
 #: On-disk names.  Zero-padded so lexicographic == numeric order.
@@ -123,25 +123,31 @@ def recover(
 ) -> RecoveryResult:
     """Recover the durable state under *directory* (see module doc).
 
-    ``with_saturator`` asks for an :class:`IncrementalSaturator` even
-    when the chosen checkpoint carries no saturation state (it is then
-    rebuilt by replay/insertion).  ``truncate=False`` leaves bad WAL
-    tails on disk — the read-only inspection mode of ``recover
-    --verify``.
+    ``with_saturator`` asks for an :class:`IncrementalSaturator` over
+    the recovered store, built in one pass once the WAL suffix is
+    replayed.  ``truncate=False`` leaves bad WAL tails on disk — the
+    read-only inspection mode of ``recover --verify``.
     """
     io = io if io is not None else FileSystem()
     result = RecoveryResult()
-    if not io.exists(directory):
-        if with_saturator:
-            result.saturator = IncrementalSaturator(result.store.schema)
-        return result
+    if io.exists(directory):
+        _restore(result, directory, io, truncate)
+    if with_saturator:
+        result.saturator = IncrementalSaturator.over(result.store)
+    return result
 
+
+def _restore(
+    result: RecoveryResult, directory: str, io: FileSystem, truncate: bool
+) -> None:
+    """Fill *result* from the newest valid checkpoint under *directory*
+    and the WAL suffix past it."""
     # 1. Newest checkpoint that validates end to end.
     body = None
     for sequence, path in list_checkpoints(io, directory):
         try:
             body = decode_checkpoint(io.read(path))
-            result.store, result.saturator = restore_snapshot(body)
+            result.store = restore_snapshot(body)
             result.checkpoint_sequence = sequence
             break
         except CheckpointCorrupt as exc:
@@ -155,10 +161,6 @@ def recover(
         result.schema_epoch = int(epochs.get("schema", 0))
         result.wal_segment = int(body["wal_segment"])
         result.wal_offset = int(body["wal_offset"])
-    if with_saturator and result.saturator is None:
-        result.saturator = IncrementalSaturator(result.store.schema)
-        for triple in result.store.data_triples():
-            result.saturator.insert(triple)
 
     # 2. Replay the WAL suffix: the checkpoint's segment from its
     # offset, then every later segment from 0.  A missing segment reads
@@ -187,10 +189,9 @@ def recover(
                     epoch_class = (
                         "schema" if triple.is_schema_triple() else "data")
                 else:
-                    apply_inserts(result.store, result.saturator, inserts)
+                    result.store.insert_encoded(inserts)
                     inserts = []
-                    epoch_class = apply_op(
-                        result.store, result.saturator, op, triple)
+                    epoch_class = apply_op(result.store, None, op, triple)
             except (WALFormatError, ValueError) as exc:
                 # A CRC-valid frame with an alien payload: same
                 # treatment as corruption — this record and everything
@@ -205,7 +206,7 @@ def recover(
                 result.schema_epoch += 1
             else:
                 result.data_epoch += 1
-        apply_inserts(result.store, result.saturator, inserts)
+        result.store.insert_encoded(inserts)
         valid_end = offset + decoded.valid_length
         if decoded.truncated:
             result.truncated = True
@@ -229,12 +230,11 @@ def recover(
                 )
             result.wal_segment = segment
             result.wal_offset = valid_end
-            return result
+            return
         result.wal_segment = segment
         result.wal_offset = valid_end
         segment += 1
         offset = 0
-    return result
 
 
 def verify_recovery(result: RecoveryResult) -> List[str]:
@@ -244,7 +244,9 @@ def verify_recovery(result: RecoveryResult) -> List[str]:
     from scratch with :meth:`TripleStore.from_graph`, and
     compares triples, schema and per-property statistics *keyed by
     decoded term* (id assignment differs between the two builds, so
-    raw-id comparison would be meaningless).  Returns human-readable
+    raw-id comparison would be meaningless).  A recovered saturator's
+    store must hold every base triple and exactly as many more as its
+    support counts name derived-only triples.  Returns human-readable
     discrepancies; empty means verified.
     """
     problems: List[str] = []
@@ -289,12 +291,14 @@ def verify_recovery(result: RecoveryResult) -> List[str]:
     if per_property(recovered) != per_property(fresh):
         problems.append("per-property statistics differ from a fresh rebuild")
 
-    if result.saturator is not None:
-        explicit = result.saturator.explicit_triples()
-        data = {t for t in recovered_triples if t.is_data_triple()}
-        if explicit != data:
+    saturator = result.saturator
+    if saturator is not None:
+        saturated = saturator.store
+        if not all(map(saturated.contains, recovered.scan_all())):
+            problems.append("saturation lost base triples")
+        if saturator.derived_count != len(saturated) - len(recovered):
             problems.append(
-                "saturator explicit triples differ from store data triples")
-        if not explicit <= set(result.saturator.saturated()):
-            problems.append("saturation lost explicit triples")
+                "saturated store holds %d triples beyond the base, its "
+                "support counts %d"
+                % (len(saturated) - len(recovered), saturator.derived_count))
     return problems

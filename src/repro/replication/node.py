@@ -287,7 +287,7 @@ class ReplicaNode:
         directory recovers from (sequence 1, pointing at an empty
         segment-1 WAL)."""
         body = build_snapshot(
-            self.durable.store, self.durable.saturator, 1, 1, 0,
+            self.durable.store, 1, 1, 0,
             self.durable.data_epoch, self.durable.schema_epoch)
         return encode_checkpoint(body)
 

@@ -5,9 +5,8 @@ from .engine import (
     is_saturated,
     saturate,
     saturate_naive,
-    saturation_of,
 )
-from .incremental import IncrementalSaturator, full_consequences
+from .incremental import IncrementalSaturator
 from .provenance import Derivation, explain_triple, format_derivation
 from .rules import (
     RESERVED_VOCABULARY,
@@ -23,12 +22,10 @@ __all__ = [
     "all_immediate_consequences",
     "explain_triple",
     "format_derivation",
-    "full_consequences",
     "immediate_consequences",
     "instance_consequences",
     "is_admissible_constraint",
     "is_saturated",
     "saturate",
     "saturate_naive",
-    "saturation_of",
 ]

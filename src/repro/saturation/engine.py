@@ -20,7 +20,7 @@ Both return a *new* graph; the input is never mutated.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from ..rdf.graph import Graph
 from ..rdf.namespaces import RDF_TYPE
@@ -107,13 +107,6 @@ def saturate(
                 # rdf:type superproperty whose class has superclasses.
                 frontier.append(consequence)
     return saturated
-
-
-def saturation_of(
-    data: Iterable[Triple], schema: Schema
-) -> Graph:
-    """Convenience wrapper: saturate loose data triples under *schema*."""
-    return saturate(Graph(data), schema)
 
 
 def is_saturated(graph: Graph, schema: Optional[Schema] = None) -> bool:

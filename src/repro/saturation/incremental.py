@@ -1,53 +1,55 @@
-"""Incremental maintenance of a saturated graph.
+"""Incremental maintenance of a saturated graph, over store ids.
 
 Section 1 of the paper: *"the saturation needs to be maintained after
 changes in the data and/or constraints, which may incur a performance
-penalty"* — the penalty Ref avoids.  This module implements that
-maintenance so experiment E7 can measure it.
+penalty"* — the penalty Ref avoids, which experiment E7 measures.
 
-Given the closed schema, every instance-level derivation bottoms out in
-exactly one explicit data triple (each instance rule has one instance
-premise; the other premises come from the schema closure).  The
-saturation is therefore a forest rooted at explicit triples, and exact
-deletion support reduces to *support counting*: for each entailed
-triple, count how many explicit triples derive it.  Insertions add the
-new triple's consequence set and bump counts; deletions decrement and
-evict triples whose count reaches zero (unless they are explicit
-themselves).
+**Support counting over ids.**  Under the closed schema every instance
+derivation bottoms out in exactly one explicit triple (each instance
+rule has one instance premise), so exact deletion reduces to counting,
+per entailed triple, the explicit triples that derive it.  The counts
+are a dict keyed by ``(s, p, o)`` ids of the base store; a triple is
+explicit when the base store holds it (``base.contains(key)``).
 
-Constraint (schema) changes invalidate the counts wholesale, so they
-trigger full resaturation — exactly the cost the paper attributes to
-Sat under schema updates.
+**One pass, plus one chase.**  The consequence tables are read off the
+closed schema once: per property id its superproperties, domains and
+ranges; per class id its superclasses.  The closure already composes
+the rules, so one lookup yields an explicit triple's consequences —
+except under ``p rdfs:subPropertyOf rdf:type``, where ``(s p o)`` also
+types ``s`` with ``o`` and with every superclass of ``o``, which the
+table chases.  Consequences are deduplicated per explicit triple.  The
+build is one pass over the base runs of the properties and classes
+the tables name.
+
+**One copy.**  The saturated store is the only copy of ``G∞``: a
+:meth:`~repro.storage.store.TripleStore.fork` of the base store (same
+dictionary, so the ids agree) plus the derived ids.  The only term Sat
+may add to that dictionary is ``rdf:type``, when a domain or range
+types data that states no type.
+
+**Constraint changes resaturate.**  A schema change invalidates the
+tables and every count at once, so it rebuilds the whole saturation —
+the cost the paper attributes to Sat under schema updates.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..rdf.graph import Graph
+from ..rdf.namespaces import RDF_TYPE
 from ..rdf.triples import Triple
-from ..schema.constraints import Constraint
+from ..schema.constraints import RESERVED_VOCABULARY, Constraint
 from ..schema.schema import Schema
-from .engine import instance_consequences
-
-
-def full_consequences(triple: Triple, schema: Schema) -> Set[Triple]:
-    """All instance triples transitively entailed by *triple* alone
-    (together with the closed *schema*), excluding *triple* itself."""
-    derived: Set[Triple] = set()
-    worklist: List[Triple] = [triple]
-    while worklist:
-        current = worklist.pop()
-        for consequence in instance_consequences(current, schema):
-            if consequence != triple and consequence not in derived:
-                derived.add(consequence)
-                worklist.append(consequence)
-    return derived
+from ..storage.store import EncodedTriple, TripleStore
 
 
 class IncrementalSaturator:
     """A saturated graph maintained under data insertions and deletions.
+
+    ``IncrementalSaturator(schema, data)`` saturates *data* in a base
+    store of its own; :meth:`over` saturates a store its owner writes.
 
     >>> from repro.rdf import Namespace, RDF_TYPE, Triple
     >>> from repro.schema import Constraint, Schema
@@ -67,14 +69,30 @@ class IncrementalSaturator:
         schema: Optional[Schema] = None,
         data: Optional[Iterable[Triple]] = None,
     ):
-        self._schema = schema.copy() if schema is not None else Schema()
-        self._explicit: Set[Triple] = set()
-        self._support: Dict[Triple, int] = Counter()
-        self._saturated = Graph()
-        self._saturated.add_all(self._schema.entailed_triples())
+        triples = list(data) if data is not None else []
+        for triple in triples:
+            _check_data_triple(triple)
+        base = TripleStore()
+        base.insert_many(triples)
+        self._setup(schema.copy() if schema is not None else Schema(), base, True)
+
+    @classmethod
+    def over(cls, store: TripleStore) -> "IncrementalSaturator":
+        """Saturate *store* under its closed schema, without copying it
+        or listening to it.  Its owner writes *store* first, then
+        reports each effective data write to :meth:`insert` /
+        :meth:`delete` (which leave *store* alone) and each constraint
+        change to :meth:`add_constraint` / :meth:`remove_constraint`."""
+        saturator = cls.__new__(cls)
+        saturator._setup(store.schema.copy(), store, False)
+        return saturator
+
+    def _setup(self, schema: Schema, base: TripleStore, owns_base: bool) -> None:
+        self._schema = schema
+        self._base = base
+        self._owns_base = owns_base
         self._listeners = []
-        if data is not None:
-            self.insert_all(data)
+        self._build()
 
     def add_listener(self, callback) -> None:
         """Register ``callback(subject, operation)`` invoked after every
@@ -88,42 +106,77 @@ class IncrementalSaturator:
             callback(subject, operation)
 
     # ------------------------------------------------------------------
-    # Checkpoint support
+    # The tables and the one pass
 
-    def export_state(self) -> Tuple[Set[Triple], Dict[Triple, int]]:
-        """The incremental-saturation state a checkpoint must persist:
-        (explicit triples, support counts).  Together with the schema
-        these reconstruct the saturated view without re-deriving any
-        consequences — restart does not pay the re-saturation penalty
-        the paper attributes to Sat."""
-        return set(self._explicit), dict(self._support)
+    def _build(self) -> None:
+        """(Re)build the tables, the support counts and the saturated
+        store from the schema and the base store."""
+        base, schema = self._base, self._schema
+        encode = base.dictionary.encode
 
-    @classmethod
-    def from_state(
-        cls,
-        schema: Schema,
-        explicit: Iterable[Triple],
-        support: Dict[Triple, int],
-    ) -> "IncrementalSaturator":
-        """Rebuild a saturator from :meth:`export_state` output."""
-        saturator = cls(schema)
-        saturator._explicit = set(explicit)
-        saturator._support = Counter(support)
-        saturator._saturated.add_all(saturator._explicit)
-        saturator._saturated.add_all(
-            triple for triple, count in support.items() if count > 0
-        )
-        return saturator
+        def ids(terms) -> Tuple[int, ...]:
+            return tuple(sorted(map(encode, terms)))
+
+        # Sorted, so a term only the schema names gets the same id
+        # whatever PYTHONHASHSEED is.
+        schema_keys = [tuple(map(encode, triple.as_tuple()))
+                       for triple in sorted(schema.entailed_triples())]
+        self._properties = {}
+        for prop in schema.properties() - RESERVED_VOCABULARY:
+            entry = (ids(schema.superproperties(prop)), ids(schema.domains(prop)),
+                     ids(schema.ranges(prop)))
+            if any(entry):
+                self._properties[encode(prop)] = entry
+        if any(entry[1] or entry[2] for entry in self._properties.values()):
+            encode(RDF_TYPE)
+        self._classes = {
+            encode(klass): ids(schema.superclasses(klass))
+            for klass in schema.classes()
+            if schema.superclasses(klass)
+        }
+        self._type_id = base.dictionary.lookup(RDF_TYPE)
+        explicit = [base.match(property_id=prop) for prop in self._properties]
+        if self._type_id is not None:
+            explicit += [base.match(property_id=self._type_id, object_id=klass)
+                         for klass in self._classes]
+        self._support = support = Counter()
+        for keys in explicit:
+            for key in keys:
+                support.update(self._consequences(key))
+        self.store = base.fork()
+        self.store.schema = schema.copy()
+        self.store.insert_encoded(schema_keys + list(support))
+
+    def _consequences(self, key: EncodedTriple) -> Set[EncodedTriple]:
+        """The instance triples *key* entails under the closed schema,
+        without *key* itself."""
+        s, p, o = key
+        type_id, classes = self._type_id, self._classes
+        if p == type_id:
+            derived = {(s, p, klass) for klass in classes.get(o, ())}
+        else:
+            entry = self._properties.get(p)
+            if entry is None:
+                return set()
+            supers, domains, ranges = entry
+            derived = {(s, sup, o) for sup in supers}
+            derived.update((s, type_id, klass) for klass in domains)
+            if ranges and not self._base.dictionary.is_literal_id(o):
+                derived.update((o, type_id, klass) for klass in ranges)
+            if type_id in supers:  # p ⊑ rdf:type: o is a class of s
+                derived.update((s, type_id, klass) for klass in classes.get(o, ()))
+        derived.discard(key)
+        return derived
 
     # ------------------------------------------------------------------
     # Views
 
     def saturated(self) -> Graph:
-        """The maintained saturation (live view; do not mutate)."""
-        return self._saturated
+        """The maintained saturation, decoded into a new graph."""
+        return Graph(self.store.triples())
 
     def explicit_triples(self) -> Set[Triple]:
-        return set(self._explicit)
+        return set(self._base.data_triples())
 
     def schema(self) -> Schema:
         return self._schema.copy()
@@ -131,38 +184,26 @@ class IncrementalSaturator:
     @property
     def derived_count(self) -> int:
         """How many triples in the saturation are entailed-only."""
-        return sum(
-            1
-            for triple, count in self._support.items()
-            if count > 0 and triple not in self._explicit
-        )
+        return sum(1 for key in self._support if not self._base.contains(key))
 
     # ------------------------------------------------------------------
     # Data updates
 
     def insert(self, triple: Triple) -> List[Triple]:
-        """Add one explicit data triple and its consequences.
-
-        Returns the triples that became part of the saturation (the
-        delta) — callers maintaining downstream stores apply it
-        directly."""
-        if triple.is_schema_triple():
-            raise ValueError(
-                "schema triples must go through add_constraint, got %r" % (triple,)
-            )
-        if triple in self._explicit:
+        """Add one explicit data triple and its consequences.  Returns
+        the triples that became part of the saturation (the delta)."""
+        _check_data_triple(triple)
+        if self._owns_base and not self._base.insert(triple):
             return []
-        added: List[Triple] = []
-        self._explicit.add(triple)
-        if self._saturated.add(triple):
-            added.append(triple)
-        for consequence in full_consequences(triple, self._schema):
+        key = self._base.encode(triple)
+        if self._type_id is None:  # the first type triple encoded rdf:type
+            self._type_id = self._base.dictionary.lookup(RDF_TYPE)
+        fresh = [key]
+        for consequence in self._consequences(key):
             self._support[consequence] += 1
-            if self._saturated.add(consequence):
-                added.append(consequence)
-        if self._listeners:
-            self._notify(triple, "insert")
-        return added
+            if self._support[consequence] == 1:
+                fresh.append(consequence)
+        return self._write(triple, "insert", fresh, self.store.insert)
 
     def insert_all(self, triples: Iterable[Triple]) -> None:
         for triple in triples:
@@ -171,59 +212,50 @@ class IncrementalSaturator:
     def delete(self, triple: Triple) -> List[Triple]:
         """Remove one explicit data triple; evict unsupported
         entailments.  Returns the triples that left the saturation."""
-        if triple not in self._explicit:
+        if self._owns_base and not self._base.delete(triple):
             return []
-        removed: List[Triple] = []
-        self._explicit.discard(triple)
-        for consequence in full_consequences(triple, self._schema):
-            remaining = self._support[consequence] - 1
-            if remaining > 0:
-                self._support[consequence] = remaining
-            else:
-                del self._support[consequence]
-                if consequence not in self._explicit:
-                    if self._saturated.discard(consequence):
-                        removed.append(consequence)
-        if triple not in self._support:
-            if self._saturated.discard(triple):
-                removed.append(triple)
-        if self._listeners:
-            self._notify(triple, "delete")
-        return removed
+        key = self._base.encode(triple)
+        support = self._support
+        stale = []
+        for consequence in self._consequences(key):
+            support[consequence] -= 1
+            if not support[consequence]:
+                del support[consequence]
+                if not self._base.contains(consequence):
+                    stale.append(consequence)
+        if key not in support:
+            stale.append(key)
+        return self._write(triple, "delete", stale, self.store.delete)
 
     def delete_all(self, triples: Iterable[Triple]) -> None:
         for triple in triples:
             self.delete(triple)
+
+    def _write(self, triple: Triple, operation: str, keys, write) -> List[Triple]:
+        """Apply *write* to the saturated store for each of *keys*,
+        decoded, then notify the *operation* on *triple*; returns the
+        triples the write changed."""
+        changed = [item for item in map(self.store.decode_triple, keys) if write(item)]
+        self._notify(triple, operation)
+        return changed
 
     # ------------------------------------------------------------------
     # Schema updates (full recomputation — the Sat maintenance penalty)
 
     def add_constraint(self, constraint: Constraint) -> None:
         if self._schema.add(constraint):
-            self._resaturate()
-            if self._listeners:
-                self._notify(constraint, "constraint-add")
+            self._build()
+            self._notify(constraint, "constraint-add")
 
     def remove_constraint(self, constraint: Constraint) -> None:
         if self._schema.remove(constraint):
-            self._resaturate()
-            if self._listeners:
-                self._notify(constraint, "constraint-remove")
-
-    def _resaturate(self) -> None:
-        self._support = Counter()
-        self._saturated = Graph()
-        self._saturated.add_all(self._schema.entailed_triples())
-        explicit = self._explicit
-        self._explicit = set()
-        # Re-inserting explicit triples is internal churn, not a data
-        # change: the constraint event alone reaches the listeners.
-        listeners, self._listeners = self._listeners, []
-        try:
-            for triple in explicit:
-                self.insert(triple)
-        finally:
-            self._listeners = listeners
+            self._build()
+            self._notify(constraint, "constraint-remove")
 
     def __len__(self) -> int:
-        return len(self._saturated)
+        return len(self.store)
+
+
+def _check_data_triple(triple: Triple) -> None:
+    if triple.is_schema_triple():
+        raise ValueError("schema triples must go through add_constraint, got %r" % (triple,))

@@ -154,6 +154,15 @@ class TripleStore:
         clone._runs = self._runs.copy()
         return clone
 
+    def fork(self) -> "TripleStore":
+        """A copy of this store (runs, statistics, schema; no listeners)
+        that shares its dictionary, so the ids of the two stores agree
+        for good: Sat's saturated store starts as a fork."""
+        clone = self.copy()
+        clone.dictionary = self.dictionary
+        clone._type_id = self.dictionary.lookup(RDF_TYPE)
+        return clone
+
     def encoded_state(self) -> Tuple[List[Term], List[EncodedTriple]]:
         """The checkpoint payload: (terms in id order, sorted encoded
         triples) — everything :meth:`from_encoded` needs.

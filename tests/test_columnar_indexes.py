@@ -24,7 +24,6 @@ from repro.columnar.indexes import ORDER_PERMUTATIONS, SortedRunIndex
 from repro.durability.ops import (
     OP_DELETE,
     OP_INSERT,
-    apply_inserts,
     apply_op,
     decode_op,
     encode_op,
@@ -135,10 +134,10 @@ def _replay(log: list) -> TripleStore:
         if op == OP_INSERT:
             inserts.append(store.encode(triple))
             continue
-        apply_inserts(store, None, inserts)
+        store.insert_encoded(inserts)
         inserts = []
         apply_op(store, None, op, triple)
-    apply_inserts(store, None, inserts)
+    store.insert_encoded(inserts)
     return store
 
 

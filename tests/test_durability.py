@@ -499,6 +499,84 @@ class TestRecoveredStatistics:
         assert verify_recovery(result) == []
 
 
+    def test_verify_recovery_flags_a_broken_saturation(self, tmp_path):
+        directory = str(tmp_path / "wal")
+        durable = DurableStore.open(directory, sync="never")
+        durable.load(books_graph(), books_schema())
+        durable.close()
+        result = recover(directory, with_saturator=True)
+        saturated = result.saturator.store
+        saturated.delete(next(result.store.data_triples()))
+        assert verify_recovery(result) == [
+            "saturation lost base triples",
+            "saturated store holds %d triples beyond the base, its support "
+            "counts %d" % (result.saturator.derived_count - 1,
+                           result.saturator.derived_count),
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints written before saturation left the body
+
+
+class TestCheckpointWithSaturationSection:
+    """Bodies once carried a ``"saturation"`` section: the saturator's
+    schema, explicit triples and support counts in N-Triples.  Such a
+    checkpoint restores; the section is ignored and the saturation is
+    rebuilt from the restored store."""
+
+    def schema_and_data(self):
+        constraints = [
+            Constraint.subclass(EX.Manager, EX.Employee),
+            Constraint.domain(EX.manages, EX.Manager),
+        ]
+        data = [
+            Triple(EX.ann, EX.manages, EX.bob),
+            Triple(EX.bob, RDF_TYPE, EX.Manager),
+        ]
+        return constraints, data
+
+    def write_parent_checkpoint(self, directory):
+        constraints, data = self.schema_and_data()
+        durable = DurableStore.open(directory, sync="never")
+        for constraint in constraints:
+            durable.add_constraint(constraint)
+        for triple in data:
+            durable.insert(triple)
+        path = durable.checkpoint()
+        durable.close()
+        body = decode_checkpoint(FileSystem().read(path))
+        assert "saturation" not in body
+        body["saturation"] = {
+            "schema": sorted(c.to_triple().n3() for c in constraints),
+            "explicit": sorted(triple.n3() for triple in data),
+            "support": sorted(
+                [Triple(subject, RDF_TYPE, klass).n3(), 1]
+                for subject, klass in (
+                    (EX.ann, EX.Manager), (EX.ann, EX.Employee),
+                    (EX.bob, EX.Employee))
+            ),
+        }
+        FileSystem().write(path, encode_checkpoint(body))
+
+    def test_restores_and_rebuilds_the_saturation(self, tmp_path):
+        from repro.rdf import Graph
+        from repro.saturation import saturate
+        from repro.schema import Schema
+
+        directory = str(tmp_path / "wal")
+        self.write_parent_checkpoint(directory)
+        result = recover(directory, with_saturator=True)
+        assert result.checkpoint_sequence == 1
+        assert result.corrupt_checkpoints == []
+        assert result.records_replayed == 0
+        constraints, data = self.schema_and_data()
+        assert set(result.saturator.saturated()) == set(
+            saturate(Graph(data), Schema(constraints)))
+        assert verify_recovery(result) == []
+        assert recover(directory).saturator is None
+
+
 # ---------------------------------------------------------------------------
 # Query answers survive recovery
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
+from repro.rdf import Graph, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
 from repro.saturation import IncrementalSaturator, saturate
 from repro.schema import Constraint, Schema
+from repro.storage import TripleStore
 
 EX = Namespace("http://example.org/")
 
@@ -140,3 +141,157 @@ class TestSchemaUpdates:
         # worksWith, Manager, Employee(ann), Person(ann), Employee(bob),
         # Person(bob)
         assert sat.derived_count == 6
+
+
+class TestTypeSuperproperty:
+    """``p rdfs:subPropertyOf rdf:type``: (s p o) types s with o and,
+    through o's superclasses, with more — the one chase the tables
+    need."""
+
+    def schema(self):
+        return Schema(
+            [
+                Constraint.subproperty(EX.hasRole, RDF_TYPE),
+                Constraint.subclass(EX.Manager, EX.Employee),
+            ]
+        )
+
+    def test_insert_chases_the_object_superclasses(self):
+        sat = IncrementalSaturator(self.schema())
+        triple = Triple(EX.ann, EX.hasRole, EX.Manager)
+        added = sat.insert(triple)
+        assert set(added) == {
+            triple,
+            Triple(EX.ann, RDF_TYPE, EX.Manager),
+            Triple(EX.ann, RDF_TYPE, EX.Employee),
+        }
+        assert set(sat.saturated()) == set(saturate(Graph([triple]), self.schema()))
+        assert set(sat.delete(triple)) == set(added)
+
+    def test_build_chases_the_object_superclasses(self):
+        data = [Triple(EX.ann, EX.hasRole, EX.Manager)]
+        sat = IncrementalSaturator(self.schema(), data)
+        assert set(sat.saturated()) == set(saturate(Graph(data), self.schema()))
+        assert sat.derived_count == 2
+
+
+class TestOverAStore:
+    """:meth:`IncrementalSaturator.over` saturates a store its owner
+    writes: the saturated store shares the store's ids and leaves no
+    listener on it."""
+
+    def test_shares_ids_and_leaves_no_listener(self):
+        store = TripleStore.from_graph(
+            Graph([Triple(EX.ann, EX.manages, EX.bob)]), employee_schema()
+        )
+        sat = IncrementalSaturator.over(store)
+        assert sat.store.dictionary is store.dictionary
+        assert store._listeners == [] and store._pre_listeners == []
+        assert all(map(sat.store.contains, store.scan_all()))
+        assert sat.derived_count == len(sat.store) - len(store) == 6
+
+    def test_owner_writes_the_store_first(self):
+        schema = employee_schema()
+        store = TripleStore.from_graph(Graph(), schema)
+        sat = IncrementalSaturator.over(store)
+        triple = Triple(EX.ann, EX.manages, EX.bob)
+        assert store.insert(triple)
+        added = sat.insert(triple)
+        assert triple in added and len(added) == 7
+        assert set(sat.store.triples()) == set(saturate(Graph([triple]), schema))
+        assert store.delete(triple)
+        assert set(sat.delete(triple)) == set(added)
+        assert set(sat.store.triples()) == set(store.triples())
+
+    def test_schema_rows_derive_nothing(self):
+        """The store's schema rows are not data: even under a
+        constraint over the built-in vocabulary (which the engines
+        ignore), they derive nothing."""
+        schema = Schema(
+            [
+                Constraint.subclass(EX.Manager, EX.Employee),
+                Constraint.subproperty(RDFS_SUBCLASSOF, EX.related),
+            ]
+        )
+        data = Graph([Triple(EX.ann, RDF_TYPE, EX.Manager)])
+        sat = IncrementalSaturator.over(TripleStore.from_graph(data, schema))
+        assert set(sat.store.triples()) == set(saturate(data, schema))
+
+    def test_rdf_type_is_the_one_term_it_may_encode(self):
+        """A domain types the subjects of data that states no type: the
+        shared dictionary gains rdf:type, and nothing else."""
+        schema = Schema([Constraint.domain(EX.manages, EX.Manager)])
+        store = TripleStore.from_graph(
+            Graph([Triple(EX.ann, EX.manages, EX.bob)]), schema
+        )
+        terms = store.dictionary.terms()
+        assert RDF_TYPE not in terms
+        sat = IncrementalSaturator.over(store)
+        assert store.dictionary.terms() == terms + [RDF_TYPE]
+        assert Triple(EX.ann, RDF_TYPE, EX.Manager) in sat.saturated()
+        assert sat.store.statistics.class_count(store.term_id(EX.Manager)) == 1
+
+
+#: Prints the standalone saturator's runs (ids) and the CRC of the
+#: checkpoint a saturating durable store writes, for inputs in sorted
+#: order.
+_SEED_SCRIPT = """
+import tempfile, zlib
+from repro.durability import DurableStore
+from repro.rdf import Namespace, RDF_TYPE, Triple
+from repro.saturation import IncrementalSaturator
+from repro.schema import Constraint, Schema
+
+EX = Namespace("http://example.org/")
+constraints = sorted(
+    [
+        Constraint.subclass(EX.C0, EX.C1),
+        Constraint.subclass(EX.C1, EX.C2),
+        Constraint.subproperty(EX.p0, EX.p1),
+        Constraint.subproperty(EX.p2, RDF_TYPE),
+        Constraint.domain(EX.p1, EX.C0),
+        Constraint.range(EX.p0, EX.C1),
+    ],
+    key=lambda constraint: constraint.to_triple(),
+)
+data = sorted(
+    Triple(EX["i%d" % (index % 5)], prop, obj)
+    for index in range(12)
+    for prop, obj in ((EX.p0, EX["i%d" % (index % 3)]), (EX.p2, EX.C0))
+)
+sat = IncrementalSaturator(Schema(constraints), data)
+print(list(sat.store.scan_all()))
+with tempfile.TemporaryDirectory() as directory:
+    durable = DurableStore.open(directory, sync="never", with_saturator=True)
+    for constraint in constraints:
+        durable.add_constraint(constraint)
+    for triple in data:
+        durable.insert(triple)
+    with open(durable.checkpoint(), "rb") as handle:
+        print(zlib.crc32(handle.read()), len(durable.saturator))
+    durable.close()
+"""
+
+
+def test_saturation_and_checkpoint_do_not_depend_on_the_hash_seed():
+    """The consequence tables come from Schema's set-valued accessors;
+    given inputs in a fixed order, neither the saturated runs nor the
+    checkpoint bytes may change with PYTHONHASHSEED."""
+    import os
+    import subprocess
+    import sys
+
+    source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = set()
+    for seed in ("0", "1", "42"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+        outputs.add(
+            subprocess.run(
+                [sys.executable, "-c", _SEED_SCRIPT],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout
+        )
+    assert len(outputs) == 1

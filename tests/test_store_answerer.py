@@ -10,7 +10,8 @@
 * Readers wrap stores.  Neither a pinned read after a write nor
   ``ReplicaNode.reader()`` after an LSN move rebuilds one: the tests
   count ``TripleStore.to_graph`` / ``from_graph`` / ``from_encoded``
-  calls with monkeypatched counters, no timing.
+  calls with monkeypatched counters, no timing.  A Sat read on a
+  replica reader leaves no listener on the durable store.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ def test_data_triples_skip_the_schema_and_follow_spo_order():
 
 
 def _state(answerer, cache):
-    saturated = answerer._saturated_store
+    saturator = answerer._saturator
     return (
         answerer.store.triple_count,
         answerer.store.mutation_epoch,
         cache.data_epoch,
         cache.schema_epoch,
         answerer.schema.fingerprint(),
-        None if saturated is None else saturated.triple_count,
+        None if saturator is None else saturator.store.triple_count,
     )
 
 
@@ -224,5 +225,29 @@ def test_replica_reader_after_an_lsn_move_rebuilds_nothing(rebuilds, tmp_path):
         assert reader.store is follower.durable.store
         assert len(reader.answer(STUDENT_QUERY).answer) == 4
         assert rebuilds == []
+    finally:
+        cluster.close()
+
+
+def test_replica_sat_readers_leave_no_listener_on_the_store(tmp_path):
+    """Each LSN move gives the follower a new reader; a Sat read builds
+    that reader's saturated store over the durable store, and the
+    saturator keeps no listener there, so later writes pay no Sat
+    maintenance for a reader that is gone."""
+    cluster = ReplicationCluster(str(tmp_path / "cluster"), ("n1", "n2"), seed=0)
+    try:
+        cluster.primary_node.load(student_graph())
+        cluster.pump_until_converged()
+        follower = cluster.nodes["n2"]
+        store = follower.durable.store
+        listeners = (list(store._listeners), list(store._pre_listeners))
+        for late in range(3):
+            reader = follower.reader()
+            assert len(reader.answer(STUDENT_QUERY, Strategy.SAT).answer) == 3 + late
+            assert (store._listeners, store._pre_listeners) == listeners
+            cluster.primary_node.insert(Triple(EX["late%d" % late], RDF_TYPE, EX.Grad))
+            cluster.pump_until_converged()
+            assert follower.reader() is not reader  # the LSN moved
+        assert (store._listeners, store._pre_listeners) == listeners
     finally:
         cluster.close()
