@@ -564,9 +564,7 @@ def cmd_load(args) -> int:
     from .durability import DurableStore
 
     graph = _build_graph(args)
-    durable = DurableStore.open(
-        args.wal, sync=args.sync, with_saturator=args.saturate
-    )
+    durable = DurableStore.open(args.wal, sync=args.sync)
     records = durable.load(graph)
     line = "loaded %d record(s) into %s (segment %d, %d triple(s) stored)" % (
         records, args.wal, durable.segment, durable.store.triple_count)
@@ -583,7 +581,7 @@ def cmd_checkpoint(args) -> int:
     rotate the WAL, so the next recovery replays only new records."""
     from .durability import DurableStore
 
-    durable = DurableStore.open(args.wal, with_saturator=args.saturate)
+    durable = DurableStore.open(args.wal)
     if durable.recovery.empty:
         print("nothing to checkpoint: %s holds no durable state" % args.wal)
         return EXIT_NOTHING_TO_RECOVER
@@ -1333,8 +1331,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--sync", default="always", choices=["always", "never"],
                       help="fsync every WAL record (always) or only on "
                            "checkpoints (never); default always")
-    load.add_argument("--saturate", action="store_true",
-                      help="maintain incremental saturation while loading")
     load.add_argument("--checkpoint", action="store_true",
                       help="write a checkpoint after loading")
     load.add_argument("--lenient", action="store_true",
@@ -1347,9 +1343,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checkpoint.add_argument("--wal", required=True,
                             help="durability directory")
-    checkpoint.add_argument("--saturate", action="store_true",
-                            help="also saturate on open (checkpoints never "
-                                 "hold the saturation: recovery rebuilds it)")
     checkpoint.set_defaults(func=cmd_checkpoint)
 
     recover_cmd = subparsers.add_parser(

@@ -288,7 +288,9 @@ class DurableStore:
         :meth:`insert` would have written, but the side effects are
         applied in bulk: one closure derivation for the whole
         constraint batch (instead of one per constraint — replay, which
-        works record by record, re-derives the same end state), one
+        works record by record, re-derives the same end state, ids
+        included, since both encode the constraints first, in log
+        order), one
         sort per triple batch (the store's ``insert_many``) and one
         coalesced WAL write.
         """
@@ -306,6 +308,8 @@ class DurableStore:
                     if self.store.schema.add(constraint):
                         added.append(constraint)
                 if added:
+                    # The ids replay of the C+ records assigns.
+                    self.store.encode_constraints(added)
                     self.store.insert_many(self.store.schema.entailed_triples())
                     if self.saturator is not None:
                         for constraint in added:

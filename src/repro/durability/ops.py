@@ -86,6 +86,7 @@ def apply_constraint_add(
     # The store mirrors the closure as schema triples (TripleStore.load
     # does the same); inserts are idempotent, so re-deriving the whole
     # entailed set per constraint stays correct.
+    store.encode_constraints([constraint])
     store.insert_many(store.schema.entailed_triples())
     if saturator is not None:
         saturator.add_constraint(constraint)

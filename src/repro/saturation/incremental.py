@@ -23,9 +23,11 @@ the tables name.
 
 **One copy.**  The saturated store is the only copy of ``G∞``: a
 :meth:`~repro.storage.store.TripleStore.fork` of the base store (same
-dictionary, so the ids agree) plus the derived ids.  The only term Sat
-may add to that dictionary is ``rdf:type``, when a domain or range
-types data that states no type.
+dictionary, so the ids agree) plus the derived ids.  Sat adds no term
+to a dictionary it does not own: a store holds its closed schema's
+triples, and gives ``rdf:type`` an id once a domain or range enters
+that schema (:meth:`~repro.storage.store.TripleStore.encode_constraints`),
+so the ids a store assigns follow from its writes alone.
 
 **Constraint changes resaturate.**  A schema change invalidates the
 tables and every count at once, so it rebuilds the whole saturation —
@@ -128,6 +130,7 @@ class IncrementalSaturator:
             if any(entry):
                 self._properties[encode(prop)] = entry
         if any(entry[1] or entry[2] for entry in self._properties.values()):
+            # A lookup, but in a base store of the saturator's own.
             encode(RDF_TYPE)
         self._classes = {
             encode(klass): ids(schema.superclasses(klass))

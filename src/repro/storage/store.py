@@ -25,6 +25,7 @@ from ..rdf.graph import Graph
 from ..rdf.namespaces import RDF_TYPE, SCHEMA_PROPERTIES
 from ..rdf.terms import Term
 from ..rdf.triples import Triple
+from ..schema.constraints import Constraint, ConstraintKind
 from ..schema.schema import Schema
 from .dictionary import Dictionary
 from .statistics import StoreStatistics
@@ -105,6 +106,8 @@ class TripleStore:
         self.insert_many(
             chain(graph.data_triples(), self.schema.entailed_triples())
         )
+        if self._type_id is None:  # the closure's terms have ids already
+            self.encode_constraints(self.schema.direct_constraints())
 
     @classmethod
     def from_encoded(
@@ -137,6 +140,8 @@ class TripleStore:
         if schema is not None:
             for constraint in schema.direct_constraints():
                 store.schema.add(constraint)
+        if store._type_id is None:  # the closure's terms have ids already
+            store.encode_constraints(store.schema.direct_constraints())
         return store
 
     def copy(self) -> "TripleStore":
@@ -179,6 +184,18 @@ class TripleStore:
             self._type_id = self.dictionary.encode(RDF_TYPE)
         encode = self.dictionary.encode
         return encode(triple.subject), encode(triple.property), encode(triple.object)
+
+    def encode_constraints(self, constraints: Iterable[Constraint]) -> None:
+        """Give each constraint's terms ids, in order, and ``rdf:type``
+        one after the first domain or range (Sat may type data with it).
+        Every path that takes constraints calls this, so a store's ids
+        follow from its operations alone: not from the closure's set
+        order, nor from whether a saturator read the store."""
+        for constraint in constraints:
+            self.encode(constraint.to_triple())
+            typing = constraint.kind in (ConstraintKind.DOMAIN, ConstraintKind.RANGE)
+            if typing and self._type_id is None:
+                self._type_id = self.dictionary.encode(RDF_TYPE)
 
     def insert(self, triple: Triple) -> bool:
         """Insert one triple; return True when it was new."""

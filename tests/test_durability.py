@@ -577,6 +577,59 @@ class TestCheckpointWithSaturationSection:
         assert recover(directory).saturator is None
 
 
+class TestIdsFollowTheOperations:
+    """The ids a durable store assigns depend on the operations it
+    applied, not on whether a saturator ran: ``state_crc`` hashes the
+    dictionary, and replication compares it across nodes and restarts.
+    The data states no type, so only the domain calls for rdf:type."""
+
+    def feed(self, durable):
+        durable.add_constraint(Constraint.subclass(EX.Manager, EX.Employee))
+        durable.add_constraint(Constraint.domain(EX.manages, EX.Manager))
+        durable.insert(Triple(EX.ann, EX.manages, EX.bob))
+        durable.add_constraint(Constraint.range(EX.manages, EX.Person))
+        durable.insert(Triple(EX.bob, EX.manages, EX.cid))
+
+    def test_a_saturator_leaves_the_state_crc_alone(self, tmp_path):
+        crcs = []
+        for with_saturator in (False, True):
+            directory = str(tmp_path / ("sat" if with_saturator else "plain"))
+            durable = DurableStore.open(
+                directory, sync="never", with_saturator=with_saturator)
+            self.feed(durable)
+            crcs.append(durable.state_crc())
+            durable.close()
+            for saturate in (False, True):  # WAL-only recovery
+                reopened = DurableStore.open(directory, with_saturator=saturate)
+                assert reopened.checkpoint_sequence == 0
+                crcs.append(reopened.state_crc())
+                reopened.close()
+        assert len(set(crcs)) == 1, crcs
+
+    def test_a_bulk_load_recovers_to_the_same_ids(self, tmp_path):
+        """``load`` applies its constraints in one closure, replay one
+        ``C+`` record at a time; both give the terms the same ids."""
+        from repro.rdf import Graph
+        from repro.schema import Schema
+
+        schema = Schema([
+            Constraint.subclass(EX.Manager, EX.Employee),
+            Constraint.subclass(EX.Employee, EX.Person),
+            Constraint.subproperty(EX.manages, EX.worksWith),
+            Constraint.domain(EX.manages, EX.Manager),
+            Constraint.range(EX.worksWith, EX.Person),
+        ])
+        directory = str(tmp_path / "wal")
+        durable = DurableStore.open(directory, sync="never")
+        durable.load(Graph([Triple(EX.ann, EX.manages, EX.bob)]), schema)
+        crc = durable.state_crc()
+        durable.close()
+        reopened = DurableStore.open(directory)
+        assert reopened.checkpoint_sequence == 0
+        assert reopened.state_crc() == crc
+        reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # Query answers survive recovery
 

@@ -22,10 +22,13 @@ from repro.cache import QueryCache
 from repro.core import OptionError, QueryAnswerer, Strategy
 from repro.datasets import books_dataset
 from repro.query import parse_query
-from repro.rdf import Graph, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
+from repro.rdf import (
+    Graph, Namespace, RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASSOF, Triple,
+)
 from repro.replication import ReplicationCluster
 from repro.resilience.clock import FakeClock
 from repro.service import QueryRequest, QueryService
+from repro.schema import Constraint, Schema
 from repro.storage import TripleStore
 
 EX = Namespace("http://example.org/one-copy/")
@@ -249,5 +252,66 @@ def test_replica_sat_readers_leave_no_listener_on_the_store(tmp_path):
             cluster.pump_until_converged()
             assert follower.reader() is not reader  # the LSN moved
         assert (store._listeners, store._pre_listeners) == listeners
+    finally:
+        cluster.close()
+
+
+
+def supervision_graph() -> Graph:
+    """A domain types data that states no type."""
+    return Graph(
+        [
+            Triple(EX.supervises, RDFS_DOMAIN, EX.Professor),
+            Triple(EX.Professor, RDFS_SUBCLASSOF, EX.Faculty),
+            Triple(EX.p0, EX.supervises, EX.s0),
+        ]
+    )
+
+
+FACULTY_QUERY = parse_query(
+    "SELECT ?x WHERE { ?x rdf:type <http://example.org/one-copy/Faculty> }"
+)
+
+
+def test_a_sat_read_leaves_the_replica_state_crc_alone(tmp_path):
+    """Saturating the follower's store adds no id to it, so its state
+    fingerprint still matches the primary's."""
+    cluster = ReplicationCluster(str(tmp_path / "cluster"), ("n1", "n2"), seed=0)
+    try:
+        graph = supervision_graph()
+        for constraint in sorted(Schema.from_graph(graph).direct_constraints(),
+                                 key=Constraint.to_triple):
+            cluster.primary_node.add_constraint(constraint)
+        cluster.primary_node.insert(Triple(EX.p0, EX.supervises, EX.s0))
+        cluster.pump_until_converged()
+        follower = cluster.nodes["n2"]
+        crc = follower.state_crc()
+        assert crc == cluster.primary_node.state_crc()
+        assert len(follower.reader().answer(FACULTY_QUERY, Strategy.SAT).answer) == 1
+        assert follower.state_crc() == crc
+        assert cluster.verify_consistency() == []
+    finally:
+        cluster.close()
+
+
+def test_a_saturating_node_restarts_without_a_reseed(tmp_path):
+    """A node that saturates live and recovers from its WAL alone ends
+    with the ids its primary has: the bulk load and the restart's
+    replay encode the same terms in the same order."""
+    cluster = ReplicationCluster(
+        str(tmp_path / "cluster"), ("n1", "n2"), seed=0, with_saturator=True)
+    try:
+        cluster.primary_node.load(supervision_graph())
+        cluster.pump_until_converged()
+        assert cluster.verify_consistency() == []
+        cluster.primary_node.insert(Triple(EX.p1, EX.supervises, EX.s1))
+        cluster.pump_until_converged()
+        cluster.kill("n2")
+        cluster.restart("n2")
+        cluster.pump_until_converged()
+        assert cluster.verify_consistency() == []
+        assert cluster.reseed_log == []
+        reader = cluster.nodes["n2"].reader()
+        assert len(reader.answer(FACULTY_QUERY, Strategy.SAT).answer) == 2
     finally:
         cluster.close()
