@@ -187,6 +187,14 @@ def _reformulate_type_atom(
                 alternatives.append(
                     Alternative(replacement, {klass: candidate}, guard)
                 )
+        if policy.subproperty:
+            # A ``q ⊑ rdf:type`` triple types its subject with whatever
+            # its object is, a schema class or not: one unbound
+            # alternative per such q.
+            for type_sub in _type_subproperties(schema):
+                alternatives.append(
+                    Alternative(TriplePattern(subject, type_sub, klass), {})
+                )
     else:
         for replacement, guard in _type_alternatives_for_class(
             subject, klass, schema, policy, encoding
@@ -344,6 +352,8 @@ def atom_reformulation_size(
                 total += _class_alternative_count(
                     effective_subject, candidate, schema, policy, encoding
                 )
+            if policy.subproperty:
+                total += len(_type_subproperties(schema))
             return total
         return 1 + _class_alternative_count(
             atom.subject, klass, schema, policy, encoding

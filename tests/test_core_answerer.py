@@ -44,6 +44,30 @@ class TestStrategies:
         assert len(answers) == 1
         assert answers.pop() == frozenset({(Literal("J. L. Borges"),)})
 
+    @pytest.mark.parametrize(
+        "strategy",
+        sorted(COMPLETE_STRATEGIES | {Strategy.REF_VIRTUOSO},
+               key=lambda s: s.value),
+        ids=lambda s: s.value,
+    )
+    def test_type_subproperty_types_with_a_non_class(self, strategy):
+        """``p0 ⊑ rdf:type`` makes ``(i0 p0 i0)`` entail ``(i0 rdf:type
+        i0)``; i0 is no schema class, yet ``(?a rdf:type ?a)`` must
+        find it."""
+        from repro.query import TriplePattern, Variable
+        from repro.rdf import Graph, RDF_TYPE, Triple
+        from repro.schema import Constraint, Schema
+
+        graph = Graph([Triple(EX.i0, EX.p0, EX.i0)])
+        schema = Schema([Constraint.subproperty(EX.p0, RDF_TYPE)])
+        a = Variable("a")
+        query = ConjunctiveQuery([a], [TriplePattern(a, RDF_TYPE, a)])
+        cover = (
+            Cover(query, [[0]]) if strategy is Strategy.REF_JUCQ else None
+        )
+        report = QueryAnswerer(graph, schema).answer(query, strategy, cover=cover)
+        assert report.answer == frozenset({(EX.i0,)})
+
     def test_jucq_requires_cover(self, answerer, books):
         _, _, query = books
         with pytest.raises(ValueError):
