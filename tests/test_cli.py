@@ -581,6 +581,29 @@ class TestServe:
         assert "health: level" in out
         assert "1 stale serve(s)" in out
 
+    def test_serve_lubm_without_queries_names_the_flag(self, capsys):
+        """Only books has a default query: serving LUBM without
+        --queries is refused, not answered with the Books query."""
+        code = main(["serve", "--dataset", "lubm", "--requests", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro: error: ") and "--queries" in err
+
+    def test_serve_books_unknown_query_is_refused(self, capsys):
+        code = main(["serve", "--dataset", "books", "--queries", "Q9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: unknown query 'Q9' for dataset 'books'\n"
+        )
+
+    def test_serve_lubm_with_queries(self, capsys):
+        code, out = run_cli(
+            capsys, "serve", "--dataset", "lubm", "--queries", "Q1,Q6,Ex1",
+            "--requests", "3",
+        )
+        assert code == 0
+        assert "3 submitted, 3 completed" in out
+
     def test_serve_degrade_verb_requires_brownout(self, capsys, tmp_path):
         script = tmp_path / "degrade.txt"
         script.write_text("degrade stale-serving\n")
@@ -699,6 +722,12 @@ class TestExitCodeTable:
         return str(script)
 
     @staticmethod
+    def _write_script(tmp_path, line):
+        script = tmp_path / "one-line.txt"
+        script.write_text(line + "\n")
+        return str(script)
+
+    @staticmethod
     def _write_malformed_script(tmp_path):
         script = tmp_path / "malformed.txt"
         script.write_text("step\nstep many\n")
@@ -775,6 +804,65 @@ class TestExitCodeTable:
                 "recover", "--wal", str(t / "empty")]),
             (5, "checkpoint", lambda c, t: [
                 "checkpoint", "--wal", str(t / "empty")]),
+            # -- 2: inputs that used to end in a traceback or be misread --
+            pytest.param(2, "serve", lambda c, t: [
+                "serve", "--dataset", "books", "--chaos-transient", "1.5"],
+                id="2-serve-chaos-transient-rate"),
+            pytest.param(2, "serve", lambda c, t: [
+                "serve", "--dataset", "books", "--chaos-latency-rate", "2"],
+                id="2-serve-chaos-latency-rate"),
+            *[
+                pytest.param(2, "replicate", lambda c, t, flag=flag: [
+                    "replicate", flag, "1.5"],
+                    id="2-replicate%s" % flag)
+                for flag in ("--drop-rate", "--duplicate-rate",
+                             "--delay-rate", "--tear-rate")
+            ],
+            pytest.param(2, "answer", lambda c, t: [
+                "answer", "--dataset", "file", "--file", str(t / "absent.nt")],
+                id="2-answer-unreadable-file"),
+            pytest.param(2, "load", lambda c, t: [
+                "load", "--dataset", "file", "--file", str(t / "absent.nt"),
+                "--wal", str(t / "wal")],
+                id="2-load-unreadable-file"),
+            pytest.param(2, "serve", lambda c, t: [
+                "serve", "--dataset", "books", "--script", str(t / "absent")],
+                id="2-serve-unreadable-script"),
+            pytest.param(2, "replicate", lambda c, t: [
+                "replicate", "--script", str(t / "absent")],
+                id="2-replicate-unreadable-script"),
+            pytest.param(2, "stats", lambda c, t: [
+                "stats", "--universities", "0"],
+                id="2-stats-zero-universities"),
+            pytest.param(2, "stats", lambda c, t: [
+                "stats", "--universities", "-2"],
+                id="2-stats-negative-universities"),
+            pytest.param(2, "answer", lambda c, t: [
+                "answer", "--dataset", "books", "--show-answers",
+                "--limit", "-1"],
+                id="2-answer-negative-limit"),
+            pytest.param(2, "stats", lambda c, t: [
+                "stats", "--dataset", "books", "--top", "-1"],
+                id="2-stats-negative-top"),
+            pytest.param(2, "covers", lambda c, t: [
+                "covers", "--dataset", "books", "--top", "-1"],
+                id="2-covers-negative-top"),
+            pytest.param(2, "serve", lambda c, t: [
+                "serve", "--dataset", "lubm", "--requests", "2"],
+                id="2-serve-no-default-query"),
+            pytest.param(2, "serve", lambda c, t: [
+                "serve", "--dataset", "books", "--queries", "Q9"],
+                id="2-serve-unknown-query"),
+            *[
+                pytest.param(2, "serve", lambda c, t, line=line: [
+                    "serve", "--dataset", "books", "--script",
+                    TestExitCodeTable._write_script(t, line)],
+                    id="2-serve-submit-%s" % line.split()[-1])
+                for line in ("submit alpha default priority=high",
+                             "submit alpha default deadline=0",
+                             "submit alpha default strategy=ref-jucq",
+                             "submit alpha default prio=1")
+            ],
         ],
     )
     def test_exit_code(self, capsys, tmp_path, expected, command, argv_builder):
@@ -786,10 +874,12 @@ class TestExitCodeTable:
             code = exit_.code
         assert code == expected
         if expected == 2:
-            # Usage errors are one line on stderr, never a traceback.
+            # Usage errors are one ``repro: error:`` line on stderr,
+            # never a traceback.
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert len(err.splitlines()) == 1
+            assert err.startswith("repro: error: ")
 
     def test_internal_value_error_keeps_its_traceback(self, monkeypatch):
         """Only the typed usage errors become exit 2; a ValueError from
