@@ -21,20 +21,13 @@ Quickstart::
 """
 
 from .cache import QueryCache
-from .core import AnswerReport, QueryAnswerer, Strategy
+from .core import QueryAnswerer, Strategy
 from .resilience import BudgetExceeded, ExecutionBudget
-from .service import (
-    AdmissionRejected,
-    QueryRequest,
-    QueryService,
-    TenantConfig,
-)
+from .service import QueryRequest, QueryService, TenantConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdmissionRejected",
-    "AnswerReport",
     "BudgetExceeded",
     "ExecutionBudget",
     "QueryAnswerer",

@@ -7,12 +7,11 @@ See :mod:`repro.cache.cache` for the tier/epoch design and DESIGN.md
 
 from .cache import QueryCache, dataset_token
 from .keys import cover_key, policy_key, query_key
-from .lru import LRUCache, TierStats
+from .lru import LRUCache
 
 __all__ = [
     "LRUCache",
     "QueryCache",
-    "TierStats",
     "cover_key",
     "dataset_token",
     "policy_key",

@@ -123,11 +123,6 @@ class QueryCache:
         self.data_epoch = max(self.data_epoch, data_epoch)
         self.schema_epoch = max(self.schema_epoch, schema_epoch)
 
-    def invalidate_all(self) -> None:
-        """Drop everything (both tiers), without touching the epochs."""
-        self.reformulations.invalidate()
-        self.answers.invalidate()
-
     # ------------------------------------------------------------------
     # Watch hooks (wired into the mutable containers' listener lists)
 

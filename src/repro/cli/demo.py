@@ -19,6 +19,7 @@ from .options import (
     QUERY,
     STRATEGIES,
     add_command,
+    at_least_two,
     build_graph,
     parse_triple,
     positive_int,
@@ -130,7 +131,7 @@ def cmd_answer(args) -> int:
         budget = dict(row_budget=args.row_budget, time_budget=args.timeout,
                       budget_fallbacks=args.max_retries,
                       allow_partial=args.allow_partial)
-    repeat = max(1, args.repeat)
+    repeat = args.repeat
     warm = ["-"] if repeat > 1 else []
     rows = []
     for strategy, reports in _answer_each(answerer, query, strategies, repeat,
@@ -174,7 +175,7 @@ def cmd_cache_stats(args) -> int:
     cache = _cache(args)
     answerer = QueryAnswerer(build_graph(args), engine=args.engine, cache=cache)
     query = resolve_query(args)
-    repeat = max(2, args.repeat)
+    repeat = args.repeat
     rows = []
     for strategy, reports in _answer_each(answerer, query, strategies, repeat):
         if isinstance(reports, Exception):
@@ -351,7 +352,7 @@ def register(subparsers) -> None:
     answer.add_argument("--cache", action="store_true",
                         help="answer through a reformulation+answer cache "
                              "(see `cache-stats` for its counters)")
-    answer.add_argument("--repeat", type=int, default=1,
+    answer.add_argument("--repeat", type=positive_int, default=1,
                         help="answer N times (with --cache the repeats hit "
                              "the cache; a warm-ms column is shown)")
 
@@ -383,8 +384,9 @@ def register(subparsers) -> None:
         "cold vs warm answering through the cache, with counters",
         *DATASET, *QUERY, "--strategy", "--engine", "--cache-size",
     )
-    cache_stats.add_argument("--repeat", type=int, default=3,
-                             help="runs per strategy (first is cold; default 3)")
+    cache_stats.add_argument("--repeat", type=at_least_two, default=3,
+                             help="runs per strategy, at least 2 (first is "
+                                  "cold; default 3)")
 
     add_command(
         subparsers, "explain", cmd_explain, "show a plan (demo step 3)",

@@ -42,6 +42,9 @@ def _checked(name, convert, accept, expected):
 
 positive_int = _checked("positive_int", int, lambda n: n >= 1,
                         "a positive integer")
+#: ``cache-stats --repeat``: one cold run and at least one warm one.
+at_least_two = _checked("at_least_two", int, lambda n: n >= 2,
+                        "an integer >= 2")
 positive_float = _checked("positive_float", float, lambda n: n > 0,
                           "a positive number")
 #: Fault probabilities must lie in [0, 1].
@@ -114,11 +117,23 @@ def add_command(subparsers, name, func, help, *flags, **overrides):
 
 
 def add_chaos_seed(parser, flag: str) -> None:
-    """*flag* seeds an injected fault schedule; its default comes from
-    ``$REPRO_CHAOS_SEED`` when the parser is built."""
-    parser.add_argument(flag, type=int,
-                        default=int(os.environ.get("REPRO_CHAOS_SEED", "0")),
+    """*flag* seeds an injected fault schedule; left out, the command
+    reads ``$REPRO_CHAOS_SEED`` through :func:`chaos_seed`."""
+    parser.add_argument(flag, type=int, default=None,
                         help="fault-plan seed (default $REPRO_CHAOS_SEED or 0)")
+
+
+def chaos_seed(seed):
+    """*seed* when the flag gave one, else ``$REPRO_CHAOS_SEED`` (0 when
+    unset).  Read only by the commands that seed faults, so a malformed
+    variable is their usage error and no other command's."""
+    if seed is not None:
+        return seed
+    text = os.environ.get("REPRO_CHAOS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError("$REPRO_CHAOS_SEED must be an integer, got %r" % text)
 
 
 def _read(flag: str, path: str, read):

@@ -26,6 +26,7 @@ from .options import (
     add_command,
     build_graph,
     catalog_query,
+    chaos_seed,
     count,
     parse_triple,
     positive_float,
@@ -124,7 +125,7 @@ def cmd_serve(args) -> int:
         # ``chaos disarm``; synthetic workloads inject from the start.
         chaos = ServiceChaos(
             FaultPlan(
-                seed=args.chaos_seed,
+                seed=chaos_seed(args.chaos_seed),
                 transient_rate=args.chaos_transient,
                 latency_rate=args.chaos_latency_rate,
                 latency_seconds=args.chaos_latency_seconds,
@@ -304,6 +305,7 @@ def cmd_replicate(args) -> int:
     from ..rdf import Namespace, RDF_TYPE, Triple
     from ..replication import ReplicationCluster
 
+    seed = chaos_seed(args.seed)
     names = ["n%d" % (i + 1) for i in range(args.nodes)]
     faults = {
         name: getattr(args, name)
@@ -322,7 +324,7 @@ def cmd_replicate(args) -> int:
     written = 0
     try:
         cluster = ReplicationCluster(
-            directory, names, seed=args.seed, link_faults=faults or None,
+            directory, names, seed=seed, link_faults=faults or None,
             lease_seconds=args.lease, link_capacity=args.link_capacity,
             retain=args.retain,
         )

@@ -18,15 +18,3 @@ triples as dense integer IDs end to end:
   mid-stream :class:`~repro.resilience.budget.ExecutionBudget`
   charging.
 """
-
-from .chunks import ColumnChunk, ColumnStream
-from .engine import run_columnar
-from .indexes import ColumnarIndexSet, SortedRunIndex
-
-__all__ = [
-    "ColumnChunk",
-    "ColumnStream",
-    "ColumnarIndexSet",
-    "SortedRunIndex",
-    "run_columnar",
-]

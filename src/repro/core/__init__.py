@@ -2,10 +2,7 @@
 
 from .answerer import (
     ANSWERER_ENGINES,
-    Answer,
-    AnswerReport,
     COMPLETE_STRATEGIES,
-    CompiledQuery,
     DEFAULT_ENGINE,
     OptionError,
     QueryAnswerer,
@@ -14,10 +11,7 @@ from .answerer import (
 
 __all__ = [
     "ANSWERER_ENGINES",
-    "Answer",
-    "AnswerReport",
     "COMPLETE_STRATEGIES",
-    "CompiledQuery",
     "DEFAULT_ENGINE",
     "OptionError",
     "QueryAnswerer",

@@ -41,7 +41,7 @@ from ..query.algebra import ConjunctiveQuery
 from ..query.cover import Cover
 from ..rdf.graph import Graph
 from ..rdf.terms import Term
-from ..reformulation.engine import ReformulationTooLarge, reformulate, ucq_size
+from ..reformulation.engine import reformulate, ucq_size
 from ..reformulation.jucq import jucq_for_cover
 from ..reformulation.policy import (
     ALLEGROGRAPH_STYLE,
@@ -795,30 +795,3 @@ class QueryAnswerer:
                 details["budget_fallback_failed"] = failed
             return report.answer, report.execution
         raise overrun
-
-    # ------------------------------------------------------------------
-
-    def answer_all(
-        self,
-        query: ConjunctiveQuery,
-        strategies: Optional[Tuple[Strategy, ...]] = None,
-        cover: Optional[Cover] = None,
-    ) -> Dict[Strategy, AnswerReport]:
-        """Run several strategies on *query*, skipping the ones that
-        legitimately fail (too-large reformulations) — the demo's
-        "answer it through all the available systems" button.
-
-        ``REF_JUCQ`` participates only when a *cover* is supplied (it
-        has no default cover by definition).
-        """
-        if strategies is None:
-            strategies = tuple(Strategy)
-        reports: Dict[Strategy, AnswerReport] = {}
-        for strategy in strategies:
-            if strategy is Strategy.REF_JUCQ and cover is None:
-                continue
-            try:
-                reports[strategy] = self.answer(query, strategy, cover=cover)
-            except (ReformulationTooLarge, QueryTooLargeError):
-                continue
-        return reports

@@ -1,6 +1,10 @@
 """Cost model: cardinality estimation and plan costing (S7)."""
 
 from . import cardinality
-from .model import annotate_node, annotate_plan, plan_cost
+from .model import annotate_node, annotate_plan
 
-__all__ = ["annotate_node", "annotate_plan", "cardinality", "plan_cost"]
+__all__ = [
+    "annotate_node",
+    "annotate_plan",
+    "cardinality",
+]

@@ -195,8 +195,3 @@ def per_row_cost(rows: float, backend: BackendProfile) -> float:
 def dedup_cost(rows: float, backend: BackendProfile) -> float:
     """Duplicate elimination (union, distinct) per input tuple."""
     return backend.dedup_cost * rows
-
-
-def plan_cost(node: PlanNode) -> float:
-    """Cumulative estimated cost of an annotated plan."""
-    return node.total_estimated_cost()

@@ -1,19 +1,15 @@
 """Datalog engine and the Dat encoding of RDF query answering (S9)."""
 
-from .encoding import answer_query, encode, entailment_rules
-from .engine import Database, EvaluationResult, Relation, evaluate_program
+from .encoding import answer_query, encode
+from .engine import evaluate_program
 from .terms import DatalogAtom, DatalogProgram, DatalogRule, DVar
 
 __all__ = [
     "DVar",
-    "Database",
     "DatalogAtom",
     "DatalogProgram",
     "DatalogRule",
-    "EvaluationResult",
-    "Relation",
     "answer_query",
     "encode",
-    "entailment_rules",
     "evaluate_program",
 ]

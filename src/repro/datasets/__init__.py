@@ -1,33 +1,16 @@
 """Datasets and workloads: the running example, LUBM-style, INSEE-like
 and DBLP-like generators (S10)."""
 
-from .books import BOOKS, books_dataset, books_example_query, books_graph, books_schema
-from .dblp_like import BIB, bib_queries, bib_schema, generate_bib
-from .insee_like import GEO, generate_geo, geo_queries, geo_schema
-from .lubm import (
-    GeneratorConfig,
-    LubmGenerator,
-    UB,
-    generate_lubm,
-    lubm_schema,
-    university_uri,
-)
-from .lubm_queries import (
-    example1_best_cover,
-    example1_query,
-    lubm_queries,
-    query_list,
-)
+from .books import books_dataset, books_example_query, books_graph, books_schema
+from .dblp_like import bib_queries, generate_bib
+from .insee_like import generate_geo, geo_queries
+from .lubm import GeneratorConfig, UB, generate_lubm, lubm_schema, university_uri
+from .lubm_queries import example1_best_cover, example1_query, lubm_queries
 
 __all__ = [
-    "BIB",
-    "BOOKS",
-    "GEO",
     "GeneratorConfig",
-    "LubmGenerator",
     "UB",
     "bib_queries",
-    "bib_schema",
     "books_dataset",
     "books_example_query",
     "books_graph",
@@ -38,9 +21,7 @@ __all__ = [
     "generate_geo",
     "generate_lubm",
     "geo_queries",
-    "geo_schema",
     "lubm_queries",
     "lubm_schema",
-    "query_list",
     "university_uri",
 ]

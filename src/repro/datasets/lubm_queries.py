@@ -24,7 +24,7 @@ cover ``{{t1,t3},{t3,t5},{t2,t4},{t4,t6}}`` runs 430× faster.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..query.algebra import ConjunctiveQuery, TriplePattern, Variable
 from ..query.cover import Cover
@@ -228,11 +228,3 @@ def lubm_queries(university: Optional[URI] = None) -> Dict[str, ConjunctiveQuery
     )
 
     return queries
-
-
-def query_list(university: Optional[URI] = None) -> List[ConjunctiveQuery]:
-    """The workload in a stable order: Q1…Q14 then Example 1."""
-    queries = lubm_queries(university)
-    ordered = [queries["Q%d" % index] for index in range(1, 15)]
-    ordered.append(example1_query())
-    return ordered

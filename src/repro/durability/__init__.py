@@ -8,13 +8,7 @@ from the latest valid checkpoint plus the intact WAL suffix —
 truncating torn or corrupt tails instead of crashing.
 """
 
-from .checkpoint import (
-    CheckpointCorrupt,
-    build_snapshot,
-    decode_checkpoint,
-    encode_checkpoint,
-    restore_snapshot,
-)
+from .checkpoint import CheckpointCorrupt, decode_checkpoint, encode_checkpoint
 from .io import FileSystem
 from .manager import DurableStore
 from .ops import (
@@ -27,28 +21,11 @@ from .ops import (
     decode_op,
     encode_op,
 )
-from .recovery import (
-    RecoveryResult,
-    checkpoint_path,
-    list_checkpoints,
-    list_wal_segments,
-    recover,
-    verify_recovery,
-    wal_path,
-)
-from .wal import (
-    HEADER_SIZE,
-    MAGIC,
-    MAX_PAYLOAD,
-    DecodeResult,
-    WriteAheadLog,
-    decode_records,
-    encode_record,
-)
+from .recovery import recover, verify_recovery, wal_path
+from .wal import HEADER_SIZE, MAGIC, MAX_PAYLOAD, WriteAheadLog, decode_records, encode_record
 
 __all__ = [
     "CheckpointCorrupt",
-    "DecodeResult",
     "DurableStore",
     "FileSystem",
     "HEADER_SIZE",
@@ -58,22 +35,16 @@ __all__ = [
     "OP_CONSTRAINT_REMOVE",
     "OP_DELETE",
     "OP_INSERT",
-    "RecoveryResult",
     "WALFormatError",
     "WriteAheadLog",
     "apply_op",
-    "build_snapshot",
-    "checkpoint_path",
     "decode_checkpoint",
     "decode_op",
     "decode_records",
     "encode_checkpoint",
     "encode_op",
     "encode_record",
-    "list_checkpoints",
-    "list_wal_segments",
     "recover",
-    "restore_snapshot",
     "verify_recovery",
     "wal_path",
 ]

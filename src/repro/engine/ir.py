@@ -82,10 +82,6 @@ class PlanNode:
         for child in self.children():
             yield from child.walk()
 
-    def atom_count(self) -> int:
-        """Number of scan atoms in the subtree (the parse-limit size)."""
-        return sum(1 for node in self.walk() if isinstance(node, ScanNode))
-
 
 class ScanNode(PlanNode):
     """One access to the triple table, with constants pushed into the

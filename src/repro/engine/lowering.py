@@ -13,9 +13,13 @@ compiled with ``Planner(store, annotate=False)``:
   with a self-join of ``t`` per scan, constants as parameters, shared
   variables as equality predicates, guards as ``kind`` sub-selects;
 * a :class:`~repro.engine.ir.UnionNode` becomes ``UNION`` of its
-  lowered children (set semantics for free; empty children dropped);
-* a JUCQ plan — project over a join of union fragments — becomes the
-  fragment SELECTs as CTEs joined in an outer ``SELECT DISTINCT``.
+  lowered children (set semantics for free; empty children dropped).
+
+A JUCQ plan — a projection over a join of union fragments — has no
+single-statement form: the SQLite backend lowers each fragment, stores
+it in an indexed temporary table and joins the tables
+(:func:`fragment_leaves`, :func:`fragment_column_map`,
+:func:`select_items`).
 
 Scan constants are emitted as ``?`` parameters; range positions
 (hierarchy-encoded interval atoms) become ``BETWEEN``-style
@@ -50,10 +54,6 @@ class LoweringError(ValueError):
     """The plan has no SQL translation (unexpected operator shape)."""
 
 
-class _NotFlat(Exception):
-    """Internal: the subtree is not a flat scan/join/filter shape."""
-
-
 def lower(plan: PlanNode) -> LoweredSql:
     """One SQL statement (sql, parameters) computing *plan*."""
     if isinstance(plan, DistinctNode):
@@ -65,10 +65,7 @@ def lower(plan: PlanNode) -> LoweredSql:
     if isinstance(plan, UnionNode):
         return _lower_union(plan)
     if isinstance(plan, ProjectNode):
-        try:
-            return _lower_flat_select(plan)
-        except _NotFlat:
-            return _lower_project_over_fragments(plan)
+        return _lower_flat_select(plan)
     raise LoweringError("cannot lower %r to SQL" % (plan,))
 
 
@@ -103,7 +100,7 @@ def _collect_flat(node: PlanNode, scans: List[ScanNode],
         guards.extend(node.variables)
         _collect_flat(node.child, scans, guards)
     else:
-        raise _NotFlat
+        raise LoweringError("cannot lower %r inside a SELECT" % (node,))
 
 
 def _lower_flat_select(project: ProjectNode) -> LoweredSql:
@@ -143,16 +140,16 @@ def _lower_flat_select(project: ProjectNode) -> LoweredSql:
             % column_of[variable]
         )
 
-    select_items, select_parameters = _select_items(project, column_of)
+    items, select_parameters = select_items(project, column_of)
     from_clause = ", ".join("t AS t%d" % index for index in range(len(scans)))
-    sql = "SELECT DISTINCT %s FROM %s" % (", ".join(select_items), from_clause)
+    sql = "SELECT DISTINCT %s FROM %s" % (", ".join(items), from_clause)
     if conditions:
         sql += " WHERE " + " AND ".join(conditions)
     # Parameter order follows SQL text order: SELECT items first.
     return sql, select_parameters + where_parameters
 
 
-def _select_items(
+def select_items(
     project: ProjectNode, column_of: Dict[Variable, str]
 ) -> Tuple[List[str], List]:
     """(items, parameters): ("term", Term) specs — constants the
@@ -203,26 +200,3 @@ def fragment_column_map(
             else:
                 joins.append((name, position, "%s = %s" % (reference, bound)))
     return column_of, joins
-
-
-def _lower_project_over_fragments(project: ProjectNode) -> LoweredSql:
-    """The JUCQ shape: fragment plans as CTEs, joined and projected."""
-    fragments = fragment_leaves(project.child)
-    ctes: List[str] = []
-    parameters: List = []
-    for index, fragment in enumerate(fragments):
-        sql, params = lower(fragment)
-        ctes.append("f%d AS (%s)" % (index, sql))
-        parameters.extend(params)
-    column_of, joins = fragment_column_map(fragments, lambda i: "f%d" % i)
-    select_items, select_parameters = _select_items(project, column_of)
-    sql = "WITH %s SELECT DISTINCT %s FROM %s" % (
-        ", ".join(ctes),
-        ", ".join(select_items),
-        ", ".join("f%d" % index for index in range(len(fragments))),
-    )
-    conditions = [condition for _, _, condition in joins]
-    if conditions:
-        sql += " WHERE " + " AND ".join(conditions)
-    # Text order: CTEs first, then the outer SELECT's items.
-    return sql, parameters + select_parameters

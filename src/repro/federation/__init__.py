@@ -2,12 +2,11 @@
 distributed scenario of the paper's introduction)."""
 
 from .endpoint import Endpoint, ExportForbidden, TruncatedResult, truncate_rows
-from .client import FederatedAnswer, FederatedAnswerer
+from .client import FederatedAnswerer
 
 __all__ = [
     "Endpoint",
     "ExportForbidden",
-    "FederatedAnswer",
     "FederatedAnswerer",
     "TruncatedResult",
     "truncate_rows",

@@ -2,13 +2,11 @@
 
 from .beam import beam_search
 from .estimator import CoverCostEstimator, INFINITE_COST
-from .exhaustive import ExhaustiveResult, exhaustive_cover_search
-from .gcov import GCovResult, gcov
+from .exhaustive import exhaustive_cover_search
+from .gcov import gcov
 
 __all__ = [
     "CoverCostEstimator",
-    "ExhaustiveResult",
-    "GCovResult",
     "INFINITE_COST",
     "beam_search",
     "exhaustive_cover_search",

@@ -5,11 +5,10 @@ Query evaluation and saturation are single-threaded; see
 client follows.
 """
 
-from .pool import ExecutorPool, pool_for, primary_error, shared_pool
+from .pool import ExecutorPool, pool_for, primary_error
 
 __all__ = [
     "ExecutorPool",
     "pool_for",
     "primary_error",
-    "shared_pool",
 ]

@@ -7,7 +7,6 @@ from .algebra import (
     UnionQuery,
     Variable,
     fresh_variable,
-    is_variable,
 )
 from .cover import (
     Cover,
@@ -34,7 +33,6 @@ __all__ = [
     "evaluate_jucq",
     "evaluate_ucq",
     "fresh_variable",
-    "is_variable",
     "join_graph",
     "parse_query",
     "render_cover",

@@ -73,10 +73,6 @@ def fresh_variable(prefix: str = "f") -> Variable:
     return Variable("_%s%d" % (prefix, next(_fresh_counter)))
 
 
-def is_variable(term: PatternTerm) -> bool:
-    return isinstance(term, Variable)
-
-
 class TriplePattern:
     """A triple pattern (query atom): ``s p o`` with variables allowed
     in any position.
@@ -266,9 +262,6 @@ class ConjunctiveQuery:
                     "guarded variable %r bound to literal %r" % (variable, bound)
                 )
         return ConjunctiveQuery(new_head, new_atoms, remaining_guard)
-
-    def with_atoms(self, atoms: Sequence[TriplePattern]) -> "ConjunctiveQuery":
-        return ConjunctiveQuery(self.head, atoms, self.nonliteral_variables)
 
     # ------------------------------------------------------------------
     # Canonical form

@@ -124,9 +124,6 @@ class Cover:
         guard = self.query.nonliteral_variables & set().union(*(a.variables() for a in atoms))
         return ConjunctiveQuery(self.fragment_head(fragment), atoms, guard)
 
-    def fragment_queries(self) -> List[ConjunctiveQuery]:
-        return [self.fragment_query(fragment) for fragment in self.fragments]
-
     # ------------------------------------------------------------------
     # Neighbourhood moves used by the greedy search
 

@@ -12,11 +12,9 @@ from .namespaces import (
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
     SCHEMA_PROPERTIES,
-    XSD_NS,
     shorten,
 )
-from .terms import BlankNode, Literal, Term, URI
-from .turtle import read_turtle, turtle_to_string, write_turtle
+from .terms import BlankNode, Literal, URI
 from .triples import Triple
 
 __all__ = [
@@ -33,19 +31,14 @@ __all__ = [
     "RDFS_SUBCLASSOF",
     "RDFS_SUBPROPERTYOF",
     "SCHEMA_PROPERTIES",
-    "Term",
     "Triple",
     "URI",
-    "XSD_NS",
     "graph_to_string",
     "load_file",
     "parse_line",
     "parse_term",
     "read_ntriples",
-    "read_turtle",
     "save_file",
     "shorten",
-    "turtle_to_string",
     "write_ntriples",
-    "write_turtle",
 ]

@@ -12,7 +12,6 @@ over the target's terms.
 Provided here:
 
 * :func:`find_homomorphism` / :func:`is_contained` — the test itself;
-* :func:`minimize` — remove redundant atoms from a CQ (its core);
 * :func:`prune_subsumed` — drop UCQ disjuncts contained in another
   disjunct; quadratic in the number of disjuncts, so intended for the
   moderate unions where evaluation savings repay the pruning cost
@@ -131,39 +130,6 @@ def is_contained(
     if homomorphism is None:
         return False
     return _guards_preserved(container, contained, homomorphism)
-
-
-def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
-    """The core of *query*: atoms removed while an endomorphism onto
-    the remainder exists (classical CQ minimization).
-
-    >>> from repro.rdf import Namespace
-    >>> EX = Namespace("http://e/")
-    >>> x, y, z = Variable("x"), Variable("y"), Variable("z")
-    >>> redundant = ConjunctiveQuery(
-    ...     [x], [TriplePattern(x, EX.p, y), TriplePattern(x, EX.p, z)])
-    >>> len(minimize(redundant).atoms)
-    1
-    """
-    current = query
-    changed = True
-    while changed and len(current.atoms) > 1:
-        changed = False
-        for index in range(len(current.atoms)):
-            reduced_atoms = (
-                current.atoms[:index] + current.atoms[index + 1:]
-            )
-            try:
-                reduced = ConjunctiveQuery(
-                    current.head, reduced_atoms, current.nonliteral_variables
-                )
-            except ValueError:
-                continue  # dropping the atom orphans a head/guard var
-            if find_homomorphism(current, reduced) is not None:
-                current = reduced
-                changed = True
-                break
-    return current
 
 
 def prune_subsumed(union: UnionQuery) -> UnionQuery:

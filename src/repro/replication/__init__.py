@@ -8,24 +8,16 @@ new primary on lease expiry, fences the old one, and routes service
 reads to bounded-staleness replicas.  See ``DESIGN.md`` §15.
 """
 
-from .cluster import DEFAULT_NODES, ReplicationCluster
-from .errors import PrimaryFenced, ReplicaDiverged, ReplicationError
-from .failover import FailoverCoordinator
+from .cluster import ReplicationCluster
+from .errors import PrimaryFenced
 from .link import ReplicationLink
-from .node import ReplicaNode, ROLE_FOLLOWER, ROLE_PRIMARY, SHIP_HEADER
+from .node import ReplicaNode
 from .routing import ReplicaRouter
 
 __all__ = [
-    "DEFAULT_NODES",
-    "FailoverCoordinator",
     "PrimaryFenced",
-    "ReplicaDiverged",
     "ReplicaNode",
     "ReplicaRouter",
     "ReplicationCluster",
-    "ReplicationError",
     "ReplicationLink",
-    "ROLE_FOLLOWER",
-    "ROLE_PRIMARY",
-    "SHIP_HEADER",
 ]

@@ -22,17 +22,15 @@ systems):
 
 from .breaker import CircuitBreaker
 from .budget import ExecutionBudget
-from .clock import Clock, Deadline, FakeClock, SYSTEM_CLOCK, SystemClock
+from .clock import Deadline, FakeClock
 from .errors import (
     BudgetExceeded,
     CircuitOpen,
     DeadlineExceeded,
-    EndpointFailure,
     EndpointOutage,
     SimulatedCrash,
     TransientEndpointError,
 )
-from .report import CompletenessReport, EndpointReport
 from .retry import RetryPolicy
 
 __all__ = [
@@ -40,22 +38,16 @@ __all__ = [
     "ChaosEndpoint",
     "CircuitBreaker",
     "CircuitOpen",
-    "Clock",
-    "CompletenessReport",
     "CrashPlan",
     "CrashingFileSystem",
     "Deadline",
     "DeadlineExceeded",
-    "EndpointFailure",
     "EndpointOutage",
-    "EndpointReport",
     "ExecutionBudget",
     "FakeClock",
     "FaultPlan",
     "RetryPolicy",
-    "SYSTEM_CLOCK",
     "SimulatedCrash",
-    "SystemClock",
     "TransientEndpointError",
 ]
 

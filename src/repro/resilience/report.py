@@ -105,16 +105,14 @@ class CompletenessReport:
     def truncated(self) -> bool:
         return any(entry.status == TRUNCATED for entry in self)
 
-    def with_status(self, status: str) -> List[str]:
-        return [entry.name for entry in self if entry.status == status]
-
     @property
     def degraded_endpoints(self) -> List[str]:
-        return self.with_status(DEGRADED)
+        return [entry.name for entry in self if entry.status == DEGRADED]
 
     @property
     def skipped_endpoints(self) -> List[str]:
-        return self.with_status(SKIPPED_OPEN_CIRCUIT)
+        return [entry.name for entry in self
+                if entry.status == SKIPPED_OPEN_CIRCUIT]
 
     def total_retries(self) -> int:
         return sum(entry.retries for entry in self)

@@ -3,7 +3,6 @@
 from .constraints import (
     Constraint,
     ConstraintKind,
-    RESERVED_VOCABULARY,
     constraints_from_triples,
     is_admissible_constraint,
 )
@@ -12,7 +11,6 @@ from .schema import Schema
 __all__ = [
     "Constraint",
     "ConstraintKind",
-    "RESERVED_VOCABULARY",
     "Schema",
     "constraints_from_triples",
     "is_admissible_constraint",

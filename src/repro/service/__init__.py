@@ -39,8 +39,8 @@ from .degrade import (
     STALE_SERVING,
 )
 from .health import HealthMonitor, HealthSignals
-from .metrics import ServiceMetrics, TenantMetrics, percentile
-from .request import DONE, EXPIRED, FAILED, QUEUED, RUNNING, QueryRequest, Ticket
+from .metrics import percentile
+from .request import DONE, EXPIRED, FAILED, QueryRequest
 from .service import QueryService
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "LEVEL_NAMES",
     "NORMAL",
     "PARTIAL_ANSWERS",
-    "QUEUED",
     "QueryRequest",
     "QueryService",
     "REASON_BROWNOUT",
@@ -65,13 +64,9 @@ __all__ = [
     "REASON_TENANT_BREAKER",
     "REASON_UNKNOWN_TENANT",
     "REPLICA_READS_ONLY",
-    "RUNNING",
     "SHED_NEW_WORK",
     "STALE_SERVING",
     "ServiceChaos",
-    "ServiceMetrics",
     "TenantConfig",
-    "TenantMetrics",
-    "Ticket",
     "percentile",
 ]

@@ -331,12 +331,6 @@ class AdmissionController:
         rounds = (self.backlog() // self.capacity) + 1
         return rounds * estimate
 
-    def queued_tickets(self) -> List[Ticket]:
-        """All queued tickets, admission-ordered (diagnostics)."""
-        with self._lock:
-            tickets = [t for q in self._queues.values() for t in q]
-        return sorted(tickets, key=lambda t: t.sequence)
-
     def __repr__(self) -> str:
         return "AdmissionController(tenants=%d, backlog=%d, capacity=%d)" % (
             len(self.tenants),

@@ -236,11 +236,6 @@ class ServiceMetrics:
             "p99": percentile(samples, 0.99),
         }
 
-    def completions_by_tenant(self) -> Dict[str, int]:
-        """The fairness witness: completed counts per tenant."""
-        with self._lock:
-            return {name: b.completed for name, b in sorted(self.tenants.items())}
-
     def as_dict(self) -> dict:
         with self._lock:
             per_tenant = {

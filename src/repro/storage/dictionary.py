@@ -9,7 +9,7 @@ first-seen order) which lets the statistics module use plain arrays.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..rdf.terms import Literal, Term
 
@@ -91,16 +91,9 @@ class Dictionary:
         """True when *term_id* is reserved but has no term yet."""
         return term_id in self._holes
 
-    @property
-    def hole_count(self) -> int:
-        return len(self._holes)
-
     def is_literal_id(self, term_id: int) -> bool:
         """True when *term_id* encodes a literal."""
         return term_id in self._literal_ids
-
-    def encode_all(self, terms: Iterable[Term]) -> List[int]:
-        return [self.encode(term) for term in terms]
 
     def lookup(self, term: Term) -> Optional[int]:
         """The id of *term*, or None when it has never been encoded.

@@ -128,29 +128,3 @@ def explain(
 
     render(plan, 0)
     return "\n".join(lines)
-
-
-def plan_summary(plan: PlanNode) -> dict:
-    """Aggregate plan metrics: node counts per operator, total cost,
-    scan count (the parse-relevant size)."""
-    counts: dict = {}
-    interval_atoms = 0
-    branches_collapsed = 0
-    for node in plan.walk():
-        name = type(node).__name__
-        counts[name] = counts.get(name, 0) + 1
-        for _lo, _hi, _anchor, branches in (
-            getattr(node, "interval_info", None) or ()
-        ):
-            interval_atoms += 1
-            branches_collapsed += max(0, branches - 1)
-    summary = {
-        "operators": counts,
-        "total_estimated_cost": plan.total_estimated_cost(),
-        "scan_atoms": plan.atom_count(),
-        "estimated_rows": plan.estimated_rows,
-    }
-    if interval_atoms:
-        summary["interval_atoms"] = interval_atoms
-        summary["branches_collapsed"] = branches_collapsed
-    return summary

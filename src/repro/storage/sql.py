@@ -12,7 +12,9 @@ central claims checkable on a *real* SQL engine:
   ``WHERE`` clause, shared variables as join predicates, non-literal
   guards as a ``kind`` filter via the dictionary table;
 * UCQ → ``UNION`` of the disjunct SELECTs (set semantics for free);
-* JUCQ → fragment UCQs as CTEs joined in an outer SELECT.
+* JUCQ → no single statement: each fragment UCQ is materialised into
+  an indexed temporary table, fragment by fragment, and one SELECT
+  joins the tables (:meth:`SqliteBackend.run`).
 
 SQLite even reproduces the paper's parse failure genuinely: its
 default compound-SELECT limit is 500 terms, so a union of thousands of
@@ -26,7 +28,12 @@ import sqlite3
 from typing import FrozenSet, List, Tuple
 
 from ..engine.ir import EmptyNode
-from ..engine.lowering import fragment_column_map, fragment_leaves, lower
+from ..engine.lowering import (
+    fragment_column_map,
+    fragment_leaves,
+    lower,
+    select_items,
+)
 from ..rdf.io import parse_term
 from ..query.algebra import (
     ConjunctiveQuery,
@@ -79,13 +86,6 @@ def ucq_to_sql(
     """The UNION of the disjunct SELECTs (disjuncts whose constants are
     absent from the store lower to empty plans and are dropped)."""
     return lower(_lowering_planner(store).plan(union))
-
-
-def jucq_to_sql(
-    jucq: JoinOfUnions, store: TripleStore
-) -> Tuple[str, List[int]]:
-    """Fragment UCQs as CTEs, joined on shared variables, projected."""
-    return lower(_lowering_planner(store).plan(jucq))
 
 
 class SqliteBackend:
@@ -155,13 +155,12 @@ class SqliteBackend:
     # ------------------------------------------------------------------
 
     def to_sql(self, query) -> Tuple[str, List[int]]:
-        """The SQL text + parameters for any supported query form."""
+        """The SQL text + parameters of a CQ or UCQ (a JUCQ has no
+        single statement; :meth:`run` materialises its fragments)."""
         if isinstance(query, ConjunctiveQuery):
             return _cq_to_sql(query, store=self.store)
         if isinstance(query, UnionQuery):
             return ucq_to_sql(query, self.store)
-        if isinstance(query, JoinOfUnions):
-            return jucq_to_sql(query, self.store)
         raise TypeError("cannot translate %r" % (query,))
 
     def run(self, query) -> FrozenSet[Tuple[Term, ...]]:
@@ -169,9 +168,7 @@ class SqliteBackend:
 
         JUCQs are executed the way the authors' EDBT'15 system runs
         them on its RDBMSs: each fragment UCQ is materialized into an
-        indexed temporary table, then the fragments are joined — a
-        single CTE statement leaves the engine joining unindexed
-        subquery results, which scales badly (measured in E12).
+        indexed temporary table, then the fragments are joined.
 
         Raises ``sqlite3.OperationalError`` when the engine's own
         limits reject the statement (e.g. >500 compound SELECT terms) —
@@ -231,23 +228,9 @@ class SqliteBackend:
                     "CREATE INDEX idx_%s_c%d ON %s (c%d)"
                     % (name, position, name, position)
                 )
-
-            select_items: List[str] = []
-            outer_parameters: List = []
-            for position, (kind, value) in enumerate(project.specs):
-                if kind == "var":
-                    select_items.append(
-                        "%s AS c%d" % (column_of[value], position)
-                    )
-                elif kind == "term":
-                    select_items.append("? AS c%d" % position)
-                    outer_parameters.append(value.n3())
-                else:
-                    select_items.append("%d AS c%d" % (value, position))
-            if not select_items:
-                select_items.append("1 AS c0")
+            items, outer_parameters = select_items(project, column_of)
             sql = "SELECT DISTINCT %s FROM %s" % (
-                ", ".join(select_items),
+                ", ".join(items),
                 ", ".join(table_names),
             )
             conditions = [condition for _, _, condition in joins]

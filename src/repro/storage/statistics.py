@@ -68,9 +68,6 @@ class PropertyStatistics:
     def top_subjects(self, limit: int = 10) -> List[Tuple[int, int]]:
         return self._subjects.most_common(limit)
 
-    def top_objects(self, limit: int = 10) -> List[Tuple[int, int]]:
-        return self._objects.most_common(limit)
-
 
 class StoreStatistics:
     """Statistics over an entire triple store."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core import COMPLETE_STRATEGIES, Strategy
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,23 @@ class TestAnswer:
         )
         assert code == 0
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("dataset,query", [("geo", "G1"), ("bib", "B2")])
+    def test_catalog_query_strategies_agree(self, capsys, dataset, query):
+        """The INSEE-like and DBLP-like catalogs answer from the CLI, and
+        every complete strategy finds the same number of answers."""
+        code, out = run_cli(capsys, "answer", "--dataset", dataset,
+                            "--query", query)
+        assert code == 0
+        complete = {strategy.value for strategy in COMPLETE_STRATEGIES
+                    if strategy is not Strategy.REF_JUCQ}
+        counts = {}
+        for line in out.splitlines():
+            cells = [cell.strip() for cell in line.split("|")]
+            if cells[0] in complete:
+                counts[cells[0]] = cells[-1]
+        assert set(counts) == complete
+        assert len(set(counts.values())) == 1, counts
 
     def test_unknown_query_errors(self, capsys):
         code, _ = run_cli(
@@ -863,10 +881,51 @@ class TestExitCodeTable:
                              "submit alpha default strategy=ref-jucq",
                              "submit alpha default prio=1")
             ],
+            *[
+                pytest.param(2, "answer", lambda c, t, count=count: [
+                    "answer", "--dataset", "books", "--repeat", count],
+                    id="2-answer-repeat%s" % count)
+                for count in ("0", "-3")
+            ],
+            pytest.param(2, "cache-stats", lambda c, t: [
+                "cache-stats", "--dataset", "books", "--repeat", "1"],
+                id="2-cache-stats-single-run"),
+            pytest.param(0, "cache-stats", lambda c, t: [
+                "cache-stats", "--dataset", "books", "--repeat", "2"],
+                id="0-cache-stats-cold-and-warm"),
         ],
     )
     def test_exit_code(self, capsys, tmp_path, expected, command, argv_builder):
-        argv = argv_builder(capsys, tmp_path)
+        self._check_exit(capsys, argv_builder(capsys, tmp_path), expected)
+
+    @pytest.mark.parametrize(
+        "expected,argv",
+        [
+            # Only the commands that seed faults read the variable.
+            pytest.param(0, ["stats", "--dataset", "books"],
+                         id="0-stats"),
+            pytest.param(0, ["answer", "--dataset", "books",
+                             "--strategy", "ref-gcov"],
+                         id="0-answer"),
+            pytest.param(0, ["serve", "--dataset", "books", "--requests",
+                             "4", "--queue-depth", "4"],
+                         id="0-serve-without-chaos"),
+            pytest.param(0, ["replicate", "--writes", "2", "--seed", "5"],
+                         id="0-replicate-explicit-seed"),
+            pytest.param(2, ["serve", "--dataset", "books", "--requests",
+                             "2", "--chaos-transient", "0.5"],
+                         id="2-serve-chaos"),
+            pytest.param(2, ["replicate", "--writes", "2"],
+                         id="2-replicate"),
+        ],
+    )
+    def test_exit_code_under_malformed_chaos_seed(
+            self, capsys, monkeypatch, expected, argv):
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "abc")
+        self._check_exit(capsys, argv, expected)
+
+    @staticmethod
+    def _check_exit(capsys, argv, expected):
         capsys.readouterr()  # drop what staging printed
         try:
             code = main(argv)

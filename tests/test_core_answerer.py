@@ -181,38 +181,6 @@ class TestParseLimits:
         with pytest.raises(QueryTooLargeError):
             answerer.answer(example1_query(), Strategy.REF_UCQ)
 
-    def test_answer_all_skips_failures(self):
-        graph = generate_lubm(universities=1, seed=2)
-        answerer = QueryAnswerer(graph)
-        reports = answerer.answer_all(
-            example1_query(),
-            strategies=(Strategy.REF_UCQ, Strategy.REF_SCQ, Strategy.SAT),
-        )
-        assert Strategy.REF_UCQ not in reports
-        assert Strategy.REF_SCQ in reports
-        assert (
-            reports[Strategy.REF_SCQ].answer == reports[Strategy.SAT].answer
-        )
-
-    def test_answer_all_default_strategies(self, answerer, books):
-        """All strategies, no cover: REF_JUCQ is skipped, nothing raises."""
-        _, _, query = books
-        reports = answerer.answer_all(query)
-        assert Strategy.REF_JUCQ not in reports
-        assert Strategy.SAT in reports
-        assert Strategy.DATALOG in reports
-
-    def test_answer_all_with_cover_includes_jucq(self, answerer, books):
-        _, _, query = books
-        cover = Cover(query, [[0, 1], [2]])
-        reports = answerer.answer_all(
-            query, strategies=(Strategy.REF_JUCQ, Strategy.SAT), cover=cover
-        )
-        assert Strategy.REF_JUCQ in reports
-        assert (
-            reports[Strategy.REF_JUCQ].answer == reports[Strategy.SAT].answer
-        )
-
 
 class TestExample1EndToEnd:
     @pytest.fixture(scope="class")

@@ -14,7 +14,6 @@ from repro.datasets import (
     geo_queries,
     lubm_queries,
     lubm_schema,
-    query_list,
     university_uri,
 )
 from repro.saturation import saturate
@@ -126,10 +125,6 @@ class TestLubmQueries:
     def test_fourteen_queries(self):
         queries = lubm_queries()
         assert len(queries) == 14
-
-    def test_query_list_order(self):
-        ordered = query_list()
-        assert len(ordered) == 15
 
     def test_queries_have_answers_on_saturated_data(self):
         from repro.query import evaluate_cq

@@ -8,7 +8,7 @@ from repro.query import ConjunctiveQuery, TriplePattern, Variable
 from repro.reformulation import reformulate
 from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
 from repro.schema import Constraint
-from repro.storage import Executor, TripleStore, explain, plan_summary
+from repro.storage import Executor, TripleStore, explain
 
 EX = Namespace("http://example.org/")
 x, y = Variable("x"), Variable("y")
@@ -66,17 +66,6 @@ class TestExplain:
         text = explain(plan, small_store)
         assert "actual=" not in text
         assert "rows≈" in text
-
-    def test_plan_summary(self, small_store):
-        query = ConjunctiveQuery(
-            [x, y],
-            [TriplePattern(x, RDF_TYPE, EX.C), TriplePattern(x, EX.p, y)],
-        )
-        plan = Executor(small_store).planner.plan(query)
-        summary = plan_summary(plan)
-        assert summary["scan_atoms"] == 2
-        assert summary["operators"]["ScanNode"] == 2
-        assert summary["total_estimated_cost"] > 0
 
 
 class TestBeamSearch:

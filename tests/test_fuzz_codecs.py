@@ -10,7 +10,7 @@ durability rests on, and for the text parsers in front of it:
   truncation, garbage buffers) must never raise from
   :func:`decode_records` and always yields an exact *prefix* of the
   original records — the invariant crash recovery is built on;
-* the SPARQL-lite, Turtle-lite and N-Triples parsers — arbitrary text
+* the SPARQL-lite and N-Triples parsers — arbitrary text
   raises their typed errors only.
 
 Like the chaos tests, the exploration is seeded from
@@ -50,7 +50,6 @@ from repro.rdf import (
     parse_term,
     read_ntriples,
 )
-from repro.rdf.turtle import read_turtle
 
 #: CI sets this per matrix leg; locally the default keeps runs stable.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -245,7 +244,6 @@ def test_text_parsers_raise_only_typed_errors(text):
     never a traceback from a constructor underneath."""
     for parse, typed in (
         (parse_query, QueryParseError),
-        (read_turtle, ParseError),
         (read_ntriples, ParseError),
     ):
         try:

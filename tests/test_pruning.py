@@ -1,5 +1,5 @@
-"""Unit and property tests for CQ containment, minimization and UCQ
-subsumption pruning."""
+"""Unit and property tests for CQ containment, schema minimisation and
+UCQ subsumption pruning."""
 
 from hypothesis import HealthCheck, given, settings
 
@@ -8,7 +8,6 @@ from repro.rdf import Namespace, RDF_TYPE
 from repro.reformulation import (
     find_homomorphism,
     is_contained,
-    minimize,
     prune_subsumed,
     reformulate,
 )
@@ -83,41 +82,6 @@ class TestContainment:
         assert is_contained(first, first)
 
 
-class TestMinimize:
-    def test_duplicate_pattern_removed(self):
-        query = ConjunctiveQuery(
-            [x], [TriplePattern(x, EX.p, y), TriplePattern(x, EX.p, z)]
-        )
-        assert len(minimize(query).atoms) == 1
-
-    def test_distinguished_variables_protected(self):
-        query = ConjunctiveQuery(
-            [x, y, z],
-            [TriplePattern(x, EX.p, y), TriplePattern(x, EX.p, z)],
-        )
-        assert len(minimize(query).atoms) == 2
-
-    def test_already_minimal(self):
-        query = ConjunctiveQuery(
-            [x], [TriplePattern(x, EX.p, y), TriplePattern(y, EX.q, z)]
-        )
-        assert minimize(query) == query
-
-    def test_minimized_equivalent(self, books):
-        graph, schema, _ = books
-        db = database_graph(graph, schema)
-        query = ConjunctiveQuery(
-            [x],
-            [
-                TriplePattern(x, EX.p, y),
-                TriplePattern(x, EX.p, z),
-                TriplePattern(x, RDF_TYPE, EX.C),
-            ],
-        )
-        reduced = minimize(query)
-        assert evaluate(db, reduced) == evaluate(db, query)
-
-
 class TestPruneSubsumed:
     def test_subsumed_disjunct_dropped(self):
         broad = ConjunctiveQuery([x], [TriplePattern(x, RDF_TYPE, EX.C)])
@@ -155,13 +119,11 @@ from tests.test_property_based import graph_st, query_st, schema_st  # noqa: E40
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph=graph_st, schema=schema_st, query=query_st())
 def test_pruning_preserves_answers_property(graph, schema, query):
-    """prune_subsumed and minimize never change any answer."""
+    """prune_subsumed never changes any answer."""
     db = database_graph(graph, schema)
     union = reformulate(query, schema)
     pruned = prune_subsumed(union)
     assert evaluate(db, pruned) == evaluate(db, union)
-    minimized = UnionQuery([minimize(cq) for cq in union])
-    assert evaluate(db, minimized) == evaluate(db, union)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from repro.query import ConjunctiveQuery, Cover, TriplePattern, Variable
 from repro.reformulation import jucq_for_cover, reformulate, scq_reformulation
 from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, Triple
 from repro.schema import Constraint, Schema
-from repro.storage import Executor, TripleStore
+from repro.engine.lowering import LoweringError, lower
+from repro.storage import Executor, Planner, TripleStore
 from repro.storage.sql import (
     SQLITE_COMPOUND_SELECT_LIMIT,
     SqliteBackend,
@@ -81,6 +82,20 @@ class TestSqlText:
         )
         sql, params = ucq_to_sql(union, store)
         assert "WHERE 0" in sql
+
+    def test_jucq_has_no_single_statement(self, library):
+        """A JUCQ is materialised fragment by fragment (``run``); its
+        plan, a projection over joined unions, does not lower."""
+        store, schema = library
+        query = ConjunctiveQuery(
+            [x, y],
+            [TriplePattern(x, RDF_TYPE, EX.Book), TriplePattern(x, EX.hasAuthor, y)],
+        )
+        jucq = jucq_for_cover(Cover(query, [[0], [1]]), schema)
+        with pytest.raises(LoweringError):
+            lower(Planner(store, annotate=False).plan(jucq))
+        with pytest.raises(TypeError):
+            SqliteBackend(store).to_sql(jucq)
 
 
 class TestSqliteAgreesWithExecutor:
