@@ -23,9 +23,9 @@ artifact is guaranteed identical.  The pieces:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
-from ..query.algebra import ConjunctiveQuery, UnionQuery, Variable
+from ..query.algebra import ConjunctiveQuery, UnionQuery
 from ..query.cover import Cover
 from ..reformulation.policy import ReformulationPolicy
 
@@ -57,43 +57,13 @@ def query_key(query) -> Tuple:
     raise TypeError("cannot key %r for caching" % (query,))
 
 
-def _canonical_numbering(query: ConjunctiveQuery) -> Dict[Variable, int]:
-    """The variable numbering :meth:`ConjunctiveQuery.canonical` uses
-    (head first, then atoms in skeleton order)."""
-
-    def skeleton(atom) -> Tuple:
-        return tuple(
-            ("var",) if isinstance(t, Variable) else ("term", t.sort_key())
-            for t in atom.as_tuple()
-        )
-
-    numbering: Dict[Variable, int] = {}
-    for item in query.head:
-        if isinstance(item, Variable) and item not in numbering:
-            numbering[item] = len(numbering)
-    for atom in sorted(query.atoms, key=skeleton):
-        for term in atom.as_tuple():
-            if isinstance(term, Variable) and term not in numbering:
-                numbering[term] = len(numbering)
-    return numbering
-
-
 def cover_key(cover: Cover) -> Tuple:
     """A key for (query, cover) independent of atom order and variable
     names: each fragment becomes the set of its atoms' canonical
     encodings."""
-    numbering = _canonical_numbering(cover.query)
-
-    def encode(term) -> Tuple:
-        if isinstance(term, Variable):
-            return ("var", numbering[term])
-        return ("term", term.sort_key())
-
+    _, atom_keys, _ = cover.query.canonical_encoding()
     fragments = frozenset(
-        frozenset(
-            tuple(encode(t) for t in cover.query.atoms[index].as_tuple())
-            for index in fragment
-        )
+        frozenset(atom_keys[index] for index in fragment)
         for fragment in cover.fragments
     )
     return (cover.query.canonical(), fragments)

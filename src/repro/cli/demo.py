@@ -3,6 +3,8 @@ federate, explain, covers and why."""
 
 from __future__ import annotations
 
+import sqlite3
+
 from ..cache import QueryCache
 from ..core import ANSWERER_ENGINES, QueryAnswerer, Strategy
 from ..datasets import example1_best_cover
@@ -60,18 +62,28 @@ def _strategies(args) -> list:
     return [Strategy(args.strategy)]
 
 
+#: What answering a query may fail with, short of a bug: it is too
+#: large to reformulate or to plan, or it ran over its budget.
+_ANSWER_FAILURES = (QueryTooLargeError, ReformulationTooLarge, BudgetExceeded)
+
+
 def _answer_each(answerer, query, strategies, repeat, **budget):
     """Per strategy, ``(strategy, reports)`` of *repeat* answers, or
-    ``(strategy, error)`` when the query is too large or over budget.
-    Under a budget Datalog is skipped: it has no relational evaluation
-    to charge."""
+    ``(strategy, error)`` when the query is too large or over budget,
+    for SQLite too (its compound-SELECT limit raises
+    ``sqlite3.OperationalError``).  Under a budget Datalog is skipped:
+    it has no relational evaluation to charge."""
     for strategy in strategies:
         if budget and strategy is Strategy.DATALOG:
             continue
         try:
             yield strategy, [answerer.answer(query, strategy, **budget)
                              for _ in range(repeat)]
-        except (QueryTooLargeError, ReformulationTooLarge, BudgetExceeded) as exc:
+        except _ANSWER_FAILURES as exc:
+            yield strategy, exc
+        except sqlite3.OperationalError as exc:
+            if answerer.engine != "sqlite":
+                raise
             yield strategy, exc
 
 
@@ -292,7 +304,12 @@ def cmd_explain(args) -> int:
     (strategy,) = _strategies(args)
     answerer = QueryAnswerer(build_graph(args), engine=args.engine,
                              interval_encoding=args.interval_encoding)
-    report = answerer.answer(resolve_query(args), strategy)
+    query = resolve_query(args)
+    try:
+        report = answerer.answer(query, strategy)
+    except _ANSWER_FAILURES as exc:
+        print("strategy %s failed: %s" % (args.strategy, exc))
+        return EXIT_FAILURE
     if report.execution is None:
         print("strategy %s has no relational plan" % args.strategy)
         return EXIT_FAILURE

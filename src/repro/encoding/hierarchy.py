@@ -19,6 +19,7 @@ or the insert is not expressible as a leaf under one covered chain —
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..rdf.namespaces import RDF_TYPE
@@ -30,7 +31,7 @@ from ..storage.dictionary import Dictionary
 DEFAULT_SPARE = 2
 
 
-class HierarchyInterval(Term):
+class HierarchyInterval(Term, tuple):
     """A half-open dictionary-id interval standing in for a subtree.
 
     Placed in a triple-pattern position by the reformulator, it means
@@ -38,24 +39,21 @@ class HierarchyInterval(Term):
     the members of ``anchor``'s entailed subtree (holes carry no term,
     so they never match a triple).  ``branches`` records how many
     classic union alternatives the interval replaced, for explain/
-    metrics output.  Equality and hashing use the bounds only, so
-    deduplication treats equal ranges as one atom.
+    metrics output.  The interval is the tuple ``(3, lo, hi)`` (group 3
+    sorts after every RDF term), so equality and hashing use the bounds
+    only and deduplication treats equal ranges as one atom.
     """
 
-    __slots__ = ("lo", "hi", "anchor", "branches")
-
-    _sort_group = 3
-
-    def __init__(self, lo: int, hi: int, anchor: Term, branches: int = 0):
+    def __new__(cls, lo: int, hi: int, anchor: Term, branches: int = 0):
         if not (isinstance(lo, int) and isinstance(hi, int) and lo < hi):
             raise ValueError("interval bounds must be ints with lo < hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "branches", branches)
+        interval = tuple.__new__(cls, (3, lo, hi))
+        interval.anchor = anchor
+        interval.branches = branches
+        return interval
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HierarchyInterval is immutable")
+    lo = property(itemgetter(1))
+    hi = property(itemgetter(2))
 
     def with_branches(self, branches: int) -> "HierarchyInterval":
         """The same interval reporting a different collapsed-branch
@@ -82,16 +80,6 @@ class HierarchyInterval(Term):
         # Never serialized to storage; a synthetic token keeps display
         # and canonicalization working.
         return "«[%d,%d)»" % (self.lo, self.hi)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HierarchyInterval)
-            and other.lo == self.lo
-            and other.hi == self.hi
-        )
-
-    def __hash__(self) -> int:
-        return hash(("HierarchyInterval", self.lo, self.hi))
 
     def __repr__(self) -> str:
         return "HierarchyInterval(%d, %d, %r)" % (self.lo, self.hi, self.anchor)
@@ -230,9 +218,7 @@ def _spanning_children(
                 p in supers_of.get(q, set()) for q in candidates if q != p
             )
         ]
-        primary[node] = (
-            min(minimal, key=lambda t: t.sort_key()) if minimal else None
-        )
+        primary[node] = min(minimal) if minimal else None
     children: Dict[Term, List[Term]] = {}
     roots: List[Term] = []
     for node, parent in primary.items():
@@ -240,9 +226,9 @@ def _spanning_children(
             roots.append(node)
         else:
             children.setdefault(parent, []).append(node)
-    roots.sort(key=lambda t: t.sort_key())
+    roots.sort()
     for siblings in children.values():
-        siblings.sort(key=lambda t: t.sort_key())
+        siblings.sort()
     return roots, children
 
 
@@ -319,11 +305,8 @@ def preencode_hierarchy(
     homonyms) are simply absent from it.
     """
     dictionary = store.dictionary
-    classes = sorted(schema.classes(), key=lambda t: t.sort_key())
-    properties = sorted(
-        (p for p in schema.properties() if p != RDF_TYPE),
-        key=lambda t: t.sort_key(),
-    )
+    classes = sorted(schema.classes())
+    properties = sorted(p for p in schema.properties() if p != RDF_TYPE)
     class_supers = {c: schema.superclasses(c) for c in classes}
     property_supers = {p: schema.superproperties(p) for p in properties}
 

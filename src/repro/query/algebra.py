@@ -158,6 +158,14 @@ class TriplePattern:
         return "(%s %s %s)" % tuple(_display(t) for t in self.as_tuple())
 
 
+def _skeleton(atom: TriplePattern) -> Tuple:
+    """The atom's variable-blind sort key: every variable is alike."""
+    return tuple(
+        ("var",) if isinstance(t, Variable) else ("term", t)
+        for t in atom.as_tuple()
+    )
+
+
 def _display(term: PatternTerm) -> str:
     if isinstance(term, Variable):
         return repr(term)
@@ -278,35 +286,34 @@ class ConjunctiveQuery:
         with genuinely ambiguous skeletons may receive distinct keys,
         which only costs a missed dedup, never an incorrect one.
         """
-        def skeleton(atom: TriplePattern) -> Tuple:
-            return tuple(
-                ("var",) if isinstance(t, Variable) else ("term", t.sort_key())
-                for t in atom.as_tuple()
-            )
+        head_key, atom_keys, numbering = self.canonical_encoding()
+        guard_key = frozenset(
+            numbering[variable] for variable in self.nonliteral_variables
+        )
+        return (head_key, frozenset(atom_keys), guard_key)
 
-        ordered_atoms = sorted(self.atoms, key=skeleton)
+    def canonical_encoding(self) -> Tuple[Tuple, List[Tuple], Dict[Variable, int]]:
+        """The head and each atom (in ``atoms`` order) encoded under the
+        canonical numbering, and that numbering: variables numbered in
+        order of first appearance, head first, then the atoms sorted by
+        their variable-blind skeleton.  A term encodes as itself, so
+        its kind and a literal's datatype separate keys."""
+        ordered_atoms = sorted(self.atoms, key=_skeleton)
         numbering: Dict[Variable, int] = {}
-        for item in self.head:
-            if isinstance(item, Variable) and item not in numbering:
-                numbering[item] = len(numbering)
-        for atom in ordered_atoms:
-            for term in atom.as_tuple():
-                if isinstance(term, Variable) and term not in numbering:
-                    numbering[term] = len(numbering)
+        for term in itertools.chain(
+            self.head, *(atom.as_tuple() for atom in ordered_atoms)
+        ):
+            if isinstance(term, Variable) and term not in numbering:
+                numbering[term] = len(numbering)
 
         def encode(term: PatternTerm) -> Tuple:
             if isinstance(term, Variable):
                 return ("var", numbering[term])
-            return ("term", term.sort_key())
+            return ("term", term)
 
         head_key = tuple(encode(item) for item in self.head)
-        body_key = tuple(
-            tuple(encode(t) for t in atom.as_tuple()) for atom in ordered_atoms
-        )
-        guard_key = frozenset(
-            numbering[variable] for variable in self.nonliteral_variables
-        )
-        return (head_key, frozenset(body_key), guard_key)
+        atom_keys = [tuple(encode(t) for t in atom.as_tuple()) for atom in self.atoms]
+        return head_key, atom_keys, numbering
 
     # ------------------------------------------------------------------
 

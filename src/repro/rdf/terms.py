@@ -7,79 +7,68 @@ The paper denotes the set of values of a graph ``G`` by ``Val(G)``
 (Section 3, Preliminaries); :func:`repro.rdf.graph.Graph.values`
 computes it from the term classes defined here.
 
-Terms are immutable, hashable and totally ordered, so they can be used
-as dictionary keys, stored in sets, and sorted deterministically (the
-storage dictionary encoder and the test-suite both rely on this).
+Each term is a ``tuple`` tagged by its sort group: ``URI(v)`` is
+``(0, v)``, ``BlankNode(l)`` is ``(1, l)`` and ``Literal(v, d)`` is
+``(2, v, d)``, where an untyped literal holds ``()`` in place of its
+datatype URI.  Hash, equality and order are ``tuple``'s, computed in C,
+so terms are immutable dictionary keys and set members and sort
+deterministically (the storage dictionary encoder and the test suite
+rely on this).  The order is URIs < blank nodes < literals (< the
+hierarchy intervals of :mod:`repro.encoding.hierarchy`, group 3), by
+text within a group, with a literal's datatype as the tie-break: ``()``
+sorts before any datatype URI, so ``"1"`` < ``"1"^^xsd:integer``.  The
+tag keeps a URI, a blank node and a literal with the same text unequal.
+A term's hash combines only ints and strings, so a fixed
+``PYTHONHASHSEED`` fixes it, and with it every set and dictionary order
+over terms (``hash(None)`` would not: before Python 3.12 it is an
+object address).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from operator import itemgetter
+from typing import Optional, Union
+
+#: The datatype slot of an untyped literal: sorts before every URI.
+_UNTYPED = ()
 
 
 class Term:
-    """Base class for all RDF terms.
-
-    Subclasses define ``_sort_group`` so that heterogeneous collections
-    of terms can be ordered deterministically: URIs < blank nodes <
-    literals, then lexicographically within a group.
-    """
+    """Mixin marking RDF terms; each subclass is a tagged ``tuple``
+    whose text sits at index 1."""
 
     __slots__ = ()
 
-    _sort_group = 0
-
-    def sort_key(self) -> Tuple[int, str]:
-        """Return a tuple ordering this term against any other term."""
-        return (self._sort_group, self.lexical())
-
     def lexical(self) -> str:
-        """Return the lexical form used for ordering and display."""
-        raise NotImplementedError
+        """Return the lexical form used for display."""
+        return self[1]
 
     def n3(self) -> str:
         """Return the term in N-Triples syntax."""
         raise NotImplementedError
 
-    def __lt__(self, other: "Term") -> bool:
-        if not isinstance(other, Term):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
 
-
-class URI(Term):
+class URI(Term, tuple):
     """A named resource, identified by its URI string.
 
     >>> URI("http://example.org/Book").n3()
     '<http://example.org/Book>'
     """
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
-    _sort_group = 0
-
-    def __init__(self, value: str):
+    def __new__(cls, value: str) -> "URI":
         if not isinstance(value, str) or not value:
             raise ValueError("URI value must be a non-empty string, got %r" % (value,))
-        object.__setattr__(self, "value", value)
+        return tuple.__new__(cls, (0, value))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("URI is immutable")
-
-    def lexical(self) -> str:
-        return self.value
+    value = property(itemgetter(1))
 
     def n3(self) -> str:
-        return "<%s>" % self.value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, URI) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(("URI", self.value))
+        return "<%s>" % self[1]
 
     def __repr__(self) -> str:
-        return "URI(%r)" % self.value
+        return "URI(%r)" % self[1]
 
     def local_name(self) -> str:
         """Return the fragment or last path segment, for display.
@@ -87,7 +76,7 @@ class URI(Term):
         >>> URI("http://example.org/ns#Book").local_name()
         'Book'
         """
-        value = self.value
+        value = self[1]
         for separator in ("#", "/"):
             if separator in value:
                 tail = value.rsplit(separator, 1)[1]
@@ -96,7 +85,7 @@ class URI(Term):
         return value
 
 
-class BlankNode(Term):
+class BlankNode(Term, tuple):
     """An unnamed resource: a form of incomplete information.
 
     Blank nodes are compared by their label within one graph; the paper
@@ -104,19 +93,16 @@ class BlankNode(Term):
     saturation tests exercise through :func:`fresh` labels.
     """
 
-    __slots__ = ("label",)
-
-    _sort_group = 1
+    __slots__ = ()
 
     _counter = 0
 
-    def __init__(self, label: str):
+    def __new__(cls, label: str) -> "BlankNode":
         if not isinstance(label, str) or not label:
             raise ValueError("blank node label must be a non-empty string")
-        object.__setattr__(self, "label", label)
+        return tuple.__new__(cls, (1, label))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BlankNode is immutable")
+    label = property(itemgetter(1))
 
     @classmethod
     def fresh(cls, prefix: str = "b") -> "BlankNode":
@@ -124,23 +110,14 @@ class BlankNode(Term):
         cls._counter += 1
         return cls("%s%d" % (prefix, cls._counter))
 
-    def lexical(self) -> str:
-        return self.label
-
     def n3(self) -> str:
-        return "_:%s" % self.label
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BlankNode) and other.label == self.label
-
-    def __hash__(self) -> int:
-        return hash(("BlankNode", self.label))
+        return "_:%s" % self[1]
 
     def __repr__(self) -> str:
-        return "BlankNode(%r)" % self.label
+        return "BlankNode(%r)" % self[1]
 
 
-class Literal(Term):
+class Literal(Term, tuple):
     """A typed or untyped constant.
 
     ``datatype`` is an optional :class:`URI`; untyped literals carry
@@ -151,53 +128,40 @@ class Literal(Term):
     '"1949"'
     """
 
-    __slots__ = ("value", "datatype")
+    __slots__ = ()
 
-    _sort_group = 2
-
-    def __init__(self, value: str, datatype: Optional[URI] = None):
+    def __new__(cls, value: str, datatype: Optional[URI] = None) -> "Literal":
         if not isinstance(value, str):
             raise ValueError("literal value must be a string, got %r" % (value,))
         if datatype is not None and not isinstance(datatype, URI):
             raise ValueError("literal datatype must be a URI or None")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "datatype", datatype)
+        return tuple.__new__(cls, (2, value, datatype or _UNTYPED))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Literal is immutable")
+    value = property(itemgetter(1))
 
-    def lexical(self) -> str:
-        return self.value
+    @property
+    def datatype(self) -> Optional[URI]:
+        return self[2] or None
 
     def n3(self) -> str:
         # \r and \t must be escaped too: the serialization is
         # line-based, and universal-newline reading would otherwise
         # split a literal carriage return into two lines.
         escaped = (
-            self.value.replace("\\", "\\\\")
+            self[1].replace("\\", "\\\\")
             .replace('"', '\\"')
             .replace("\n", "\\n")
             .replace("\r", "\\r")
             .replace("\t", "\\t")
         )
-        if self.datatype is None:
+        if not self[2]:
             return '"%s"' % escaped
-        return '"%s"^^%s' % (escaped, self.datatype.n3())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Literal)
-            and other.value == self.value
-            and other.datatype == self.datatype
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Literal", self.value, self.datatype))
+        return '"%s"^^%s' % (escaped, self[2].n3())
 
     def __repr__(self) -> str:
-        if self.datatype is None:
-            return "Literal(%r)" % self.value
-        return "Literal(%r, %r)" % (self.value, self.datatype)
+        if not self[2]:
+            return "Literal(%r)" % self[1]
+        return "Literal(%r, %r)" % (self[1], self[2])
 
 
 #: A subject may be a URI or a blank node (well-formed triples only).

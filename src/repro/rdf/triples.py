@@ -8,14 +8,16 @@ is a URI, and the object is any term.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Tuple
 
 from .namespaces import RDF_TYPE, SCHEMA_PROPERTIES, shorten
 from .terms import BlankNode, Literal, ObjectTerm, PropertyTerm, SubjectTerm, Term, URI
 
 
-class Triple:
-    """An immutable, well-formed RDF triple.
+class Triple(tuple):
+    """An immutable, well-formed RDF triple: the 3-tuple of its terms,
+    so it hashes, compares and sorts as ``(subject, property, object)``.
 
     >>> from repro.rdf.namespaces import Namespace
     >>> EX = Namespace("http://example.org/")
@@ -24,9 +26,9 @@ class Triple:
     True
     """
 
-    __slots__ = ("subject", "property", "object")
+    __slots__ = ()
 
-    def __init__(self, subject: SubjectTerm, property: PropertyTerm, object: ObjectTerm):
+    def __new__(cls, subject: SubjectTerm, property: PropertyTerm, object: ObjectTerm):
         if not isinstance(subject, (URI, BlankNode)):
             raise ValueError(
                 "triple subject must be a URI or blank node, got %r" % (subject,)
@@ -35,15 +37,15 @@ class Triple:
             raise ValueError("triple property must be a URI, got %r" % (property,))
         if not isinstance(object, (URI, BlankNode, Literal)):
             raise ValueError("triple object must be an RDF term, got %r" % (object,))
-        super(Triple, self).__setattr__("subject", subject)
-        super(Triple, self).__setattr__("property", property)
-        super(Triple, self).__setattr__("object", object)
+        return tuple.__new__(cls, (subject, property, object))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Triple is immutable")
+    subject = property(itemgetter(0))
+    object = property(itemgetter(2))
+    # Last: from here on ``property`` names this accessor in the class body.
+    property = property(itemgetter(1))
 
     def as_tuple(self) -> Tuple[Term, Term, Term]:
-        return (self.subject, self.property, self.object)
+        return self
 
     def is_class_assertion(self) -> bool:
         """True for ``s rdf:type o`` triples (unary relation ``o(s)``)."""
@@ -60,33 +62,8 @@ class Triple:
     def n3(self) -> str:
         return "%s %s %s ." % (self.subject.n3(), self.property.n3(), self.object.n3())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Triple)
-            and other.subject == self.subject
-            and other.property == self.property
-            and other.object == self.object
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.subject, self.property, self.object))
-
-    def __lt__(self, other: "Triple") -> bool:
-        if not isinstance(other, Triple):
-            return NotImplemented
-        return tuple(t.sort_key() for t in self.as_tuple()) < tuple(
-            t.sort_key() for t in other.as_tuple()
-        )
-
-    def __iter__(self):
-        return iter(self.as_tuple())
-
     def __repr__(self) -> str:
-        return "Triple(%s, %s, %s)" % (
-            _short(self.subject),
-            _short(self.property),
-            _short(self.object),
-        )
+        return "Triple(%s, %s, %s)" % tuple(_short(term) for term in self)
 
 
 def _short(term: Term) -> str:

@@ -75,7 +75,7 @@ def database_graph(data, schema: Schema):
 def _type_subproperties(schema: Schema) -> List[Term]:
     """Properties declared ``rdfs:subPropertyOf rdf:type`` (transitively):
     their triples entail type triples."""
-    return sorted(schema.subproperties(RDF_TYPE), key=lambda t: t.sort_key())
+    return sorted(schema.subproperties(RDF_TYPE))
 
 
 def _type_alternatives_for_class(
@@ -109,7 +109,7 @@ def _type_alternatives_for_class(
 
     alternatives: List[Tuple[TriplePattern, Tuple[Variable, ...]]] = []
     subclasses = (
-        sorted(schema.subclasses(klass), key=lambda t: t.sort_key())
+        sorted(schema.subclasses(klass))
         if policy.subclass
         else []
     )
@@ -131,17 +131,13 @@ def _type_alternatives_for_class(
         for sub in subclasses:
             alternatives.append((TriplePattern(subject, RDF_TYPE, sub), ()))
     if policy.domain_range:
-        for prop in sorted(
-            schema.properties_with_domain(klass), key=lambda t: t.sort_key()
-        ):
+        for prop in sorted(schema.properties_with_domain(klass)):
             alternatives.append(
                 (TriplePattern(subject, prop, fresh_variable("d")), ())
             )
         if not isinstance(subject, Literal):
             guard = (subject,) if isinstance(subject, Variable) else ()
-            for prop in sorted(
-                schema.properties_with_range(klass), key=lambda t: t.sort_key()
-            ):
+            for prop in sorted(schema.properties_with_range(klass)):
                 alternatives.append(
                     (TriplePattern(fresh_variable("r"), prop, subject), guard)
                 )
@@ -179,7 +175,7 @@ def _reformulate_type_atom(
         # share one variable (``(a, τ, a)``) the binding applies to the
         # subject too — resolve it here so the literal/guard logic sees
         # the effective subject.
-        for candidate in sorted(schema.classes(), key=lambda t: t.sort_key()):
+        for candidate in sorted(schema.classes()):
             effective_subject = candidate if subject == klass else subject
             for replacement, guard in _type_alternatives_for_class(
                 effective_subject, candidate, schema, policy, encoding
@@ -218,7 +214,7 @@ def _reformulate_open_property_atom(
     subject, prop_var, obj = atom.as_tuple()
 
     if policy.subproperty:
-        for prop in sorted(schema.properties(), key=lambda t: t.sort_key()):
+        for prop in sorted(schema.properties()):
             if prop == RDF_TYPE:
                 continue
             interval = (
@@ -239,7 +235,7 @@ def _reformulate_open_property_atom(
                         )
                     )
                 continue
-            for sub in sorted(schema.subproperties(prop), key=lambda t: t.sort_key()):
+            for sub in sorted(schema.subproperties(prop)):
                 alternatives.append(
                     Alternative(TriplePattern(subject, sub, obj), {prop_var: prop})
                 )
@@ -314,9 +310,7 @@ def reformulate_atom(
                     )
                 )
         else:
-            for sub in sorted(
-                schema.subproperties(prop), key=lambda t: t.sort_key()
-            ):
+            for sub in sorted(schema.subproperties(prop)):
                 alternatives.append(
                     Alternative(
                         TriplePattern(atom.subject, sub, atom.object), {}

@@ -154,11 +154,7 @@ class Schema:
             import hashlib
 
             encoded = sorted(
-                (
-                    constraint.kind.value,
-                    constraint.left.sort_key(),
-                    constraint.right.sort_key(),
-                )
+                (constraint.kind.value, constraint.left, constraint.right)
                 for constraint in self._constraints
             )
             digest = hashlib.sha1(repr(encoded).encode("utf-8"))

@@ -180,10 +180,11 @@ class TripleStore:
     def encode(self, triple: Triple) -> EncodedTriple:
         """The ids of *triple*'s terms, assigning new ones in the order
         :meth:`insert` does."""
-        if self._type_id is None and triple.property == RDF_TYPE:
+        subject, property_, object_ = triple
+        if self._type_id is None and property_ == RDF_TYPE:
             self._type_id = self.dictionary.encode(RDF_TYPE)
         encode = self.dictionary.encode
-        return encode(triple.subject), encode(triple.property), encode(triple.object)
+        return encode(subject), encode(property_), encode(object_)
 
     def encode_constraints(self, constraints: Iterable[Constraint]) -> None:
         """Give each constraint's terms ids, in order, and ``rdf:type``

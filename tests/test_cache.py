@@ -8,7 +8,8 @@ from repro.cache import LRUCache, QueryCache, cover_key, policy_key, query_key
 from repro.core import QueryAnswerer, Strategy
 from repro.datasets import books_dataset
 from repro.query import ConjunctiveQuery, Cover, TriplePattern, Variable
-from repro.rdf import Graph, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
+from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
+from repro.rdf.namespaces import XSD_NS
 from repro.reformulation import COMPLETE, VIRTUOSO_STYLE, ReformulationPolicy
 from repro.saturation import IncrementalSaturator
 from repro.schema import Constraint, Schema
@@ -138,6 +139,38 @@ class TestKeyCanonicalization:
         second = Schema([Constraint.domain(EX.p, EX.A),
                          Constraint.subclass(EX.B, EX.A)])
         assert first.fingerprint() == second.fingerprint()
+
+
+class TestLiteralDatatypeKeys:
+    """``"1"`` and ``"1"^^xsd:integer`` are distinct values: their
+    queries key apart, so one cached answerer never serves one query's
+    rows for the other."""
+
+    INTEGER = XSD_NS.term("integer")
+
+    def _queries(self):
+        return [
+            ConjunctiveQuery([x], [TriplePattern(x, EX.p, literal)])
+            for literal in (Literal("1"), Literal("1", self.INTEGER))
+        ]
+
+    def test_canonical_keys_differ(self):
+        plain, typed = self._queries()
+        assert plain.canonical() != typed.canonical()
+        assert query_key(plain) != query_key(typed)
+
+    @pytest.mark.parametrize("strategy", [Strategy.REF_GCOV, Strategy.SAT])
+    def test_cached_answers_differ(self, strategy):
+        graph = Graph([
+            Triple(EX.a, EX.p, Literal("1")),
+            Triple(EX.b, EX.p, Literal("1", self.INTEGER)),
+        ])
+        answerer = QueryAnswerer(graph, Schema(), cache=QueryCache())
+        plain, typed = self._queries()
+        assert answerer.answer(plain, strategy).answer == {(EX.a,)}
+        typed_report = answerer.answer(typed, strategy)
+        assert typed_report.details["cache"]["answer"] == "miss"
+        assert typed_report.answer == {(EX.b,)}
 
 
 class TestEpochInvalidation:

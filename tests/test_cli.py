@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -120,6 +122,16 @@ class TestExplain:
         assert "[#" in out
         assert "collapses" in out
 
+    @pytest.mark.parametrize("strategy", ["ref-ucq", "ref-virtuoso"])
+    def test_too_large_query_is_one_line_not_a_traceback(self, capsys, strategy):
+        code, out = run_cli(
+            capsys, "explain", "--dataset", "lubm", "--query", "Ex1",
+            "--strategy", strategy,
+        )
+        assert code == 1
+        (line,) = out.splitlines()
+        assert "cannot parse a query" in line
+
 
 class TestIntervalAnswer:
     def test_answer_interval_metrics(self, capsys):
@@ -150,6 +162,21 @@ class TestIntervalAnswer:
             line for line in out.splitlines() if line.startswith("    (")
         ]
         assert extract(encoded) == extract(classic)
+
+    def test_sqlite_compound_select_limit_is_a_fail_row(self, capsys):
+        """ref-virtuoso's interval-encoded Ex1 UCQ passes the planner's
+        atom limit but not SQLite's 500-term compound SELECT: that
+        strategy's row reads FAIL, and the others still answer."""
+        code, out = run_cli(
+            capsys, "answer", "--dataset", "lubm", "--query", "Ex1",
+            "--interval-encoding", "--engine", "sqlite",
+        )
+        assert code == 0
+        rows = {line.split("|")[0].strip(): line for line in out.splitlines()
+                if "|" in line}
+        assert "FAIL" in rows["ref-virtuoso"]
+        assert "too many terms in compound SELECT" in rows["ref-virtuoso"]
+        assert "FAIL" not in rows["ref-gcov"]
 
 
 class TestCovers:
@@ -712,6 +739,33 @@ class TestReplicate:
         assert first["links"] == second["links"]
 
 
+class TestHashSeedDeterminism:
+    """Under a fixed PYTHONHASHSEED every run prints the same bytes: tied
+    rows in ``stats`` and the dictionary ``#id``s in ``explain`` follow
+    set order over terms, which only a seed-stable term hash fixes."""
+
+    @staticmethod
+    def _run(*argv):
+        import os
+        import subprocess
+        import sys
+
+        source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=source)
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        return re.sub(r"\d+\.\d+", "#.#", out)  # timings vary run to run
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--dataset", "books"),
+        ("explain", "--dataset", "books", "--query", "B1"),
+    ], ids=["stats", "explain"])
+    def test_runs_print_the_same(self, argv):
+        assert len({self._run(*argv) for _ in range(3)}) == 1
+
+
 class TestExitCodeTable:
     """The README's exit-code contract, one row per code per command
     family — the single place that pins all six codes at once."""
@@ -893,6 +947,10 @@ class TestExitCodeTable:
             pytest.param(0, "cache-stats", lambda c, t: [
                 "cache-stats", "--dataset", "books", "--repeat", "2"],
                 id="0-cache-stats-cold-and-warm"),
+            pytest.param(1, "explain", lambda c, t: [
+                "explain", "--dataset", "lubm", "--query", "Ex1",
+                "--strategy", "ref-ucq"],
+                id="1-explain-query-too-large"),
         ],
     )
     def test_exit_code(self, capsys, tmp_path, expected, command, argv_builder):
