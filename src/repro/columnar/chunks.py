@@ -1,42 +1,64 @@
 """The column-batch exchange format of the columnar engine.
 
-Operators exchange :class:`ColumnChunk` batches — a fixed row count
-represented as one ``array('q')`` (or plain list, for decoded-term
-relations) per column — wrapped in a :class:`ColumnStream` that also
-carries *sortedness metadata*: which lexicographic column order the
-stream's rows are guaranteed to follow, and which columns are constant
-across the whole stream.  The metadata is what lets the engine commit
-to merge joins and k-way sorted unions only when they are actually
-safe, and silently fall back to hashing otherwise: an order claim must
-always be *true*, never merely hoped.
+Operators exchange :class:`ColumnChunk` batches — a row count plus one
+integer id column per output position (an ``array('q')`` slice of a
+sorted run, or the list a gather produced) — wrapped in a
+:class:`ColumnStream` that also carries *sortedness metadata*: which
+lexicographic column order the stream's rows are guaranteed to follow,
+and which columns are constant across the whole stream.  The metadata
+is what lets the engine commit to merge joins and k-way sorted unions
+only when they are actually safe, and silently fall back to hashing
+otherwise: an order claim must always be *true*, never merely hoped.
 
-Rows never exist as Python tuples inside an operator unless the
-operator genuinely needs row-at-a-time state (join group emission,
-hash tables); scans, projections, filters and distinct move whole
-``array`` slices, which is where the engine's speed comes from.
+Every cell is an id, so rows never exist as Python tuples inside an
+operator.  Operators move whole columns: slices, and gathers along
+index vectors (:func:`gather`) into lists, whose ints already exist,
+so reading them again allocates nothing.  Where a row has to be one value — a
+multi-column join key, a distinct or union seen-set entry, an item of
+a k-way merge — :func:`pack` folds its ids into one int,
+``k << width | id``.  Ids are dense and non-negative, so a packed int
+sorts like the row it packs, and the garbage collector never tracks
+it.  Rows become tuples only at the answer boundary.
 """
 
 from __future__ import annotations
 
-from array import array
+from itertools import repeat
+from operator import and_, lshift, or_, rshift
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-__all__ = ["ColumnChunk", "ColumnStream"]
+__all__ = ["ColumnChunk", "ColumnStream", "gather", "pack", "unpack"]
 
 
-def as_column(values: Iterable) -> Sequence:
-    """Pack *values* into an ``array('q')`` when they are term ids,
-    falling back to a list for decoded-term relations."""
-    try:
-        return array("q", values)
-    except (TypeError, OverflowError):
-        return list(values)
+def gather(column: Sequence[int], indexes: Iterable[int]) -> List[int]:
+    """The values of *column* at *indexes*, in order."""
+    return list(map(column.__getitem__, indexes))
 
 
-def _gather(column: Sequence, indexes: Sequence[int]) -> Sequence:
-    if isinstance(column, array):
-        return array("q", (column[i] for i in indexes))
-    return [column[i] for i in indexes]
+def pack(columns: Sequence[Sequence[int]], width: int, length: int) -> Sequence[int]:
+    """One int per row of *columns*: the row's ids, each below
+    ``2**width``, packed most significant first.  A single column is
+    its own key; no column packs every row to 0."""
+    if not columns:
+        return [0] * length
+    keys = columns[0]
+    if len(columns) == 1:
+        return keys
+    shift = repeat(width)
+    for column in columns[1:]:
+        keys = map(or_, map(lshift, keys, shift), column)
+    return list(keys)
+
+
+def unpack(keys: Sequence[int], arity: int, width: int) -> List[Iterable[int]]:
+    """The *arity* id columns of packed *keys* (lazy; the inverse of
+    :func:`pack`)."""
+    if arity <= 1:
+        return [keys][:arity]
+    mask = repeat((1 << width) - 1)
+    # The first id needs no mask, the last no shift.
+    shifted = [map(rshift, keys, repeat(width * t)) for t in range(arity - 1, 0, -1)]
+    return shifted[:1] + [map(and_, column, mask) for column in shifted[1:] + [keys]]
 
 
 class ColumnChunk:
@@ -50,21 +72,11 @@ class ColumnChunk:
 
     __slots__ = ("columns", "length")
 
-    def __init__(self, columns: Sequence[Sequence], length: int = None):
-        self.columns: Tuple[Sequence, ...] = tuple(columns)
+    def __init__(self, columns: Sequence[Sequence[int]], length: int = None):
+        self.columns: Tuple[Sequence[int], ...] = tuple(columns)
         if length is None:
             length = len(self.columns[0]) if self.columns else 0
         self.length = length
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Tuple], arity: int) -> "ColumnChunk":
-        """Transpose row tuples into a chunk (the boundary crossed by
-        operators that genuinely work row-at-a-time)."""
-        if arity == 0:
-            return cls((), len(rows))
-        if not rows:
-            return cls(tuple(array("q") for _ in range(arity)), 0)
-        return cls(tuple(as_column(col) for col in zip(*rows)), len(rows))
 
     def __len__(self) -> int:
         return self.length
@@ -74,7 +86,7 @@ class ColumnChunk:
         return len(self.columns)
 
     def rows(self) -> Iterator[Tuple]:
-        """Decode back to row tuples (the engine/answer boundary)."""
+        """The rows as tuples (for inspection; no operator reads them)."""
         if not self.columns:
             return iter([()] * self.length)
         return zip(*self.columns)
@@ -86,7 +98,7 @@ class ColumnChunk:
         """A new chunk holding the selected row positions, in order —
         the materialization of a boolean-mask selection."""
         return ColumnChunk(
-            tuple(_gather(column, indexes) for column in self.columns),
+            tuple(gather(column, indexes) for column in self.columns),
             len(indexes),
         )
 
@@ -138,10 +150,6 @@ class ColumnStream:
         """Sorted by every column — the precondition for merge-dedup
         unions and streaming distinct."""
         return self.sorted_by(range(arity))
-
-    def iter_rows(self) -> Iterator[Tuple]:
-        for chunk in self.chunks:
-            yield from chunk.rows()
 
     def __repr__(self) -> str:
         return "ColumnStream(order=%s, constants=%s)" % (

@@ -1,51 +1,54 @@
 """The columnar executor: vectorized operators over the shared plan IR.
 
 The in-process engine behind :class:`repro.storage.executor.Executor`.
-Rather than materialize every operator's tuples, it streams
-:class:`~repro.columnar.chunks.ColumnChunk` column batches whose cells
-never become Python objects until the answer boundary:
+It streams :class:`~repro.columnar.chunks.ColumnChunk` batches of id
+columns from scan to answer, and no operator builds a row tuple:
 
 * **Index-range scans** — a triple pattern resolves through
   :meth:`~repro.columnar.indexes.ColumnarIndexSet.probe` to a row
-  range of one SPO/POS/OSP sorted run; emitting a chunk is slicing
-  ``array('q')`` columns (a C-level copy), not building per-row
-  dicts and tuples.  The residual key order of the range becomes the
-  stream's sortedness metadata.  Runs are patched in place by writes,
-  so every run scan checks the store's epoch between chunks (the reader
-  rule of :mod:`repro.columnar.indexes`).
-* **K-way sorted union** — when every input of a union is fully
-  sorted (scans and their projections are), inputs are merged with
-  adjacent-duplicate elimination: the union's set semantics fall out
-  of the merge for free, *before* any join multiplies rows — the
-  grouping effect the paper measures, applied physically.  Inputs
-  with no common order degrade to concatenation deduped through a
-  seen-set, so a union never emits a row twice either way.
-* **Merge joins on sorted runs** — taken only when both inputs are
-  provably sorted on the join key; buffers only the current
-  equal-key groups.  The side that is behind gallops to the other's
-  key with one C-level bisect over its chunk's key column, so
-  Python-level work grows with the equal-key groups and bisects, not
-  with the rows of the larger input.  Otherwise the join hashes,
-  building on the smaller *estimated* side (actual sizes are
-  unknowable without materializing, which is the point of not doing
-  so) and streaming the probe side.
-* **Mask selections / distinct** — filters compute keep-index lists
-  per chunk and gather; distinct over a fully sorted stream is
-  adjacent-row comparison with *zero* buffered state, and falls back
-  to a seen-set otherwise.
+  range of one SPO/POS/OSP sorted run; a chunk is a slice of its
+  ``array('q')`` columns, and the residual key order of the range is
+  the stream's sortedness metadata.  Writes patch runs in place, so a
+  run scan checks the store's epoch between chunks (the reader rule of
+  :mod:`repro.columnar.indexes`).
+* **K-way sorted union** — inputs that share a total order are merged
+  as packed row keys with duplicates dropped, so the union's set
+  semantics fall out *before* any join multiplies rows: the grouping
+  effect the paper measures, applied physically.  Other unions
+  concatenate through a seen-set of packed keys.
+* **Joins emit index vectors** — per input chunk, the parallel lists
+  of matching row positions on both sides; the output columns are
+  gathers along them, cut into ``batch_size`` chunks.  A join merges
+  when both inputs are provably sorted on its key (the side that is
+  behind gallops with one C-level bisect, so Python-level work grows
+  with the equal-key groups, not the rows), and otherwise hashes the
+  smaller *estimated* side into a table from key to build position.
+* **Selections / distinct** — filters gather keep-index lists;
+  distinct over a fully sorted stream compares adjacent packed keys
+  with zero buffered state, and uses a seen-set otherwise.
 
-Accounting and control: every operator's output is metered into a
-shared :class:`~repro.engine.metrics.PipelineMetrics` (``rows_out`` counts
-rows *represented* by chunks, not Python objects), charged against the
-caller's :class:`~repro.resilience.budget.ExecutionBudget` per chunk,
-and a budget abort carries the partial metrics and rows.
+Keys: a multi-column key is the row's ids packed into one int
+(:func:`~repro.columnar.chunks.pack`) at one width per execution, so
+keys agree across both sides of a join and every chunk of a stream.
+A constant the dictionary never stored (a ``("term", Term)``
+projection) gets a query-local id past the dictionary's end, never
+stored, which the collected answer maps back to its term when it
+decodes, once per column.
+
+Every operator's output is metered into a shared
+:class:`~repro.engine.metrics.PipelineMetrics` (rows *represented*,
+not Python objects), charged against the caller's
+:class:`~repro.resilience.budget.ExecutionBudget` per chunk, and a
+budget abort carries the partial metrics and rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, is_not, ne, not_, or_, sub
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.ir import (
     DistinctNode,
@@ -58,13 +61,12 @@ from ..engine.ir import (
     UnionNode,
 )
 from ..engine.metrics import OperatorMetrics, PipelineMetrics, _Stopwatch
-from bisect import bisect_left, bisect_right
-from operator import itemgetter
-
-from .chunks import ColumnChunk, ColumnStream, as_column
+from .chunks import ColumnChunk, ColumnStream, gather, pack, unpack
 from .indexes import ORDER_PERMUTATIONS, StaleRunError
 
 Row = Tuple
+#: Rows as their output columns (lazy iterables), with the row count.
+Piece = Tuple[int, List[Iterable[int]]]
 
 #: Rows per chunk.  Per-chunk bookkeeping is the engine's only
 #: per-row-free overhead, so a large chunk amortizes it; still small
@@ -75,18 +77,23 @@ DEFAULT_COLUMNAR_BATCH_SIZE = 1024
 class _ColumnarPipeline:
     """One columnar execution: operators wired to shared accounting."""
 
-    def __init__(
-        self,
-        store,
-        metrics: PipelineMetrics,
-        budget,
-        batch_size: int,
-    ):
+    def __init__(self, store, metrics: PipelineMetrics, budget, batch_size: int):
         self.store = store
         self.indexes = store.columnar()
         self.metrics = metrics
         self.budget = budget
         self.batch_size = batch_size
+        #: Ids below ``base`` are the dictionary's; ``local_ids`` gives
+        #: each constant it never stored an id from ``base`` on.
+        self.base = len(store.dictionary)
+        self.local_ids: Dict[object, int] = {}
+
+    @property
+    def width(self) -> int:
+        """Bits per id in a packed key.  Read once operators pull, when
+        :meth:`stream` has built the whole tree and so allocated every
+        query-local id."""
+        return max(1, (self.base + len(self.local_ids) - 1).bit_length())
 
     # -- plumbing ------------------------------------------------------
 
@@ -117,9 +124,7 @@ class _ColumnarPipeline:
                     entry.batches += 1
                     node.actual_rows += chunk.length
                     if budget is not None:
-                        budget.charge_rows(
-                            chunk.length, operator=entry.label
-                        )
+                        budget.charge_rows(chunk.length, operator=entry)
                     yield chunk
             finally:
                 close = getattr(inner, "close", None)
@@ -129,30 +134,54 @@ class _ColumnarPipeline:
 
         return ColumnStream(metered(), source.order, source.constants)
 
-    def _counted(
-        self, stream: ColumnStream, entry: OperatorMetrics
-    ) -> Iterator[ColumnChunk]:
-        """Consume *stream*'s chunks, counting rows into *entry.rows_in*."""
-        for chunk in stream.chunks:
-            entry.rows_in += chunk.length
-            yield chunk
-
     def _pull(self, child: PlanNode, entry: OperatorMetrics) -> ColumnStream:
+        """*child*'s stream, its rows counted into *entry.rows_in*."""
         stream = self.stream(child)
-        return ColumnStream(
-            self._counted(stream, entry), stream.order, stream.constants
-        )
 
-    def _chunked_rows(self, rows: Iterator[Row], arity: int) -> Iterator[ColumnChunk]:
-        """Re-chunk a row iterator (row-at-a-time operator cores)."""
-        batch: List[Row] = []
-        for row in rows:
-            batch.append(row)
-            if len(batch) >= self.batch_size:
-                yield ColumnChunk.from_rows(batch, arity)
-                batch = []
-        if batch:
-            yield ColumnChunk.from_rows(batch, arity)
+        def counted() -> Iterator[ColumnChunk]:
+            for chunk in stream.chunks:
+                entry.rows_in += chunk.length
+                yield chunk
+
+        return ColumnStream(counted(), stream.order, stream.constants)
+
+    def _batches(self, arity: int, pieces: Iterable[Piece]) -> Iterator[ColumnChunk]:
+        """Cut the rows of *pieces* into chunks of ``batch_size`` rows
+        (the last may be shorter), filling the columns straight from
+        each piece's gathers."""
+        step = self.batch_size
+        columns: List[list] = [[] for _ in range(arity)]
+        length = 0
+        for count, values in pieces:
+            for column, new in zip(columns, values):
+                column.extend(new)
+            length += count
+            if length >= step:
+                start = 0
+                while length - start >= step:
+                    yield ColumnChunk(
+                        tuple(c[start:start + step] for c in columns), step
+                    )
+                    start += step
+                columns = [c[start:] for c in columns]
+                length -= start
+        if length:
+            yield ColumnChunk(tuple(columns), length)
+
+    def _unpacked(
+        self, batches: Iterable[List[int]], key: Tuple[int, ...]
+    ) -> Iterator[ColumnChunk]:
+        """The chunks of the rows packed in *batches*, whose ints hold
+        the columns in *key* order."""
+        width = self.width
+        position = [key.index(column) for column in range(len(key))]
+
+        def pieces() -> Iterator[Piece]:
+            for batch in batches:
+                parts = unpack(batch, len(key), width)
+                yield len(batch), [parts[p] for p in position]
+
+        yield from self._batches(len(key), pieces())
 
     # -- operators -----------------------------------------------------
 
@@ -176,57 +205,83 @@ class _ColumnarPipeline:
     # -- scans ---------------------------------------------------------
 
     def _scan(self, node: ScanNode) -> ColumnStream:
-        range_info = node.range_spec()
-        if range_info is not None:
-            return self._range_scan(node, range_info)
-        run, lo, hi, bound = self.indexes.probe(*node.bound_positions())
-        out_index = {var: i for i, var in enumerate(node.columns)}
-        positions_of: dict = {}
-        position_var: dict = {}
+        """A triple pattern as slices of one run range.
+
+        A hierarchy-interval range position that is the key column right
+        after a run's bound prefix narrows that run's range (see
+        :meth:`_narrowed`).  Any other pattern probes on its bound
+        constants, and masks each chunk when a variable repeats or a
+        range position is left to check.
+        """
+        bounds = node.bound_positions()
+        positions_of: Dict[object, List[int]] = {}
         for position, (kind, value) in enumerate(node.positions):
             if kind == "var":
                 positions_of.setdefault(value, []).append(position)
-                position_var[position] = value
-        # Residual key order of the probed range, as output columns.
-        order: List[int] = []
-        for position in run.permutation[bound:]:
-            column = out_index[position_var[position]]
-            if column not in order:
-                order.append(column)
-        sources = [
-            run.column_for_position(positions_of[var][0])
-            for var in node.columns
-        ]
-        duplicates = [
-            [run.column_for_position(p) for p in group]
+        repeated = [
+            (group[0], other)
             for group in positions_of.values()
-            if len(group) > 1
+            for other in group[1:]
         ]
+        range_info = node.range_spec()
+        narrowed = None
+        if range_info is not None and not repeated:
+            narrowed = self._narrowed(bounds, *range_info)
+        run, lo, hi, depth = narrowed or self.indexes.probe(*bounds)
+        # Residual key order of the range, as output columns.
+        out_index = {var: i for i, var in enumerate(node.columns)}
+        order: List[int] = []
+        for position in run.permutation[depth:]:
+            kind, value = node.positions[position]
+            if kind != "var":
+                break  # the range position: sortedness ends here
+            if out_index[value] not in order:
+                order.append(out_index[value])
+        key = tuple(order)
+        column = run.column_for_position
+        sources = [column(positions_of[var][0]) for var in node.columns]
+        if narrowed is not None:
+            ids = run.columns[depth - 1]
+            if lo < hi and ids[lo] != ids[hi - 1]:
+                return ColumnStream(self._resorted(sources, lo, hi, key), key)
+            return ColumnStream(self._run_chunks(lo, hi, sources), key)
+        pairs = [(column(first), column(other)) for first, other in repeated]
+        select = _selection(pairs) if pairs else None
+        if range_info is not None:
+            position, (range_lo, range_hi) = range_info
+            select = _selection(pairs, column(position), range(range_lo, range_hi))
+        return ColumnStream(self._run_chunks(lo, hi, sources, select), key)
 
-        def select(start: int, end: int) -> List[int]:
-            # Repeated-variable pattern: keep rows where every
-            # occurrence of the variable carries the same id.
-            return [
-                i
-                for i in range(start, end)
-                if all(
-                    group[0][i] == other[i]
-                    for group in duplicates
-                    for other in group[1:]
-                )
-            ]
+    def _narrowed(self, bounds, position: int, interval: Tuple[int, int]):
+        """A probe's ``(run, lo, hi, depth)`` for a pattern whose
+        *position* must lie in *interval*: the run keyed on the bound
+        positions and then *position*, its range narrowed by two
+        bisects on that key column.  None when no run has that key."""
+        bound = {i for i, value in enumerate(bounds) if value is not None}
+        depth = len(bound)
+        for name, permutation in ORDER_PERMUTATIONS.items():
+            if set(permutation[:depth]) == bound and permutation[depth] == position:
+                run = self.indexes.order(name)
+                lo, hi = run.range(*(bounds[p] for p in permutation[:depth]))
+                ids = run.columns[depth]
+                lo = bisect_left(ids, interval[0], lo, hi)
+                return run, lo, bisect_left(ids, interval[1], lo, hi), depth + 1
+        return None
 
-        return ColumnStream(
-            self._run_chunks(lo, hi, sources, select if duplicates else None),
-            tuple(order),
-        )
+    def _resorted(
+        self, sources: Sequence[Sequence[int]], lo: int, hi: int, key: Tuple[int, ...]
+    ) -> Iterator[ColumnChunk]:
+        """Run rows [lo, hi) of a narrowed range that holds several ids,
+        deduped and sorted by *key*, the columns after the range
+        position.  Each id's group is sorted on its own, and one row can
+        match several ids (an instance typed with two subclasses), so the
+        range is packed, set-deduped and sorted in C-level passes — its
+        size is bounded by the subtree's instance count."""
+        keys = pack([sources[c][lo:hi] for c in key], self.width, hi - lo)
+        yield from self._unpacked([list(dict.fromkeys(sorted(keys)))], key)
 
     def _run_chunks(
-        self,
-        lo: int,
-        hi: int,
-        sources: Sequence[Sequence[int]],
-        select=None,
+        self, lo: int, hi: int, sources: Sequence[Sequence[int]], select=None
     ) -> Iterator[ColumnChunk]:
         """The chunks of run rows [lo, hi), one batch at a time: column
         slices of *sources*, or — given ``select(start, end)`` — the
@@ -260,247 +315,102 @@ class _ColumnarPipeline:
                 keep = select(start, end)
                 if keep:
                     yield ColumnChunk(
-                        tuple(
-                            as_column(src[i] for i in keep)
-                            for src in sources
-                        ),
+                        tuple(gather(src, keep) for src in sources),
                         len(keep),
                     )
 
         return chunks()
 
-    def _range_scan(
-        self, node: ScanNode, range_info: Tuple[int, Tuple[int, int]]
-    ) -> ColumnStream:
-        """Scan a pattern with a hierarchy-interval range position.
-
-        When the bound constants occupy a run's key prefix and the
-        range position is the *next* key column, the interval is
-        literally one bisect-narrowed row range of that sorted run;
-        with several distinct ids inside the interval, the narrowed
-        range is set-deduped and re-sorted on the residual key in one
-        C-level pass so the output stream stays sorted.  Any other
-        shape degrades to a mask filter over the best conventional
-        probe.
-        """
-        range_position, (range_lo, range_hi) = range_info
-        bounds = node.bound_positions()
-        bound_set = {i for i, v in enumerate(bounds) if v is not None}
-        out_index = {var: i for i, var in enumerate(node.columns)}
-        positions_of: dict = {}
-        position_var: dict = {}
-        for position, (kind, value) in enumerate(node.positions):
-            if kind == "var":
-                positions_of.setdefault(value, []).append(position)
-                position_var[position] = value
-        has_duplicates = any(
-            len(group) > 1 for group in positions_of.values()
-        )
-
-        chosen = None
-        depth = len(bound_set)
-        for name, permutation in ORDER_PERMUTATIONS.items():
-            if (
-                set(permutation[:depth]) == bound_set
-                and permutation[depth] == range_position
-            ):
-                chosen = name
-                break
-        if chosen is None or has_duplicates:
-            return self._masked_range_scan(
-                node, range_info, position_var, positions_of, out_index
-            )
-
-        run = self.indexes.order(chosen)
-        prefix = tuple(bounds[p] for p in run.permutation[:depth])
-        lo, hi = run.range(*prefix)
-        range_column = run.columns[depth]
-        lo = bisect_left(range_column, range_lo, lo, hi)
-        hi = bisect_left(range_column, range_hi, lo, hi)
-
-        order: List[int] = []
-        for position in run.permutation[depth + 1:]:
-            column = out_index[position_var[position]]
-            if column not in order:
-                order.append(column)
-        sources = [
-            run.column_for_position(positions_of[var][0])
-            for var in node.columns
-        ]
-        step = self.batch_size
-
-        if lo >= hi or range_column[lo] == range_column[hi - 1]:
-            # Zero or one distinct id in the interval: the narrowed
-            # range behaves exactly like a (prefix + id) probe —
-            # plain column slices, residual order intact.
-            return ColumnStream(
-                self._run_chunks(lo, hi, sources), tuple(order)
-            )
-
-        # Several distinct ids inside the interval: the groups must be
-        # re-sorted on the residual key and deduped (the same row can
-        # match several ids — an instance typed with two subclasses).
-        # The whole narrowed range is materialized and set-deduped in
-        # one pass: its size is bounded by the subtree's instance
-        # count, and a C-level set + sort beats a per-row Python heap
-        # merge by a wide margin on exactly the big intervals where
-        # the encoding matters.
-        if len(sources) == 1:
-            merged = as_column(sorted(set(sources[0][lo:hi])))
-
-            def merged_chunks() -> Iterator[ColumnChunk]:
-                for start in range(0, len(merged), step):
-                    end = min(start + step, len(merged))
-                    yield ColumnChunk((merged[start:end],), end - start)
-
-            return ColumnStream(merged_chunks(), tuple(order))
-
-        # Rows are assembled, deduped, and sorted as residual-key-order
-        # tuples so every pass — zip, set, sort, and the itemgetter
-        # column extraction below — runs at C level; only the final
-        # array construction touches each row from Python.
-        key_columns = tuple(order)
-        rows = sorted(set(zip(*(sources[c][lo:hi] for c in key_columns))))
-        take = tuple(
-            key_columns.index(column) for column in range(len(node.columns))
-        )
-
-        def merged_rows() -> Iterator[ColumnChunk]:
-            for start in range(0, len(rows), step):
-                chunk = rows[start:start + step]
-                yield ColumnChunk(
-                    tuple(
-                        as_column(map(itemgetter(k), chunk)) for k in take
-                    ),
-                    len(chunk),
-                )
-
-        return ColumnStream(merged_rows(), tuple(order))
-
-    def _masked_range_scan(
-        self,
-        node: ScanNode,
-        range_info: Tuple[int, Tuple[int, int]],
-        position_var: dict,
-        positions_of: dict,
-        out_index: dict,
-    ) -> ColumnStream:
-        """Fallback: probe on the bound constants alone and filter the
-        range position per chunk (keep-index gather)."""
-        range_position, (range_lo, range_hi) = range_info
-        run, lo, hi, bound = self.indexes.probe(*node.bound_positions())
-        filter_column = run.column_for_position(range_position)
-        order: List[int] = []
-        for position in run.permutation[bound:]:
-            variable = position_var.get(position)
-            if variable is None:
-                break  # the range position: sortedness ends here
-            column = out_index[variable]
-            if column not in order:
-                order.append(column)
-        sources = [
-            run.column_for_position(positions_of[var][0])
-            for var in node.columns
-        ]
-        duplicates = [
-            [run.column_for_position(p) for p in group]
-            for group in positions_of.values()
-            if len(group) > 1
-        ]
-
-        def select(start: int, end: int) -> List[int]:
-            return [
-                i
-                for i in range(start, end)
-                if range_lo <= filter_column[i] < range_hi
-                and all(
-                    group[0][i] == other[i]
-                    for group in duplicates
-                    for other in group[1:]
-                )
-            ]
-
-        return ColumnStream(
-            self._run_chunks(lo, hi, sources, select), tuple(order)
-        )
-
     # -- union ---------------------------------------------------------
 
     def _union(self, node: UnionNode, entry: OperatorMetrics) -> ColumnStream:
         children = node.children()
-        if len(children) == 1:
-            return self._pull(children[0], entry)
-        arity = node.arity
-        streams = [self.stream(child) for child in children]
-        key = _total_order(streams, arity)
+        streams = [self._pull(child, entry) for child in children]
+        if len(streams) == 1:
+            return streams[0]
+        key = _total_order(streams, node.arity)
         if key is not None:
-            return self._merge_union(streams, arity, key, entry)
-
-        def concatenated() -> Iterator[ColumnChunk]:
-            for stream in streams:
-                yield from self._counted(stream, entry)
-
+            return ColumnStream(self._unpacked(self._merged(streams, key), key), key)
         # No common order: set semantics through a seen-set instead.
-        return ColumnStream(self._hashed_distinct(concatenated(), entry))
+        chunks = chain.from_iterable(stream.chunks for stream in streams)
+        return ColumnStream(self._hashed_distinct(chunks, entry))
 
-    def _merge_union(
-        self,
-        streams: Sequence[ColumnStream],
-        arity: int,
-        key: Tuple[int, ...],
-        entry: OperatorMetrics,
-    ) -> ColumnStream:
-        """K-way merge of inputs all sorted by the total order *key*,
-        with adjacent duplicate elimination.
+    def _merged(
+        self, streams: Sequence[ColumnStream], key: Tuple[int, ...]
+    ) -> Iterator[List[int]]:
+        """The rows of *streams*, all sorted by the total order *key*, as
+        sorted batches of distinct packed keys.
 
-        The output is sorted *and distinct* — the union's set semantics
-        computed without a dedup buffer, and early enough that a
-        downstream join multiplies the grouped extent, not the raw one.
+        Packed in *key* order, every input is a sorted run of ints.  A
+        round takes, from each input's current chunk, the keys up to the
+        smallest last key among them — nothing any input yields later is
+        below it — and sorts and dedups them in C.  A round holds only
+        the inputs' current chunks, so the union's set semantics need no
+        dedup buffer, and come early enough that a downstream join
+        multiplies the grouped extent, not the raw one.
         """
-        identity = key == tuple(range(arity))
+        width = self.width
 
-        def rows() -> Iterator[Row]:
-            iters = [
-                ColumnStream(
-                    self._counted(stream, entry), stream.order
-                ).iter_rows()
-                for stream in streams
-            ]
-            if identity:
-                merged = heapq.merge(*iters)
-            else:
-                merged = heapq.merge(
-                    *iters, key=lambda row: tuple(row[i] for i in key)
-                )
-            previous: Optional[Row] = None
-            for row in merged:
-                if row != previous:
-                    previous = row
-                    yield row
+        def runs(stream: ColumnStream) -> Iterator[Sequence[int]]:
+            for chunk in stream.chunks:
+                if chunk.length:
+                    columns = [chunk.columns[c] for c in key]
+                    yield pack(columns, width, chunk.length)
 
-        return ColumnStream(self._chunked_rows(rows(), arity), key)
+        pending = []
+        for source in map(runs, streams):
+            keys = next(source, None)
+            if keys is not None:
+                pending.append((keys, source))
+        previous = None
+        while pending:
+            bound = min(keys[-1] for keys, _ in pending)
+            batch: List[int] = []
+            rest = []
+            for keys, source in pending:
+                if keys[-1] == bound:
+                    batch.extend(keys)
+                    keys = next(source, None)
+                else:
+                    cut = bisect_right(keys, bound)
+                    batch.extend(keys[:cut])
+                    keys = keys[cut:]
+                if keys is not None:
+                    rest.append((keys, source))
+            pending = rest
+            batch = list(dict.fromkeys(sorted(batch)))
+            if batch[0] == previous:
+                del batch[0]
+            if batch:
+                previous = batch[-1]
+                yield batch
 
     # -- projection / selection ----------------------------------------
 
     def _project(self, node: ProjectNode, entry: OperatorMetrics) -> ColumnStream:
         child = self._pull(node.child, entry)
         positions = node.child.variable_positions()
-        specs = [
-            ("col", positions[value]) if kind == "var" else (kind, value)
-            for kind, value in node.specs
-        ]
-        # Metadata: constants are injected id constants plus surviving
+        local_ids = self.local_ids
+        specs = []
+        for kind, value in node.specs:
+            if kind == "var":
+                specs.append(("col", positions[value]))
+            elif kind == "term":
+                # Never stored: the same fresh id wherever it is projected.
+                specs.append(("const", local_ids.setdefault(
+                    value, self.base + len(local_ids)
+                )))
+            else:
+                specs.append((kind, value))
+        # Metadata: constants are injected constants plus surviving
         # constant child columns; the order claim follows the child's
-        # order until a non-constant order column is dropped.  A
-        # ("term", Term) column is constant too, but not an id: treated
-        # as order-transparent, it would let a sorted union compare it
-        # with the id column another input carries in its place.
+        # order until a non-constant order column is dropped.
         constants = set()
         first_output: dict = {}
         for output, (kind, value) in enumerate(specs):
             if kind == "const":
                 constants.add(output)
-            elif kind == "col":
+            else:
                 first_output.setdefault(value, output)
                 if value in child.constants:
                     constants.add(output)
@@ -520,7 +430,7 @@ class _ColumnarPipeline:
                     tuple(
                         chunk.columns[value]
                         if kind == "col"
-                        else _constant_column(value, length)
+                        else [value] * length
                         for kind, value in specs
                     ),
                     length,
@@ -534,78 +444,64 @@ class _ColumnarPipeline:
         child = self._pull(node.child, entry)
         positions = node.child.variable_positions()
         guarded = [positions[variable] for variable in node.variables]
-        is_literal = self.store.dictionary.is_literal_id
+        literal_ids = self.store.dictionary.literal_ids
+        is_literal = literal_ids.__contains__
 
         def chunks() -> Iterator[ColumnChunk]:
             for chunk in child.chunks:
-                if len(guarded) == 1:
-                    column = chunk.columns[guarded[0]]
-                    keep = [
-                        i for i, value in enumerate(column)
-                        if not is_literal(value)
-                    ]
-                else:
-                    columns = [chunk.columns[g] for g in guarded]
-                    keep = [
-                        i
-                        for i in range(chunk.length)
-                        if not any(is_literal(col[i]) for col in columns)
-                    ]
-                if len(keep) == chunk.length:
+                columns = [chunk.columns[g] for g in guarded]
+                if all(map(literal_ids.isdisjoint, columns)):
                     yield chunk
-                elif keep:
+                    continue
+                literal = map(is_literal, columns[0])
+                for column in columns[1:]:
+                    literal = map(or_, literal, map(is_literal, column))
+                keep = list(compress(range(chunk.length), map(not_, literal)))
+                if keep:
                     yield chunk.take(keep)
 
         return ColumnStream(chunks(), child.order, child.constants)
 
     def _distinct(self, node: DistinctNode, entry: OperatorMetrics) -> ColumnStream:
         child = self._pull(node.child, entry)
-        arity = node.arity
-        if _total_order([child], arity) is not None:
+        if _total_order([child], node.arity) is None:
+            chunks = self._hashed_distinct(child.chunks, entry)
+            return ColumnStream(chunks, child.order, child.constants)
+
+        def sorted_chunks() -> Iterator[ColumnChunk]:
             # Sorted distinct: adjacent comparison, zero buffered state.
-            def sorted_chunks() -> Iterator[ColumnChunk]:
-                previous: Optional[Row] = None
-                for chunk in child.chunks:
-                    columns = chunk.columns
-                    keep: List[int] = []
-                    for i in range(chunk.length):
-                        row = tuple(col[i] for col in columns)
-                        if row != previous:
-                            previous = row
-                            keep.append(i)
-                    if len(keep) == chunk.length:
-                        yield chunk
-                    elif keep:
-                        yield chunk.take(keep)
-
-            return ColumnStream(
-                sorted_chunks(), child.order, child.constants
-            )
-
-        return ColumnStream(
-            self._hashed_distinct(child.chunks, entry),
-            child.order,
-            child.constants,
-        )
-
-    def _hashed_distinct(
-        self, chunks: Iterator[ColumnChunk], entry: OperatorMetrics
-    ) -> Iterator[ColumnChunk]:
-        """Drop the rows of *chunks* already seen, through a seen-set
-        whose rows are charged to *entry* as buffered state."""
-        seen: set = set()
-        for chunk in chunks:
-            keep = []
-            for i, row in enumerate(chunk.rows()):
-                if row not in seen:
-                    seen.add(row)
-                    keep.append(i)
-            if keep:
-                self.metrics.buffer(entry, len(keep))
+            width = self.width
+            previous = None
+            for chunk in child.chunks:
+                if not chunk.length:
+                    continue
+                keys = pack(chunk.columns, width, chunk.length)
+                fresh = map(ne, keys, [previous, *keys])
+                keep = list(compress(range(chunk.length), fresh))
+                previous = keys[-1]
                 if len(keep) == chunk.length:
                     yield chunk
-                else:
+                elif keep:
                     yield chunk.take(keep)
+
+        return ColumnStream(sorted_chunks(), child.order, child.constants)
+
+    def _hashed_distinct(
+        self, chunks: Iterable[ColumnChunk], entry: OperatorMetrics
+    ) -> Iterator[ColumnChunk]:
+        """Drop the rows of *chunks* already seen, through a seen-set
+        of packed keys whose rows are charged to *entry* as buffered
+        state.  Kept rows stay in stream order."""
+        width = self.width
+        seen: set = set()
+        for chunk in chunks:
+            keep = _unseen(seen, pack(chunk.columns, width, chunk.length))
+            if keep is None:
+                self.metrics.buffer(entry, chunk.length)
+                yield chunk
+            elif keep:
+                self.metrics.buffer(entry, len(keep))
+                yield chunk.take(keep)
 
     # -- joins ---------------------------------------------------------
 
@@ -613,153 +509,112 @@ class _ColumnarPipeline:
         left = self._pull(node.left, entry)
         right = self._pull(node.right, entry)
         variables = node.join_variables
-        left_key = [
-            node.left.variable_positions()[v] for v in variables
-        ]
-        right_key = [
-            node.right.variable_positions()[v] for v in variables
-        ]
+        left_key = [node.left.variable_positions()[v] for v in variables]
+        right_key = [node.right.variable_positions()[v] for v in variables]
         keep = node.keep_right_indexes
-        left_arity = node.left.arity
         constants = frozenset(left.constants) | frozenset(
-            left_arity + i
+            node.left.arity + i
             for i, index in enumerate(keep)
             if index in right.constants
         )
         if variables and left.sorted_by(left_key) and right.sorted_by(right_key):
-            return ColumnStream(
-                self._merge_join(node, left, right, left_key, right_key, entry),
-                tuple(left_key),
-                constants,
-            )
-        # Hash fallback: build on the smaller *estimated* side, stream
-        # the other.
-        return ColumnStream(
-            self._hash_join(node, left, right, left_key, right_key, entry),
-            (),
-            constants,
-        )
+            pieces = self._merge_join(node, left, right, left_key, right_key, entry)
+            order = tuple(left_key)
+        else:
+            pieces = self._hash_join(node, left, right, left_key, right_key, entry)
+            order = ()
+        return ColumnStream(self._batches(node.arity, pieces), order, constants)
 
     def _merge_join(
-        self,
-        node: JoinNode,
-        left: ColumnStream,
-        right: ColumnStream,
-        left_key: Sequence[int],
-        right_key: Sequence[int],
-        entry: OperatorMetrics,
-    ) -> Iterator[ColumnChunk]:
+        self, node: JoinNode, left: ColumnStream, right: ColumnStream,
+        left_key: Sequence[int], right_key: Sequence[int], entry: OperatorMetrics,
+    ) -> Iterator[Piece]:
         """Galloping merge join of two key-sorted streams.
 
         Each side is a :class:`_MergeCursor` into its current chunk's
-        key column.  The side that is behind jumps to the other's key
-        with one C-level ``bisect_left``, and an equal-key group ends at
+        keys.  The side that is behind jumps to the other's key with one
+        C-level ``bisect_left``, and an equal-key group ends at
         ``bisect_right`` (continuing into the next chunk when it reaches
         the end of this one), so Python-level work grows with the
         equal-key groups and bisects, not with the rows of the larger
-        input.  Row tuples are built only for matching groups; both
-        groups are charged to the metrics while held.
+        input.  Matching groups add their row positions to index vectors
+        into the current chunks, gathered when a side moves on or
+        ``batch_size`` pairs are held; both groups are charged to the
+        metrics while held.
         """
-        keep = node.keep_right_indexes
         buffer = self.metrics.buffer
-
-        def rows() -> Iterator[Row]:
-            lside = _MergeCursor(left.chunks, left_key, range(node.left.arity))
-            rside = _MergeCursor(right.chunks, right_key, keep)
-            while lside.keys is not None and rside.keys is not None:
-                lkey = lside.keys[lside.pos]
-                rkey = rside.keys[rside.pos]
-                if lkey < rkey:
-                    lside.seek(rkey)
-                elif rkey < lkey:
-                    rside.seek(lkey)
-                else:
-                    lgroup = lside.group(lkey)
-                    rgroup = rside.group(rkey)
-                    held = len(lgroup) + len(rgroup)
-                    buffer(entry, held)
-                    for lmatch in lgroup:
-                        for rmatch in rgroup:
-                            yield lmatch + rmatch
-                    buffer(entry, -held)
-
-        return self._chunked_rows(rows(), node.arity)
+        step = self.batch_size
+        width = self.width
+        lside = _MergeCursor(left.chunks, left_key, range(node.left.arity), width)
+        rside = _MergeCursor(right.chunks, right_key, node.keep_right_indexes, width)
+        lcolumns = rcolumns = None
+        li: List[int] = []
+        ri: List[int] = []
+        while lside.keys is not None and rside.keys is not None:
+            lkey = lside.keys[lside.pos]
+            rkey = rside.keys[rside.pos]
+            if lkey < rkey:
+                lside.seek(rkey)
+                continue
+            if rkey < lkey:
+                rside.seek(lkey)
+                continue
+            lgroup = lside.group(lkey)
+            rgroup = rside.group(rkey)
+            held = sum(end - start for _, start, end in lgroup + rgroup)
+            buffer(entry, held)
+            for lcols, lstart, lend in lgroup:
+                for rcols, rstart, rend in rgroup:
+                    for i in range(lstart, lend):
+                        moved = lcols is not lcolumns or rcols is not rcolumns
+                        if moved or len(li) >= step:
+                            if li:
+                                yield _piece(lcolumns, li, rcolumns, ri)
+                            lcolumns, rcolumns, li, ri = lcols, rcols, [], []
+                        li.extend(repeat(i, rend - rstart))
+                        ri.extend(range(rstart, rend))
+            buffer(entry, -held)
+        if li:
+            yield _piece(lcolumns, li, rcolumns, ri)
 
     def _hash_join(
-        self,
-        node: JoinNode,
-        left: ColumnStream,
-        right: ColumnStream,
-        left_key: Sequence[int],
-        right_key: Sequence[int],
-        entry: OperatorMetrics,
-    ) -> Iterator[ColumnChunk]:
+        self, node: JoinNode, left: ColumnStream, right: ColumnStream,
+        left_key: Sequence[int], right_key: Sequence[int], entry: OperatorMetrics,
+    ) -> Iterator[Piece]:
+        """Hash join on the smaller *estimated* side: the build side's
+        kept columns are concatenated and its keys indexed
+        (:func:`_build_index`); each probe chunk's keys look up index
+        vectors of matching positions, and the output columns are
+        gathers along them."""
         keep = node.keep_right_indexes
-        arity = node.arity
-        build_left = node.left.estimated_rows <= node.right.estimated_rows
-
-        # Single-variable keys (the common case) read the key column
-        # directly and materialize probe-side rows only on a match —
-        # the probe never builds tuples for rows that join to nothing.
-        single_left = left_key[0] if len(left_key) == 1 else None
-        single_right = right_key[0] if len(right_key) == 1 else None
-
-        def build(stream: ColumnStream, key: Sequence[int], single) -> dict:
-            table: dict = {}
-            setdefault = table.setdefault
-            for chunk in stream.chunks:
-                if single is not None:
-                    keycol = chunk.columns[single]
-                    for i, row in enumerate(chunk.rows()):
-                        setdefault(keycol[i], []).append(row)
+        left_all = range(node.left.arity)
+        if node.left.estimated_rows <= node.right.estimated_rows:
+            build, build_key, build_take = left, left_key, left_all
+            probe, probe_key, probe_take = right, right_key, keep
+        else:
+            build, build_key, build_take = right, right_key, keep
+            probe, probe_key, probe_take = left, left_key, left_all
+        width = self.width
+        columns: List[list] = [[] for _ in build_take]
+        keys: List[int] = []
+        for chunk in build.chunks:
+            for column, index in zip(columns, build_take):
+                column.extend(chunk.columns[index])
+            keys.extend(pack(
+                [chunk.columns[i] for i in build_key], width, chunk.length
+            ))
+            self.metrics.buffer(entry, chunk.length)
+        match = _build_index(keys, self.batch_size)
+        for chunk in probe.chunks:
+            probe_columns = [chunk.columns[i] for i in probe_take]
+            probe_keys = pack(
+                [chunk.columns[i] for i in probe_key], width, chunk.length
+            )
+            for bidx, pidx in match(probe_keys):
+                if build is left:
+                    yield _piece(columns, bidx, probe_columns, pidx)
                 else:
-                    for row in chunk.rows():
-                        setdefault(
-                            tuple(row[i] for i in key), []
-                        ).append(row)
-                self.metrics.buffer(entry, chunk.length)
-            return table
-
-        def probe(
-            stream: ColumnStream, key: Sequence[int], single, table: dict
-        ) -> Iterator[Tuple[Row, list]]:
-            get = table.get
-            for chunk in stream.chunks:
-                if single is not None:
-                    keycol = chunk.columns[single]
-                    columns = chunk.columns
-                    for i in range(chunk.length):
-                        matches = get(keycol[i])
-                        if matches:
-                            yield tuple(col[i] for col in columns), matches
-                else:
-                    for row in chunk.rows():
-                        matches = get(tuple(row[i] for i in key))
-                        if matches:
-                            yield row, matches
-
-        def rows() -> Iterator[Row]:
-            if build_left:
-                table = build(left, left_key, single_left)
-                for rrow, matches in probe(
-                    right, right_key, single_right, table
-                ):
-                    kept = tuple(rrow[i] for i in keep)
-                    for lrow in matches:
-                        yield lrow + kept
-            else:
-                table = build(right, right_key, single_right)
-                # Project build rows to the kept columns once, up
-                # front, instead of per emitted output row.
-                for group in table.values():
-                    group[:] = [tuple(r[i] for i in keep) for r in group]
-                for lrow, matches in probe(
-                    left, left_key, single_left, table
-                ):
-                    for rkept in matches:
-                        yield lrow + rkept
-
-        return self._chunked_rows(rows(), arity)
+                    yield _piece(probe_columns, pidx, columns, bidx)
 
 
 class _MergeCursor:
@@ -767,17 +622,18 @@ class _MergeCursor:
     key-sorted chunk stream.
 
     ``keys`` is the chunk's key column — the column itself for a
-    one-column key, its key tuples otherwise (which bisect by tuple
-    order) — and None once the stream is exhausted.  *take* names the
-    columns a matched row keeps.
+    one-column key, its packed keys otherwise (which sort like the key
+    columns) — and None once the stream is exhausted.  ``columns`` are
+    the chunk's columns a matched row keeps (*take*).
     """
 
-    __slots__ = ("chunks", "key", "take", "columns", "keys", "pos", "end")
+    __slots__ = ("chunks", "key", "take", "width", "columns", "keys", "pos", "end")
 
-    def __init__(self, chunks: Iterator[ColumnChunk], key, take):
+    def __init__(self, chunks: Iterator[ColumnChunk], key, take, width: int):
         self.chunks = iter(chunks)
         self.key = tuple(key)
         self.take = take
+        self.width = width
         self._load()
 
     def _load(self) -> None:
@@ -786,11 +642,9 @@ class _MergeCursor:
             if chunk.length:
                 columns = chunk.columns
                 self.columns = [columns[i] for i in self.take]
-                key = self.key
-                if len(key) == 1:
-                    self.keys = columns[key[0]]
-                else:
-                    self.keys = list(zip(*(columns[i] for i in key)))
+                self.keys = pack(
+                    [columns[i] for i in self.key], self.width, chunk.length
+                )
                 self.pos, self.end = 0, chunk.length
                 return
         self.keys = None
@@ -805,23 +659,118 @@ class _MergeCursor:
             pos = bisect_left(self.keys, target, 0, self.end)
         self.pos = pos
 
-    def group(self, key) -> List[Row]:
-        """The kept rows whose key equals *key*, from the cursor on
-        (spanning chunks); leaves the cursor just past them."""
-        rows: List[Row] = []
+    def group(self, key) -> List[Tuple[list, int, int]]:
+        """The rows whose key equals *key*, from the cursor on, as
+        ``(kept columns, start, end)`` segments of the chunks they span;
+        leaves the cursor just past them."""
+        segments = []
         while True:
             pos = self.pos
             end = bisect_right(self.keys, key, pos + 1, self.end)
-            if self.columns:
-                rows.extend(zip(*[column[pos:end] for column in self.columns]))
-            else:
-                rows.extend([()] * (end - pos))
+            segments.append((self.columns, pos, end))
             if end < self.end:
                 self.pos = end
-                return rows
+                return segments
             self._load()
             if self.keys is None or self.keys[0] != key:
-                return rows
+                return segments
+
+
+def _piece(left_columns, left_index, right_columns, right_index) -> Piece:
+    """The join rows pairing the *left_index* and *right_index*
+    positions, as gathers along both sides' columns."""
+    return len(left_index), [
+        map(column.__getitem__, left_index) for column in left_columns
+    ] + [map(column.__getitem__, right_index) for column in right_columns]
+
+
+def _build_index(keys: Sequence[int], step: int):
+    """``match(probe_keys)`` for a hash join's build side: yields
+    ``(build positions, probe positions)`` index vectors of the
+    matching pairs, probe row by probe row, at most about *step* pairs
+    at a time.
+
+    Unique build keys (the common case) map straight to their position
+    and a probe chunk is matched in C-level passes.  Otherwise the
+    positions are sorted by key (stably, so each key's positions keep
+    build order) and a key maps to its slice of that order.
+    """
+    n = len(keys)
+    position = dict(zip(keys, range(n)))
+    if len(position) == n:
+        get = position.get
+
+        def match_unique(probe_keys):
+            found = list(map(get, probe_keys))
+            if None not in found:
+                yield found, range(len(found))
+                return
+            hit = list(map(is_not, found, repeat(None)))
+            if any(hit):
+                yield list(compress(found, hit)), list(
+                    compress(range(len(found)), hit)
+                )
+
+        return match_unique
+    order = sorted(range(n), key=keys.__getitem__)
+    ordered = list(map(keys.__getitem__, order))
+    start = dict(zip(reversed(ordered), range(n - 1, -1, -1)))
+    end = dict(zip(ordered, range(1, n + 1)))
+
+    def match_groups(probe_keys):
+        firsts = list(map(start.get, probe_keys))
+        hit = list(map(is_not, firsts, repeat(None)))
+        rows = list(compress(range(len(firsts)), hit))
+        firsts = list(compress(firsts, hit))
+        lasts = list(map(end.__getitem__, compress(probe_keys, hit)))
+        counts = list(map(sub, lasts, firsts))
+        total = list(accumulate(counts, initial=0))
+        lo = 0
+        while lo < len(rows):
+            # The next probe rows whose pairs fit in *step*, at least one.
+            hi = max(lo + 1, bisect_right(total, total[lo] + step, lo + 1) - 1)
+            groups = map(order.__getitem__, map(slice, firsts[lo:hi], lasts[lo:hi]))
+            yield (
+                list(chain.from_iterable(groups)),
+                list(chain.from_iterable(map(repeat, rows[lo:hi], counts[lo:hi]))),
+            )
+            lo = hi
+
+    return match_groups
+
+
+def _unseen(seen: set, keys: Sequence[int]) -> Optional[Sequence[int]]:
+    """Add the packed *keys* to *seen*; the positions of the ones it
+    lacked, one per new key, in order — or None when every key was new
+    and distinct (keep the whole chunk)."""
+    n = len(keys)
+    positions = None
+    if not seen.isdisjoint(keys):
+        positions = list(compress(range(n), map(not_, map(seen.__contains__, keys))))
+        keys = list(map(keys.__getitem__, positions))
+    before = len(seen)
+    seen.update(keys)
+    if len(seen) - before == len(keys):
+        return positions
+    if positions is None:
+        positions = range(n)
+    first = dict(zip(reversed(keys), reversed(positions)))
+    return sorted(first.values())
+
+
+def _selection(pairs, column=None, interval: range = None):
+    """``select(start, end)`` for :meth:`_ColumnarPipeline._run_chunks`:
+    the run rows whose *pairs* of columns agree and, given a *column*,
+    whose value in it lies in *interval*."""
+
+    def select(start: int, end: int) -> List[int]:
+        masks = [map(eq, a[start:end], b[start:end]) for a, b in pairs]
+        if column is not None:
+            masks.append(map(interval.__contains__, column[start:end]))
+        mask = masks[0] if len(masks) == 1 else map(min, *masks)
+        return list(compress(range(start, end), mask))
+
+    return select
 
 
 def _total_order(
@@ -849,29 +798,61 @@ def _total_order(
     return None
 
 
-def _constant_column(value, length: int):
-    if isinstance(value, int):
-        return as_column([value]) * length
-    return [value] * length
-
-
 # ---------------------------------------------------------------------------
-# Entry point
+# Entry points
 
 
-def run_columnar(
+class ColumnarAnswer:
+    """A collected answer: its distinct rows as id columns, and the
+    terms behind the query-local ids ``base``, ``base + 1``, … — the
+    only ids the dictionary cannot decode."""
+
+    __slots__ = ("columns", "length", "base", "local_terms")
+
+    def __init__(self, columns, length: int, base: int, local_terms: list):
+        self.columns = columns
+        self.length = length
+        self.base = base
+        self.local_terms = local_terms
+
+    def _rows(self, decode) -> Iterable[Tuple]:
+        """The rows, each column passed through *decode* (a whole-column
+        function) and its query-local ids replaced by their terms."""
+        if not self.columns:
+            return [()] * self.length
+        base, local = self.base, self.local_terms
+
+        def column(values: Sequence[int]) -> Sequence:
+            if not local or max(values, default=-1) < base:
+                return decode(values)
+            stored = iter(decode([v for v in values if v < base]))
+            return [local[v - base] if v >= base else next(stored) for v in values]
+
+        return zip(*map(column, self.columns))
+
+    def rows(self) -> List[Row]:
+        """The rows as tuples of ids, a query-local id as its term."""
+        return list(self._rows(list))
+
+    def decode(self, dictionary) -> FrozenSet[Tuple]:
+        """The answer relation in terms: decoded once per column."""
+        return frozenset(self._rows(dictionary.decode_all))
+
+
+def collect_columnar(
     plan: PlanNode,
     store,
     budget=None,
     batch_size: int = DEFAULT_COLUMNAR_BATCH_SIZE,
     metrics: Optional[PipelineMetrics] = None,
-) -> Tuple[List[Row], PipelineMetrics]:
-    """Execute *plan* against *store* columnar-ly; returns (rows, metrics).
+) -> Tuple[ColumnarAnswer, PipelineMetrics]:
+    """Execute *plan* against *store* columnar-ly; returns the collected
+    answer and the metrics.
 
-    The collected answer is distinct (joins and projections may
-    repeat rows; the final seen-set removes them), metrics report rows
-    *represented* (a chunk of 1,024 rows counts 1,024, whatever its
-    Python object count), and a
+    The collected answer is distinct (joins and projections may repeat
+    rows; a final seen-set of packed keys removes them), metrics report
+    rows *represented* (a chunk of 1,024 rows counts 1,024, whatever
+    its Python object count), and a
     :class:`~repro.resilience.errors.BudgetExceeded` mid-stream carries
     the metrics snapshot and partial rows (``partial`` /
     ``partial_rows``) — a budget abort reports how far execution got,
@@ -881,27 +862,38 @@ def run_columnar(
     if metrics is None:
         metrics = PipelineMetrics()
     pipeline = _ColumnarPipeline(store, metrics, budget, batch_size)
-    collect = OperatorMetrics("Collect")
+    columns = tuple([] for _ in range(plan.arity))
+    answer = ColumnarAnswer(columns, 0, pipeline.base, [])
     started = time.perf_counter()
     if budget is not None:
         budget.start()
-    seen: set = set()
-    rows: List[Row] = []
     try:
-        for chunk in pipeline.stream(plan).chunks:
-            fresh = 0
-            for row in chunk.rows():
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-                    fresh += 1
-            if fresh:
-                metrics.buffer(collect, fresh)
+        chunks = pipeline.stream(plan).chunks
+        answer.local_terms = list(pipeline.local_ids)
+        collect = OperatorMetrics("Collect")
+        for chunk in pipeline._hashed_distinct(chunks, collect):
+            for column, values in zip(columns, chunk.columns):
+                column.extend(values)
+            answer.length += chunk.length
     except Exception as exc:
         metrics.elapsed_seconds = time.perf_counter() - started
         if hasattr(exc, "diagnostics"):
             exc.partial = metrics.as_dict()
-            exc.partial_rows = list(rows)
+            exc.partial_rows = answer.rows()
         raise
     metrics.elapsed_seconds = time.perf_counter() - started
-    return rows, metrics
+    return answer, metrics
+
+
+def run_columnar(
+    plan: PlanNode,
+    store,
+    budget=None,
+    batch_size: int = DEFAULT_COLUMNAR_BATCH_SIZE,
+    metrics: Optional[PipelineMetrics] = None,
+) -> Tuple[List[Row], PipelineMetrics]:
+    """:func:`collect_columnar`, with the answer as row tuples (ids,
+    and a constant the dictionary never stored as its term) — what
+    :func:`repro.storage.executor.execute_plan` returns."""
+    answer, metrics = collect_columnar(plan, store, budget, batch_size, metrics)
+    return answer.rows(), metrics

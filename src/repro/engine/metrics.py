@@ -23,22 +23,33 @@ In-flight batches are not counted as buffered: they are bounded by
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from .ir import PlanNode
 
 
 class OperatorMetrics:
-    """One operator's accounting across a single streaming run."""
+    """One operator's accounting across a single streaming run.
 
-    def __init__(self, label: str):
-        self.label = label
+    Its ``label`` is given as a string, or as the plan node whose
+    ``repr`` it is: only ``explain``, the metric tables and a tripped
+    budget read it, so a node's label is formatted on first read.
+    """
+
+    def __init__(self, label: Union[str, PlanNode]):
+        self._label = label
         self.rows_in = 0
         self.rows_out = 0
         self.batches = 0
         self.buffered_rows = 0
         self.peak_buffered_rows = 0
         self.wall_seconds = 0.0
+
+    @property
+    def label(self) -> str:
+        if not isinstance(self._label, str):
+            self._label = repr(self._label)
+        return self._label
 
     def as_dict(self) -> Dict:
         return {
@@ -86,7 +97,7 @@ class PipelineMetrics:
         key = id(node)
         entry = self._per_node.get(key)
         if entry is None:
-            entry = OperatorMetrics(repr(node))
+            entry = OperatorMetrics(node)
             self._per_node[key] = entry
             self._order.append(entry)
         return entry

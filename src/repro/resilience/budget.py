@@ -112,14 +112,18 @@ class ExecutionBudget:
 
     # ------------------------------------------------------------------
 
-    def charge_rows(self, count: int, operator: Optional[str] = None) -> None:
-        """Commit *count* materialized rows and enforce both limits."""
+    def charge_rows(self, count: int, operator=None) -> None:
+        """Commit *count* materialized rows and enforce both limits.
+
+        *operator* names the charging operator: a string, or an object
+        whose ``label`` is read only if the charge trips the budget."""
         with self._lock:
             if self._trip is not None:
                 raise self._sibling_abort()
             self.start()
             self.rows_charged += count
             if self.max_rows is not None and self.rows_charged > self.max_rows:
+                operator = getattr(operator, "label", operator)
                 exc = BudgetExceeded(
                     "row budget exceeded at %s: %d rows produced (budget %d)"
                     % (operator or "?", self.rows_charged, self.max_rows),
@@ -176,11 +180,12 @@ class ExecutionBudget:
             self.start()
             self._check_time_locked(operator)
 
-    def _check_time_locked(self, operator: Optional[str]) -> None:
+    def _check_time_locked(self, operator) -> None:
         if self.max_seconds is None:
             return
         elapsed = self.elapsed()
         if elapsed > self.max_seconds:
+            operator = getattr(operator, "label", operator)
             exc = BudgetExceeded(
                 "time budget exceeded at %s: %.3fs elapsed (budget %.3fs)"
                 % (operator or "?", elapsed, self.max_seconds),

@@ -9,7 +9,7 @@ first-seen order) which lets the statistics module use plain arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set
 
 from ..rdf.terms import Literal, Term
 
@@ -95,6 +95,12 @@ class Dictionary:
         """True when *term_id* encodes a literal."""
         return term_id in self._literal_ids
 
+    @property
+    def literal_ids(self) -> AbstractSet[int]:
+        """The ids that encode literals: the live set, for whole-column
+        membership tests — read it, never mutate it."""
+        return self._literal_ids
+
     def lookup(self, term: Term) -> Optional[int]:
         """The id of *term*, or None when it has never been encoded.
 
@@ -123,6 +129,12 @@ class Dictionary:
         if term is None:
             raise KeyError("term id %d is an unassigned hole" % term_id)
         return term
+
+    def decode_all(self, term_ids: Iterable[int]) -> List[Term]:
+        """The terms of *term_ids*, in order, in one C-level pass.  The
+        ids must be assigned: a hole decodes to None, an id past the
+        end raises IndexError."""
+        return list(map(self._id_to_term.__getitem__, term_ids))
 
     def __len__(self) -> int:
         return len(self._id_to_term)

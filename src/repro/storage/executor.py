@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import FrozenSet, List, Optional, Tuple
 
-from ..columnar.engine import run_columnar
+from ..columnar.engine import ColumnarAnswer, collect_columnar, run_columnar
 from ..engine.ir import PlanNode
 from ..engine.metrics import PipelineMetrics
 from ..rdf.terms import Term
@@ -38,13 +38,13 @@ class ExecutionResult:
     def __init__(
         self,
         plan: PlanNode,
-        rows: List[Row],
+        collected: ColumnarAnswer,
         store: TripleStore,
         elapsed_seconds: float,
         metrics: PipelineMetrics,
     ):
         self.plan = plan
-        self._rows = rows
+        self._collected = collected
         self._store = store
         self.elapsed_seconds = elapsed_seconds
         #: Per-operator metrics of the run.
@@ -53,16 +53,14 @@ class ExecutionResult:
 
     @property
     def row_count(self) -> int:
-        return len(self._rows)
+        return self._collected.length
 
     def answer(self) -> FrozenSet[Tuple[Term, ...]]:
         """The decoded answer relation (set semantics), memoized —
         diagnostics-heavy callers read it repeatedly and must not pay
-        decoding and re-freezing each time."""
+        decoding and re-freezing each time.  Decodes once per column."""
         if self._answer is None:
-            self._answer = frozenset(
-                self._store.decode_row(row) for row in self._rows
-            )
+            self._answer = self._collected.decode(self._store.dictionary)
         return self._answer
 
     def max_intermediate_rows(self) -> int:
@@ -124,12 +122,12 @@ class Executor:
         start = time.perf_counter()
         plan = self.planner.plan(query)
         try:
-            rows, metrics = run_columnar(plan, self.store, budget=budget)
+            collected, metrics = collect_columnar(plan, self.store, budget=budget)
         except Exception as exc:
             self._attach_partial(exc, plan)
             raise
         elapsed = time.perf_counter() - start
-        return ExecutionResult(plan, rows, self.store, elapsed, metrics)
+        return ExecutionResult(plan, collected, self.store, elapsed, metrics)
 
     def _attach_partial(self, exc, plan: PlanNode) -> None:
         """Satellite of a budget abort: the error carries how far the

@@ -10,6 +10,8 @@ scans) and must still answer like the reference evaluator.
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro import BudgetExceeded, ExecutionBudget
@@ -45,25 +47,25 @@ def small_store() -> TripleStore:
 
 class TestChunks:
     def test_from_rows_round_trip(self):
-        chunk = ColumnChunk.from_rows([(1, 2), (3, 4), (5, 6)], 2)
+        chunk = ColumnChunk([array("q", [1, 3, 5]), array("q", [2, 4, 6])])
         assert chunk.arity == 2
         assert len(chunk) == 3
         assert list(chunk.rows()) == [(1, 2), (3, 4), (5, 6)]
         assert chunk.row(1) == (3, 4)
 
     def test_zero_arity_chunks_carry_row_count(self):
-        chunk = ColumnChunk.from_rows([(), ()], 0)
+        chunk = ColumnChunk((), 2)
         assert chunk.arity == 0
         assert len(chunk) == 2
         assert list(chunk.rows()) == [(), ()]
 
     def test_take_is_a_mask_selection(self):
-        chunk = ColumnChunk.from_rows([(1, 10), (2, 20), (3, 30)], 2)
+        chunk = ColumnChunk([array("q", [1, 2, 3]), array("q", [10, 20, 30])])
         taken = chunk.take([0, 2])
         assert list(taken.rows()) == [(1, 10), (3, 30)]
 
     def test_non_integer_values_fall_back_to_lists(self):
-        chunk = ColumnChunk.from_rows([(EX.a,), (EX.b,)], 1)
+        chunk = ColumnChunk([[EX.a, EX.b]])
         assert list(chunk.rows()) == [(EX.a,), (EX.b,)]
 
 

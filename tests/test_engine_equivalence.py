@@ -277,6 +277,56 @@ class TestParallelBudgetAbort:
         assert info.value.rows_produced < self.ROW_BUDGET * 4
 
 
+class TestMixedKeyColumns:
+    """A JUCQ join key that one disjunct binds to a class the store
+    never stored, beside disjuncts that carry it as an id column.
+
+    The store holds the data alone, so the schema's class ``B`` has no
+    id: reformulating ``x rdf:type c`` under ``A ⊑ B`` and ``p domain
+    B`` projects ``c`` as the ready term ``B`` (a ``("term", Term)``
+    spec) in two disjuncts of each fragment, and as the stored class
+    id in the third.  The two fragments join on ``c``, so ``B`` must
+    key the same on both sides of the join, whatever the engine does
+    with ids."""
+
+    def _setup(self):
+        from repro.reformulation.jucq import jucq_for_cover
+        from repro.storage.sql import SqliteBackend
+
+        c = Variable("c")
+        schema = Schema([
+            Constraint.subclass(EX.A, EX.B), Constraint.domain(EX.p, EX.B),
+        ])
+        graph = Graph()
+        for triple in [
+            (EX.i1, RDF_TYPE, EX.A), (EX.i2, RDF_TYPE, EX.A),
+            (EX.i3, EX.p, EX.i4), (EX.i5, RDF_TYPE, EX.D),
+        ]:
+            graph.add(Triple(*triple))
+        store = TripleStore.from_graph(graph)
+        query = ConjunctiveQuery(
+            [x, y, c], [TriplePattern(x, RDF_TYPE, c), TriplePattern(y, RDF_TYPE, c)]
+        )
+        jucq = jucq_for_cover(Cover.per_atom(query), schema)
+        return store, jucq, evaluate_cq(saturate(graph, schema), query), SqliteBackend
+
+    def test_unstored_class_joins_like_stored_ids(self):
+        store, jucq, reference, sqlite = self._setup()
+        assert store.term_id(EX.B) is None
+        projected = [
+            spec
+            for node in Executor(store).planner.plan(jucq).walk()
+            for spec in getattr(node, "specs", ())
+        ]
+        assert ("term", EX.B) in projected  # the trap is really set
+        assert ("var", Variable("c")) in projected  # beside id columns
+        assert {row[2] for row in reference} == {EX.A, EX.B, EX.D}
+        assert len(reference) == 4 + 9 + 1  # A: i1, i2; B: i1-i3; D: i5
+        assert Executor(store).run(jucq).answer() == reference
+        assert sqlite(store).run(jucq) == reference
+        assert store.term_id(EX.B) is None  # answering stored nothing
+
+
 class TestExecutorEngines:
     def _store(self):
         graph = Graph(

@@ -71,7 +71,14 @@ def _leaf(labels, rows, key):
 
 
 def _run(node, batch_size):
-    pipeline = _Pipeline(TripleStore(), PipelineMetrics(), None, batch_size)
+    # The leaves' values must be ids of the store's dictionary: its
+    # size sets the width multi-column keys are packed at.
+    store = TripleStore()
+    store.dictionary.reserve(1 + max(
+        (v for leaf in node.children() for row in leaf.rows for v in row),
+        default=0,
+    ))
+    pipeline = _Pipeline(store, PipelineMetrics(), None, batch_size)
     stream = pipeline.stream(node)
     rows = [row for chunk in stream.chunks for row in chunk.rows()]
     return rows, stream.order, pipeline.metrics
