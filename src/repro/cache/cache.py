@@ -9,13 +9,18 @@ module is that layer for every strategy in the repository.
 
 Three tiers:
 
-1. **Reformulation tier** — UCQ/SCQ/JUCQ reformulations, GCov covers
-   and UCQ size estimates, keyed on ``(query canonical form, schema
-   fingerprint, policy switches, kind)``.  Valid as long as the schema
-   is unchanged: reformulation is a function of query and schema only.
-   (GCov entries additionally carry the dataset token — the chosen
-   cover is cost-based, hence data-dependent; a stale cover would
-   still be answer-correct, but its diagnostics would mislead.)
+1. **Reformulation tier** — UCQ/SCQ/JUCQ reformulations and UCQ size
+   estimates, keyed on ``(query canonical form, schema fingerprint,
+   policy switches, kind)``.  Valid as long as the schema is
+   unchanged: reformulation is a function of query and schema only.
+   The GCov entry is keyed by the query's *shape* instead
+   (:func:`~repro.cache.keys.shape_of`: instance constants lifted) and
+   holds GCov's ranked covers over the shape's atom positions; each
+   query of the shape maps them onto its atoms and builds its own
+   JUCQ.  Sound because any cover answers completely; only the cost,
+   priced on the shape's first query, can be stale, and it is not
+   re-priced (that would be the search the entry saves).  The entry
+   carries the dataset token: cover choice is data-dependent.
 2. **Answer tier** — computed answers, keyed on the reformulation key
    *plus* a dataset token, the evaluation engine/backend, and the
    **data epoch**: a counter bumped on every data mutation, so any
@@ -162,9 +167,6 @@ class QueryCache:
             self.schema_epoch,
             extra,
         )
-
-    def lookup_reformulation(self, key: Tuple) -> Optional[Any]:
-        return self.reformulations.get(key)
 
     def store_reformulation(self, key: Tuple, value: Any) -> None:
         self.reformulations.put(key, value)

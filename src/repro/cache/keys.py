@@ -18,15 +18,22 @@ artifact is guaranteed identical.  The pieces:
   identical reformulations and may share entries);
 * **covers** — keyed by the fragment contents encoded under the
   query's canonical variable numbering, so the key is independent of
-  atom order and variable names.
+  atom order and variable names;
+* **shapes** — GCov's covers are keyed by the canonical form with
+  every *instance constant* lifted (:func:`shape_of`).  Equal shapes
+  have equally many atoms, so covers (fragments over atom positions)
+  of one query of a shape are covers of all of them, and any cover
+  answers completely; only its cost is the first query's.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from ..query.algebra import ConjunctiveQuery, UnionQuery
+from ..query.algebra import ConjunctiveQuery, TriplePattern, UnionQuery, Variable
 from ..query.cover import Cover
+from ..rdf.namespaces import RDF_TYPE, SCHEMA_PROPERTIES
+from ..rdf.terms import BlankNode
 from ..reformulation.policy import ReformulationPolicy
 
 
@@ -41,7 +48,7 @@ def policy_key(policy: ReformulationPolicy) -> Tuple[bool, bool, bool, bool]:
 
 
 def query_key(query) -> Tuple:
-    """A canonical key for a CQ or UCQ.
+    """A canonical key for a CQ, a UCQ or a :func:`shape_of` key.
 
     UCQs are keyed by the *set* of disjunct canonical forms: disjunct
     order never affects a union's answer.
@@ -54,6 +61,8 @@ def query_key(query) -> Tuple:
             query.arity,
             frozenset(cq.canonical() for cq in query.disjuncts),
         )
+    if isinstance(query, tuple) and query[0] == "shape":
+        return query  # shape_of's key: canonical already
     raise TypeError("cannot key %r for caching" % (query,))
 
 
@@ -67,3 +76,38 @@ def cover_key(cover: Cover) -> Tuple:
         for fragment in cover.fragments
     )
     return (cover.query.canonical(), fragments)
+
+
+#: What every instance constant becomes in a shape.  Any term would do:
+#: which positions lift depends only on the atom's property, which the
+#: shape keeps, so a placeholder never meets a real term in one position.
+_PLACEHOLDER = BlankNode("?")
+
+
+def _lift(atom: TriplePattern) -> TriplePattern:
+    """*atom* with its instance constants replaced by the placeholder:
+    constants outside property position, except the class of an
+    ``rdf:type`` atom and anything in an atom over the RDFS
+    vocabulary."""
+    if atom.property in SCHEMA_PROPERTIES:
+        return atom
+    subject, property_, object_ = atom.as_tuple()
+    if not isinstance(subject, Variable):
+        subject = _PLACEHOLDER
+    if not isinstance(object_, Variable) and property_ != RDF_TYPE:
+        object_ = _PLACEHOLDER
+    return TriplePattern(subject, property_, object_)
+
+
+def shape_of(query: ConjunctiveQuery) -> Tuple[Tuple, Tuple[int, ...]]:
+    """*query*'s shape key and canonical atom order: ``order[i]`` is the
+    index in ``query.atoms`` of the shape's atom ``i``.  The key holds
+    the lifted atoms' encodings sorted — a tuple, so repeated lifted
+    atoms keep their count, and no set order leaks into key or order.
+    Atoms that tie differ in instance constants only; either order maps
+    a cover onto a cover."""
+    lifted = ConjunctiveQuery(query.head, [_lift(atom) for atom in query.atoms])
+    head_key, atom_keys, numbering = lifted.canonical_encoding()
+    order = tuple(sorted(range(len(atom_keys)), key=atom_keys.__getitem__))
+    guard = frozenset(numbering[variable] for variable in query.nonliteral_variables)
+    return ("shape", head_key, tuple(atom_keys[i] for i in order), guard), order

@@ -33,6 +33,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ..cache import QueryCache, cover_key, dataset_token
+from ..cache.keys import shape_of
 from ..columnar.indexes import ORDER_PERMUTATIONS
 from ..datalog.encoding import answer_query as datalog_answer
 from ..encoding.hierarchy import HierarchyInterval, preencode_hierarchy
@@ -292,7 +293,6 @@ class QueryAnswerer:
         self.cache = cache
         self._dataset_token: Optional[int] = None
         if cache is not None:
-            self._dataset_token = dataset_token()
             # Invalidation hook: every write to the store (the
             # answerer's own insert/delete included) bumps the cache's
             # epochs — schema triples purge reformulations, data
@@ -394,21 +394,28 @@ class QueryAnswerer:
     # ------------------------------------------------------------------
     # Caching plumbing
 
-    def _cached_reformulation(self, kind, query, policy, compute, extra=None):
-        """Serve *compute*'s result from the cache's reformulation tier
-        when possible; returns (value, hit) with hit None when no cache
-        is configured.  Goes through the cache's single-flight gate, so
-        concurrent misses on one key (answerers sharing a cache across
-        threads) run *compute* once, not once per thread."""
-        if self.cache is None:
+    def _token(self) -> int:
+        """This answerer's dataset token, drawn on first use."""
+        if self._dataset_token is None:
+            self._dataset_token = dataset_token()
+        return self._dataset_token
+
+    def _cached_reformulation(self, cache, kind, query, policy, compute, extra=None):
+        """Serve *compute*'s result from *cache*'s reformulation tier
+        when possible; returns (value, hit) with hit None when *cache*
+        is None.  *query* is a CQ or a :class:`~repro.cache.keys.Shape`.
+        Goes through the cache's single-flight gate, so concurrent
+        misses on one key (answerers sharing a cache across threads)
+        run *compute* once, not once per thread."""
+        if cache is None:
             return compute(), None
         if self._encoding_token is not None:
             # Interval-encoded reformulations mention encoding-specific
             # ids; never trade them with classic (or differently
             # encoded) entries.
             extra = (extra, self._encoding_token)
-        key = self.cache.reformulation_key(kind, query, self.schema, policy, extra)
-        return self.cache.get_or_compute("reformulation", key, compute)
+        key = cache.reformulation_key(kind, query, self.schema, policy, extra)
+        return cache.get_or_compute("reformulation", key, compute)
 
     def _interval_stats(self, reformulation) -> Optional[Dict]:
         """How much the hierarchy encoding collapsed in a materialized
@@ -447,6 +454,7 @@ class QueryAnswerer:
         budget_fallbacks: int = 3,
         allow_partial: bool = False,
         budget_owner: Optional[str] = None,
+        reformulations: Optional[QueryCache] = None,
     ) -> AnswerReport:
         """Answer *query* with *strategy*: :meth:`execute` of
         :meth:`compile`, served from the cache's answer tier when it can.
@@ -486,6 +494,10 @@ class QueryAnswerer:
         minted budgets, so every overrun carries the originating caller
         identity (the query service passes its ``tenant/request-id``
         here).
+
+        ``reformulations`` compiles through that cache's reformulation
+        tier in place of the answerer's own (the query service passes
+        each tenant's partition); the answer tier stays the answerer's.
         """
         budget = None
         if row_budget is not None or time_budget is not None:
@@ -512,7 +524,7 @@ class QueryAnswerer:
         answer_key = None
         if self.cache is not None:
             answer_key = self.cache.answer_key(
-                self._dataset_token,
+                self._token(),
                 query,
                 self.schema,
                 self.policy,
@@ -538,7 +550,9 @@ class QueryAnswerer:
                     strategy, answer, time.perf_counter() - start, details
                 )
         try:
-            compiled = self.compile(query, strategy, cover, max_disjuncts)
+            compiled = self.compile(
+                query, strategy, cover, max_disjuncts, reformulations
+            )
             report = self.execute(compiled, budget, budget_fallbacks)
         except BudgetExceeded as exc:
             partial = self._partial_report(strategy, exc, start, allow_partial)
@@ -546,16 +560,17 @@ class QueryAnswerer:
                 raise
             return partial  # degraded answers are never cached
         report.elapsed_seconds = time.perf_counter() - start
+        hit = compiled.reformulation_hit
+        tier = None if hit is None else ("hit" if hit else "miss")
         if self.cache is not None:
             self.cache.store_answer(answer_key, (report.answer, dict(report.details)))
-            hit = compiled.reformulation_hit
             report.details["cache"] = {
                 "answer": "miss",
-                "reformulation": (
-                    None if hit is None else ("hit" if hit else "miss")
-                ),
+                "reformulation": tier,
                 "stats": self.cache.stats(),
             }
+        elif tier is not None:
+            report.details["cache"] = {"reformulation": tier}
         return report
 
     def _partial_report(
@@ -598,6 +613,7 @@ class QueryAnswerer:
         strategy: Strategy = Strategy.REF_GCOV,
         cover: Optional[Cover] = None,
         max_disjuncts: Optional[int] = None,
+        reformulations: Optional[QueryCache] = None,
     ) -> CompiledQuery:
         """Everything answering *query* with *strategy* decides before
         evaluating: the minimisation, the cover search and the rewrite,
@@ -605,11 +621,13 @@ class QueryAnswerer:
 
         ``cover`` is required by ``REF_JUCQ`` — a cover of *query*
         itself, else :class:`OptionError` — and ignored elsewhere;
-        ``max_disjuncts`` is as in :meth:`answer`.  The rewrite goes
-        through the cache's reformulation tier, keyed on the minimised
-        query."""
+        ``max_disjuncts`` and ``reformulations`` are as in
+        :meth:`answer`.  The rewrite goes through the cache's
+        reformulation tier, keyed on the minimised query (``REF_GCOV``:
+        its covers, keyed on its shape, :meth:`_compile_gcov`)."""
         if not isinstance(strategy, Strategy):
             raise ValueError("unknown strategy %r" % (strategy,))
+        cache = self.cache if reformulations is None else reformulations
         policy = _UCQ_POLICIES.get(strategy) or self.policy
         if strategy is Strategy.REF_JUCQ:
             if cover is None:
@@ -631,6 +649,7 @@ class QueryAnswerer:
         extra = None
         if strategy in _UCQ_POLICIES:
             size, _ = self._cached_reformulation(
+                cache,
                 "ucq-size",
                 minimised,
                 policy,
@@ -648,21 +667,20 @@ class QueryAnswerer:
             kind = "scq"
         elif strategy is Strategy.REF_JUCQ:
             kind = "jucq-cover"
-            extra = None if self.cache is None else cover_key(cover)
+            extra = None if cache is None else cover_key(cover)
+        if strategy is Strategy.REF_GCOV:
+            built, hit = self._compile_gcov(minimised, policy, cache)
         else:
-            # The cover choice is cost-based, hence data-dependent: the
-            # entry carries the dataset token so answerers sharing one
-            # cache never trade covers tuned to each other's data.
-            kind, extra = "gcov", (self._dataset_token, self.backend.name)
-        built, hit = self._cached_reformulation(
-            kind,
-            minimised,
-            policy,
-            lambda: self._reformulate(
-                strategy, minimised, policy, cover, max_disjuncts, size
-            ),
-            extra,
-        )
+            built, hit = self._cached_reformulation(
+                cache,
+                kind,
+                minimised,
+                policy,
+                lambda: self._reformulate(
+                    strategy, minimised, policy, cover, max_disjuncts, size
+                ),
+                extra,
+            )
         details = dict(built.details, minimised=dropped)
         interval_stats = self._interval_stats(built.relational)
         if interval_stats is not None:
@@ -676,10 +694,10 @@ class QueryAnswerer:
         )
 
     def _reformulate(self, strategy, query, policy, cover, max_disjuncts, size):
-        """The rewrite of the minimised *query* with one of the six
-        reformulation strategies, as the reformulation tier caches it:
-        a :class:`CompiledQuery` of *query* itself, nothing dropped."""
-        ranked = None
+        """The rewrite of the minimised *query* with one of the five
+        cover-free or fixed-cover strategies, as the reformulation tier
+        caches it: a :class:`CompiledQuery` of *query* itself, nothing
+        dropped."""
         if strategy in _UCQ_POLICIES:
             relational = reformulate(
                 query, self.schema, policy, max_disjuncts, encoding=self.encoding
@@ -695,28 +713,69 @@ class QueryAnswerer:
                 "fragments": relational.fragment_count(),
                 "atom_count": relational.atom_count(),
             }
-        elif strategy is Strategy.REF_JUCQ:
+        else:
             relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
             details = {"cover": repr(cover), "atom_count": relational.atom_count()}
-        else:
-            start = time.perf_counter()
-            search = self._search(query)
-            seconds = time.perf_counter() - start
-            cover, ranked = search.cover, _ranked(search)
-            relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
-            details = {
-                "cover": repr(cover),
-                "estimated_cost": search.cost,
-                "runner_up_cost": ranked[1][1] if len(ranked) > 1 else None,
-                "explored_covers": search.explored_count,
-                "fragments_priced": search.fragments_priced,
-                "estimates_computed": search.estimates_computed,
-                "search_seconds": seconds,
-            }
         return CompiledQuery(
-            strategy, query, query, (), relational, MappingProxyType(details),
-            cover, ranked,
+            strategy, query, query, (), relational, MappingProxyType(details), cover
         )
+
+    def _compile_gcov(self, query, policy, cache):
+        """``REF_GCOV``'s rewrite of the minimised *query*, as
+        :meth:`_reformulate` returns one, and the tier's hit flag.
+        *cache* keeps one search per query shape (:func:`shape_of`):
+        cover and ranking as fragments over the shape's atom positions,
+        mapped onto each query of the shape.  Sound, as any cover
+        answers completely; only the cost, priced on the shape's first
+        query, can be stale, and it is not re-priced."""
+        hit = None
+        if cache is None:
+            cover, ranked, search = self._timed_search(query)
+        else:
+            shape, order = shape_of(query)
+
+            def search_shape():
+                position = {atom: index for index, atom in enumerate(order)}
+                cover, ranked, search = self._timed_search(query)
+                lifted = tuple(
+                    tuple(frozenset(position[atom] for atom in f) for f in c.fragments)
+                    for c in [cover] + [other for other, _ in ranked]
+                )
+                return lifted, tuple(cost for _, cost in ranked), search
+
+            # The cover choice is cost-based, hence data-dependent: the
+            # entry carries the dataset token so answerers sharing one
+            # cache never trade covers tuned to each other's data.
+            (lifted, costs, search), hit = self._cached_reformulation(
+                cache, "gcov", shape, policy, search_shape,
+                (self._token(), self.backend.name),
+            )
+            cover, *others = [
+                Cover(query, [[order[i] for i in f] for f in fragments])
+                for fragments in lifted
+            ]
+            ranked = tuple(zip(others, costs))
+        relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
+        details = {"cover": repr(cover), **search}
+        compiled = CompiledQuery(
+            Strategy.REF_GCOV, query, query, (), relational, details, cover, ranked
+        )
+        return compiled, hit
+
+    def _timed_search(self, query: ConjunctiveQuery):
+        """One :meth:`_search` of *query*: cover, ranking, diagnostics."""
+        start = time.perf_counter()
+        search = self._search(query)
+        seconds = time.perf_counter() - start
+        ranked = _ranked(search)
+        return search.cover, ranked, MappingProxyType({
+            "estimated_cost": search.cost,
+            "runner_up_cost": ranked[1][1] if len(ranked) > 1 else None,
+            "explored_covers": search.explored_count,
+            "fragments_priced": search.fragments_priced,
+            "estimates_computed": search.estimates_computed,
+            "search_seconds": seconds,
+        })
 
     def _search(self, query: ConjunctiveQuery):
         """One greedy cover search (GCov) of *query*."""

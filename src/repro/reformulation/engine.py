@@ -90,9 +90,11 @@ def _build_disjunct(
     atoms: List[TriplePattern] = [
         choice.atom.substitute(substitution) for choice in choices
     ]
-    # The query's own guard (minimize_under_schema's) rides along.
-    substituted = query.substitute(substitution)
-    return ConjunctiveQuery(substituted.head, atoms, guard | substituted.nonliteral_variables)
+    # The query's own guard (minimize_under_schema's) rides along, less
+    # the variables bound (to schema URIs: that discharges the guard).
+    head = [substitution.get(item, item) for item in query.head]
+    own = query.nonliteral_variables.difference(substitution)
+    return ConjunctiveQuery(head, atoms, guard | own)
 
 
 def atom_alternatives(

@@ -23,7 +23,11 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   invalidation: no tenant can read another tenant's entries, and no
   tenant can read stale data either — unless the brownout ladder has
   *explicitly* opened the stale-while-revalidate window, in which case
-  expired entries are served tagged ``stale=True``);
+  expired entries are served tagged ``stale=True``).  Every answer
+  miss, stale refreshes included, compiles through the partition's
+  reformulation tier, which keeps GCov's covers per query *shape* (the
+  query up to its instance constants) across writes: a miss on a shape
+  the tenant already compiled runs no cover search;
 * **snapshot reads** — :meth:`pin` hands out an epoch-pinned
   :class:`~repro.storage.snapshot.StoreSnapshot`; a request carrying
   one is answered over the pinned state — the live store until a write
@@ -442,6 +446,7 @@ class QueryService:
                 request.query,
                 request.strategy,
                 cover=request.cover,
+                reformulations=cache,
                 **kwargs,
             )
         except _SERVING_ERRORS as exc:
@@ -460,6 +465,10 @@ class QueryService:
             ticket.status = DONE
             if key is not None:
                 ticket.cache = "miss"
+                tier = report.details.get("cache", {}).get("reformulation")
+                report.details["cache"] = {
+                    "answer": "miss", "reformulation": tier, "tenant": request.tenant
+                }
                 if not report.details.get("partial"):
                     # Degraded partials are never written back: the
                     # cache holds only full answers, so later readers
@@ -560,6 +569,7 @@ class QueryService:
                 request = self._pending_refreshes.pop(0)
             logical = self._refresh_key(request)
             config = self.admission.tenants.get(request.tenant)
+            cache = self._caches.get(request.tenant)
             ok = False
             try:
                 if self.chaos is not None:
@@ -575,13 +585,13 @@ class QueryService:
                     request.query,
                     request.strategy,
                     cover=request.cover,
+                    reformulations=cache,
                     **kwargs,
                 )
             except _SERVING_ERRORS:
                 ok = False
             else:
                 ok = True
-                cache = self._caches.get(request.tenant)
                 if cache is not None and not report.details.get("partial"):
                     key = self._answer_cache_key(cache, request, self.answerer)
                     cache.store_answer(key, (report.answer, dict(report.details)))
