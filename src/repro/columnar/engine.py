@@ -60,7 +60,7 @@ from ..engine.ir import (
     ScanNode,
     UnionNode,
 )
-from ..engine.metrics import OperatorMetrics, PipelineMetrics, _Stopwatch
+from ..engine.metrics import OperatorMetrics, PipelineMetrics
 from .chunks import ColumnChunk, ColumnStream, gather, pack, unpack
 from .indexes import ORDER_PERMUTATIONS, StaleRunError
 
@@ -97,53 +97,51 @@ class _ColumnarPipeline:
 
     # -- plumbing ------------------------------------------------------
 
-    def stream(self, node: PlanNode) -> ColumnStream:
-        """The metered output stream of *node*.
+    def stream(
+        self, node: PlanNode, consumer: Optional[OperatorMetrics] = None
+    ) -> ColumnStream:
+        """The metered output stream of *node*, its rows also counted
+        into the ``rows_in`` of *consumer*, the operator that pulls it.
 
         Meters rows/batches/wall-time per operator, mirrors the row
         count into ``node.actual_rows`` for EXPLAIN, and charges the
         budget per chunk.  Sortedness metadata passes through
-        untouched — metering never reorders.
+        untouched — metering never reorders.  The operator's one
+        :class:`ColumnStream` carries its chunk source, metered.
         """
         entry = self.metrics.operator(node)
-        source = self._operator(node, entry)
-        budget = self.budget
+        stream = self._operator(node, entry)
         node.actual_rows = 0
-        watch = _Stopwatch(entry)
+        stream.chunks = self._metered(stream.chunks, node, entry, consumer)
+        return stream
 
-        def metered() -> Iterator[ColumnChunk]:
-            inner = source.chunks
-            try:
-                iterator = iter(inner)
-                while True:
-                    with watch:
-                        chunk = next(iterator, None)
-                    if chunk is None:
-                        return
-                    entry.rows_out += chunk.length
-                    entry.batches += 1
-                    node.actual_rows += chunk.length
-                    if budget is not None:
-                        budget.charge_rows(chunk.length, operator=entry)
-                    yield chunk
-            finally:
-                close = getattr(inner, "close", None)
-                if close is not None:
-                    close()
-                self.metrics.release(entry)
-
-        return ColumnStream(metered(), source.order, source.constants)
-
-    def _pull(self, child: PlanNode, entry: OperatorMetrics) -> ColumnStream:
-        """*child*'s stream, its rows counted into *entry.rows_in*."""
-        stream = self.stream(child)
-
-        def counted() -> Iterator[ColumnChunk]:
-            for chunk in stream.chunks:
-                entry.rows_in += chunk.length
+    def _metered(
+        self, chunks: Iterator[ColumnChunk], node: PlanNode,
+        entry: OperatorMetrics, consumer: Optional[OperatorMetrics],
+    ) -> Iterator[ColumnChunk]:
+        """*chunks*, each metered into *entry* and *consumer* and charged
+        to the budget; closing it closes *chunks* and releases *entry*'s
+        buffered rows, as when a consumer stops early."""
+        budget = self.budget
+        try:
+            while True:
+                chunk = entry.pull(chunks)
+                if chunk is None:
+                    return
+                length = chunk.length
+                entry.rows_out += length
+                entry.batches += 1
+                node.actual_rows += length
+                if consumer is not None:
+                    consumer.rows_in += length
+                if budget is not None:
+                    budget.charge_rows(length, operator=entry)
                 yield chunk
-
-        return ColumnStream(counted(), stream.order, stream.constants)
+        finally:
+            close = getattr(chunks, "close", None)
+            if close is not None:
+                close()
+            self.metrics.release(entry)
 
     def _batches(self, arity: int, pieces: Iterable[Piece]) -> Iterator[ColumnChunk]:
         """Cut the rows of *pieces* into chunks of ``batch_size`` rows
@@ -159,29 +157,23 @@ class _ColumnarPipeline:
             if length >= step:
                 start = 0
                 while length - start >= step:
-                    yield ColumnChunk(
-                        tuple(c[start:start + step] for c in columns), step
-                    )
+                    yield ColumnChunk(_sliced(columns, start, start + step), step)
                     start += step
-                columns = [c[start:] for c in columns]
+                columns = _sliced(columns, start, None)
                 length -= start
         if length:
             yield ColumnChunk(tuple(columns), length)
 
     def _unpacked(
         self, batches: Iterable[List[int]], key: Tuple[int, ...]
-    ) -> Iterator[ColumnChunk]:
-        """The chunks of the rows packed in *batches*, whose ints hold
-        the columns in *key* order."""
+    ) -> Iterator[Piece]:
+        """The rows packed in *batches*, whose ints hold the columns in
+        *key* order, as pieces for :meth:`_batches`."""
         width = self.width
-        position = [key.index(column) for column in range(len(key))]
-
-        def pieces() -> Iterator[Piece]:
-            for batch in batches:
-                parts = unpack(batch, len(key), width)
-                yield len(batch), [parts[p] for p in position]
-
-        yield from self._batches(len(key), pieces())
+        position = tuple(map(key.index, range(len(key))))
+        for batch in batches:
+            parts = unpack(batch, len(key), width)
+            yield len(batch), gather(parts, position)
 
     # -- operators -----------------------------------------------------
 
@@ -239,18 +231,22 @@ class _ColumnarPipeline:
                 order.append(out_index[value])
         key = tuple(order)
         column = run.column_for_position
-        sources = [column(positions_of[var][0]) for var in node.columns]
+        sources = tuple([column(positions_of[var][0]) for var in node.columns])
+        epoch = self.store.mutation_epoch
         if narrowed is not None:
             ids = run.columns[depth - 1]
             if lo < hi and ids[lo] != ids[hi - 1]:
                 return ColumnStream(self._resorted(sources, lo, hi, key), key)
-            return ColumnStream(self._run_chunks(lo, hi, sources), key)
-        pairs = [(column(first), column(other)) for first, other in repeated]
-        select = _selection(pairs) if pairs else None
-        if range_info is not None:
-            position, (range_lo, range_hi) = range_info
-            select = _selection(pairs, column(position), range(range_lo, range_hi))
-        return ColumnStream(self._run_chunks(lo, hi, sources, select), key)
+            return ColumnStream(self._run_chunks(lo, hi, sources, epoch), key)
+        pairs = tuple([(column(first), column(other)) for first, other in repeated])
+        if range_info is None:
+            chunks = self._run_chunks(lo, hi, sources, epoch, pairs)
+        else:
+            position, interval = range_info
+            chunks = self._run_chunks(
+                lo, hi, sources, epoch, pairs, column(position), range(*interval)
+            )
+        return ColumnStream(chunks, key)
 
     def _narrowed(self, bounds, position: int, interval: Tuple[int, int]):
         """A probe's ``(run, lo, hi, depth)`` for a pattern whose
@@ -277,69 +273,62 @@ class _ColumnarPipeline:
         match several ids (an instance typed with two subclasses), so the
         range is packed, set-deduped and sorted in C-level passes — its
         size is bounded by the subtree's instance count."""
-        keys = pack([sources[c][lo:hi] for c in key], self.width, hi - lo)
-        yield from self._unpacked([list(dict.fromkeys(sorted(keys)))], key)
+        keys = pack(_sliced(gather(sources, key), lo, hi), self.width, hi - lo)
+        batches = [list(dict.fromkeys(sorted(keys)))]
+        yield from self._batches(len(key), self._unpacked(batches, key))
 
     def _run_chunks(
-        self, lo: int, hi: int, sources: Sequence[Sequence[int]], select=None
+        self, lo: int, hi: int, sources: Sequence[Sequence[int]], epoch: int,
+        pairs: Sequence[Tuple[Sequence[int], Sequence[int]]] = (),
+        column: Optional[Sequence[int]] = None, interval: range = None,
     ) -> Iterator[ColumnChunk]:
         """The chunks of run rows [lo, hi), one batch at a time: column
-        slices of *sources*, or — given ``select(start, end)`` — the
-        rows of each batch it keeps, gathered.
+        slices of *sources* — or, given *pairs* of columns that must
+        agree or a *column* whose id must lie in *interval*, the rows
+        of each batch that do, gathered.
 
-        Serves every scan that reads a live run range.  The store's
-        mutation epoch is recorded here, at probe time, and a write
-        before any later chunk raises
-        :class:`~repro.columnar.indexes.StaleRunError`: the reader rule
-        of :mod:`repro.columnar.indexes`, since a patch shifts rows.
+        Serves every scan that reads a live run range.  *epoch* is the
+        store's mutation epoch at probe time, and a write before any
+        chunk raises :class:`~repro.columnar.indexes.StaleRunError`:
+        the reader rule of :mod:`repro.columnar.indexes`, since a patch
+        shifts rows.
         """
         store = self.store
-        epoch = store.mutation_epoch
         step = self.batch_size
-
-        def chunks() -> Iterator[ColumnChunk]:
-            for start in range(lo, hi, step):
-                if store.mutation_epoch != epoch:
-                    raise StaleRunError(
-                        "the store was written (epoch %d -> %d) while a "
-                        "scan of its sorted runs was in flight"
-                        % (epoch, store.mutation_epoch)
-                    )
-                end = min(start + step, hi)
-                if select is None:
-                    yield ColumnChunk(
-                        tuple(src[start:end] for src in sources),
-                        end - start,
-                    )
-                    continue
-                keep = select(start, end)
-                if keep:
-                    yield ColumnChunk(
-                        tuple(gather(src, keep) for src in sources),
-                        len(keep),
-                    )
-
-        return chunks()
+        for start in range(lo, hi, step):
+            if store.mutation_epoch != epoch:
+                raise StaleRunError(
+                    "the store was written (epoch %d -> %d) while a "
+                    "scan of its sorted runs was in flight"
+                    % (epoch, store.mutation_epoch)
+                )
+            end = min(start + step, hi)
+            if not pairs and column is None:
+                yield ColumnChunk(_sliced(sources, start, end), end - start)
+                continue
+            keep = _selected(start, end, pairs, column, interval)
+            if keep:
+                yield ColumnChunk(tuple(map(gather, sources, repeat(keep))), len(keep))
 
     # -- union ---------------------------------------------------------
 
     def _union(self, node: UnionNode, entry: OperatorMetrics) -> ColumnStream:
-        children = node.children()
-        streams = [self._pull(child, entry) for child in children]
+        streams = [self.stream(child, entry) for child in node.children()]
         if len(streams) == 1:
             return streams[0]
         key = _total_order(streams, node.arity)
+        inputs = [stream.chunks for stream in streams]
         if key is not None:
-            return ColumnStream(self._unpacked(self._merged(streams, key), key), key)
+            pieces = self._unpacked(self._merged(inputs, key), key)
+            return ColumnStream(self._batches(node.arity, pieces), key)
         # No common order: set semantics through a seen-set instead.
-        chunks = chain.from_iterable(stream.chunks for stream in streams)
-        return ColumnStream(self._hashed_distinct(chunks, entry))
+        return ColumnStream(self._hashed_distinct(inputs, entry))
 
     def _merged(
-        self, streams: Sequence[ColumnStream], key: Tuple[int, ...]
+        self, inputs: Sequence[Iterator[ColumnChunk]], key: Tuple[int, ...]
     ) -> Iterator[List[int]]:
-        """The rows of *streams*, all sorted by the total order *key*, as
-        sorted batches of distinct packed keys.
+        """The rows of the chunk streams *inputs*, all sorted by the
+        total order *key*, as sorted batches of distinct packed keys.
 
         Packed in *key* order, every input is a sorted run of ints.  A
         round takes, from each input's current chunk, the keys up to the
@@ -350,15 +339,9 @@ class _ColumnarPipeline:
         multiplies the grouped extent, not the raw one.
         """
         width = self.width
-
-        def runs(stream: ColumnStream) -> Iterator[Sequence[int]]:
-            for chunk in stream.chunks:
-                if chunk.length:
-                    columns = [chunk.columns[c] for c in key]
-                    yield pack(columns, width, chunk.length)
-
         pending = []
-        for source in map(runs, streams):
+        for chunks in inputs:
+            source = _packed(chunks, key, width)
             keys = next(source, None)
             if keys is not None:
                 pending.append((keys, source))
@@ -388,31 +371,31 @@ class _ColumnarPipeline:
     # -- projection / selection ----------------------------------------
 
     def _project(self, node: ProjectNode, entry: OperatorMetrics) -> ColumnStream:
-        child = self._pull(node.child, entry)
+        child = self.stream(node.child, entry)
         positions = node.child.variable_positions()
         local_ids = self.local_ids
-        specs = []
+        # Per output column, the child column it copies, or ~id for a
+        # constant id: one tuple of ints.
+        picks = []
         for kind, value in node.specs:
             if kind == "var":
-                specs.append(("col", positions[value]))
+                picks.append(positions[value])
             elif kind == "term":
                 # Never stored: the same fresh id wherever it is projected.
-                specs.append(("const", local_ids.setdefault(
-                    value, self.base + len(local_ids)
-                )))
+                picks.append(~local_ids.setdefault(value, self.base + len(local_ids)))
             else:
-                specs.append((kind, value))
+                picks.append(~value)
         # Metadata: constants are injected constants plus surviving
         # constant child columns; the order claim follows the child's
         # order until a non-constant order column is dropped.
         constants = set()
         first_output: dict = {}
-        for output, (kind, value) in enumerate(specs):
-            if kind == "const":
+        for output, pick in enumerate(picks):
+            if pick < 0:
                 constants.add(output)
             else:
-                first_output.setdefault(value, output)
-                if value in child.constants:
+                first_output.setdefault(pick, output)
+                if pick in child.constants:
                     constants.add(output)
         order: List[int] = []
         for column in child.order:
@@ -422,111 +405,104 @@ class _ColumnarPipeline:
                     order.append(mapped)
             elif column not in child.constants:
                 break
-
-        def chunks() -> Iterator[ColumnChunk]:
-            for chunk in child.chunks:
-                length = chunk.length
-                yield ColumnChunk(
-                    tuple(
-                        chunk.columns[value]
-                        if kind == "col"
-                        else [value] * length
-                        for kind, value in specs
-                    ),
-                    length,
-                )
-
-        return ColumnStream(chunks(), tuple(order), frozenset(constants))
+        chunks = _projected(child.chunks, tuple(picks))
+        return ColumnStream(chunks, tuple(order), frozenset(constants))
 
     def _filter(
         self, node: NonLiteralFilterNode, entry: OperatorMetrics
     ) -> ColumnStream:
-        child = self._pull(node.child, entry)
+        child = self.stream(node.child, entry)
         positions = node.child.variable_positions()
-        guarded = [positions[variable] for variable in node.variables]
+        guarded = tuple([positions[variable] for variable in node.variables])
+        chunks = self._non_literal(child.chunks, guarded)
+        return ColumnStream(chunks, child.order, child.constants)
+
+    def _non_literal(
+        self, chunks: Iterator[ColumnChunk], guarded: Tuple[int, ...]
+    ) -> Iterator[ColumnChunk]:
+        """The rows of *chunks* that bind no *guarded* column to a
+        literal."""
         literal_ids = self.store.dictionary.literal_ids
         is_literal = literal_ids.__contains__
-
-        def chunks() -> Iterator[ColumnChunk]:
-            for chunk in child.chunks:
-                columns = [chunk.columns[g] for g in guarded]
-                if all(map(literal_ids.isdisjoint, columns)):
-                    yield chunk
-                    continue
-                literal = map(is_literal, columns[0])
-                for column in columns[1:]:
-                    literal = map(or_, literal, map(is_literal, column))
-                keep = list(compress(range(chunk.length), map(not_, literal)))
-                if keep:
-                    yield chunk.take(keep)
-
-        return ColumnStream(chunks(), child.order, child.constants)
+        for chunk in chunks:
+            columns = gather(chunk.columns, guarded)
+            if all(map(literal_ids.isdisjoint, columns)):
+                yield chunk
+                continue
+            literal = map(is_literal, columns[0])
+            for column in columns[1:]:
+                literal = map(or_, literal, map(is_literal, column))
+            keep = list(compress(range(chunk.length), map(not_, literal)))
+            if keep:
+                yield chunk.take(keep)
 
     def _distinct(self, node: DistinctNode, entry: OperatorMetrics) -> ColumnStream:
-        child = self._pull(node.child, entry)
+        child = self.stream(node.child, entry)
         if _total_order([child], node.arity) is None:
-            chunks = self._hashed_distinct(child.chunks, entry)
-            return ColumnStream(chunks, child.order, child.constants)
+            chunks = self._hashed_distinct((child.chunks,), entry)
+        else:
+            chunks = self._sorted_distinct(child.chunks)
+        return ColumnStream(chunks, child.order, child.constants)
 
-        def sorted_chunks() -> Iterator[ColumnChunk]:
-            # Sorted distinct: adjacent comparison, zero buffered state.
-            width = self.width
-            previous = None
-            for chunk in child.chunks:
-                if not chunk.length:
-                    continue
-                keys = pack(chunk.columns, width, chunk.length)
-                fresh = map(ne, keys, [previous, *keys])
-                keep = list(compress(range(chunk.length), fresh))
-                previous = keys[-1]
-                if len(keep) == chunk.length:
-                    yield chunk
-                elif keep:
-                    yield chunk.take(keep)
-
-        return ColumnStream(sorted_chunks(), child.order, child.constants)
-
-    def _hashed_distinct(
-        self, chunks: Iterable[ColumnChunk], entry: OperatorMetrics
-    ) -> Iterator[ColumnChunk]:
-        """Drop the rows of *chunks* already seen, through a seen-set
-        of packed keys whose rows are charged to *entry* as buffered
-        state.  Kept rows stay in stream order."""
+    def _sorted_distinct(self, chunks: Iterator[ColumnChunk]) -> Iterator[ColumnChunk]:
+        """Distinct over a fully sorted stream: adjacent comparison,
+        zero buffered state."""
         width = self.width
-        seen: set = set()
+        previous = None
         for chunk in chunks:
-            keep = _unseen(seen, pack(chunk.columns, width, chunk.length))
-            if keep is None:
-                self.metrics.buffer(entry, chunk.length)
+            if not chunk.length:
+                continue
+            keys = pack(chunk.columns, width, chunk.length)
+            fresh = map(ne, keys, [previous, *keys])
+            keep = list(compress(range(chunk.length), fresh))
+            previous = keys[-1]
+            if len(keep) == chunk.length:
                 yield chunk
             elif keep:
-                self.metrics.buffer(entry, len(keep))
                 yield chunk.take(keep)
+
+    def _hashed_distinct(
+        self, inputs: Iterable[Iterator[ColumnChunk]], entry: OperatorMetrics
+    ) -> Iterator[ColumnChunk]:
+        """Drop the rows of the chunk streams *inputs*, read one after
+        the other, already seen, through a seen-set of packed keys whose
+        rows are charged to *entry* as buffered state.  Kept rows stay
+        in stream order."""
+        width = self.width
+        seen: set = set()
+        for chunks in inputs:
+            for chunk in chunks:
+                keep = _unseen(seen, pack(chunk.columns, width, chunk.length))
+                if keep is None:
+                    self.metrics.buffer(entry, chunk.length)
+                    yield chunk
+                elif keep:
+                    self.metrics.buffer(entry, len(keep))
+                    yield chunk.take(keep)
 
     # -- joins ---------------------------------------------------------
 
     def _join(self, node: JoinNode, entry: OperatorMetrics) -> ColumnStream:
-        left = self._pull(node.left, entry)
-        right = self._pull(node.right, entry)
+        left = self.stream(node.left, entry)
+        right = self.stream(node.right, entry)
         variables = node.join_variables
-        left_key = [node.left.variable_positions()[v] for v in variables]
-        right_key = [node.right.variable_positions()[v] for v in variables]
+        left_key = tuple(map(node.left.variable_positions().__getitem__, variables))
+        right_key = tuple(map(node.right.variable_positions().__getitem__, variables))
         keep = node.keep_right_indexes
-        constants = frozenset(left.constants) | frozenset(
+        constants = left.constants | frozenset(
             node.left.arity + i
             for i, index in enumerate(keep)
             if index in right.constants
         )
         if variables and left.sorted_by(left_key) and right.sorted_by(right_key):
-            pieces = self._merge_join(node, left, right, left_key, right_key, entry)
-            order = tuple(left_key)
+            join, order = self._merge_join, left_key
         else:
-            pieces = self._hash_join(node, left, right, left_key, right_key, entry)
-            order = ()
+            join, order = self._hash_join, ()
+        pieces = join(node, left.chunks, right.chunks, left_key, right_key, entry)
         return ColumnStream(self._batches(node.arity, pieces), order, constants)
 
     def _merge_join(
-        self, node: JoinNode, left: ColumnStream, right: ColumnStream,
+        self, node: JoinNode, left: Iterator[ColumnChunk], right: Iterator[ColumnChunk],
         left_key: Sequence[int], right_key: Sequence[int], entry: OperatorMetrics,
     ) -> Iterator[Piece]:
         """Galloping merge join of two key-sorted streams.
@@ -545,8 +521,8 @@ class _ColumnarPipeline:
         buffer = self.metrics.buffer
         step = self.batch_size
         width = self.width
-        lside = _MergeCursor(left.chunks, left_key, range(node.left.arity), width)
-        rside = _MergeCursor(right.chunks, right_key, node.keep_right_indexes, width)
+        lside = _MergeCursor(left, left_key, range(node.left.arity), width)
+        rside = _MergeCursor(right, right_key, node.keep_right_indexes, width)
         lcolumns = rcolumns = None
         li: List[int] = []
         ri: List[int] = []
@@ -578,7 +554,7 @@ class _ColumnarPipeline:
             yield _piece(lcolumns, li, rcolumns, ri)
 
     def _hash_join(
-        self, node: JoinNode, left: ColumnStream, right: ColumnStream,
+        self, node: JoinNode, left: Iterator[ColumnChunk], right: Iterator[ColumnChunk],
         left_key: Sequence[int], right_key: Sequence[int], entry: OperatorMetrics,
     ) -> Iterator[Piece]:
         """Hash join on the smaller *estimated* side: the build side's
@@ -597,19 +573,15 @@ class _ColumnarPipeline:
         width = self.width
         columns: List[list] = [[] for _ in build_take]
         keys: List[int] = []
-        for chunk in build.chunks:
+        for chunk in build:
             for column, index in zip(columns, build_take):
                 column.extend(chunk.columns[index])
-            keys.extend(pack(
-                [chunk.columns[i] for i in build_key], width, chunk.length
-            ))
+            keys.extend(pack(gather(chunk.columns, build_key), width, chunk.length))
             self.metrics.buffer(entry, chunk.length)
         match = _build_index(keys, self.batch_size)
-        for chunk in probe.chunks:
-            probe_columns = [chunk.columns[i] for i in probe_take]
-            probe_keys = pack(
-                [chunk.columns[i] for i in probe_key], width, chunk.length
-            )
+        for chunk in probe:
+            probe_columns = gather(chunk.columns, probe_take)
+            probe_keys = pack(gather(chunk.columns, probe_key), width, chunk.length)
             for bidx, pidx in match(probe_keys):
                 if build is left:
                     yield _piece(columns, bidx, probe_columns, pidx)
@@ -739,6 +711,49 @@ def _build_index(keys: Sequence[int], step: int):
     return match_groups
 
 
+def _projected(
+    chunks: Iterator[ColumnChunk], picks: Tuple[int, ...]
+) -> Iterator[ColumnChunk]:
+    """The chunks of a projection: output column *i* is the child's
+    column ``picks[i]``, or, where that is negative, the constant id
+    ``~picks[i]`` repeated."""
+    for chunk in chunks:
+        yield ColumnChunk(_picked(chunk.columns, chunk.length, picks), chunk.length)
+
+
+def _packed(
+    chunks: Iterator[ColumnChunk], key: Tuple[int, ...], width: int
+) -> Iterator[Sequence[int]]:
+    """The packed *key* columns of each non-empty chunk of *chunks*."""
+    for chunk in chunks:
+        if chunk.length:
+            yield pack(gather(chunk.columns, key), width, chunk.length)
+
+
+# Per-chunk helpers: a comprehension in a generator would turn the
+# locals it reads into cells, alive as long as the generator.
+
+
+def _sliced(columns: Sequence[Sequence[int]], start: int, end: Optional[int]) -> list:
+    """Rows [start, end) of each of *columns*."""
+    return [column[start:end] for column in columns]
+
+
+def _picked(columns, length: int, picks: Tuple[int, ...]) -> list:
+    """A projection's output columns: see :func:`_projected`."""
+    return [columns[p] if p >= 0 else [~p] * length for p in picks]
+
+
+def _selected(start: int, end: int, pairs, column, interval: range) -> List[int]:
+    """The run rows in [start, end) whose *pairs* of columns agree and,
+    given a *column*, whose id in it lies in *interval*."""
+    masks = [map(eq, a[start:end], b[start:end]) for a, b in pairs]
+    if column is not None:
+        masks.append(map(interval.__contains__, column[start:end]))
+    mask = masks[0] if len(masks) == 1 else map(min, *masks)
+    return list(compress(range(start, end), mask))
+
+
 def _unseen(seen: set, keys: Sequence[int]) -> Optional[Sequence[int]]:
     """Add the packed *keys* to *seen*; the positions of the ones it
     lacked, one per new key, in order — or None when every key was new
@@ -756,21 +771,6 @@ def _unseen(seen: set, keys: Sequence[int]) -> Optional[Sequence[int]]:
         positions = range(n)
     first = dict(zip(reversed(keys), reversed(positions)))
     return sorted(first.values())
-
-
-def _selection(pairs, column=None, interval: range = None):
-    """``select(start, end)`` for :meth:`_ColumnarPipeline._run_chunks`:
-    the run rows whose *pairs* of columns agree and, given a *column*,
-    whose value in it lies in *interval*."""
-
-    def select(start: int, end: int) -> List[int]:
-        masks = [map(eq, a[start:end], b[start:end]) for a, b in pairs]
-        if column is not None:
-            masks.append(map(interval.__contains__, column[start:end]))
-        mask = masks[0] if len(masks) == 1 else map(min, *masks)
-        return list(compress(range(start, end), mask))
-
-    return select
 
 
 def _total_order(
@@ -871,7 +871,7 @@ def collect_columnar(
         chunks = pipeline.stream(plan).chunks
         answer.local_terms = list(pipeline.local_ids)
         collect = OperatorMetrics("Collect")
-        for chunk in pipeline._hashed_distinct(chunks, collect):
+        for chunk in pipeline._hashed_distinct((chunks,), collect):
             for column, values in zip(columns, chunk.columns):
                 column.extend(values)
             answer.length += chunk.length

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Sequence
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -76,6 +77,45 @@ def _ranked(search):
     """A search's explored ``(cover, cost)`` pairs, cheapest first (ties
     in exploration order)."""
     return tuple(sorted(search.explored, key=lambda pair: pair[1]))
+
+
+def _mapped_cover(query, order, fragments) -> Cover:
+    """The cover of *query* whose fragments are *fragments* over the
+    atom positions of its shape (*order*: :func:`shape_of`'s)."""
+    return Cover(query, [[order[i] for i in fragment] for fragment in fragments])
+
+
+class _MappedRanking(Sequence):
+    """A ranking the reformulation tier served: ``(cover, cost)`` pairs
+    whose covers are fragments over the shape's atom positions, each
+    mapped onto *query* (and validated) when the ranking is first
+    read.  Only a budget fallback and the CLI's cover table read it,
+    so an answer miss builds none of them."""
+
+    __slots__ = ("_query", "_order", "_lifted", "_costs", "_pairs")
+
+    def __init__(self, query, order, lifted, costs):
+        self._query, self._order = query, order
+        self._lifted, self._costs = lifted, costs
+        self._pairs = None
+
+    def _bound(self) -> Tuple[Tuple[Cover, float], ...]:
+        if self._pairs is None:
+            covers = [
+                _mapped_cover(self._query, self._order, fragments)
+                for fragments in self._lifted
+            ]
+            self._pairs = tuple(zip(covers, self._costs))
+        return self._pairs
+
+    def __len__(self) -> int:
+        return len(self._costs)
+
+    def __getitem__(self, index):
+        return self._bound()[index]
+
+    def __iter__(self):
+        return iter(self._bound())
 
 
 class OptionError(ValueError):
@@ -150,8 +190,9 @@ class CompiledQuery(NamedTuple):
     #: The cover the JUCQ came from (``REF_SCQ``: the per-atom cover);
     #: None for the UCQ family, ``SAT`` and ``DATALOG``.
     cover: Optional[Cover] = None
-    #: ``REF_GCOV``'s explored ``(cover, cost)`` pairs, cheapest first.
-    ranked: Optional[Tuple[Tuple[Cover, float], ...]] = None
+    #: ``REF_GCOV``'s explored ``(cover, cost)`` pairs, cheapest first
+    #: (through the reformulation tier, a sequence built on first read).
+    ranked: Optional[Sequence] = None
     #: Whether the reformulation tier served the rewrite (None: no
     #: cache, or nothing rewritten).
     reformulation_hit: Optional[bool] = None
@@ -750,11 +791,8 @@ class QueryAnswerer:
                 cache, "gcov", shape, policy, search_shape,
                 (self._token(), self.backend.name),
             )
-            cover, *others = [
-                Cover(query, [[order[i] for i in f] for f in fragments])
-                for fragments in lifted
-            ]
-            ranked = tuple(zip(others, costs))
+            cover = _mapped_cover(query, order, lifted[0])
+            ranked = _MappedRanking(query, order, lifted[1:], costs)
         relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
         details = {"cover": repr(cover), **search}
         compiled = CompiledQuery(

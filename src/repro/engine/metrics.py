@@ -22,8 +22,8 @@ In-flight batches are not counted as buffered: they are bounded by
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Union
+from time import perf_counter
+from typing import Dict, Iterator, List, Optional, Union
 
 from .ir import PlanNode
 
@@ -35,6 +35,11 @@ class OperatorMetrics:
     ``repr`` it is: only ``explain``, the metric tables and a tripped
     budget read it, so a node's label is formatted on first read.
     """
+
+    __slots__ = (
+        "_label", "rows_in", "rows_out", "batches", "buffered_rows",
+        "peak_buffered_rows", "wall_seconds",
+    )
 
     def __init__(self, label: Union[str, PlanNode]):
         self._label = label
@@ -50,6 +55,15 @@ class OperatorMetrics:
         if not isinstance(self._label, str):
             self._label = repr(self._label)
         return self._label
+
+    def pull(self, chunks: Iterator):
+        """The next item of *chunks*, or None once it is exhausted; the
+        time the pull took is added to ``wall_seconds``."""
+        started = perf_counter()
+        try:
+            return next(chunks, None)
+        finally:
+            self.wall_seconds += perf_counter() - started
 
     def as_dict(self) -> Dict:
         return {
@@ -151,18 +165,3 @@ class PipelineMetrics:
             len(self._order),
             self.peak_buffered_rows,
         )
-
-
-class _Stopwatch:
-    """Attribute wall time to one operator around each batch pull."""
-
-    def __init__(self, entry: OperatorMetrics):
-        self.entry = entry
-        self._started = 0.0
-
-    def __enter__(self) -> "_Stopwatch":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.entry.wall_seconds += time.perf_counter() - self._started

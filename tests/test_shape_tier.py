@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.cache import QueryCache
 from repro.cache.keys import shape_of
 from repro.core import QueryAnswerer
+from repro.core import answerer as answerer_module
 from repro.datasets import books_dataset, example1_query, lubm_queries
 from repro.datasets.lubm import UB
 from repro.query import ConjunctiveQuery, TriplePattern, Variable, evaluate_cq
@@ -160,6 +161,23 @@ class TestCoverMapping:
                       for c, _ in permuted.ranked]
             assert ranked == [{frozenset(c.query.atoms[i] for i in f) for f in c.fragments}
                               for c, _ in first.ranked]
+
+    def test_a_hit_maps_the_ranking_on_first_read(self, lubm_small, monkeypatch):
+        """A compile builds the chosen cover; the ranking's covers are
+        mapped onto the query when something reads them."""
+        answerer = QueryAnswerer(lubm_small, cache=QueryCache())
+        expected = list(answerer.compile(example1_query()).ranked)
+        built = []
+        real = answerer_module.Cover
+        monkeypatch.setattr(
+            answerer_module, "Cover", lambda *args: built.append(args) or real(*args)
+        )
+        served = answerer.compile(example1_query())
+        assert served.reformulation_hit is True and len(built) == 1
+        assert len(served.ranked) == len(expected) > 1 and len(built) == 1
+        assert list(served.ranked[:2]) == expected[:2]
+        assert list(served.ranked) == expected
+        assert len(built) == 1 + len(expected)
 
     def test_cached_cover_is_the_fresh_search_s(self, lubm_small):
         cached = QueryAnswerer(lubm_small, cache=QueryCache())
