@@ -283,8 +283,9 @@ class QueryCache:
     # Introspection
 
     def stats(self) -> Dict[str, Any]:
-        """A nested counter snapshot (attached to answer diagnostics
-        and printed by ``repro cache-stats``)."""
+        """A nested counter snapshot, built on demand (``repro
+        cache-stats`` prints it, ``QueryService.cache_stats`` returns
+        one per tenant); no answer report carries one."""
         return {
             "reformulation": dict(
                 self.reformulations.stats.as_dict(),

@@ -3,8 +3,7 @@
 The cache subsystem (see :mod:`repro.cache.cache`) is two of these —
 one per tier — plus the keying and invalidation logic around them.
 Kept deliberately dependency-free: keys are opaque hashables, values
-are opaque objects, and the counters are plain integers so snapshots
-are cheap enough to attach to every answer report.
+are opaque objects, and the counters are plain integers.
 """
 
 from __future__ import annotations

@@ -221,9 +221,12 @@ class AnswerReport:
 
     @property
     def diagnostics(self) -> Dict:
-        """Strategy-specific diagnostics; when the answerer carries a
-        cache this includes a ``"cache"`` entry with the hit/miss
-        outcome of this call and a counter snapshot."""
+        """Strategy-specific diagnostics; when the answer went through a
+        cache this includes a ``"cache"`` entry with the outcome of this
+        call: ``{"answer": "hit"}``, or ``{"answer": "miss",
+        "reformulation": ...}`` with the reformulation tier's outcome
+        (None when nothing was rewritten).  No counter snapshot: read
+        :meth:`~repro.cache.QueryCache.stats` for those."""
         return self.details
 
     def __repr__(self) -> str:
@@ -495,7 +498,7 @@ class QueryAnswerer:
         budget_fallbacks: int = 3,
         allow_partial: bool = False,
         budget_owner: Optional[str] = None,
-        reformulations: Optional[QueryCache] = None,
+        cache: Optional[QueryCache] = None,
     ) -> AnswerReport:
         """Answer *query* with *strategy*: :meth:`execute` of
         :meth:`compile`, served from the cache's answer tier when it can.
@@ -536,9 +539,9 @@ class QueryAnswerer:
         identity (the query service passes its ``tenant/request-id``
         here).
 
-        ``reformulations`` compiles through that cache's reformulation
-        tier in place of the answerer's own (the query service passes
-        each tenant's partition); the answer tier stays the answerer's.
+        ``cache`` answers through that cache's answer and reformulation
+        tiers in place of the answerer's own (the query service passes
+        each tenant's partition).
         """
         budget = None
         if row_budget is not None or time_budget is not None:
@@ -562,57 +565,59 @@ class QueryAnswerer:
             )
 
         start = time.perf_counter()
-        answer_key = None
-        if self.cache is not None:
-            answer_key = self.cache.answer_key(
-                self._token(),
-                query,
-                self.schema,
-                self.policy,
-                strategy.value,
-                cover=cover if strategy is Strategy.REF_JUCQ else None,
-                extra=(
-                    self.engine,
-                    self.backend.name,
-                    max_disjuncts,
-                    self._encoding_token,
-                ),
-            )
-            cached = self.cache.lookup_answer(answer_key)
+        cache = self.cache if cache is None else cache
+        key = None
+        if cache is not None:
+            key = self.answer_cache_key(cache, query, strategy, cover, max_disjuncts)
+            cached = cache.lookup_answer(key)
             if cached is not None:
                 answer, details = cached
-                details = dict(details)
-                details["cache"] = {
-                    "answer": "hit",
-                    "reformulation": None,
-                    "stats": self.cache.stats(),
-                }
+                details = dict(details, cache={"answer": "hit"})
                 return AnswerReport(
                     strategy, answer, time.perf_counter() - start, details
                 )
+        compiled = self.compile(query, strategy, cover, max_disjuncts, cache)
         try:
-            compiled = self.compile(
-                query, strategy, cover, max_disjuncts, reformulations
-            )
             report = self.execute(compiled, budget, budget_fallbacks)
         except BudgetExceeded as exc:
-            partial = self._partial_report(strategy, exc, start, allow_partial)
-            if partial is None:
+            report = self._partial_report(strategy, exc, start, allow_partial)
+            if report is None:
                 raise
-            return partial  # degraded answers are never cached
-        report.elapsed_seconds = time.perf_counter() - start
-        hit = compiled.reformulation_hit
-        tier = None if hit is None else ("hit" if hit else "miss")
-        if self.cache is not None:
-            self.cache.store_answer(answer_key, (report.answer, dict(report.details)))
+        else:
+            report.elapsed_seconds = time.perf_counter() - start
+            if key is not None:  # only complete answers are stored
+                cache.store_answer(key, (report.answer, dict(report.details)))
+        if key is not None:
+            hit = compiled.reformulation_hit
             report.details["cache"] = {
                 "answer": "miss",
-                "reformulation": tier,
-                "stats": self.cache.stats(),
+                "reformulation": None if hit is None else ("hit" if hit else "miss"),
             }
-        elif tier is not None:
-            report.details["cache"] = {"reformulation": tier}
         return report
+
+    def answer_cache_key(
+        self,
+        cache: QueryCache,
+        query: ConjunctiveQuery,
+        strategy: Strategy,
+        cover: Optional[Cover] = None,
+        max_disjuncts: Optional[int] = None,
+        data_epoch: Optional[int] = None,
+    ):
+        """The key :meth:`answer` stores *query*'s answer under in
+        *cache*'s answer tier; ``data_epoch`` (default: the cache's
+        current one) names an older epoch's key, which stale serving
+        probes for an answer epoch invalidation has retired."""
+        return cache.answer_key(
+            self._token(),
+            query,
+            self.schema,
+            self.policy,
+            strategy.value,
+            cover=cover if strategy is Strategy.REF_JUCQ else None,
+            extra=(self.engine, self.backend.name, max_disjuncts, self._encoding_token),
+            data_epoch=data_epoch,
+        )
 
     def _partial_report(
         self,
@@ -654,7 +659,7 @@ class QueryAnswerer:
         strategy: Strategy = Strategy.REF_GCOV,
         cover: Optional[Cover] = None,
         max_disjuncts: Optional[int] = None,
-        reformulations: Optional[QueryCache] = None,
+        cache: Optional[QueryCache] = None,
     ) -> CompiledQuery:
         """Everything answering *query* with *strategy* decides before
         evaluating: the minimisation, the cover search and the rewrite,
@@ -662,13 +667,13 @@ class QueryAnswerer:
 
         ``cover`` is required by ``REF_JUCQ`` — a cover of *query*
         itself, else :class:`OptionError` — and ignored elsewhere;
-        ``max_disjuncts`` and ``reformulations`` are as in
+        ``max_disjuncts`` and ``cache`` are as in
         :meth:`answer`.  The rewrite goes through the cache's
         reformulation tier, keyed on the minimised query (``REF_GCOV``:
         its covers, keyed on its shape, :meth:`_compile_gcov`)."""
         if not isinstance(strategy, Strategy):
             raise ValueError("unknown strategy %r" % (strategy,))
-        cache = self.cache if reformulations is None else reformulations
+        cache = self.cache if cache is None else cache
         policy = _UCQ_POLICIES.get(strategy) or self.policy
         if strategy is Strategy.REF_JUCQ:
             if cover is None:

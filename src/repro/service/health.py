@@ -155,12 +155,6 @@ class HealthMonitor:
         #: Consecutive rounds with at least one user-visible failure.
         self.failure_rounds = 0
         self.rounds = 0
-        # Lifetime counters, for the health report.
-        self.stale_serves = 0
-        self.degraded_answers = 0
-        self.failures = 0
-        self.refreshes = 0
-        self.refresh_failures = 0
 
     # ------------------------------------------------------------------
     # Event feed (called from the service's submit/account paths)
@@ -178,7 +172,6 @@ class HealthMonitor:
         tenant: str,
         latency_seconds: Optional[float],
         stale: bool = False,
-        degraded: bool = False,
     ) -> None:
         """A response went out.  Stale serves count as *responses* (the
         tenant got an answer) but do not reset the tenant's breaker —
@@ -189,10 +182,6 @@ class HealthMonitor:
                 self._latency_ewma = _ewma(
                     self._latency_ewma, latency_seconds, self.alpha
                 )
-            if stale:
-                self.stale_serves += 1
-            if degraded:
-                self.degraded_answers += 1
             if not stale:
                 breaker = self.breakers.get(tenant)
                 if breaker is not None:
@@ -204,7 +193,6 @@ class HealthMonitor:
         with self._lock:
             self._round_attempts += 1
             self._round_failed += 1
-            self.failures += 1
             breaker = self.breakers.get(tenant)
             if breaker is not None:
                 breaker.record_failure()
@@ -215,10 +203,8 @@ class HealthMonitor:
         service-initiated, not tenant-submitted work)."""
         with self._lock:
             self._round_refreshes += 1
-            self.refreshes += 1
             if not ok:
                 self._round_refresh_failures += 1
-                self.refresh_failures += 1
 
     # ------------------------------------------------------------------
     # Breakers
@@ -301,20 +287,14 @@ class HealthMonitor:
                 "latency_ewma": self._latency_ewma or 0.0,
                 "shed_ewma": self._shed_ewma or 0.0,
                 "failure_rounds": self.failure_rounds,
-                "failures": self.failures,
-                "stale_serves": self.stale_serves,
-                "degraded_answers": self.degraded_answers,
-                "refreshes": self.refreshes,
-                "refresh_failures": self.refresh_failures,
                 "breakers": self.breaker_states(),
                 "open_breakers": self.open_tenants(),
             }
 
     def __repr__(self) -> str:
-        return "HealthMonitor(rounds=%d, failures=%d, stale=%d)" % (
+        return "HealthMonitor(rounds=%d, failure_rounds=%d)" % (
             self.rounds,
-            self.failures,
-            self.stale_serves,
+            self.failure_rounds,
         )
 
 

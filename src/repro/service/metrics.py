@@ -56,8 +56,6 @@ class TenantMetrics:
         self.refreshes = 0
         self.refresh_failures = 0
         self.latencies: List[float] = []
-        self.queue_waits: List[float] = []
-        self.service_times: List[float] = []
 
     def shed_total(self) -> int:
         return sum(self.shed.values())
@@ -132,8 +130,6 @@ class ServiceMetrics:
     def note_completed(
         self,
         tenant: str,
-        queue_seconds: float,
-        service_seconds: float,
         latency_seconds: float,
         rows: int,
         cache: Optional[str] = None,
@@ -143,8 +139,6 @@ class ServiceMetrics:
             bucket = self._bucket(tenant)
             bucket.completed += 1
             bucket.rows_returned += rows
-            bucket.queue_waits.append(queue_seconds)
-            bucket.service_times.append(service_seconds)
             bucket.latencies.append(latency_seconds)
             if cache == "hit":
                 bucket.cache_hits += 1

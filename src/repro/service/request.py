@@ -96,11 +96,6 @@ class Ticket:
         self.error: Optional[BaseException] = None
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: ``"hit"`` / ``"miss"`` / ``"stale"`` when the tenant cache
-        #: partition was consulted (``"stale"`` = an expired entry was
-        #: served under stale-while-revalidate), None for uncacheable
-        #: (snapshot-pinned) reads.
-        self.cache: Optional[str] = None
 
     @property
     def owner(self) -> str:
@@ -110,6 +105,17 @@ class Ticket:
     @property
     def answer(self):
         return None if self.report is None else self.report.answer
+
+    @property
+    def cache(self) -> Optional[str]:
+        """``"hit"`` / ``"miss"`` / ``"stale"`` when the tenant cache
+        partition was consulted (``"stale"`` = an expired entry was
+        served under stale-while-revalidate), None for uncacheable
+        (snapshot-pinned or replica) reads and for requests that did not
+        complete: the report's ``details["cache"]["answer"]``."""
+        if self.report is None or "cache" not in self.report.details:
+            return None
+        return self.report.details["cache"]["answer"]
 
     @property
     def degraded(self) -> bool:
@@ -123,11 +129,6 @@ class Ticket:
     def stale(self) -> bool:
         """Was an expired cache entry served (stale-while-revalidate)?"""
         return self.report is not None and bool(self.report.details.get("stale"))
-
-    def queue_seconds(self) -> Optional[float]:
-        if self.started_at is None:
-            return None
-        return self.started_at - self.arrived_at
 
     def service_seconds(self) -> Optional[float]:
         if self.started_at is None or self.finished_at is None:

@@ -17,17 +17,18 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   replayable script (the concurrency test harness drives exactly this
   entry point);
 * **caching** — each tenant owns a private
-  :class:`~repro.cache.QueryCache` partition keyed by its own dataset
-  token; all partitions watch the one shared store, so a write
-  invalidates every tenant's answers at the same epoch (shared-epoch
-  invalidation: no tenant can read another tenant's entries, and no
-  tenant can read stale data either — unless the brownout ladder has
-  *explicitly* opened the stale-while-revalidate window, in which case
-  expired entries are served tagged ``stale=True``).  Every answer
-  miss, stale refreshes included, compiles through the partition's
-  reformulation tier, which keeps GCov's covers per query *shape* (the
-  query up to its instance constants) across writes: a miss on a shape
-  the tenant already compiled runs no cover search;
+  :class:`~repro.cache.QueryCache` partition, which the writer answerer
+  consults for it (``answer(..., cache=partition)``: one key recipe,
+  lookup and write-back for both tiers); all partitions watch the one
+  shared store, so a write invalidates every tenant's answers at the
+  same epoch (shared-epoch invalidation: no tenant can read another
+  tenant's entries, and no tenant can read stale data either — unless
+  the brownout ladder has *explicitly* opened the stale-while-revalidate
+  window, in which case expired entries are served tagged
+  ``stale=True``).  The partition's reformulation tier keeps GCov's
+  covers per query *shape* (the query up to its instance constants)
+  across writes: a miss on a shape the tenant already compiled runs no
+  cover search;
 * **snapshot reads** — :meth:`pin` hands out an epoch-pinned
   :class:`~repro.storage.snapshot.StoreSnapshot`; a request carrying
   one is answered over the pinned state — the live store until a write
@@ -51,10 +52,10 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cache import QueryCache, dataset_token
+from ..cache import QueryCache
 from ..cache.keys import cover_key, query_key
 from ..core.answerer import (
-    DEFAULT_ENGINE, AnswerReport, QueryAnswerer, Strategy, check_data_triple)
+    DEFAULT_ENGINE, AnswerReport, QueryAnswerer, check_data_triple)
 from ..reformulation.engine import ReformulationTooLarge
 from ..resilience.clock import Clock, SYSTEM_CLOCK
 from ..resilience.errors import BudgetExceeded, EndpointFailure
@@ -176,16 +177,13 @@ class QueryService:
         self._refreshing: set = set()
         self._pending_refreshes: List[QueryRequest] = []
         self._refresh_lock = threading.RLock()
-        # Per-tenant cache partitions: private entries (one dataset
-        # token per tenant keeps keys disjoint even if partitions were
-        # ever merged), shared invalidation epochs via the one store.
+        # Per-tenant cache partitions: private entries, shared
+        # invalidation epochs via the one store.
         self._caches: Dict[str, QueryCache] = {}
-        self._tokens: Dict[str, int] = {}
         for config in configs:
             cache = QueryCache(cache_reformulations, cache_answers)
             cache.watch_store(self.answerer.store)
             self._caches[config.name] = cache
-            self._tokens[config.name] = dataset_token()
         #: Reader answerers over each pinned epoch's frozen store,
         #: shared by every request pinned at that epoch.
         self._readers: Dict[int, QueryAnswerer] = {}
@@ -363,24 +361,6 @@ class QueryService:
             self._readers[snapshot.epoch] = reader
         return reader, True, None
 
-    def _answer_cache_key(
-        self,
-        cache: QueryCache,
-        request: QueryRequest,
-        answerer: QueryAnswerer,
-        data_epoch: Optional[int] = None,
-    ):
-        return cache.answer_key(
-            self._tokens[request.tenant],
-            request.query,
-            answerer.schema,
-            answerer.policy,
-            request.strategy.value,
-            cover=request.cover if request.strategy is Strategy.REF_JUCQ else None,
-            extra=("service", self.engine),
-            data_epoch=data_epoch,
-        )
-
     def _budget_kwargs(self, config: TenantConfig, owner: str, degrade: bool) -> dict:
         """The budget kwargs for one execution: the tenant's configured
         budgets, tightened by the ladder when *degrade* is set, then
@@ -412,27 +392,17 @@ class QueryService:
         config = self.admission.tenants[request.tenant]
         answerer, pinned, replica = self._answerer_for(request)
         cache = None if pinned else self._caches.get(request.tenant)
-        key = None
-        if cache is not None:
-            key = self._answer_cache_key(cache, request, answerer)
-            hit = cache.lookup_answer(key)
-            if hit is not None:
-                answer, details = hit
-                ticket.cache = "hit"
-                ticket.status = DONE
-                ticket.finished_at = self.clock.monotonic()
-                details = dict(details)
-                details["cache"] = {"answer": "hit", "tenant": request.tenant}
-                ticket.report = AnswerReport(
-                    request.strategy,
-                    answer,
-                    ticket.finished_at - ticket.started_at,
-                    details,
-                )
+        stale = self.brownout is not None and self.brownout.serve_stale
+        cached = False
+        if cache is not None and (stale or self.chaos is not None):
+            # Membership counts nothing: the answerer's lookup below is
+            # the one the tier counts.  A cached answer executes nothing,
+            # so it draws no chaos fault.
+            cached = answerer.answer_cache_key(
+                cache, request.query, request.strategy, request.cover
+            ) in cache.answers
+            if not cached and stale and self._serve_stale(ticket, cache, request):
                 return
-            if self.brownout is not None and self.brownout.serve_stale:
-                if self._serve_stale(ticket, cache, request, answerer):
-                    return
         kwargs = self._budget_kwargs(config, ticket.owner, degrade=True)
         if self.brownout is not None and self.brownout.allow_partial:
             # Only the columnar engine (the default) carries partial
@@ -440,19 +410,21 @@ class QueryService:
             # harmless no-op and the overrun still fails the ticket.
             kwargs["allow_partial"] = True
         try:
-            if self.chaos is not None:
+            if self.chaos is not None and not cached:
                 self.chaos.maybe_fail("request %s" % ticket.owner)
             report = answerer.answer(
                 request.query,
                 request.strategy,
                 cover=request.cover,
-                reformulations=cache,
+                cache=cache,
                 **kwargs,
             )
         except _SERVING_ERRORS as exc:
             ticket.error = exc
             ticket.status = FAILED
         else:
+            if cache is not None:
+                report.details["cache"]["tenant"] = request.tenant
             if replica is not None:
                 report.details["replica"] = replica
                 if replica["lag"] > 0:
@@ -463,17 +435,6 @@ class QueryService:
                     )
             ticket.report = report
             ticket.status = DONE
-            if key is not None:
-                ticket.cache = "miss"
-                tier = report.details.get("cache", {}).get("reformulation")
-                report.details["cache"] = {
-                    "answer": "miss", "reformulation": tier, "tenant": request.tenant
-                }
-                if not report.details.get("partial"):
-                    # Degraded partials are never written back: the
-                    # cache holds only full answers, so later readers
-                    # (and stale-serving) can trust every entry.
-                    cache.store_answer(key, (report.answer, dict(report.details)))
         ticket.finished_at = self.clock.monotonic()
 
     # ------------------------------------------------------------------
@@ -491,11 +452,7 @@ class QueryService:
         )
 
     def _serve_stale(
-        self,
-        ticket: Ticket,
-        cache: QueryCache,
-        request: QueryRequest,
-        answerer: QueryAnswerer,
+        self, ticket: Ticket, cache: QueryCache, request: QueryRequest
     ) -> bool:
         """Serve an expired cache entry if one is still reachable.
 
@@ -512,15 +469,14 @@ class QueryService:
             epoch = current_epoch - age
             if epoch < 0:
                 break
-            stale_key = self._answer_cache_key(
-                cache, request, answerer, data_epoch=epoch
-            )
-            hit = cache.lookup_answer(stale_key)
+            hit = cache.lookup_answer(self.answerer.answer_cache_key(
+                cache, request.query, request.strategy, request.cover,
+                data_epoch=epoch,
+            ))
             if hit is None:
                 continue
             answer, details = hit
             scheduled = self._schedule_refresh(request)
-            ticket.cache = "stale"
             ticket.status = DONE
             ticket.finished_at = self.clock.monotonic()
             details = dict(details)
@@ -553,11 +509,11 @@ class QueryService:
 
     def _run_refreshes(self) -> None:
         """Work up to ``refreshes_per_round`` pending refreshes.  A
-        successful recompute stores a genuinely fresh entry (current
-        epochs); a failure releases the single-flight guard so a later
-        stale serve can retry — and feeds the health monitor's refresh
-        canary, which is what holds the ladder down while the fault
-        persists."""
+        refresh answers through the tenant's partition, so a recompute
+        stores a genuinely fresh entry (current epochs); a failure
+        releases the single-flight guard so a later stale serve can
+        retry — and feeds the health monitor's refresh canary, which is
+        what holds the ladder down while the fault persists."""
         if self.brownout is None:
             return
         quota = self.brownout.policy.refreshes_per_round
@@ -569,7 +525,6 @@ class QueryService:
                 request = self._pending_refreshes.pop(0)
             logical = self._refresh_key(request)
             config = self.admission.tenants.get(request.tenant)
-            cache = self._caches.get(request.tenant)
             ok = False
             try:
                 if self.chaos is not None:
@@ -581,20 +536,16 @@ class QueryService:
                     if config is not None
                     else {}
                 )
-                report = self.answerer.answer(
+                self.answerer.answer(
                     request.query,
                     request.strategy,
                     cover=request.cover,
-                    reformulations=cache,
+                    cache=self._caches.get(request.tenant),
                     **kwargs,
                 )
-            except _SERVING_ERRORS:
-                ok = False
-            else:
                 ok = True
-                if cache is not None and not report.details.get("partial"):
-                    key = self._answer_cache_key(cache, request, self.answerer)
-                    cache.store_answer(key, (report.answer, dict(report.details)))
+            except _SERVING_ERRORS:
+                pass
             finally:
                 with self._refresh_lock:
                     self._refreshing.discard(logical)
@@ -608,22 +559,15 @@ class QueryService:
         tenant = ticket.request.tenant
         if ticket.status == DONE:
             self.admission.note_service_time(ticket.service_seconds())
-            stale = ticket.cache == "stale"
-            degraded = ticket.degraded
             self.metrics.note_completed(
                 tenant,
-                ticket.queue_seconds(),
-                ticket.service_seconds(),
                 ticket.latency_seconds(),
                 ticket.report.cardinality,
                 ticket.cache,
-                degraded=degraded,
+                degraded=ticket.degraded,
             )
             self.health.note_completed(
-                tenant,
-                ticket.latency_seconds(),
-                stale=stale,
-                degraded=degraded,
+                tenant, ticket.latency_seconds(), stale=ticket.cache == "stale"
             )
             try:
                 # Standing quota is charged on *answer rows* — an
@@ -654,9 +598,19 @@ class QueryService:
 
     def health_report(self) -> dict:
         """The JSON-ready health section: ladder state, per-tenant
-        breakers, EWMAs, stale/shed counters, chaos injections."""
+        breakers, EWMAs, the metrics' failure/stale/degraded/refresh
+        totals, chaos injections."""
+        totals = self.metrics.totals()
+        monitor = self.health.as_dict()
+        monitor.update(
+            failures=totals["failed"],
+            stale_serves=totals["stale_serves"],
+            degraded_answers=totals["degraded"],
+            refreshes=totals["refreshes"],
+            refresh_failures=totals["refresh_failures"],
+        )
         payload = {
-            "monitor": self.health.as_dict(),
+            "monitor": monitor,
             "breakers": {
                 name: breaker.as_dict()
                 for name, breaker in sorted(self.health.breakers.items())

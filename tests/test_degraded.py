@@ -327,7 +327,7 @@ class TestDegradedService:
         assert stale.report.details["stale"]["age_epochs"] == 1
         assert sorted(stale.answer) == truth
         assert service.brownout.level == STALE_SERVING
-        assert service.health.refresh_failures >= 1
+        assert service.metrics.totals()["refresh_failures"] >= 1
         # Fault clears: the refresh succeeds and stores a fresh entry,
         # and the ladder walks all the way back down.
         chaos.disarm()
