@@ -10,7 +10,6 @@ from ..core import ANSWERER_ENGINES, QueryAnswerer, Strategy
 from ..datasets import example1_best_cover
 from ..query.visualize import format_table, render_strategy
 from ..rdf import shorten
-from ..reformulation import ReformulationTooLarge
 from ..resilience.errors import BudgetExceeded
 from ..saturation import explain_triple, format_derivation
 from ..schema import Schema
@@ -63,8 +62,8 @@ def _strategies(args) -> list:
 
 
 #: What answering a query may fail with, short of a bug: it is too
-#: large to reformulate or to plan, or it ran over its budget.
-_ANSWER_FAILURES = (QueryTooLargeError, ReformulationTooLarge, BudgetExceeded)
+#: large to plan, or it ran over its budget.
+_ANSWER_FAILURES = (QueryTooLargeError, BudgetExceeded)
 
 
 def _answer_each(answerer, query, strategies, repeat, **budget):

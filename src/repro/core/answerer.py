@@ -492,7 +492,6 @@ class QueryAnswerer:
         query: ConjunctiveQuery,
         strategy: Strategy = Strategy.REF_GCOV,
         cover: Optional[Cover] = None,
-        max_disjuncts: Optional[int] = None,
         row_budget: Optional[int] = None,
         time_budget: Optional[float] = None,
         budget_fallbacks: int = 3,
@@ -506,11 +505,8 @@ class QueryAnswerer:
         ``cover`` is required by ``REF_JUCQ``, must be a cover of
         *query* (:class:`OptionError` otherwise), and is ignored
         elsewhere.
-        ``max_disjuncts`` optionally caps UCQ materialization over the
-        backend's own parse limit.  Raises
-        :class:`~repro.reformulation.engine.ReformulationTooLarge` or
-        :class:`~repro.storage.backends.QueryTooLargeError` when the
-        strategy genuinely cannot run — the failure modes the paper
+        Raises :class:`~repro.storage.backends.QueryTooLargeError` when
+        the strategy genuinely cannot run — the failure modes the paper
         demonstrates, surfaced rather than hidden.
 
         ``row_budget`` / ``time_budget`` (columnar engine only)
@@ -568,7 +564,7 @@ class QueryAnswerer:
         cache = self.cache if cache is None else cache
         key = None
         if cache is not None:
-            key = self.answer_cache_key(cache, query, strategy, cover, max_disjuncts)
+            key = self.answer_cache_key(cache, query, strategy, cover)
             cached = cache.lookup_answer(key)
             if cached is not None:
                 answer, details = cached
@@ -576,7 +572,7 @@ class QueryAnswerer:
                 return AnswerReport(
                     strategy, answer, time.perf_counter() - start, details
                 )
-        compiled = self.compile(query, strategy, cover, max_disjuncts, cache)
+        compiled = self.compile(query, strategy, cover, cache)
         try:
             report = self.execute(compiled, budget, budget_fallbacks)
         except BudgetExceeded as exc:
@@ -601,7 +597,6 @@ class QueryAnswerer:
         query: ConjunctiveQuery,
         strategy: Strategy,
         cover: Optional[Cover] = None,
-        max_disjuncts: Optional[int] = None,
         data_epoch: Optional[int] = None,
     ):
         """The key :meth:`answer` stores *query*'s answer under in
@@ -615,7 +610,7 @@ class QueryAnswerer:
             self.policy,
             strategy.value,
             cover=cover if strategy is Strategy.REF_JUCQ else None,
-            extra=(self.engine, self.backend.name, max_disjuncts, self._encoding_token),
+            extra=(self.engine, self.backend.name, self._encoding_token),
             data_epoch=data_epoch,
         )
 
@@ -658,7 +653,6 @@ class QueryAnswerer:
         query: ConjunctiveQuery,
         strategy: Strategy = Strategy.REF_GCOV,
         cover: Optional[Cover] = None,
-        max_disjuncts: Optional[int] = None,
         cache: Optional[QueryCache] = None,
     ) -> CompiledQuery:
         """Everything answering *query* with *strategy* decides before
@@ -667,10 +661,10 @@ class QueryAnswerer:
 
         ``cover`` is required by ``REF_JUCQ`` — a cover of *query*
         itself, else :class:`OptionError` — and ignored elsewhere;
-        ``max_disjuncts`` and ``cache`` are as in
-        :meth:`answer`.  The rewrite goes through the cache's
-        reformulation tier, keyed on the minimised query (``REF_GCOV``:
-        its covers, keyed on its shape, :meth:`_compile_gcov`)."""
+        ``cache`` is as in :meth:`answer`.  The rewrite goes through the
+        cache's reformulation tier, keyed on the minimised query
+        (``REF_GCOV``: its covers, keyed on its shape,
+        :meth:`_compile_gcov`)."""
         if not isinstance(strategy, Strategy):
             raise ValueError("unknown strategy %r" % (strategy,))
         cache = self.cache if cache is None else cache
@@ -708,7 +702,7 @@ class QueryAnswerer:
                 raise QueryTooLargeError(
                     projected_atoms, self.backend.max_query_atoms, self.backend.name
                 )
-            kind, extra = "ucq", max_disjuncts
+            kind = "ucq"
         elif strategy is Strategy.REF_SCQ:
             kind = "scq"
         elif strategy is Strategy.REF_JUCQ:
@@ -722,9 +716,7 @@ class QueryAnswerer:
                 kind,
                 minimised,
                 policy,
-                lambda: self._reformulate(
-                    strategy, minimised, policy, cover, max_disjuncts, size
-                ),
+                lambda: self._reformulate(strategy, minimised, policy, cover, size),
                 extra,
             )
         details = dict(built.details, minimised=dropped)
@@ -739,15 +731,13 @@ class QueryAnswerer:
             reformulation_hit=hit,
         )
 
-    def _reformulate(self, strategy, query, policy, cover, max_disjuncts, size):
+    def _reformulate(self, strategy, query, policy, cover, size):
         """The rewrite of the minimised *query* with one of the five
         cover-free or fixed-cover strategies, as the reformulation tier
         caches it: a :class:`CompiledQuery` of *query* itself, nothing
         dropped."""
         if strategy in _UCQ_POLICIES:
-            relational = reformulate(
-                query, self.schema, policy, max_disjuncts, encoding=self.encoding
-            )
+            relational = reformulate(query, self.schema, policy, encoding=self.encoding)
             return CompiledQuery(
                 strategy, query, query, (), relational,
                 MappingProxyType({"ucq_disjuncts": size, "policy": policy.name}),

@@ -45,10 +45,10 @@ a failure into a complete answer.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cache import QueryCache, dataset_token
-from ..parallel.pool import ExecutorPool, pool_for
 from ..query.algebra import (
     ConjunctiveQuery,
     HeadTerm,
@@ -161,14 +161,17 @@ class FederatedAnswerer:
           run on; inject a :class:`~repro.resilience.clock.FakeClock`
           for instant, deterministic tests.
 
-        ``parallelism`` fans each atom's per-endpoint fetches out to the
-        shared worker pool (endpoint latency overlaps instead of
-        summing); ``1`` keeps the serial loop.  Accounting, cache writes
-        and row merging stay serial in endpoint order, so the answer,
-        its report and the cache contents are identical either way.
+        ``parallelism`` fans each atom's per-endpoint fetches out to a
+        thread pool of at most that many workers, scoped to the atom
+        (endpoint latency overlaps instead of summing); ``1`` keeps the
+        serial loop.  Accounting, cache writes and row merging stay
+        serial in endpoint order, so the answer, its report and the
+        cache contents are identical either way.
         """
         if not endpoints:
             raise ValueError("a federation needs at least one endpoint")
+        if parallelism < 1:
+            raise ValueError("parallelism must be >= 1, got %r" % (parallelism,))
         if request_deadline is not None and request_deadline <= 0:
             raise ValueError(
                 "request_deadline must be positive, got %r" % (request_deadline,)
@@ -181,7 +184,7 @@ class FederatedAnswerer:
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.retry_policy = retry_policy
         self.request_deadline = request_deadline
-        self.pool: Optional[ExecutorPool] = pool_for(parallelism)
+        self.parallelism = parallelism
         #: One breaker per endpoint position, or None when disabled.
         self.breakers: Optional[List[CircuitBreaker]] = None
         if breaker_threshold is not None:
@@ -323,10 +326,11 @@ class FederatedAnswerer:
         Three phases so the per-endpoint requests may overlap: a serial
         cache-lookup pass (cache access stays single-threaded) collects
         the endpoints that actually need a request; the guarded calls
-        then run on the worker pool (each call touches only its own
-        report entry and breaker); finally rows, truncation flags and
-        cache stores are merged serially in endpoint order — identical
-        accounting to the serial loop."""
+        then run on a thread pool (each call touches only its own
+        report entry and breaker; an error propagates unchanged);
+        finally rows, truncation flags and cache stores are merged
+        serially in endpoint order — identical accounting to the serial
+        loop."""
         from ..rdf.namespaces import SCHEMA_PROPERTIES
 
         if atom.property in SCHEMA_PROPERTIES:
@@ -364,16 +368,15 @@ class FederatedAnswerer:
                 union = self._atom_union(single)
             pending.append((index, endpoint, entry, key, entry.requests))
         # -- phase 2: the guarded endpoint calls, fanned out -----------
-        if self.pool is not None and self.pool.usable() and len(pending) > 1:
-            results = self.pool.map(
-                lambda item: self._call_endpoint(item[0], item[1], union, item[2]),
-                pending,
-            )
+        calls = [
+            (index, endpoint, union, entry)
+            for index, endpoint, entry, _key, _before in pending
+        ]
+        if self.parallelism > 1 and len(calls) > 1:
+            with ThreadPoolExecutor(min(self.parallelism, len(calls))) as pool:
+                results = list(pool.map(self._call_endpoint, *zip(*calls)))
         else:
-            results = [
-                self._call_endpoint(index, endpoint, union, entry)
-                for index, endpoint, entry, _key, _before in pending
-            ]
+            results = [self._call_endpoint(*call) for call in calls]
         # -- phase 3: serial merge in endpoint order -------------------
         for (index, endpoint, entry, key, requests_before), result in zip(
             pending, results

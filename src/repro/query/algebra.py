@@ -14,9 +14,9 @@ Reformulation enlarges the language:
 Reformulation binds head variables to schema constants (e.g. the class
 a type variable ranges over), so heads are tuples of variables *or*
 terms; a constant head column simply echoes the constant in every
-answer row.  CQs support canonical renaming so that the reformulation
-engine can deduplicate rewritings that differ only in the names of
-their non-distinguished variables.
+answer row.  CQs support canonical renaming so that cache keys
+identify queries that differ only in the names of their
+non-distinguished variables.
 """
 
 from __future__ import annotations
@@ -278,13 +278,13 @@ class ConjunctiveQuery:
         """A hashable key identifying this CQ up to (a) renaming of
         non-head variables and (b) atom order.
 
-        Reformulation engines use this to deduplicate rewritings.  The
-        canonicalization sorts atoms by their variable-blind skeleton,
-        then numbers variables in order of first appearance (head
-        first); this is a sound over-approximation of CQ isomorphism —
-        two CQs with equal keys are isomorphic, while isomorphic CQs
-        with genuinely ambiguous skeletons may receive distinct keys,
-        which only costs a missed dedup, never an incorrect one.
+        Cache keys are built on it.  The canonicalization sorts atoms
+        by their variable-blind skeleton, then numbers variables in
+        order of first appearance (head first); this is a sound
+        over-approximation of CQ isomorphism — two CQs with equal keys
+        are isomorphic, while isomorphic CQs with genuinely ambiguous
+        skeletons may receive distinct keys, which only costs a missed
+        cache hit, never an incorrect one.
         """
         head_key, atom_keys, numbering = self.canonical_encoding()
         guard_key = frozenset(
@@ -372,17 +372,6 @@ class UnionQuery:
         """Total number of atoms — the syntactic size that makes huge
         UCQ reformulations unparseable (Example 1)."""
         return sum(len(cq.atoms) for cq in self.disjuncts)
-
-    def deduplicated(self) -> "UnionQuery":
-        """Drop disjuncts that are equal up to canonical renaming."""
-        seen = set()
-        kept: List[ConjunctiveQuery] = []
-        for cq in self.disjuncts:
-            key = cq.canonical()
-            if key not in seen:
-                seen.add(key)
-                kept.append(cq)
-        return UnionQuery(kept)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnionQuery) and other.disjuncts == self.disjuncts

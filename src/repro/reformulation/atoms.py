@@ -325,68 +325,6 @@ def atom_reformulation_size(
     policy: ReformulationPolicy = COMPLETE,
     encoding=None,
 ) -> int:
-    """``len(reformulate_atom(...))`` without building the atoms —
-    used to predict UCQ sizes (e.g. Example 1's 564 per open type atom)
-    before deciding whether materialization is even feasible.  With a
-    hierarchy ``encoding``, counts reflect the collapsed interval atoms
-    (kept in exact lockstep with :func:`reformulate_atom`)."""
-    prop = atom.property
-    if isinstance(prop, Variable):
-        return len(reformulate_atom(atom, schema, policy, encoding))
-    if prop == RDF_TYPE:
-        klass = atom.object
-        if isinstance(klass, Variable):
-            if not policy.open_variables:
-                return 1
-            total = 1
-            for candidate in schema.classes():
-                effective_subject = (
-                    candidate if atom.subject == klass else atom.subject
-                )
-                total += _class_alternative_count(
-                    effective_subject, candidate, schema, policy, encoding
-                )
-            if policy.subproperty:
-                total += len(_type_subproperties(schema))
-            return total
-        return 1 + _class_alternative_count(
-            atom.subject, klass, schema, policy, encoding
-        )
-    if prop in SCHEMA_PROPERTIES:
-        return 1
-    if policy.subproperty:
-        if (
-            encoding is not None
-            and encoding.property_interval(prop) is not None
-        ):
-            return 2  # identity + one interval atom
-        return 1 + len(schema.subproperties(prop))
-    return 1
-
-
-def _class_alternative_count(
-    subject: PatternTerm,
-    klass: Term,
-    schema: Schema,
-    policy: ReformulationPolicy,
-    encoding=None,
-) -> int:
-    from ..rdf.terms import Literal
-
-    subclass_count = len(schema.subclasses(klass)) if policy.subclass else 0
-    covered = (
-        policy.subclass
-        and encoding is not None
-        and encoding.type_interval(klass) is not None
-    )
-    # One interval atom replaces the per-subclass branches (and, per
-    # τ-subproperty, the 1 + subclass_count object choices).
-    count = 1 if covered else subclass_count
-    if policy.domain_range:
-        count += len(schema.properties_with_domain(klass))
-        if not isinstance(subject, Literal):
-            count += len(schema.properties_with_range(klass))
-    if policy.subproperty:
-        per_subproperty = 1 if covered else (1 + subclass_count)
-        count += len(_type_subproperties(schema)) * per_subproperty
-    return count
+    """``len(reformulate_atom(...))`` — Example 1's 564 per open type
+    atom (with a hierarchy ``encoding``, the collapsed count)."""
+    return len(reformulate_atom(atom, schema, policy, encoding))

@@ -196,26 +196,18 @@ def reformulate(
     schema: Schema,
     policy: ReformulationPolicy = COMPLETE,
     max_disjuncts: Optional[int] = None,
-    deduplicate: bool = False,
     encoding=None,
 ) -> UnionQuery:
     """The UCQ reformulation ``q_ref`` with ``q(db∞) = q_ref(db)``.
 
     ``max_disjuncts`` guards materialization: when the (cheaply
     pre-computed) size exceeds it, :class:`ReformulationTooLarge` is
-    raised instead of building the union.  ``deduplicate`` drops
-    disjuncts equal up to canonical renaming (at extra cost; sizes
-    reported by the paper are without deduplication).  ``encoding``
-    (opt-in) emits interval atoms for hierarchy-covered nodes, shrinking
-    both the disjunct count and the per-disjunct work.
+    raised instead of building the union.  ``encoding`` (opt-in) emits
+    interval atoms for hierarchy-covered nodes, shrinking both the
+    disjunct count and the per-disjunct work.
     """
     if max_disjuncts is not None:
         size = ucq_size(query, schema, policy, encoding)
         if size > max_disjuncts:
             raise ReformulationTooLarge(size, max_disjuncts)
-    union = UnionQuery(
-        list(iterate_reformulations(query, schema, policy, encoding))
-    )
-    if deduplicate:
-        union = union.deduplicated()
-    return union
+    return UnionQuery(list(iterate_reformulations(query, schema, policy, encoding)))

@@ -13,15 +13,10 @@ Callers that retry (e.g. the cover-fallback path of
 :class:`~repro.core.answerer.QueryAnswerer`) construct a fresh budget
 per attempt.
 
-**Thread safety.**  Several threads may charge one budget — the
-counters are therefore guarded by a lock, and the budget remembers
-the first overrun as its *trip*: once any worker raises
-:class:`~repro.resilience.errors.BudgetExceeded`, every sibling
-worker's next charge/probe/check raises immediately (a copy marked
-``sibling_abort=True``), which is what cancels in-flight sibling tasks
-mid-stream.  The shared total is exactly the serial semantics: N
-workers charging one budget can never jointly exceed what one thread
-could.
+Several threads may charge one budget, so its counters are guarded by
+a lock.  A charge that overruns the budget leaves it spent: the rows
+charged and the elapsed time only grow, so every later charge raises
+too (a probe's in-flight rows are not committed).
 """
 
 from __future__ import annotations
@@ -46,8 +41,6 @@ class ExecutionBudget:
     ... except BudgetExceeded as exc:
     ...     (exc.kind, exc.rows_produced, exc.operator)
     ('rows', 16, 'Join')
-    >>> budget.tripped
-    True
     """
 
     def __init__(
@@ -64,40 +57,15 @@ class ExecutionBudget:
         self.max_rows = max_rows
         self.max_seconds = max_seconds
         self.clock = clock if clock is not None else SYSTEM_CLOCK
-        #: Who this budget is charged to (e.g. ``"tenant-a/req-3"``).
-        #: Every overrun — the primary *and* its sibling-abort copies —
-        #: carries it, so fan-out aborts are attributed to the request
-        #: that genuinely overran, never to an innocent sibling.
+        #: Who this budget is charged to (e.g. ``"tenant-a/req-3"``);
+        #: every overrun carries it, so accounting layers attribute it
+        #: to the request that overran.
         self.owner = owner
         self.rows_charged = 0
         self._started_at: Optional[float] = None
         self._lock = threading.RLock()
-        self._trip: Optional[BudgetExceeded] = None
 
     # ------------------------------------------------------------------
-
-    @property
-    def tripped(self) -> bool:
-        """True once any charge has raised: the budget is spent, and
-        every subsequent charge (from any thread) raises immediately."""
-        return self._trip is not None
-
-    def _sibling_abort(self) -> BudgetExceeded:
-        """A fresh copy of the original overrun for a sibling worker —
-        marked so fan-out error selection can prefer the primary."""
-        trip = self._trip
-        exc = BudgetExceeded(
-            "aborted: %s" % (trip,),
-            kind=trip.kind,
-            rows_produced=trip.rows_produced,
-            row_budget=trip.row_budget,
-            elapsed_seconds=trip.elapsed_seconds,
-            time_budget=trip.time_budget,
-            operator=trip.operator,
-            owner=trip.owner,
-        )
-        exc.sibling_abort = True
-        return exc
 
     def start(self) -> None:
         """Anchor the time budget; implicit on the first charge/check."""
@@ -118,25 +86,18 @@ class ExecutionBudget:
         *operator* names the charging operator: a string, or an object
         whose ``label`` is read only if the charge trips the budget."""
         with self._lock:
-            if self._trip is not None:
-                raise self._sibling_abort()
             self.start()
             self.rows_charged += count
             if self.max_rows is not None and self.rows_charged > self.max_rows:
                 operator = getattr(operator, "label", operator)
-                exc = BudgetExceeded(
+                raise self._exceeded(
                     "row budget exceeded at %s: %d rows produced (budget %d)"
                     % (operator or "?", self.rows_charged, self.max_rows),
-                    kind="rows",
-                    rows_produced=self.rows_charged,
-                    row_budget=self.max_rows,
-                    elapsed_seconds=self.elapsed(),
-                    time_budget=self.max_seconds,
-                    operator=operator,
-                    owner=self.owner,
+                    "rows",
+                    self.rows_charged,
+                    self.elapsed(),
+                    operator,
                 )
-                self._trip = exc
-                raise exc
             self._check_time_locked(operator)
 
     def probe_rows(self, in_flight: int, operator: Optional[str] = None) -> None:
@@ -145,38 +106,24 @@ class ExecutionBudget:
         budget.  Keeps one runaway join from materializing far past the
         limit before its node-level charge."""
         with self._lock:
-            if self._trip is not None:
-                raise self._sibling_abort()
             self.start()
             if (
                 self.max_rows is not None
                 and self.rows_charged + in_flight > self.max_rows
             ):
-                exc = BudgetExceeded(
+                raise self._exceeded(
                     "row budget exceeded inside %s: %d rows in flight over %d "
                     "already produced (budget %d)"
-                    % (
-                        operator or "?",
-                        in_flight,
-                        self.rows_charged,
-                        self.max_rows,
-                    ),
-                    kind="rows",
-                    rows_produced=self.rows_charged + in_flight,
-                    row_budget=self.max_rows,
-                    elapsed_seconds=self.elapsed(),
-                    time_budget=self.max_seconds,
-                    operator=operator,
-                    owner=self.owner,
+                    % (operator or "?", in_flight, self.rows_charged, self.max_rows),
+                    "rows",
+                    self.rows_charged + in_flight,
+                    self.elapsed(),
+                    operator,
                 )
-                self._trip = exc
-                raise exc
             self._check_time_locked(operator)
 
     def check_time(self, operator: Optional[str] = None) -> None:
         with self._lock:
-            if self._trip is not None:
-                raise self._sibling_abort()
             self.start()
             self._check_time_locked(operator)
 
@@ -186,24 +133,32 @@ class ExecutionBudget:
         elapsed = self.elapsed()
         if elapsed > self.max_seconds:
             operator = getattr(operator, "label", operator)
-            exc = BudgetExceeded(
+            raise self._exceeded(
                 "time budget exceeded at %s: %.3fs elapsed (budget %.3fs)"
                 % (operator or "?", elapsed, self.max_seconds),
-                kind="time",
-                rows_produced=self.rows_charged,
-                row_budget=self.max_rows,
-                elapsed_seconds=elapsed,
-                time_budget=self.max_seconds,
-                operator=operator,
-                owner=self.owner,
+                "time",
+                self.rows_charged,
+                elapsed,
+                operator,
             )
-            self._trip = exc
-            raise exc
+
+    def _exceeded(
+        self, message: str, kind: str, rows: int, elapsed: float, operator
+    ) -> BudgetExceeded:
+        return BudgetExceeded(
+            message,
+            kind=kind,
+            rows_produced=rows,
+            row_budget=self.max_rows,
+            elapsed_seconds=elapsed,
+            time_budget=self.max_seconds,
+            operator=operator,
+            owner=self.owner,
+        )
 
     def __repr__(self) -> str:
-        return "ExecutionBudget(rows=%d/%s, time=%s%s)" % (
+        return "ExecutionBudget(rows=%d/%s, time=%s)" % (
             self.rows_charged,
             self.max_rows if self.max_rows is not None else "∞",
             "%.3fs" % self.max_seconds if self.max_seconds is not None else "∞",
-            ", TRIPPED" if self._trip is not None else "",
         )

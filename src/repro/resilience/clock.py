@@ -52,9 +52,9 @@ class FakeClock(Clock):
     >>> clock.sleeps
     [2.5]
 
-    Thread-safe: parallel evaluation shares one clock between workers
-    (e.g. chaos-endpoint latency under a fanned-out federation fetch),
-    so the simulated-time mutations run under a lock.
+    Thread-safe: a federation's fanned-out endpoint calls share one
+    clock (e.g. chaos-endpoint latency), so the simulated-time
+    mutations run under a lock.
     """
 
     def __init__(self, start: float = 0.0, auto_advance: float = 0.0):

@@ -99,9 +99,8 @@ class BudgetExceeded(RuntimeError):
         #: The operator being evaluated when the budget tripped.
         self.operator = operator
         #: Who the tripped budget belonged to (e.g. the service layer's
-        #: ``tenant/request-id``).  Sibling-abort copies carry the
-        #: *originating* owner, so accounting layers attribute every
-        #: abort of a fan-out to the request that genuinely overran.
+        #: ``tenant/request-id``), so accounting layers attribute the
+        #: overrun to the request that overran.
         self.owner = owner
         #: Partial-execution snapshot attached by the executor: the
         #: per-node cardinalities of completed subtrees and, for
@@ -129,8 +128,6 @@ class BudgetExceeded(RuntimeError):
         }
         if self.owner is not None:
             payload["owner"] = self.owner
-        if getattr(self, "sibling_abort", False):
-            payload["sibling_abort"] = True
         if self.partial is not None:
             payload["partial"] = self.partial
         if self.partial_rows is not None:

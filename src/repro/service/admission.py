@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.budget import ExecutionBudget
 from ..resilience.clock import Clock, SYSTEM_CLOCK
+from ..resilience.errors import BudgetExceeded
 from .request import EXPIRED, QueryRequest, Ticket
 
 #: Stride numerator: pass += SCALE / weight per dequeue.
@@ -175,6 +176,8 @@ class AdmissionController:
         self._queues: Dict[str, List[Ticket]] = {}
         self._passes: Dict[str, float] = {}
         self._quotas: Dict[str, Optional[ExecutionBudget]] = {}
+        #: Tenants whose quota a charge has overrun.
+        self._exhausted: set = set()
         for config in tenants:
             if config.name in self.tenants:
                 raise ValueError("duplicate tenant %r" % (config.name,))
@@ -208,8 +211,7 @@ class AdmissionController:
                     tenant=request.tenant,
                     reason=REASON_UNKNOWN_TENANT,
                 )
-            quota = self._quotas.get(request.tenant)
-            if quota is not None and quota.tripped:
+            if request.tenant in self._exhausted:
                 raise AdmissionRejected(
                     "tenant %r quota exhausted" % (request.tenant,),
                     tenant=request.tenant,
@@ -306,12 +308,17 @@ class AdmissionController:
         :data:`REASON_QUOTA_EXHAUSTED`."""
         with self._lock:
             quota = self._quotas.get(tenant)
-        if quota is not None:
+        if quota is None:
+            return
+        try:
             quota.charge_rows(max(1, rows), operator="service-quota")
+        except BudgetExceeded:
+            with self._lock:
+                self._exhausted.add(tenant)
+            raise
 
     def quota_exhausted(self, tenant: str) -> bool:
-        quota = self._quotas.get(tenant)
-        return quota is not None and quota.tripped
+        return tenant in self._exhausted
 
     def backlog(self, tenant: Optional[str] = None) -> int:
         with self._lock:

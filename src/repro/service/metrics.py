@@ -164,11 +164,11 @@ class ServiceMetrics:
         owner: Optional[str] = None,
         kind: Optional[str] = None,
     ) -> None:
-        """Attribute one budget overrun to its *originating* tenant —
-        callers pass the tenant parsed from ``BudgetExceeded.owner``,
-        not the tenant whose worker happened to observe the abort.
-        ``owner``/``kind`` (from ``BudgetExceeded.details``) keep the
-        per-request and rows-vs-time breakdown queryable."""
+        """Attribute one budget overrun to the tenant that owns the
+        budget — callers pass the tenant parsed from
+        ``BudgetExceeded.owner``.  ``owner``/``kind`` (from
+        ``BudgetExceeded.details``) keep the per-request and
+        rows-vs-time breakdown queryable."""
         with self._lock:
             bucket = self._bucket(owner_tenant)
             bucket.budget_trips += 1

@@ -56,7 +56,6 @@ from ..cache import QueryCache
 from ..cache.keys import cover_key, query_key
 from ..core.answerer import (
     DEFAULT_ENGINE, AnswerReport, QueryAnswerer, check_data_triple)
-from ..reformulation.engine import ReformulationTooLarge
 from ..resilience.clock import Clock, SYSTEM_CLOCK
 from ..resilience.errors import BudgetExceeded, EndpointFailure
 from ..storage.backends import QueryTooLargeError
@@ -78,10 +77,13 @@ from .request import DONE, FAILED, RUNNING, QueryRequest, Ticket
 #: else is a programming error and propagates).
 _SERVING_ERRORS = (
     BudgetExceeded,
-    ReformulationTooLarge,
     QueryTooLargeError,
     EndpointFailure,
 )
+
+#: Each tenant cache partition's capacities, in entries.
+CACHE_REFORMULATIONS = 128
+CACHE_ANSWERS = 512
 
 
 class QueryService:
@@ -120,8 +122,6 @@ class QueryService:
         engine: str = DEFAULT_ENGINE,
         capacity: int = 2,
         clock: Optional[Clock] = None,
-        cache_answers: int = 512,
-        cache_reformulations: int = 128,
         brownout: Union[None, bool, BrownoutPolicy, BrownoutController] = None,
         chaos: Optional[ServiceChaos] = None,
         watchdog_seconds: Optional[float] = None,
@@ -181,7 +181,7 @@ class QueryService:
         # invalidation epochs via the one store.
         self._caches: Dict[str, QueryCache] = {}
         for config in configs:
-            cache = QueryCache(cache_reformulations, cache_answers)
+            cache = QueryCache(CACHE_REFORMULATIONS, CACHE_ANSWERS)
             cache.watch_store(self.answerer.store)
             self._caches[config.name] = cache
         #: Reader answerers over each pinned epoch's frozen store,

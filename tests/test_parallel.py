@@ -1,15 +1,15 @@
-"""The worker pool and the thread-safety contracts.
+"""The thread-safety contracts.
 
 Three layers of coverage:
 
-* the primitives — :class:`~repro.parallel.pool.ExecutorPool` ordering,
-  inline degradation, cancel-on-first-failure;
-* the shared mutable state threads may touch — one
-  :class:`~repro.resilience.budget.ExecutionBudget` charged from many
-  threads trips exactly once, the cache's single-flight gate computes
-  a missed key exactly once, the LRU survives concurrent hammering;
+* the shared mutable state threads may touch — a spent
+  :class:`~repro.resilience.budget.ExecutionBudget` refuses later
+  charges, the cache's single-flight gate computes a missed key exactly
+  once, the LRU survives concurrent hammering;
 * the determinism contract — federation produces identical results
-  with and without its per-endpoint fan-out.
+  with and without its per-endpoint fan-out;
+* the fan-out's own contract — a bad ``parallelism`` is refused and an
+  endpoint call's error reaches the caller unchanged.
 """
 
 from __future__ import annotations
@@ -23,109 +23,15 @@ from repro import BudgetExceeded, ExecutionBudget
 from repro.cache import LRUCache, QueryCache
 from repro.datasets import lubm_queries, lubm_schema
 from repro.federation import Endpoint, FederatedAnswerer
-from repro.parallel import ExecutorPool, pool_for, primary_error
-from repro.parallel.pool import shared_pool
 from repro.rdf import Graph
 
 
-@pytest.fixture
-def pool():
-    with ExecutorPool(workers=4) as pool:
-        yield pool
-
-
 # ---------------------------------------------------------------------------
-# ExecutorPool
-
-
-class TestExecutorPool:
-    def test_map_preserves_item_order(self, pool):
-        # Reverse sleeps so completion order inverts submission order;
-        # results must still come back in item order.
-        items = list(range(8))
-        results = pool.map(
-            lambda i: (time.sleep((7 - i) * 0.005), i * i)[1], items
-        )
-        assert results == [i * i for i in items]
-
-    def test_serial_pool_runs_inline(self):
-        pool = ExecutorPool(workers=1)
-        assert pool.serial
-        assert not pool.usable()
-        calling_thread = threading.get_ident()
-        idents = pool.map(lambda _: threading.get_ident(), range(4))
-        assert set(idents) == {calling_thread}
-
-    def test_workers_actually_fan_out(self, pool):
-        idents = set(pool.map(lambda _: (time.sleep(0.02), threading.get_ident())[1], range(4)))
-        assert threading.get_ident() not in idents
-        assert len(idents) > 1
-
-    def test_scatter_cancels_pending_on_first_failure(self):
-        executed = []
-        lock = threading.Lock()
-
-        def record(i):
-            time.sleep(0.03)
-            with lock:
-                executed.append(i)
-            return i
-
-        def fail():
-            raise ValueError("first failure wins")
-
-        with ExecutorPool(workers=2) as pool:
-            tasks = [fail] + [lambda i=i: record(i) for i in range(20)]
-            with pytest.raises(ValueError, match="first failure wins"):
-                pool.scatter(tasks)
-        # The failure cancelled the queue: at most the tasks already on
-        # a worker (plus a scheduling-race straggler) ever ran.
-        assert len(executed) < 10
-
-    def test_nested_fanout_degrades_inline(self, pool):
-        outer_thread = threading.get_ident()
-
-        def nested():
-            # Inside a worker the pool refuses to fan out again (a
-            # bounded pool nesting into itself can deadlock); nested
-            # map runs inline on the worker's own thread.
-            assert not pool.usable()
-            inner = pool.map(lambda _: threading.get_ident(), range(3))
-            return threading.get_ident(), inner
-
-        for worker, inner in pool.map(lambda _: nested(), range(2)):
-            assert worker != outer_thread
-            assert set(inner) == {worker}
-
-    def test_primary_error_prefers_non_sibling(self):
-        sibling = ValueError("echo")
-        sibling.sibling_abort = True
-        primary = ValueError("the real one")
-        assert primary_error([sibling, primary]) is primary
-        assert primary_error([primary, sibling]) is primary
-        # All-sibling fan-outs still surface something.
-        assert primary_error([sibling]) is sibling
-
-    def test_pool_for_and_shared_pool(self):
-        assert pool_for(None) is None
-        assert pool_for(1) is None
-        with pytest.raises(ValueError):
-            pool_for(0)
-        with pytest.raises(ValueError):
-            ExecutorPool(workers=0)
-        two = pool_for(2)
-        assert two is not None and two.workers >= 2
-        # The shared pool is process-wide and only ever grows.
-        assert shared_pool(2) is pool_for(2)
-        assert shared_pool(2).workers >= 2
-
-
-# ---------------------------------------------------------------------------
-# Shared budget under concurrency
+# A spent budget
 
 
 class TestConcurrentBudget:
-    def test_one_trip_many_sibling_aborts(self):
+    def test_concurrent_charges_keep_one_exact_total(self):
         budget = ExecutionBudget(max_rows=500)
         barrier = threading.Barrier(8)
         errors = []
@@ -146,29 +52,21 @@ class TestConcurrentBudget:
         for thread in threads:
             thread.join()
 
-        # Every worker eventually raised; exactly one raise carries the
-        # genuine overrun, the rest are marked sibling echoes of it.
-        assert len(errors) == 8
-        primaries = [e for e in errors if not getattr(e, "sibling_abort", False)]
-        assert len(primaries) == 1
-        assert primaries[0].kind == "rows"
-        assert budget.tripped
-        # The shared total respects the serial semantics: the primary
-        # tripped at the first charge past the limit.
-        assert primaries[0].rows_produced <= 500 + 10
+        # No charge is lost under the lock: the first overrun lands at
+        # the first charge past the limit, and each other worker stops
+        # at its next charge, exactly as if one thread made them all.
+        assert budget.rows_charged == 510 + 7 * 10
+        assert sorted(e.rows_produced for e in errors) == list(range(510, 581, 10))
 
     def test_post_trip_charges_raise_immediately(self):
         budget = ExecutionBudget(max_rows=5)
-        with pytest.raises(BudgetExceeded) as info:
+        with pytest.raises(BudgetExceeded):
             budget.charge_rows(6, operator="Scan")
-        assert not getattr(info.value, "sibling_abort", False)
+        # The rows charged only grow, so every later charge overruns too.
         for method in (budget.charge_rows, budget.probe_rows):
             with pytest.raises(BudgetExceeded) as info:
                 method(1, operator="Later")
-            assert info.value.sibling_abort is True
             assert info.value.kind == "rows"
-        with pytest.raises(BudgetExceeded):
-            budget.check_time()
 
     def test_probe_rows_trips_shared_budget(self):
         budget = ExecutionBudget(max_rows=100)
@@ -176,7 +74,7 @@ class TestConcurrentBudget:
         with pytest.raises(BudgetExceeded) as info:
             budget.probe_rows(20, operator="NestedLoop")
         assert info.value.kind == "rows"
-        assert budget.tripped
+        assert info.value.rows_produced == 110
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +278,19 @@ class TestConcurrentLRU:
 # Determinism contract: federation fan-out == serial
 
 
+def shard_endpoints(graph, endpoint=Endpoint, count=3):
+    """*graph*'s data triples dealt round-robin over *count* endpoints
+    of class *endpoint*."""
+    shards = [Graph() for _ in range(count)]
+    for index, triple in enumerate(sorted(graph.data_triples())):
+        shards[index % count].add(triple)
+    return [endpoint("shard%d" % index, shard) for index, shard in enumerate(shards)]
+
+
 class TestParallelEqualsSerial:
     def _federation(self, graph, parallelism):
-        shards = [Graph() for _ in range(3)]
-        for index, triple in enumerate(sorted(graph.data_triples())):
-            shards[index % 3].add(triple)
         return FederatedAnswerer(
-            [
-                Endpoint("shard%d" % index, shard)
-                for index, shard in enumerate(shards)
-            ],
-            lubm_schema(),
-            parallelism=parallelism,
+            shard_endpoints(graph), lubm_schema(), parallelism=parallelism
         )
 
     @pytest.mark.parametrize("name", ["Q2", "Q13"])
@@ -404,3 +303,38 @@ class TestParallelEqualsSerial:
         # Request accounting is part of the contract: the fan-out must
         # issue exactly the serial sequence of endpoint calls.
         assert parallel.requests == serial.requests
+
+
+class TestFederationFanOut:
+    def test_parallelism_below_one_is_refused(self, lubm_small):
+        with pytest.raises(ValueError, match="parallelism"):
+            FederatedAnswerer(shard_endpoints(lubm_small), lubm_schema(), parallelism=0)
+
+    def test_endpoint_calls_leave_the_calling_thread(self, lubm_small):
+        threads = set()
+
+        class Recording(Endpoint):
+            def evaluate(self, query):
+                threads.add(threading.get_ident())
+                time.sleep(0.02)
+                return super().evaluate(query)
+
+        FederatedAnswerer(
+            shard_endpoints(lubm_small, Recording), lubm_schema(), parallelism=3
+        ).answer(lubm_queries()["Q13"])
+        assert threading.get_ident() not in threads
+        assert len(threads) > 1
+
+    def test_endpoint_error_propagates_unchanged(self, lubm_small):
+        error = KeyError("a bug inside one endpoint call")
+
+        class Broken(Endpoint):
+            def evaluate(self, query):
+                raise error
+
+        endpoints = shard_endpoints(lubm_small)
+        endpoints[1] = Broken("broken", Graph())
+        federation = FederatedAnswerer(endpoints, lubm_schema(), parallelism=4)
+        with pytest.raises(KeyError) as info:
+            federation.answer(lubm_queries()["Q2"])
+        assert info.value is error

@@ -152,11 +152,6 @@ class TestUnionQuery:
         cq = ConjunctiveQuery([x], [TriplePattern(x, EX.p, y), TriplePattern(x, EX.q, z)])
         assert UnionQuery([cq, cq]).atom_count() == 4
 
-    def test_deduplicated(self):
-        first = ConjunctiveQuery([x], [TriplePattern(x, EX.p, y)])
-        renamed = ConjunctiveQuery([x], [TriplePattern(x, EX.p, Variable("w"))])
-        assert len(UnionQuery([first, renamed]).deduplicated()) == 1
-
 
 class TestJoinOfUnions:
     def test_head_variable_must_be_exposed(self):

@@ -94,17 +94,6 @@ class TestSizes:
             reformulate(query, schema, max_disjuncts=1)
         assert info.value.size == ucq_size(query, schema)
 
-    def test_deduplicate_flag(self):
-        schema = Schema(
-            [
-                Constraint.subclass(EX.A, EX.C),
-                Constraint.subclass(EX.B, EX.C),
-            ]
-        )
-        query = ConjunctiveQuery([x], [TriplePattern(x, RDF_TYPE, EX.C)])
-        union = reformulate(query, schema)
-        assert len(union.deduplicated()) == len(union)
-
 
 class TestEquivalence:
     """The correctness contract: q(G∞) = q_ref(db) for every strategy."""

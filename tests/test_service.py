@@ -16,8 +16,8 @@ script replays identically on every run.  Covered:
   store) constraint changes — on the columnar and SQLite engines;
 * service == direct-answerer equivalence, including the per-tenant
   cache partitions and their shared-epoch invalidation;
-* budget attribution: overruns (and sibling aborts) name the
-  originating tenant/request, never an innocent bystander;
+* budget attribution: overruns name the originating tenant/request,
+  never an innocent bystander;
 * a hypothesis property: random tenant/priority/arrival schedules
   conserve requests (admitted + shed == submitted) and never starve.
 """
@@ -516,12 +516,6 @@ class TestBudgetAttribution:
             budget.charge_rows(5, operator="Join")
         assert caught.value.owner == "alpha/req-7"
         assert caught.value.details["owner"] == "alpha/req-7"
-        # A sibling worker's abort copy names the same originator.
-        with pytest.raises(BudgetExceeded) as sibling:
-            budget.charge_rows(1, operator="Scan")
-        assert sibling.value.sibling_abort
-        assert sibling.value.details["owner"] == "alpha/req-7"
-        assert sibling.value.details["sibling_abort"] is True
 
     def test_service_attributes_trip_to_originating_request(self):
         graph = generate_lubm(universities=1, seed=7)
