@@ -450,9 +450,8 @@ def register(subparsers) -> None:
         "--breaker-threshold",
     )
     serve.add_argument("--tenants", nargs="+", default=["alpha:2", "beta:1"],
-                       metavar="NAME[:WEIGHT[:DEPTH[:MAXLAG]]]",
-                       help="tenant specs: scheduling weight, queue depth, "
-                            "and replica staleness bound in LSNs "
+                       metavar="NAME[:WEIGHT[:DEPTH]]",
+                       help="tenant specs: scheduling weight and queue depth "
                             "(default alpha:2 beta:1)")
     serve.add_argument("--script",
                        help="serving script (submit/step/drain/pin/release/"
@@ -475,7 +474,7 @@ def register(subparsers) -> None:
                             "the session clock is deterministic)")
     serve.add_argument("--brownout", action="store_true",
                        help="enable the degradation ladder (partial answers "
-                            "→ stale-serving → replica-reads-only → shed) "
+                            "→ stale-serving → shed) "
                             "with the default policy")
     serve.add_argument("--watchdog", type=positive_float, default=None,
                        metavar="SECONDS",

@@ -68,8 +68,8 @@ Answer = FrozenSet[Tuple[Term, ...]]
 #: same plans lowered to SQL on a real RDBMS (the external cross-check).
 ANSWERER_ENGINES = ("columnar", "sqlite")
 
-#: The engine every front door — answerer, service, replica reader,
-#: CLI — uses unless told otherwise.
+#: The engine every front door — answerer, service, CLI — uses unless
+#: told otherwise.
 DEFAULT_ENGINE = "columnar"
 
 

@@ -55,11 +55,6 @@ class HierarchyInterval(Term, tuple):
     lo = property(itemgetter(1))
     hi = property(itemgetter(2))
 
-    def with_branches(self, branches: int) -> "HierarchyInterval":
-        """The same interval reporting a different collapsed-branch
-        count (the count depends on the emission site)."""
-        return HierarchyInterval(self.lo, self.hi, self.anchor, branches)
-
     def strict(self) -> Optional["HierarchyInterval"]:
         """The interval minus the anchor's own id: exactly the strict
         subtree, for emission sites where a separate identity atom
@@ -121,10 +116,6 @@ class HierarchyEncoding:
     def property_interval(self, prop: Term) -> Optional[HierarchyInterval]:
         """The interval covering ``{prop} ∪ subproperties(prop)``."""
         return self.property_intervals.get(prop)
-
-    @property
-    def interval_count(self) -> int:
-        return len(self.class_intervals) + len(self.property_intervals)
 
     def token(self) -> Tuple:
         """A cache-key component distinguishing encoding states."""

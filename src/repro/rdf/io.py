@@ -59,8 +59,15 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-#: Literal escape sequences (the inverse of :meth:`Literal.n3`).
-_LITERAL_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+#: N-Triples ECHAR escapes; :meth:`Literal.n3` writes five of them.
+_LITERAL_ESCAPES = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+    '"': '"', "'": "'", "\\": "\\",
+}
+
+#: One backslash sequence: ECHAR, UCHAR (``\uXXXX``, ``\UXXXXXXXX``),
+#: or anything else, which is an error.
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 
 #: A complete literal token: quoted body (escape-aware, so a ``\"``
 #: inside the value cannot close it), optional ``^^<datatype>``.
@@ -74,22 +81,24 @@ def _unescape_literal(raw: str) -> str:
     A sequential ``str.replace`` chain is wrong here: ``\\\\n`` (an
     escaped backslash followed by ``n``) must decode to backslash+n,
     not to a newline, so each escape has to be consumed exactly once.
+    A backslash sequence N-Triples does not define is a
+    :class:`ParseError`.
     """
     if "\\" not in raw:
         return raw
-    out: List[str] = []
-    position = 0
-    length = len(raw)
-    while position < length:
-        char = raw[position]
-        if char == "\\" and position + 1 < length:
-            escaped = raw[position + 1]
-            out.append(_LITERAL_ESCAPES.get(escaped, escaped))
-            position += 2
-        else:
-            out.append(char)
-            position += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(_decode_escape, raw)
+
+
+def _decode_escape(match: re.Match) -> str:
+    hex4, hex8, char = match.groups()
+    if char is not None:
+        if char in _LITERAL_ESCAPES:
+            return _LITERAL_ESCAPES[char]
+        raise ParseError("invalid escape %r in literal" % match.group(0))
+    code = int(hex4 or hex8, 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise ParseError("escape %r is not a code point" % match.group(0))
+    return chr(code)
 
 
 def parse_term(token: str) -> Term:

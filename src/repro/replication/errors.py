@@ -1,7 +1,7 @@
 """Typed failures of the replication layer.
 
 Same philosophy as :mod:`repro.resilience.errors`: policy code
-(failover, routing, the CLI) dispatches on types, never on message
+(failover, the CLI) dispatches on types, never on message
 strings.  Dependency-free so every replication module can import it
 without cycles.
 """
@@ -31,27 +31,3 @@ class PrimaryFenced(ReplicationError):
         self.node = node
         self.epoch = epoch
 
-
-class ReplicaDiverged(ReplicationError):
-    """A follower's history is not a prefix of the primary's.
-
-    Carries the evidence the handshake compared, so the CLI and tests
-    can report *why* the lineages split (an unfenced old primary that
-    kept writing, a corrupt replay, an alien directory).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        node: Optional[str] = None,
-        follower_epoch: Optional[int] = None,
-        follower_lsn: Optional[int] = None,
-        primary_epoch: Optional[int] = None,
-        primary_lsn: Optional[int] = None,
-    ):
-        super().__init__(message)
-        self.node = node
-        self.follower_epoch = follower_epoch
-        self.follower_lsn = follower_lsn
-        self.primary_epoch = primary_epoch
-        self.primary_lsn = primary_lsn

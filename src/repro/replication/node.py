@@ -35,7 +35,6 @@ import struct
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..core.answerer import DEFAULT_ENGINE
 from ..durability.checkpoint import build_snapshot, encode_checkpoint
 from ..durability.io import FileSystem
 from ..durability.manager import DurableStore
@@ -102,8 +101,6 @@ class ReplicaNode:
         #: Primary catch-up log: ``(lsn, encoded outer frame)``.
         self._ship_log: Deque[Tuple[int, bytes]] = deque()
         self.counters: Dict[str, int] = {c: 0 for c in NODE_COUNTER_NAMES}
-        self._reader = None
-        self._reader_key = None
 
     # ------------------------------------------------------------------
     # Identity
@@ -158,7 +155,6 @@ class ReplicaNode:
         self._buffer = b""
         self.needs_sync = True
         self._ship_log.clear()
-        self._reader = None
 
     # ------------------------------------------------------------------
     # Primary role
@@ -308,27 +304,22 @@ class ReplicaNode:
 
     def insert(self, triple: Triple) -> bool:
         self._writable()
-        self._reader = None
         return self.durable.insert(triple)
 
     def delete(self, triple: Triple) -> bool:
         self._writable()
-        self._reader = None
         return self.durable.delete(triple)
 
     def add_constraint(self, constraint: Constraint) -> bool:
         self._writable()
-        self._reader = None
         return self.durable.add_constraint(constraint)
 
     def remove_constraint(self, constraint: Constraint) -> bool:
         self._writable()
-        self._reader = None
         return self.durable.remove_constraint(constraint)
 
     def load(self, graph: Graph, schema: Optional[Schema] = None) -> int:
         self._writable()
-        self._reader = None
         return self.durable.load(graph, schema)
 
     def checkpoint(self) -> str:
@@ -371,7 +362,6 @@ class ReplicaNode:
         self.fenced = False
         self.fenced_at_epoch = None
         self.counters["reseeds"] += 1
-        self._reader = None
 
     def receive(self, chunks: List[bytes]) -> None:
         """Append delivered wire chunks to the stream buffer."""
@@ -412,7 +402,6 @@ class ReplicaNode:
             self._apply(op, triple)
             applied += 1
             self.counters["applied"] += 1
-            self._reader = None
         if decoded.truncated:
             # A torn frame prefix whose tail was cut on the wire: it
             # will never complete, so drop the buffer and resync.
@@ -442,22 +431,6 @@ class ReplicaNode:
             self.durable.add_constraint(Constraint.from_triple(triple))
         else:
             self.durable.remove_constraint(Constraint.from_triple(triple))
-
-    # ------------------------------------------------------------------
-    # Reads
-
-    def reader(self, engine: str = DEFAULT_ENGINE):
-        """A query answerer over this node's store (replica-read
-        serving path).  It wraps the store, no copy; a new one replaces
-        it when the LSN moves, so state it builds lazily (the saturated
-        store, the SQLite mirror) never outlives the writes it saw."""
-        key = (self.lsn, engine)
-        if self._reader is None or self._reader_key != key:
-            from ..core.answerer import QueryAnswerer
-
-            self._reader = QueryAnswerer(self.durable.store, engine=engine)
-            self._reader_key = key
-        return self._reader
 
     # ------------------------------------------------------------------
 

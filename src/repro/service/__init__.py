@@ -9,12 +9,9 @@ quotas, while epoch-pinned snapshots keep in-flight readers isolated
 from concurrent bulk loads and saturation rounds.  Under faults or
 overload an optional brownout controller walks an explicit degradation
 ladder — tightening budgets into flagged partial
-answers, serving stale cache entries while refreshes revalidate,
-pushing reads onto follower replicas, and finally shedding new work —
-and recovers level by level as per-round health signals clear.  With a
-:class:`~repro.replication.routing.ReplicaRouter` attached, writes go
-to the replication primary and reads may be served by followers within
-each tenant's bounded-staleness contract.
+answers, serving stale cache entries while refreshes revalidate, and
+finally shedding new work — and recovers level by level as per-round
+health signals clear.
 """
 
 from .admission import (
@@ -34,7 +31,6 @@ from .degrade import (
     LEVEL_NAMES,
     NORMAL,
     PARTIAL_ANSWERS,
-    REPLICA_READS_ONLY,
     SHED_NEW_WORK,
     STALE_SERVING,
 )
@@ -63,7 +59,6 @@ __all__ = [
     "REASON_QUOTA_EXHAUSTED",
     "REASON_TENANT_BREAKER",
     "REASON_UNKNOWN_TENANT",
-    "REPLICA_READS_ONLY",
     "SHED_NEW_WORK",
     "STALE_SERVING",
     "ServiceChaos",

@@ -59,7 +59,6 @@ class TenantConfig:
         request_seconds: Optional[float] = None,
         quota_rows: Optional[int] = None,
         quota_seconds: Optional[float] = None,
-        replica_max_lag: Optional[int] = None,
     ):
         if not name:
             raise ValueError("tenant name must be non-empty")
@@ -67,9 +66,6 @@ class TenantConfig:
             raise ValueError("weight must be > 0, got %r" % (weight,))
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1, got %r" % (queue_depth,))
-        if replica_max_lag is not None and replica_max_lag < 0:
-            raise ValueError(
-                "replica_max_lag must be >= 0, got %r" % (replica_max_lag,))
         self.name = name
         self.weight = weight
         self.queue_depth = queue_depth
@@ -80,27 +76,17 @@ class TenantConfig:
         #: Standing quota across all of the tenant's completed answers.
         self.quota_rows = quota_rows
         self.quota_seconds = quota_seconds
-        #: Bounded staleness for replica reads: the largest LSN lag a
-        #: follower may have and still serve this tenant's reads.  None
-        #: keeps the tenant's reads on the primary until the brownout
-        #: ladder forces replica-reads-only; 0 allows replica reads
-        #: only from fully caught-up followers.
-        self.replica_max_lag = replica_max_lag
 
     @classmethod
     def parse(cls, spec: str) -> "TenantConfig":
-        """Parse a CLI ``name[:weight[:depth[:maxlag]]]`` spec (the
-        fourth field is the replica-read staleness bound in LSNs)."""
+        """Parse a CLI ``name[:weight[:depth]]`` spec."""
         parts = spec.split(":")
-        if len(parts) > 4 or not parts[0]:
-            raise ValueError(
-                "expected name[:weight[:depth[:maxlag]]], got %r" % (spec,))
+        if len(parts) > 3 or not parts[0]:
+            raise ValueError("expected name[:weight[:depth]], got %r" % (spec,))
         name = parts[0]
         weight = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
         depth = int(parts[2]) if len(parts) > 2 and parts[2] else 8
-        max_lag = int(parts[3]) if len(parts) > 3 and parts[3] else None
-        return cls(name, weight=weight, queue_depth=depth,
-                   replica_max_lag=max_lag)
+        return cls(name, weight=weight, queue_depth=depth)
 
     def __repr__(self) -> str:
         return "TenantConfig(%s, weight=%g, depth=%d)" % (

@@ -2,7 +2,7 @@
 
 Under overload or faults, a front door has better options than the
 binary serve/collapse: it can shed *quality* before it sheds *work*.
-The :class:`BrownoutController` walks a five-level ladder, one level
+The :class:`BrownoutController` walks a four-level ladder, one level
 per observation round, guarded by hysteresis so transient spikes do
 not flap the service between modes:
 
@@ -16,11 +16,7 @@ lvl   name                what the service gives up
 2     stale-serving       freshness: expired per-tenant cache entries
                           are served tagged ``stale=True`` while a
                           single-flight refresh recomputes them
-3     replica-reads-only  primary reads: every routable read is pushed
-                          to follower replicas (tagged with its LSN
-                          lag), keeping the primary for writes — a
-                          no-op rung when the service has no replicas
-4     shed-new-work       availability for *new* requests: submissions
+3     shed-new-work       availability for *new* requests: submissions
                           are refused with a retry-after hint
 ====  ==================  ==================================================
 
@@ -46,14 +42,12 @@ from .health import HealthSignals
 NORMAL = 0
 PARTIAL_ANSWERS = 1
 STALE_SERVING = 2
-REPLICA_READS_ONLY = 3
-SHED_NEW_WORK = 4
+SHED_NEW_WORK = 3
 
 LEVEL_NAMES = (
     "normal",
     "partial-answers",
     "stale-serving",
-    "replica-reads-only",
     "shed-new-work",
 )
 
@@ -154,10 +148,6 @@ class BrownoutController:
     @property
     def serve_stale(self) -> bool:
         return self._level >= STALE_SERVING
-
-    @property
-    def replica_reads_only(self) -> bool:
-        return self._level >= REPLICA_READS_ONLY
 
     @property
     def shed_new_work(self) -> bool:
@@ -272,7 +262,6 @@ __all__ = [
     "LEVEL_NAMES",
     "NORMAL",
     "PARTIAL_ANSWERS",
-    "REPLICA_READS_ONLY",
     "SHED_NEW_WORK",
     "STALE_SERVING",
 ]

@@ -111,8 +111,8 @@ class Ticket:
         """``"hit"`` / ``"miss"`` / ``"stale"`` when the tenant cache
         partition was consulted (``"stale"`` = an expired entry was
         served under stale-while-revalidate), None for uncacheable
-        (snapshot-pinned or replica) reads and for requests that did not
-        complete: the report's ``details["cache"]["answer"]``."""
+        (snapshot-pinned) reads and for requests that did not complete:
+        the report's ``details["cache"]["answer"]``."""
         if self.report is None or "cache" not in self.report.details:
             return None
         return self.report.details["cache"]["answer"]

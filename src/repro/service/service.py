@@ -38,8 +38,8 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   :class:`~repro.service.degrade.BrownoutController` observes per-round
   :class:`~repro.service.health.HealthMonitor` signals and walks the
   degradation ladder; the service derives per-request effective
-  budgets, partial-answer opt-in, stale-serving, replica routing and
-  front-door shedding from the current level.  Per-tenant circuit
+  budgets, partial-answer opt-in, stale-serving and front-door
+  shedding from the current level.  Per-tenant circuit
   breakers shed a pathological tenant's requests at the door before
   its failures can drag the ladder down for everyone else, a watchdog
   bounds every execution's wall-clock through its time budget, and an
@@ -54,8 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cache import QueryCache
 from ..cache.keys import cover_key, query_key
-from ..core.answerer import (
-    DEFAULT_ENGINE, AnswerReport, QueryAnswerer, check_data_triple)
+from ..core.answerer import DEFAULT_ENGINE, AnswerReport, QueryAnswerer
 from ..resilience.clock import Clock, SYSTEM_CLOCK
 from ..resilience.errors import BudgetExceeded, EndpointFailure
 from ..storage.backends import QueryTooLargeError
@@ -127,19 +126,9 @@ class QueryService:
         watchdog_seconds: Optional[float] = None,
         breaker_threshold: Optional[int] = None,
         breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-        replicas=None,
     ):
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.engine = engine
-        #: Optional :class:`~repro.replication.routing.ReplicaRouter`.
-        #: When set, writes are mirrored to the replication primary
-        #: (fenced writes raise), reads may be offloaded to followers
-        #: within each tenant's ``replica_max_lag`` bound, and the
-        #: brownout ladder's replica-reads-only rung pushes every
-        #: routable read off the primary.  The service's own writer
-        #: answerer must be built over the primary's dataset — the
-        #: router mirrors, it does not substitute.
-        self.replicas = replicas
         self.answerer = QueryAnswerer(graph, schema, engine=engine)
         self.snapshots = SnapshotManager(self.answerer.store)
         configs = [
@@ -251,25 +240,15 @@ class QueryService:
     # hooks and every tenant's cache invalidation fire on the way)
 
     def insert(self, triple) -> bool:
-        check_data_triple(triple)  # before the replicas see it
-        if self.replicas is not None:
-            # The primary writes (and ships) first: a fenced write
-            # raises here and the serving copy stays untouched.
-            self.replicas.insert(triple)
         return self.answerer.insert(triple)
 
     def delete(self, triple) -> bool:
-        check_data_triple(triple)
-        if self.replicas is not None:
-            self.replicas.delete(triple)
         return self.answerer.delete(triple)
 
     def load(self, graph) -> int:
         """Bulk-load *graph*'s data triples; returns how many were new."""
         count = 0
         for triple in graph.data_triples():
-            if self.replicas is not None:
-                self.replicas.insert(triple)
             if self.answerer.insert(triple):
                 count += 1
         return count
@@ -284,11 +263,6 @@ class QueryService:
         signals to the brownout ladder.  Returns the tickets that left
         the queue this round (done, failed, or expired), in scheduling
         order."""
-        if self.replicas is not None:
-            # Replication advances in lock-step with serving rounds, so
-            # follower catch-up is deterministic relative to the
-            # request schedule.
-            self.replicas.tick()
         runnable, expired = self.admission.next_batch(self.capacity)
         for ticket in expired:
             self.metrics.note_expired(ticket.request.tenant)
@@ -320,46 +294,24 @@ class QueryService:
     # ------------------------------------------------------------------
     # Execution internals
 
-    def _answerer_for(
-        self, request: QueryRequest
-    ) -> Tuple[QueryAnswerer, bool, Optional[dict]]:
+    def _answerer_for(self, request: QueryRequest) -> Tuple[QueryAnswerer, bool]:
         """The answerer evaluating *request*: the live writer (also
         for a pinned request when nothing was written since its pin),
-        a reader over the pinned snapshot's frozen store (one reader
-        per epoch, shared across requests), or a follower replica's
-        reader when routing applies.  Returns ``(answerer,
-        bypass_cache, replica_info)`` — snapshot and replica reads
-        bypass the tenant cache (their freshness is the pin/lag, not
-        the epoch)."""
+        or a reader over the pinned snapshot's frozen store (one reader
+        per epoch, shared across requests).  Returns ``(answerer,
+        bypass_cache)`` — snapshot reads bypass the tenant cache (their
+        freshness is the pin, not the epoch)."""
         snapshot = request.snapshot
         if snapshot is None:
-            if self.replicas is not None:
-                forced = (
-                    self.brownout is not None
-                    and self.brownout.replica_reads_only
-                )
-                config = self.admission.tenants.get(request.tenant)
-                bound = None if config is None else config.replica_max_lag
-                # Route unconditionally: the router counts primary
-                # reads (no opt-in, no rung) as well as replica picks.
-                routed = self.replicas.route_read(bound, forced=forced)
-                if routed is not None:
-                    node, lag = routed
-                    info = {
-                        "node": node.name,
-                        "lag": lag,
-                        "forced": forced,
-                    }
-                    return node.reader(self.engine), True, info
-            return self.answerer, False, None
+            return self.answerer, False
         store = snapshot.store()
         if store is self.answerer.store:  # no write since the pin
-            return self.answerer, True, None
+            return self.answerer, True
         reader = self._readers.get(snapshot.epoch)
         if reader is None:
             reader = QueryAnswerer(store, engine=self.engine)
             self._readers[snapshot.epoch] = reader
-        return reader, True, None
+        return reader, True
 
     def _budget_kwargs(self, config: TenantConfig, owner: str, degrade: bool) -> dict:
         """The budget kwargs for one execution: the tenant's configured
@@ -390,7 +342,7 @@ class QueryService:
         ticket.status = RUNNING
         ticket.started_at = self.clock.monotonic()
         config = self.admission.tenants[request.tenant]
-        answerer, pinned, replica = self._answerer_for(request)
+        answerer, pinned = self._answerer_for(request)
         cache = None if pinned else self._caches.get(request.tenant)
         stale = self.brownout is not None and self.brownout.serve_stale
         cached = False
@@ -425,14 +377,6 @@ class QueryService:
         else:
             if cache is not None:
                 report.details["cache"]["tenant"] = request.tenant
-            if replica is not None:
-                report.details["replica"] = replica
-                if replica["lag"] > 0:
-                    # A bounded-staleness read: flagged exactly like a
-                    # stale cache serve, so clients can tell.
-                    report.details.setdefault(
-                        "stale", {"replica_lag": replica["lag"]}
-                    )
             ticket.report = report
             ticket.status = DONE
         ticket.finished_at = self.clock.monotonic()
@@ -634,8 +578,6 @@ class QueryService:
             "epoch": self.snapshots.epoch,
         }
         payload["health"] = self.health_report()
-        if self.replicas is not None:
-            payload["replicas"] = self.replicas.status()
         return payload
 
 

@@ -130,7 +130,3 @@ class CharacteristicSets:
                 return None
             property_ids.append(property_id)
         return property_ids
-
-    def top_sets(self, limit: int = 10) -> List[Tuple[FrozenSet[int], int]]:
-        """The most populous characteristic sets (statistics panel)."""
-        return sorted(self.counts.items(), key=lambda item: -item[1])[:limit]

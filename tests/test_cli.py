@@ -158,9 +158,9 @@ class TestIntervalAnswer:
         assert code == 0
         assert "J. L. Borges" in encoded
         # Identical answer rows, interval encoding or not.
-        extract = lambda out: [
-            line for line in out.splitlines() if line.startswith("    (")
-        ]
+        def extract(out):
+            return [line for line in out.splitlines() if line.startswith("    (")]
+
         assert extract(encoded) == extract(classic)
 
     def test_sqlite_compound_select_limit_is_a_fail_row(self, capsys):
@@ -559,18 +559,12 @@ class TestServe:
         assert first == second
 
     def test_serve_bad_tenant_spec_is_usage_error(self, capsys):
-        code, _ = run_cli(
-            capsys, "serve", "--dataset", "books",
-            "--tenants", "a:1:2:3:4",
-        )
-        assert code == 2
-
-    def test_serve_four_part_tenant_spec_sets_replica_bound(self, capsys):
-        code, _ = run_cli(
-            capsys, "serve", "--dataset", "books", "--requests", "2",
-            "--tenants", "a:2:4:3",
-        )
-        assert code == 0
+        for spec in ("a:1:2:3:4", "a:2:4:3"):
+            code, _ = run_cli(
+                capsys, "serve", "--dataset", "books",
+                "--tenants", spec,
+            )
+            assert code == 2, spec
 
 
     def test_serve_json_includes_health_section(self, capsys):

@@ -115,7 +115,7 @@ class TestBrownoutLadder:
         ladder = BrownoutController(clock=FakeClock())
         pressured = signals(failure_fraction=1.0)
         levels = [ladder.observe(pressured) for _ in range(6)]
-        assert levels == [1, 2, 3, 4, 4, 4]
+        assert levels == [1, 2, 3, 3, 3, 3]
         assert ladder.level == SHED_NEW_WORK
         assert all(t[2] - t[1] == 1 for t in ladder.transitions)
 
@@ -214,7 +214,6 @@ class TestBrownoutLadder:
             return (
                 ladder.allow_partial,
                 ladder.serve_stale,
-                ladder.replica_reads_only,
                 ladder.shed_new_work,
                 ladder.effective_budgets(100, 2.0),
             )
@@ -223,7 +222,6 @@ class TestBrownoutLadder:
             "normal",
             "partial-answers",
             "stale-serving",
-            "replica-reads-only",
             "shed-new-work",
         )
         for level in range(NORMAL + 1, len(LEVEL_NAMES)):

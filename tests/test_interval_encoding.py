@@ -26,12 +26,7 @@ from hypothesis import strategies as st
 
 from repro import QueryAnswerer, Strategy
 from repro.datasets import example1_query, generate_lubm
-from repro.encoding import (
-    HierarchyEncoding,
-    HierarchyInterval,
-    preencode_hierarchy,
-    rebuild_with_hierarchy,
-)
+from repro.encoding import preencode_hierarchy, rebuild_with_hierarchy
 from repro.encoding.hierarchy import detect_encoding
 from repro.query import ConjunctiveQuery, Cover, TriplePattern, Variable
 from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
@@ -132,11 +127,13 @@ class TestLayout:
             other = detected.type_interval(node)
             assert other is not None
             # Same membership semantics: identical non-hole content.
-            content = lambda iv: {
-                i
-                for i in range(iv.lo, iv.hi)
-                if not store.dictionary.is_hole(i)
-            }
+            def content(iv):
+                return {
+                    i
+                    for i in range(iv.lo, iv.hi)
+                    if not store.dictionary.is_hole(i)
+                }
+
             assert content(other) == content(interval)
 
     def test_token_distinguishes_versions(self):

@@ -501,7 +501,6 @@ def test_schema_minimisation_preserves_answers(graph, case):
 )
 def test_federation_matches_centralized(graph, schema, query, parts):
     from repro.federation import Endpoint, FederatedAnswerer
-    from repro.rdf.namespaces import SCHEMA_PROPERTIES
 
     # The federated client handles data-level queries; patterns with an
     # unbound property can match endpoint-local schema triples the

@@ -182,3 +182,28 @@ class TestLiteralEscaping:
         assert parse_term('"a^^b"') == Literal("a^^b")
         typed = Literal("x^^y", URI("http://www.w3.org/2001/XMLSchema#string"))
         assert parse_term(typed.n3()) == typed
+
+    @pytest.mark.parametrize(
+        "escape, char",
+        [
+            ("\\t", "\t"),
+            ("\\b", "\b"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\f", "\f"),
+            ('\\"', '"'),
+            ("\\'", "'"),
+            ("\\\\", "\\"),
+            ("\\u00e9", "é"),
+            ("\\U0001F600", "\U0001F600"),
+        ],
+    )
+    def test_each_escape_decodes_to_its_code_point(self, escape, char):
+        assert parse_term('"a%sc"' % escape) == Literal("a%sc" % char)
+
+    @pytest.mark.parametrize("escape", ["\\q", "\\u0e", "\\uD800", "\\U00110000"])
+    def test_an_undefined_escape_names_its_line(self, escape):
+        with pytest.raises(ParseError) as excinfo:
+            read_ntriples('<http://e/s> <http://e/p> "ok" .\n'
+                          '<http://e/s> <http://e/p> "a%sc" .\n' % escape)
+        assert excinfo.value.line_number == 2

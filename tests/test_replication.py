@@ -1,5 +1,5 @@
 """Tests for WAL-shipping replication: links, catch-up, failover,
-divergence repair, and replica-aware serving (DESIGN.md §15).
+and divergence repair (DESIGN.md §15).
 
 The organizing invariant is *differential*: whatever the links drop,
 duplicate, delay, or tear, and whoever crashes or partitions, after
@@ -15,26 +15,18 @@ import os
 
 import pytest
 
+from repro.core import QueryAnswerer
 from repro.durability.wal import WriteAheadLog, encode_record
 from repro.query import parse_query
 from repro.rdf import Graph, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
 from repro.replication import (
     PrimaryFenced,
-    ReplicaRouter,
     ReplicationCluster,
     ReplicationLink,
 )
 from repro.resilience.clock import FakeClock
 from repro.resilience.faults import ReplicationFaultPlan
-from repro.service import (
-    DONE,
-    LEVEL_NAMES,
-    QueryRequest,
-    QueryService,
-    REPLICA_READS_ONLY,
-    SHED_NEW_WORK,
-    TenantConfig,
-)
+from repro.service import QueryRequest, QueryService
 
 #: CI sweeps this (see .github/workflows/ci.yml) so the convergence
 #: invariants hold at every seeded fault schedule, not one lucky one.
@@ -310,7 +302,8 @@ class TestFailover:
 
             def answers():
                 return [
-                    sorted(cluster.primary_node.reader(engine)
+                    sorted(QueryAnswerer(cluster.primary_node.durable.store,
+                                         engine=engine)
                            .answer(STUDENT_QUERY).answer)
                     for engine in engines
                 ]
@@ -386,172 +379,6 @@ class TestDifferential:
             finally:
                 cluster.close()
         assert outcomes[0] == outcomes[1]
-
-
-# ---------------------------------------------------------------------------
-# Replica-aware serving
-
-
-def make_service(cluster, tenants, **kwargs):
-    router = ReplicaRouter(cluster)
-    service = QueryService(
-        tiny_graph(),
-        tenants=tenants,
-        clock=FakeClock(auto_advance=0.001),
-        brownout=kwargs.pop("brownout", None),
-        replicas=router,
-        **kwargs,
-    )
-    return service, router
-
-
-class TestReplicaServing:
-    def _cluster(self, tmp_path):
-        cluster = make_cluster(tmp_path, names=("n1", "n2"))
-        cluster.primary_node.load(tiny_graph())
-        cluster.pump_until_converged()
-        return cluster
-
-    def test_bounded_tenant_reads_from_follower(self, tmp_path):
-        cluster = self._cluster(tmp_path)
-        try:
-            service, router = make_service(
-                cluster,
-                [TenantConfig("bounded", replica_max_lag=2), "plain"])
-            bounded = service.submit(QueryRequest("bounded", STUDENT_QUERY))
-            plain = service.submit(QueryRequest("plain", STUDENT_QUERY))
-            service.drain()
-            assert bounded.status == DONE and plain.status == DONE
-            assert bounded.report.details["replica"]["node"] == "n2"
-            assert "replica" not in plain.report.details
-            assert sorted(bounded.answer) == sorted(plain.answer)
-            assert router.counters["replica_reads"] == 1
-            assert router.counters["primary_reads"] == 1
-        finally:
-            cluster.close()
-
-    def test_schema_triple_is_refused_before_mirroring(self, tmp_path):
-        """The service refuses a schema triple before the primary logs
-        it: a constraint goes through ``add_constraint``, never a
-        mirrored triple write."""
-        cluster = self._cluster(tmp_path)
-        try:
-            service, _ = make_service(cluster, ["plain"])
-            lsn = cluster.primary_node.lsn
-            for write in (service.insert, service.delete):
-                with pytest.raises(ValueError, match="add_constraint"):
-                    write(Triple(EX.Grad, RDFS_SUBCLASSOF, EX.Student))
-            assert cluster.primary_node.lsn == lsn
-        finally:
-            cluster.close()
-
-    def test_lagging_follower_read_is_flagged_stale(self, tmp_path):
-        cluster = self._cluster(tmp_path)
-        try:
-            service, router = make_service(
-                cluster, [TenantConfig("bounded", replica_max_lag=5)])
-            # Writes mirrored to the primary; the follower has not seen
-            # them yet (no pump between insert and submit).
-            service.replicas.pump_per_step = 0
-            service.insert(Triple(EX.fresh, RDF_TYPE, EX.Student))
-            ticket = service.submit(QueryRequest("bounded", STUDENT_QUERY))
-            service.drain()
-            assert ticket.status == DONE
-            details = ticket.report.details
-            assert details["replica"]["lag"] == 1
-            assert details["stale"] == {"replica_lag": 1}
-            assert ticket.stale
-            # The stale read is the bounded one: it misses the fresh
-            # insert the primary already has.
-            assert (EX.fresh,) not in ticket.answer
-            assert router.counters["stale_replica_reads"] == 1
-        finally:
-            cluster.close()
-
-    def test_bound_exceeded_falls_back_to_primary(self, tmp_path):
-        cluster = self._cluster(tmp_path)
-        try:
-            service, router = make_service(
-                cluster, [TenantConfig("bounded", replica_max_lag=0)])
-            service.replicas.pump_per_step = 0
-            service.insert(Triple(EX.fresh, RDF_TYPE, EX.Student))
-            ticket = service.submit(QueryRequest("bounded", STUDENT_QUERY))
-            service.drain()
-            assert ticket.status == DONE
-            assert "replica" not in ticket.report.details
-            assert (EX.fresh,) in ticket.answer
-            assert router.counters["no_replica_available"] == 1
-        finally:
-            cluster.close()
-
-    def test_bounded_reads_survive_a_primary_crash(self, tmp_path):
-        """A single node loses every request while it is down; the
-        replicated service keeps answering bounded reads from the
-        follower, exactly, and only writes are refused."""
-        cluster = self._cluster(tmp_path)
-        try:
-            service, _router = make_service(
-                cluster, [TenantConfig("bounded", replica_max_lag=2)])
-            before = service.submit(QueryRequest("bounded", STUDENT_QUERY))
-            service.drain()
-            cluster.kill_primary()
-            with pytest.raises(PrimaryFenced):
-                service.insert(Triple(EX.lost, RDF_TYPE, EX.Student))
-            after = service.submit(QueryRequest("bounded", STUDENT_QUERY))
-            service.drain()
-            assert after.status == DONE
-            assert after.report.details["replica"]["node"] == "n2"
-            assert sorted(after.answer) == sorted(before.answer)
-        finally:
-            cluster.close()
-
-    def test_brownout_rung_forces_replica_reads(self, tmp_path):
-        cluster = self._cluster(tmp_path)
-        try:
-            service, router = make_service(
-                cluster, ["plain"], brownout=True)
-            service.brownout.force(REPLICA_READS_ONLY, "test")
-            ticket = service.submit(QueryRequest("plain", STUDENT_QUERY))
-            service.drain()
-            assert ticket.status == DONE
-            assert ticket.report.details["replica"]["forced"]
-        finally:
-            cluster.close()
-
-    def test_writes_mirror_to_primary_and_fenced_writes_surface(
-            self, tmp_path):
-        cluster = self._cluster(tmp_path)
-        try:
-            service, router = make_service(cluster, ["plain"])
-            before = service.answerer.store.triple_count
-            assert service.insert(Triple(EX.mirrored, RDF_TYPE, EX.Student))
-            assert cluster.primary_node.durable.store.triple_count > 0
-            cluster.primary_node.fence(2)
-            with pytest.raises(PrimaryFenced):
-                service.insert(Triple(EX.refused, RDF_TYPE, EX.Student))
-            # The serving copy never saw the refused write.
-            assert service.answerer.store.triple_count == before + 1
-            assert router.counters["fenced_writes"] == 1
-        finally:
-            cluster.close()
-
-    def test_describe_includes_replica_status(self, tmp_path):
-        cluster = self._cluster(tmp_path)
-        try:
-            service, _router = make_service(cluster, ["plain"])
-            payload = service.describe()
-            assert payload["replicas"]["primary"] == "n1"
-            assert "follower_lags" in payload["replicas"]
-        finally:
-            cluster.close()
-
-
-class TestLadderRenumbering:
-    def test_replica_rung_sits_between_stale_and_shed(self):
-        assert REPLICA_READS_ONLY == 3
-        assert SHED_NEW_WORK == 4
-        assert LEVEL_NAMES[REPLICA_READS_ONLY] == "replica-reads-only"
-        assert len(LEVEL_NAMES) == 5
 
 
 # ---------------------------------------------------------------------------

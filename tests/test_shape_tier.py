@@ -13,7 +13,7 @@ Covered here:
   LUBM-1 schemas);
 * lifecycle in the query service: a second instance runs no search,
   writes keep shapes, schema changes retire them, tenants keep their
-  own, pinned and replica reads bypass the tier, stale refreshes use
+  own, pinned reads bypass the tier, stale refreshes use
   it, and misses report the tier's outcome.
 """
 
@@ -332,24 +332,6 @@ def tier_counts(service, tenant="a"):
     return stats["hits"], stats["misses"], stats["entries"]
 
 
-class _OneFollower:
-    """A replica router stub that routes every read to one follower."""
-
-    name = "follower"
-
-    def __init__(self, graph):
-        self.answerer = QueryAnswerer(graph)
-
-    def tick(self):
-        pass
-
-    def route_read(self, bound, forced=False):
-        return self, 0
-
-    def reader(self, engine):
-        return self.answerer
-
-
 class TestServiceTier:
     def test_second_instance_is_a_hit_and_searches_nothing(self, lubm_small, gcov_calls):
         service = make_service(lubm_small)
@@ -413,14 +395,6 @@ class TestServiceTier:
         assert pinned.cache is None and "cache" not in pinned.report.details
         assert tier_counts(service) == (0, 1, 1)
         assert len(gcov_calls) == 2
-
-    def test_replica_reads_bypass_the_tier(self, lubm_small, gcov_calls):
-        service = make_service(lubm_small, replicas=_OneFollower(lubm_small))
-        routed = round_trip(service, "a", course_students("GraduateCourse0"))
-        assert routed.report.details["replica"]["node"] == "follower"
-        assert "cache" not in routed.report.details
-        assert tier_counts(service) == (0, 0, 0)
-        assert len(gcov_calls) == 1
 
     def test_stale_refresh_compiles_through_the_tier(self, lubm_small, gcov_calls):
         service = make_service(lubm_small, brownout=BrownoutPolicy())

@@ -7,11 +7,11 @@
 * A schema triple written through the answerer or the service is
   refused with ``ValueError`` before any state changes, with Sat built
   or not: a constraint must go through ``DurableStore.add_constraint``.
-* Readers wrap stores.  Neither a pinned read after a write nor
-  ``ReplicaNode.reader()`` after an LSN move rebuilds one: the tests
-  count ``TripleStore.to_graph`` / ``from_graph`` / ``from_encoded``
-  calls with monkeypatched counters, no timing.  A Sat read on a
-  replica reader leaves no listener on the durable store.
+* Readers wrap stores.  A pinned read after a write rebuilds none:
+  the test counts ``TripleStore.to_graph`` / ``from_graph`` /
+  ``from_encoded`` calls with monkeypatched counters, no timing.  A
+  Sat read by an answerer over a follower's store leaves no listener
+  on the durable store.
 """
 
 from __future__ import annotations
@@ -212,31 +212,11 @@ def test_pinned_read_after_a_write_rebuilds_nothing(rebuilds, engine):
     service.release(snapshot)
 
 
-def test_replica_reader_after_an_lsn_move_rebuilds_nothing(rebuilds, tmp_path):
-    cluster = ReplicationCluster(str(tmp_path / "cluster"), ("n1", "n2"), seed=0)
-    try:
-        cluster.primary_node.load(student_graph())
-        cluster.pump_until_converged()
-        follower = cluster.nodes["n2"]
-        first = follower.reader()
-        assert len(first.answer(STUDENT_QUERY).answer) == 3
-        cluster.primary_node.insert(Triple(EX.late, RDF_TYPE, EX.Student))
-        cluster.pump_until_converged()
-        rebuilds.clear()
-        reader = follower.reader()
-        assert reader is not first  # the LSN moved
-        assert reader.store is follower.durable.store
-        assert len(reader.answer(STUDENT_QUERY).answer) == 4
-        assert rebuilds == []
-    finally:
-        cluster.close()
-
-
 def test_replica_sat_readers_leave_no_listener_on_the_store(tmp_path):
-    """Each LSN move gives the follower a new reader; a Sat read builds
-    that reader's saturated store over the durable store, and the
-    saturator keeps no listener there, so later writes pay no Sat
-    maintenance for a reader that is gone."""
+    """Each LSN move gets a new answerer over the follower's store; a
+    Sat read builds that answerer's saturated store over the durable
+    store, and the saturator keeps no listener there, so later writes
+    pay no Sat maintenance for an answerer that is gone."""
     cluster = ReplicationCluster(str(tmp_path / "cluster"), ("n1", "n2"), seed=0)
     try:
         cluster.primary_node.load(student_graph())
@@ -245,12 +225,11 @@ def test_replica_sat_readers_leave_no_listener_on_the_store(tmp_path):
         store = follower.durable.store
         listeners = (list(store._listeners), list(store._pre_listeners))
         for late in range(3):
-            reader = follower.reader()
+            reader = QueryAnswerer(follower.durable.store)
             assert len(reader.answer(STUDENT_QUERY, Strategy.SAT).answer) == 3 + late
             assert (store._listeners, store._pre_listeners) == listeners
             cluster.primary_node.insert(Triple(EX["late%d" % late], RDF_TYPE, EX.Grad))
             cluster.pump_until_converged()
-            assert follower.reader() is not reader  # the LSN moved
         assert (store._listeners, store._pre_listeners) == listeners
     finally:
         cluster.close()
@@ -287,7 +266,8 @@ def test_a_sat_read_leaves_the_replica_state_crc_alone(tmp_path):
         follower = cluster.nodes["n2"]
         crc = follower.state_crc()
         assert crc == cluster.primary_node.state_crc()
-        assert len(follower.reader().answer(FACULTY_QUERY, Strategy.SAT).answer) == 1
+        reader = QueryAnswerer(follower.durable.store)
+        assert len(reader.answer(FACULTY_QUERY, Strategy.SAT).answer) == 1
         assert follower.state_crc() == crc
         assert cluster.verify_consistency() == []
     finally:
@@ -311,7 +291,7 @@ def test_a_saturating_node_restarts_without_a_reseed(tmp_path):
         cluster.pump_until_converged()
         assert cluster.verify_consistency() == []
         assert cluster.reseed_log == []
-        reader = cluster.nodes["n2"].reader()
+        reader = QueryAnswerer(cluster.nodes["n2"].durable.store)
         assert len(reader.answer(FACULTY_QUERY, Strategy.SAT).answer) == 2
     finally:
         cluster.close()
