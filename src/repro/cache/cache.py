@@ -16,8 +16,9 @@ Three tiers:
    The GCov entry is keyed by the query's *shape* instead
    (:func:`~repro.cache.keys.shape_of`: instance constants lifted) and
    holds GCov's ranked covers over the shape's atom positions; each
-   query of the shape maps them onto its atoms and builds its own
-   JUCQ.  Sound because any cover answers completely; only the cost,
+   query of the shape maps them onto its atoms and binds its constants
+   into the entry's plan (or builds its own JUCQ when they may not
+   bind).  Sound because any cover answers completely; only the cost,
    priced on the shape's first query, can be stale, and it is not
    re-priced (that would be the search the entry saves).  The entry
    carries the dataset token: cover choice is data-dependent.

@@ -99,6 +99,18 @@ def _lift(atom: TriplePattern) -> TriplePattern:
     return TriplePattern(subject, property_, object_)
 
 
+def lifted_constants(query: ConjunctiveQuery, order: Tuple[int, ...]) -> Tuple:
+    """The instance constants :func:`shape_of` lifts from *query*, in its
+    canonical atom *order*: for every query of one shape, index ``k``
+    names the same position, one slot of the plan they share."""
+    return tuple(
+        term
+        for atom in map(query.atoms.__getitem__, order)
+        for term, lifted in zip(atom.as_tuple(), _lift(atom).as_tuple())
+        if lifted is _PLACEHOLDER
+    )
+
+
 def shape_of(query: ConjunctiveQuery) -> Tuple[Tuple, Tuple[int, ...]]:
     """*query*'s shape key and canonical atom order: ``order[i]`` is the
     index in ``query.atoms`` of the shape's atom ``i``.  The key holds

@@ -313,7 +313,8 @@ def cmd_explain(args) -> int:
         print("strategy %s has no relational plan" % args.strategy)
         return EXIT_FAILURE
     _print_details(report.details)
-    print(explain_plan(report.execution.plan, answerer.store))
+    print(explain_plan(report.execution.plan, answerer.store,
+                       metrics=report.execution.metrics))
     print()
     _print_metrics(report.execution)
     return EXIT_OK

@@ -77,8 +77,9 @@ DEFAULT_COLUMNAR_BATCH_SIZE = 1024
 class _ColumnarPipeline:
     """One columnar execution: operators wired to shared accounting."""
 
-    def __init__(self, store, metrics: PipelineMetrics, budget, batch_size: int):
+    def __init__(self, store, metrics: PipelineMetrics, budget, batch_size: int, binding=()):
         self.store = store
+        self.binding = binding  # the ids of the plan's ("slot", k) positions
         self.indexes = store.columnar()
         self.metrics = metrics
         self.budget = budget
@@ -103,21 +104,20 @@ class _ColumnarPipeline:
         """The metered output stream of *node*, its rows also counted
         into the ``rows_in`` of *consumer*, the operator that pulls it.
 
-        Meters rows/batches/wall-time per operator, mirrors the row
-        count into ``node.actual_rows`` for EXPLAIN, and charges the
-        budget per chunk.  Sortedness metadata passes through
+        Meters rows/batches/wall-time per operator into the run's
+        metrics, never the plan, and charges the budget per chunk.
+        Sortedness metadata passes through
         untouched — metering never reorders.  The operator's one
         :class:`ColumnStream` carries its chunk source, metered.
         """
         entry = self.metrics.operator(node)
         stream = self._operator(node, entry)
-        node.actual_rows = 0
-        stream.chunks = self._metered(stream.chunks, node, entry, consumer)
+        stream.chunks = self._metered(stream.chunks, entry, consumer)
         return stream
 
     def _metered(
-        self, chunks: Iterator[ColumnChunk], node: PlanNode,
-        entry: OperatorMetrics, consumer: Optional[OperatorMetrics],
+        self, chunks: Iterator[ColumnChunk], entry: OperatorMetrics,
+        consumer: Optional[OperatorMetrics],
     ) -> Iterator[ColumnChunk]:
         """*chunks*, each metered into *entry* and *consumer* and charged
         to the budget; closing it closes *chunks* and releases *entry*'s
@@ -131,7 +131,6 @@ class _ColumnarPipeline:
                 length = chunk.length
                 entry.rows_out += length
                 entry.batches += 1
-                node.actual_rows += length
                 if consumer is not None:
                     consumer.rows_in += length
                 if budget is not None:
@@ -203,9 +202,14 @@ class _ColumnarPipeline:
         after a run's bound prefix narrows that run's range (see
         :meth:`_narrowed`).  Any other pattern probes on its bound
         constants, and masks each chunk when a variable repeats or a
-        range position is left to check.
+        range position is left to check.  A slot bound to None (a term
+        the dictionary never stored) matches nothing.
         """
-        bounds = node.bound_positions()
+        bounds = node.bound_positions(self.binding)
+        if None in self.binding and any(
+            kind == "slot" and bound is None for (kind, _), bound in zip(node.positions, bounds)
+        ):
+            return ColumnStream(iter(()))
         positions_of: Dict[object, List[int]] = {}
         for position, (kind, value) in enumerate(node.positions):
             if kind == "var":
@@ -845,9 +849,10 @@ def collect_columnar(
     budget=None,
     batch_size: int = DEFAULT_COLUMNAR_BATCH_SIZE,
     metrics: Optional[PipelineMetrics] = None,
+    binding: Sequence[Optional[int]] = (),
 ) -> Tuple[ColumnarAnswer, PipelineMetrics]:
-    """Execute *plan* against *store* columnar-ly; returns the collected
-    answer and the metrics.
+    """Execute *plan* against *store* columnar-ly, a ``("slot", k)``
+    reading ``binding[k]``; returns the collected answer and the metrics.
 
     The collected answer is distinct (joins and projections may repeat
     rows; a final seen-set of packed keys removes them), metrics report
@@ -861,7 +866,7 @@ def collect_columnar(
     """
     if metrics is None:
         metrics = PipelineMetrics()
-    pipeline = _ColumnarPipeline(store, metrics, budget, batch_size)
+    pipeline = _ColumnarPipeline(store, metrics, budget, batch_size, binding)
     columns = tuple([] for _ in range(plan.arity))
     answer = ColumnarAnswer(columns, 0, pipeline.base, [])
     started = time.perf_counter()

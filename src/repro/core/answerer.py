@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ..cache import QueryCache, cover_key, dataset_token
-from ..cache.keys import shape_of
+from ..cache.keys import lifted_constants, shape_of
 from ..columnar.indexes import ORDER_PERMUTATIONS
 from ..datalog.encoding import answer_query as datalog_answer
 from ..encoding.hierarchy import HierarchyInterval, preencode_hierarchy
@@ -42,7 +42,7 @@ from ..optimizer.gcov import gcov
 from ..query.algebra import ConjunctiveQuery
 from ..query.cover import Cover
 from ..rdf.graph import Graph
-from ..rdf.terms import Term
+from ..rdf.terms import Literal, Term
 from ..reformulation.engine import reformulate, ucq_size
 from ..reformulation.jucq import jucq_for_cover
 from ..reformulation.policy import (
@@ -58,6 +58,7 @@ from ..resilience.report import CompletenessReport, DEGRADED
 from ..schema.schema import Schema
 from ..storage.backends import BackendProfile, HASH_BACKEND, QueryTooLargeError
 from ..storage.executor import ExecutionResult, Executor
+from ..storage.planner import Planner
 from ..storage.sql import SqliteBackend
 from ..storage.store import TripleStore
 
@@ -172,9 +173,8 @@ _UCQ_POLICIES = {
 
 class CompiledQuery(NamedTuple):
     """What :meth:`QueryAnswerer.compile` decided for one query and
-    strategy: all :meth:`QueryAnswerer.execute` evaluates, and no plan
-    (the columnar engine writes ``actual_rows`` into plan nodes, so a
-    record holding one could not be shared)."""
+    strategy: all :meth:`QueryAnswerer.execute` evaluates.  Runs never
+    write into plans, so a record may share ``plan`` with others."""
 
     strategy: Strategy
     #: The caller's query, the query minimisation left and the indices
@@ -183,7 +183,7 @@ class CompiledQuery(NamedTuple):
     minimised: ConjunctiveQuery
     dropped: Tuple[int, ...]
     #: What is evaluated: the minimised CQ for ``SAT``/``DATALOG``, the
-    #: UCQ or JUCQ otherwise.
+    #: UCQ or JUCQ otherwise; None when the tier served ``plan``.
     relational: object
     #: The strategy's diagnostics, ``"minimised"`` included.
     details: Mapping
@@ -196,6 +196,10 @@ class CompiledQuery(NamedTuple):
     #: Whether the reformulation tier served the rewrite (None: no
     #: cache, or nothing rewritten).
     reformulation_hit: Optional[bool] = None
+    #: ``REF_GCOV`` through the tier: the shape's plan, run with its
+    #: slots bound to ``binding`` (``relational`` is not planned).
+    plan: Optional[object] = None
+    binding: Tuple[Optional[int], ...] = ()
 
 
 class AnswerReport:
@@ -364,6 +368,9 @@ class QueryAnswerer:
             if self._sql_backend is None:
                 self._sql_backend = SqliteBackend(self.store)
             return self._sql_backend.run(query), None
+        if compiled.plan is not None:
+            execution = self.executor.run(compiled.plan, budget, compiled.binding)
+            return execution.answer(), execution
         executor = (
             Executor(self.saturated_store(), self.backend)
             if saturated
@@ -763,8 +770,10 @@ class QueryAnswerer:
         cover and ranking as fragments over the shape's atom positions,
         mapped onto each query of the shape.  Sound, as any cover
         answers completely; only the cost, priced on the shape's first
-        query, can be stale, and it is not re-priced."""
-        hit = None
+        query, can be stale, and it is not re-priced.  The entry's plan
+        (:meth:`_define_plan`) spares later queries JUCQ and planning (DESIGN §8)."""
+        hit = plan = constants = None
+        binding = ()
         if cache is None:
             cover, ranked, search = self._timed_search(query)
         else:
@@ -777,23 +786,53 @@ class QueryAnswerer:
                     tuple(frozenset(position[atom] for atom in f) for f in c.fragments)
                     for c in [cover] + [other for other, _ in ranked]
                 )
-                return lifted, tuple(cost for _, cost in ranked), search
+                # The last item holds the shape's plan once one is defined.
+                return lifted, tuple(cost for _, cost in ranked), search, [None]
 
             # The cover choice is cost-based, hence data-dependent: the
             # entry carries the dataset token so answerers sharing one
             # cache never trade covers tuned to each other's data.
-            (lifted, costs, search), hit = self._cached_reformulation(
+            (lifted, costs, search, shared), hit = self._cached_reformulation(
                 cache, "gcov", shape, policy, search_shape,
                 (self._token(), self.backend.name),
             )
             cover = _mapped_cover(query, order, lifted[0])
             ranked = _MappedRanking(query, order, lifted[1:], costs)
-        relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
-        details = {"cover": repr(cover), **search}
-        compiled = CompiledQuery(
-            Strategy.REF_GCOV, query, query, (), relational, details, cover, ranked
-        )
-        return compiled, hit
+            if self.engine == "columnar" and self.encoding is None:  # else the JUCQ is read
+                constants = lifted_constants(query, order)
+                defined = shared[0]
+                if defined is not None and all(
+                    constant not in defined[2] and isinstance(constant, Literal) is literal
+                    for constant, literal in zip(constants, defined[1])
+                ):
+                    plan, binding = defined[0], tuple(map(self.store.term_id, constants))
+        relational = None
+        if plan is None:
+            relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
+            if constants is not None and shared[0] is None:
+                plan, binding = self._define_plan(shared, query, constants, relational)
+        return CompiledQuery(
+            Strategy.REF_GCOV, query, query, (), relational, {"cover": repr(cover), **search},
+            cover, ranked, None, plan, binding,
+        ), hit
+
+    def _define_plan(self, shared, query, constants, relational):
+        """*relational*'s plan with a slot per constant and the ids binding
+        them, or ``(None, ())`` unless each constant is stored, once in
+        *query* and not in the schema; shared unless planned over an
+        absent constant, which a later write could store."""
+        schema_terms = self.schema.classes() | self.schema.properties()
+        terms = [term for atom in query.atoms for term in atom.as_tuple()] + list(query.head)
+        binding = tuple(map(self.store.term_id, constants))
+        if None in binding or any(
+            constant in schema_terms or terms.count(constant) != 1 for constant in constants
+        ):
+            return None, ()
+        planner = Planner(self.store, self.backend, slots={c: k for k, c in enumerate(constants)})
+        plan = planner.plan(relational)
+        if not planner.absent:
+            shared[0] = (plan, tuple(isinstance(c, Literal) for c in constants), schema_terms)
+        return plan, binding
 
     def _timed_search(self, query: ConjunctiveQuery):
         """One :meth:`_search` of *query*: cover, ranking, diagnostics."""

@@ -304,7 +304,8 @@ class DurableStore:
             added = []
             self._quiet = True
             try:
-                for constraint in combined.direct_constraints():
+                # Sorted (as the data below): ids and log must not follow set order.
+                for constraint in sorted(combined.direct_constraints(), key=Constraint.to_triple):
                     if self.store.schema.add(constraint):
                         added.append(constraint)
                 if added:
@@ -320,7 +321,7 @@ class DurableStore:
                 self._log(OP_CONSTRAINT_ADD, constraint.to_triple())
                 if self.cache is not None:
                     self.cache.note_schema_change()
-            for triple in self.store.insert_many(graph.data_triples()):
+            for triple in self.store.insert_many(sorted(graph.data_triples())):
                 if self.saturator is not None:
                     self.saturator.insert(triple)
         return self.records_logged - before

@@ -3,7 +3,8 @@
 A plan is a tree of nodes over dictionary-encoded rows.  Plans are
 *descriptions*: the planner builds them, the cost model annotates them
 (``estimated_rows`` / ``estimated_cost`` / ``column_distincts``), and
-an executor runs them.  Keeping the three phases separate is what
+an executor runs them, writing into its own metrics, never the plan.
+Keeping the three phases separate is what
 lets GCov price a cover without running it — the whole point of
 cost-based reformulation — and what lets two consumers share one plan
 language:
@@ -32,9 +33,10 @@ from ..query.algebra import Variable
 
 #: A column label: the variable the column binds, or None for payload.
 ColumnLabel = Optional[Variable]
-#: A scan position: ("const", term_id), ("var", Variable), or
+#: A scan position: ("const", term_id), ("var", Variable),
 #: ("range", (lo, hi)) — a half-open id interval (the physical form of
-#: a hierarchy-encoded interval atom).  A range position is filtered,
+#: a hierarchy-encoded interval atom) — or ("slot", k): a run's binding[k],
+#: None (matching nothing) for a never-stored term.  A range position is filtered,
 #: not bound: it contributes no output column and no join variable.
 PositionSpec = Tuple[str, Union[int, Variable, Tuple[int, int]]]
 #: A projection column: ("var", Variable), ("const", term_id), or
@@ -53,8 +55,6 @@ class PlanNode:
         self.estimated_rows: float = 0.0
         self.estimated_cost: float = 0.0
         self.column_distincts: Dict[Variable, float] = {}
-        # Filled by the executor.
-        self.actual_rows: Optional[int] = None
 
     def children(self) -> List["PlanNode"]:
         return []
@@ -101,11 +101,12 @@ class ScanNode(PlanNode):
         self.positions: Tuple[PositionSpec, ...] = tuple(positions)
         super().__init__(labels)
 
-    def bound_positions(self) -> Tuple[Optional[int], Optional[int], Optional[int]]:
+    def bound_positions(self, binding=()) -> Tuple[Optional[int], Optional[int], Optional[int]]:
         """(s, p, o) ids with None for variables (and range positions,
-        which filter rather than bind)."""
+        which filter rather than bind); a slot reads *binding*."""
         return tuple(
-            value if kind == "const" else None for kind, value in self.positions
+            value if kind == "const" else binding[value] if kind == "slot" else None
+            for kind, value in self.positions
         )  # type: ignore[return-value]
 
     def range_spec(self) -> Optional[Tuple[int, Tuple[int, int]]]:
@@ -124,6 +125,8 @@ class ScanNode(PlanNode):
                 return "?%s" % value.name
             if kind == "range":
                 return "#[%d..%d)" % value
+            if kind == "slot":
+                return "$%d" % value
             return "#%d" % value
 
         return "Scan(%s)" % (", ".join(

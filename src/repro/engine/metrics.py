@@ -2,7 +2,7 @@
 
 The paper's whole argument is about *intermediate result sizes*
 (Example 1: 33M rows for the open type atoms vs 2,296 after grouping).
-Each plan node's ``actual_rows`` records what it emitted; the columnar
+A run counts what each plan node emitted here, never on the plan; the columnar
 executor streams instead of materializing, so the other interesting
 quantity is what each operator *buffers* — hash-join build tables, sort buffers, dedup sets — and the
 global peak of all concurrent buffers, the engine's true memory high-
@@ -129,6 +129,12 @@ class PipelineMetrics:
         """An operator's state was dropped (stream closed/exhausted)."""
         self._buffered_total -= entry.buffered_rows
         entry.buffered_rows = 0
+
+    def actual_rows(self, node: PlanNode) -> Optional[int]:
+        """The rows *node* emitted in this run, or None when the run
+        never reached it."""
+        entry = self._per_node.get(id(node))
+        return None if entry is None else entry.rows_out
 
     # ------------------------------------------------------------------
 

@@ -103,9 +103,10 @@ class _TokenStream:
 def _parse_term(token: str, prefixes: Dict[str, str]) -> PatternTerm:
     if token.startswith("?"):
         return Variable(token[1:])
-    if token.startswith("<") and token.endswith(">"):
+    iri = token.startswith("<") and token.endswith(">")
+    if iri and "\\" not in token:
         return URI(token[1:-1])
-    if token.startswith('"'):
+    if iri or token.startswith('"'):  # escapes decode as the data reader's
         from ..rdf.io import parse_term as parse_rdf_term
 
         return parse_rdf_term(token)

@@ -89,6 +89,13 @@ def _unescape_literal(raw: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, raw)
 
 
+def _decode_iri_escape(match: re.Match) -> str:
+    """An IRI takes UCHAR escapes only."""
+    if match.group(3) is not None:
+        raise ParseError("invalid escape %r in IRI" % match.group(0))
+    return _decode_escape(match)
+
+
 def _decode_escape(match: re.Match) -> str:
     hex4, hex8, char = match.groups()
     if char is not None:
@@ -115,6 +122,8 @@ def parse_term(token: str) -> Term:
         inner = token[1:-1]
         if not inner:
             raise ParseError("empty URI token")
+        if "\\" in inner:
+            inner = _ESCAPE_RE.sub(_decode_iri_escape, inner)
         return URI(inner)
     if token.startswith("_:"):
         label = token[2:]

@@ -65,7 +65,7 @@ class URI(Term, tuple):
     value = property(itemgetter(1))
 
     def n3(self) -> str:
-        return "<%s>" % self[1]
+        return "<%s>" % self[1].replace("\\", "\\u005C")  # IRIs escape as UCHARs
 
     def __repr__(self) -> str:
         return "URI(%r)" % self[1]

@@ -28,7 +28,7 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   ``stale=True``).  The partition's reformulation tier keeps GCov's
   covers per query *shape* (the query up to its instance constants)
   across writes: a miss on a shape the tenant already compiled runs no
-  cover search;
+  cover search, and usually no planning either (its plan is kept);
 * **snapshot reads** — :meth:`pin` hands out an epoch-pinned
   :class:`~repro.storage.snapshot.StoreSnapshot`; a request carrying
   one is answered over the pinned state — the live store until a write

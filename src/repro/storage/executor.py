@@ -5,11 +5,11 @@
 vectorized columnar executor of :mod:`repro.columnar.engine`, which
 streams column batches over the store's sorted integer-run indexes in
 bounded memory with per-operator metrics.  Every node's actual
-cardinality is recorded on the plan (the paper's Example 1 discussion
-is about *intermediate result sizes* — 33 million rows for the open
-type atoms vs 2,296 after grouping — so experiments can compare the
-estimates with reality).  SQL lowering (:mod:`repro.storage.sql`) is
-the external cross-check and lives beside this module.
+cardinality is recorded in the run's metrics, never on the plan (the
+paper's Example 1 discussion is about *intermediate result sizes* — 33
+million rows for the open type atoms vs 2,296 after grouping — so
+experiments can compare the estimates with reality).  SQL lowering
+(:mod:`repro.storage.sql`) is the external cross-check, beside this.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ class ExecutionResult:
     def max_intermediate_rows(self) -> int:
         """The largest operator output in the plan — the quantity that
         makes SCQ evaluation slow in Example 1."""
-        return max(
-            (node.actual_rows or 0) for node in self.plan.walk()
-        )
+        actual_rows = self.metrics.actual_rows
+        return max((actual_rows(node) or 0) for node in self.plan.walk())
 
     @property
     def peak_buffered_rows(self) -> int:
@@ -82,16 +81,19 @@ class ExecutionResult:
         """(operator, estimated rows, actual rows) per node, preorder —
         the demo's step-3 inspection panel."""
         return [
-            (repr(node), node.estimated_rows, node.actual_rows)
+            (repr(node), node.estimated_rows, self.metrics.actual_rows(node))
             for node in self.plan.walk()
         ]
 
 
 def execute_plan(node: PlanNode, store: TripleStore, budget=None) -> List[Row]:
     """Run *node* on the columnar engine and return its distinct rows,
-    filling every node's ``actual_rows``.  Kept for ``bench/layers.py``
-    until ROADMAP item 8 retires its replay."""
-    return run_columnar(node, store, budget=budget)[0]
+    setting every node's ``actual_rows`` from the run's metrics: kept for
+    ``bench/layers.py``, which reads them, until ROADMAP item 8."""
+    rows, metrics = run_columnar(node, store, budget=budget)
+    for each in node.walk():
+        each.actual_rows = metrics.actual_rows(each)
+    return rows
 
 
 class Executor:
@@ -110,8 +112,9 @@ class Executor:
         self.backend = backend
         self.planner = Planner(store, backend)
 
-    def run(self, query: PlannableQuery, budget=None) -> ExecutionResult:
-        """Plan and execute *query*.
+    def run(self, query: PlannableQuery | PlanNode, budget=None, binding=()) -> ExecutionResult:
+        """Plan and execute *query*, or execute it as it is when it is a
+        plan, its slots bound to *binding*: runs only read a plan.
 
         Raises :class:`~repro.storage.backends.QueryTooLargeError` when
         the query exceeds the backend's parse limit, and
@@ -120,16 +123,19 @@ class Executor:
         partial per-node cardinalities, the operator metrics and the
         partial answer attached to the raised error."""
         start = time.perf_counter()
-        plan = self.planner.plan(query)
+        plan = query if isinstance(query, PlanNode) else self.planner.plan(query)
+        metrics = PipelineMetrics()
         try:
-            collected, metrics = collect_columnar(plan, self.store, budget=budget)
+            collected, _ = collect_columnar(
+                plan, self.store, budget=budget, metrics=metrics, binding=binding
+            )
         except Exception as exc:
-            self._attach_partial(exc, plan)
+            self._attach_partial(exc, plan, metrics)
             raise
         elapsed = time.perf_counter() - start
         return ExecutionResult(plan, collected, self.store, elapsed, metrics)
 
-    def _attach_partial(self, exc, plan: PlanNode) -> None:
+    def _attach_partial(self, exc, plan: PlanNode, metrics: PipelineMetrics) -> None:
         """Satellite of a budget abort: the error carries how far the
         plan got (completed-subtree cardinalities, operator metrics,
         decoded partial answer) instead of erasing the evidence."""
@@ -138,7 +144,7 @@ class Executor:
         partial = getattr(exc, "partial", None) or {}
         partial.setdefault("engine", "columnar")
         partial["node_cardinalities"] = [
-            (repr(node), node.estimated_rows, node.actual_rows)
+            (repr(node), node.estimated_rows, metrics.actual_rows(node))
             for node in plan.walk()
         ]
         exc.partial = partial

@@ -2,10 +2,9 @@
 
 Demo step 3 lets attendees "inspect: the chosen query plan;
 cardinalities and costs of (sub)queries".  :func:`explain` renders an
-annotated (and optionally executed) plan as an indented operator tree,
-one line per node, with estimated rows, estimated cost and — when the
-plan has been executed — actual rows, in the style of an RDBMS EXPLAIN
-ANALYZE.
+annotated plan as an indented operator tree, one line per node, with
+estimated rows, estimated cost and — given the metrics of a run of it —
+actual rows, in the style of an RDBMS EXPLAIN ANALYZE.
 """
 
 from __future__ import annotations
@@ -45,6 +44,8 @@ def _describe(node: PlanNode, store: Optional[TripleStore]) -> str:
             return "[#%d..#%d)" % value
         if kind == "term":
             return value.n3()
+        if kind == "slot":
+            return "$%d" % value
         return decode(value)
 
     if isinstance(node, ScanNode):
@@ -93,14 +94,15 @@ def explain(
     plan: PlanNode,
     store: Optional[TripleStore] = None,
     max_union_children: int = 3,
+    metrics=None,
 ) -> str:
-    """Render *plan* as an indented tree.
+    """Render *plan* as an indented tree, with a run's *metrics*' actual rows.
 
     Large unions (UCQ reformulations can have thousands of inputs) are
     elided after ``max_union_children`` branches, with a summary line —
     exactly the shape of the demo's plan panel.
 
-    >>> # explain(Executor(store).run(query).plan, store)
+    >>> # run = Executor(store).run(query); explain(run.plan, store, metrics=run.metrics)
     """
     lines: List[str] = []
 
@@ -109,8 +111,9 @@ def explain(
             node.estimated_rows,
             node.estimated_cost,
         )
-        if node.actual_rows is not None:
-            annotation += " actual=%d" % node.actual_rows
+        actual = None if metrics is None else metrics.actual_rows(node)
+        if actual is not None:
+            annotation += " actual=%d" % actual
         lines.append("%s%s  [%s]" % ("  " * depth, _describe(node, store), annotation))
         children = node.children()
         if isinstance(node, UnionNode) and len(children) > max_union_children:

@@ -19,7 +19,7 @@ the paper's engines, without first paying plan construction.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..cost.model import annotate_node
 from ..engine.ir import (
@@ -118,6 +118,10 @@ class Planner:
     produces purely syntactic plans (scans in atom order, since every
     estimate ties at zero and the greedy order is stable) — the cheap
     mode the SQL lowering uses, where the target RDBMS replans anyway.
+    With ``slots`` (constant → k) a scan over one of those constants,
+    priced with its id, reads ``("slot", k)`` instead, so the plan
+    serves any binding of them.  ``absent`` records a disjunct planned
+    empty over an absent constant (which a later write could store).
     """
 
     def __init__(
@@ -125,10 +129,13 @@ class Planner:
         store: TripleStore,
         backend: BackendProfile = HASH_BACKEND,
         annotate: bool = True,
+        slots: Optional[Mapping[object, int]] = None,
     ):
         self.store = store
         self.backend = backend
         self.annotate = annotate
+        self.slots = slots
+        self.absent = False
 
     # ------------------------------------------------------------------
     # Entry point
@@ -200,8 +207,14 @@ class Planner:
         for atom in query.atoms:
             scan = self._scan_for_atom(atom)
             if scan is None:
+                self.absent = True
                 return self._annotate(EmptyNode(self._head_labels(query.head)))
             self._annotate(scan)
+            if self.slots:
+                scan.positions = tuple(
+                    ("slot", self.slots[term]) if term in self.slots else spec
+                    for term, spec in zip(atom.as_tuple(), scan.positions)
+                )
             scans.append(scan)
 
         ordered = greedy_join_order(scans, _rows, PlanNode.variable_positions)

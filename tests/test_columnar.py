@@ -197,7 +197,7 @@ class TestColumnarOperators:
         expected = pairs | {(b, a) for a, b in pairs}
         assert set(rows) == expected
         # 13 pairs each way; (loop, loop) is its own swap.
-        assert union.actual_rows == len(expected) == 25
+        assert metrics.actual_rows(union) == len(expected) == 25
         union_entry = next(
             e for e in metrics.per_operator() if e.label.startswith("Union")
         )

@@ -76,7 +76,7 @@ class TestScanEstimates:
         query = ConjunctiveQuery([x, y], [TriplePattern(x, EX.p, y)])
         result = executor.run(query)
         scan = next(n for n in result.plan.walk() if isinstance(n, ScanNode))
-        assert scan.actual_rows == int(scan.estimated_rows)
+        assert result.metrics.actual_rows(scan) == int(scan.estimated_rows)
 
 
 class TestJoinEstimates:

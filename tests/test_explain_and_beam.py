@@ -32,7 +32,7 @@ class TestExplain:
         executor = Executor(small_store)
         query = ConjunctiveQuery([x], [TriplePattern(x, RDF_TYPE, EX.C)])
         result = executor.run(query)
-        text = explain(result.plan, small_store)
+        text = explain(result.plan, small_store, metrics=result.metrics)
         assert "Scan(?x, rdf:type, C)" in text
         assert "actual=" in text
 

@@ -9,10 +9,11 @@ and the per-operator metrics its meters keep.
   object before Python 3.11 and part of the generator after.
 * **Metrics invariants**, over the differential matrix's queries and
   strategies: an operator's ``rows_in`` is the sum of its children's
-  ``rows_out``, a node's ``actual_rows`` is its ``rows_out``, and no
-  operator still holds buffered rows — on a complete run (where a
-  merge join may stop reading one input early), and on the partial
-  metrics a budget abort carries along with its partial rows.
+  ``rows_out``, no operator still holds buffered rows, and a run leaves
+  every node's attributes unchanged (what it observed lives in its
+  metrics) — on a complete run (where a merge join may stop reading
+  one input early), on a second run of the same plan, and on the
+  partial metrics a budget abort carries along with its partial rows.
 """
 
 import gc
@@ -30,7 +31,7 @@ from repro.datasets import example1_best_cover, example1_query, generate_lubm, l
 from repro.engine.metrics import PipelineMetrics
 from repro.query import Cover
 from repro.reformulation import ReformulationTooLarge
-from repro.storage import QueryTooLargeError
+from repro.storage import Executor, QueryTooLargeError
 
 #: The tracked objects one plan node may cost once its operator is built.
 OBJECTS_PER_NODE = 8
@@ -51,6 +52,10 @@ def _tracked() -> int:
     return sum(1 for item in gc.get_objects() if type(item) is not FrameType)
 
 
+def _attributes(plan):
+    return [dict(vars(node)) for node in plan.walk()]
+
+
 def _assert_invariants(plan, metrics):
     for node in plan.walk():
         entry = metrics.operator(node)
@@ -58,7 +63,7 @@ def _assert_invariants(plan, metrics):
         if children:
             pulled = sum(metrics.operator(child).rows_out for child in children)
             assert entry.rows_in == pulled, node
-        assert node.actual_rows == entry.rows_out, node
+        assert metrics.actual_rows(node) == entry.rows_out, node
         assert entry.buffered_rows == 0, node  # released, even if stopped early
 
 
@@ -105,6 +110,16 @@ def test_meters_agree_along_every_edge(answerer, name, strategy):
     execution = report.execution
     _assert_invariants(execution.plan, execution.metrics)
     assert execution.row_count == len(report.answer)
+    # The plan is only read: a second run leaves every node as it was
+    # and meters the same rows.
+    before = _attributes(execution.plan)
+    store = answerer.saturated_store() if strategy is Strategy.SAT else answerer.store
+    rerun = Executor(store).run(execution.plan)
+    assert _attributes(execution.plan) == before
+    _assert_invariants(execution.plan, rerun.metrics)
+    assert [e.rows_out for e in rerun.metrics.per_operator()] == [
+        e.rows_out for e in execution.metrics.per_operator()
+    ]
 
 
 def test_a_budget_abort_carries_partial_metrics_that_agree(answerer):
@@ -115,12 +130,14 @@ def test_a_budget_abort_carries_partial_metrics_that_agree(answerer):
     plan = answerer.executor.planner.plan(compiled.relational)
     metrics = PipelineMetrics()
     budget = ExecutionBudget(max_rows=2000)
+    before = _attributes(plan)
     with pytest.raises(BudgetExceeded) as info:
         collect_columnar(plan, answerer.store, budget, metrics=metrics)
     _assert_invariants(plan, metrics)
+    assert _attributes(plan) == before
     partial = info.value.partial
     assert [op["rows_out"] for op in partial["operators"]] == [
-        node.actual_rows for node in plan.walk()
+        metrics.actual_rows(node) for node in plan.walk()
     ]
     assert sum(op["rows_out"] for op in partial["operators"]) >= 2000
     assert info.value.diagnostics()["partial_row_count"] == len(info.value.partial_rows)

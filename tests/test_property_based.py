@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random as random_module
 
+import pytest
+
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,8 @@ from repro.reformulation import reformulate, scq_reformulation, jucq_for_cover
 from repro.reformulation.atoms import database_graph
 from repro.saturation import IncrementalSaturator, saturate, saturate_naive
 from repro.schema import Constraint, Schema
-from repro.storage import DEFAULT_BACKENDS, Executor, TripleStore
+from repro.storage import DEFAULT_BACKENDS, Executor, QueryTooLargeError, TripleStore
+from repro.storage.planner import query_atom_total
 
 EX = Namespace("http://example.org/")
 
@@ -349,13 +352,49 @@ def test_datalog_equals_saturation(graph, schema, query):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph=graph_st, schema=schema_st, query=query_st())
+# Three type atoms under two ``p ⊑ rdf:type`` chains: a 27,783-atom
+# UCQ, past the ``loopdb`` profile's 20,000-atom parse limit.
+@example(
+    graph=Graph(
+        [Triple(INDIVIDUALS[i], RDF_TYPE, CLASSES[c])
+         for i, c in ((0, 0), (2, 2), (4, 4), (1, 3), (3, 4), (4, 3))]
+        + [Triple(EX.i1, EX.p3, EX.i4), Triple(EX.i1, EX.p3, LITERALS[0]),
+           Triple(EX.i4, EX.p2, EX.i1)]
+    ),
+    schema=Schema([
+        Constraint.subproperty(EX.p2, EX.p0),
+        Constraint.domain(EX.p2, EX.C4),
+        Constraint.subproperty(EX.p0, RDF_TYPE),
+        Constraint.subproperty(EX.p3, RDF_TYPE),
+        Constraint.range(EX.p3, EX.C1),
+        Constraint.subclass(EX.C4, EX.C1),
+        Constraint.range(EX.p3, EX.C0),
+    ]),
+    query=ConjunctiveQuery(
+        [Variable("a"), Variable("b"), Variable("c"), Variable("d")],
+        [TriplePattern(Variable("d"), RDF_TYPE, Variable("a")),
+         TriplePattern(EX.i1, RDF_TYPE, Variable("b")),
+         TriplePattern(EX.i0, RDF_TYPE, Variable("c"))],
+    ),
+)
 def test_executor_matches_reference_on_all_backends(graph, schema, query):
+    """Every backend answers like the reference evaluator, or, when the
+    UCQ is past its parse limit, refuses it with the documented
+    ``QueryTooLargeError`` before planning."""
     db = database_graph(graph, schema)
     store = TripleStore.from_graph(graph, schema)
     union = reformulate(query, schema)
-    expected = evaluate(db, union)
+    size = query_atom_total(union)
+    expected = None
     for backend in DEFAULT_BACKENDS:
-        assert Executor(store, backend).run(union).answer() == expected
+        executor = Executor(store, backend)
+        if backend.max_query_atoms < size:
+            with pytest.raises(QueryTooLargeError):
+                executor.run(union)
+            continue
+        if expected is None:
+            expected = evaluate(db, union)
+        assert executor.run(union).answer() == expected
 
 
 # ---------------------------------------------------------------------------

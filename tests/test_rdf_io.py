@@ -207,3 +207,35 @@ class TestLiteralEscaping:
             read_ntriples('<http://e/s> <http://e/p> "ok" .\n'
                           '<http://e/s> <http://e/p> "a%sc" .\n' % escape)
         assert excinfo.value.line_number == 2
+
+
+class TestIriEscaping:
+    """An IRI takes UCHAR escapes (``\\uXXXX``, ``\\UXXXXXXXX``) and no
+    other backslash sequence."""
+
+    @pytest.mark.parametrize(
+        "escape, char",
+        [
+            ("\\u00e9", "é"),
+            ("\\u00E9", "é"),
+            ("\\U0001F600", "\U0001F600"),
+            ("\\u005C", "\\"),
+            ("\\u0020", " "),
+        ],
+    )
+    def test_each_uchar_decodes_to_its_code_point(self, escape, char):
+        assert parse_term("<http://e/a%sc>" % escape) == URI("http://e/a%sc" % char)
+
+    @pytest.mark.parametrize(
+        "escape", ["\\q", "\\n", "\\\\", "\\u0e", "\\uD800", "\\U00110000"]
+    )
+    def test_any_other_escape_names_its_line(self, escape):
+        with pytest.raises(ParseError) as excinfo:
+            read_ntriples('<http://e/s> <http://e/p> "ok" .\n'
+                          '<http://e/a%sb> <http://e/p> "ok" .\n' % escape)
+        assert excinfo.value.line_number == 2
+
+    def test_a_backslash_in_an_iri_round_trips(self):
+        uri = URI("http://e/a\\qb")
+        assert uri.n3() == "<http://e/a\\u005Cqb>"
+        assert parse_term(uri.n3()) == uri

@@ -7,10 +7,13 @@ them onto its own atoms and rewrites the JUCQ from its own constants.
 Covered here:
 
 * the key: which constants lift, atom order, repeated atoms;
-* soundness: answers served through the tier equal a cache-less GCov
-  answer and the saturation oracle, for URI, blank-node, untyped and
-  typed literal constants and permuted atoms (hypothesis, Books and
-  LUBM-1 schemas);
+* soundness: answers served through the tier — through the shape's
+  bound plan whenever the drawn constants may fill its slots — equal a
+  cache-less GCov answer and the saturation oracle, for URI,
+  blank-node, untyped and typed literal constants, schema classes used
+  as instance constants, never-stored URIs, repeated constants and
+  permuted atoms (hypothesis, Books, LUBM-1 and a ``p ⊑ rdf:type``
+  schema);
 * lifecycle in the query service: a second instance runs no search,
   writes keep shapes, schema changes retire them, tenants keep their
   own, pinned reads bypass the tier, stale refreshes use
@@ -38,8 +41,10 @@ from repro.rdf import (
     URI,
 )
 from repro.rdf.namespaces import SCHEMA_PROPERTIES, XSD_NS
+from repro.rdf import Graph
 from repro.resilience.clock import FakeClock
 from repro.saturation import saturate
+from repro.schema import Constraint, Schema
 from repro.service import (
     BrownoutPolicy,
     DONE,
@@ -69,6 +74,11 @@ def slots(query):
         if not isinstance(atom.object, Variable) and atom.property != RDF_TYPE:
             found.append((index, 2))
     return found
+
+
+def slot_terms(query):
+    """The instance constants of *query*, in :func:`slots` order."""
+    return [query.atoms[index].as_tuple()[position] for index, position in slots(query)]
 
 
 def instance(query, constants, order=None):
@@ -207,6 +217,7 @@ def _books():
     pool = [
         BOOKS.doi1, BOOKS.doi2, BlankNode("b1"), BlankNode("b9"), Literal("1949"),
         Literal("1949", XSD_NS.integer), Literal("El Aleph"), Literal("J. L. Borges"),
+        BOOKS.Book,  # a schema class
     ]
     return graph, schema, templates, pool
 
@@ -222,32 +233,76 @@ def _lubm(graph):
             (URI(LUBM + "FullProfessor1"), UB.teacherOf, y), (x, UB.takesCourse, y),
             (x, RDF_TYPE, UB.Student),
         ]),
+        # Two slots: draws repeat a constant across them.
+        cq([x], [
+            (x, UB.advisor, URI(LUBM + "FullProfessor0")),
+            (x, UB.takesCourse, URI(LUBM + "GraduateCourse0")),
+        ]),
     ]
     pool = [
         URI(LUBM + "GraduateCourse1"), URI(LUBM + "Course3"), URI(LUBM + "FullProfessor2"),
         URI(LUBM + "AssociateProfessor0"), URI("http://www.Department1.University0.edu"),
         URI("http://www.University0.edu"), BlankNode("b1"), Literal("Course3"),
-        Literal("0", XSD_NS.integer),
+        Literal("0", XSD_NS.integer), UB.Course, URI(LUBM + "NeverStored"),
     ]
     return graph, None, templates, pool
 
 
+TYPED = Namespace("http://example.org/typed/")
+
+
+def _typed():
+    """``kind ⊑ rdf:type``: a ``kind`` triple types its subject with its
+    object, so the lifted object of an open-property atom is read as a
+    class — with subclasses when it is one."""
+    schema = Schema([
+        Constraint.subproperty(TYPED.kind, RDF_TYPE),
+        Constraint.subclass(TYPED.A, TYPED.B),
+        Constraint.domain(TYPED.p, TYPED.B),
+    ])
+    graph = Graph([
+        Triple(TYPED.i1, TYPED.kind, TYPED.A), Triple(TYPED.i2, RDF_TYPE, TYPED.B),
+        Triple(TYPED.i3, TYPED.kind, TYPED.c1), Triple(TYPED.i4, TYPED.p, TYPED.c2),
+        Triple(TYPED.i5, RDF_TYPE, TYPED.c2), Triple(TYPED.i1, TYPED.p, Literal("c1")),
+    ])
+    templates = [
+        cq([x], [(x, y, TYPED.c1)]),
+        cq([x], [(x, TYPED.kind, TYPED.c1)]),
+        cq([x, y], [(x, RDF_TYPE, TYPED.B), (x, TYPED.p, TYPED.c2), (y, TYPED.kind, TYPED.i1)]),
+    ]
+    pool = [
+        TYPED.c1, TYPED.c2, TYPED.i1, TYPED.A, TYPED.B, TYPED.nowhere, Literal("c1"),
+    ]
+    return graph, schema, templates, pool
+
+
 class _Tier:
     """One cached and one cache-less answerer over a dataset, and the
-    saturation the oracle reads."""
+    saturation the oracle reads.  ``defined`` records which templates
+    defined their shape's plan (constants stored, distinct, no class or
+    property of the schema)."""
 
     def __init__(self, graph, schema, templates, pool):
         self.cached = QueryAnswerer(graph, schema, cache=QueryCache())
         self.plain = QueryAnswerer(graph, schema)
         self.saturated = saturate(graph, schema if schema is not None else self.plain.schema)
         self.templates, self.pool = templates, pool
-        for template in templates:  # the first instance of each shape
-            self.cached.compile(template)
+        schema = self.cached.schema
+        self.schema_terms = schema.classes() | schema.properties()
+        self.defined = [  # the first instance of each shape
+            self.cached.compile(template).plan is not None for template in templates
+        ]
 
     def check(self, template, constants, order):
         query = instance(template, constants, order)
         compiled = self.cached.compile(query)
         assert compiled.reformulation_hit is True
+        if any(constant in self.schema_terms for constant in constants):
+            assert compiled.plan is None  # a class or property: compiled anew
+        elif self.defined[self.templates.index(template)] and not any(
+            isinstance(term, Literal) for term in constants + slot_terms(template)
+        ):
+            assert compiled.plan is not None and compiled.relational is None
         served = self.cached.execute(compiled).answer
         assert served == self.plain.answer(query).answer
         assert served == evaluate_cq(self.saturated, query)
@@ -261,6 +316,11 @@ def books_tier():
 @pytest.fixture(scope="module")
 def lubm_tier(lubm_small):
     return _Tier(*_lubm(lubm_small))
+
+
+@pytest.fixture(scope="module")
+def typed_tier():
+    return _Tier(*_typed())
 
 
 def _drawn(data, tier):
@@ -294,6 +354,22 @@ class TestTierSoundness:
     @given(data=st.data())
     def test_lubm(self, lubm_tier, data):
         lubm_tier.check(*_drawn(data, lubm_tier))
+
+    @_SETTINGS
+    @given(data=st.data())
+    def test_a_subproperty_of_rdf_type(self, typed_tier, data):
+        typed_tier.check(*_drawn(data, typed_tier))
+
+    def test_every_template_defines_its_plan(self, books_tier, lubm_tier, typed_tier):
+        assert all(books_tier.defined + lubm_tier.defined + typed_tier.defined)
+
+    @pytest.mark.parametrize("constant", [
+        URI(LUBM + "GraduateCourse3"), URI(LUBM + "NeverStored"), UB.Course,
+    ])
+    def test_one_constant_in_both_slots(self, lubm_tier, constant):
+        """The two-slot template's plan, bound with one constant twice
+        (or a schema class, compiled anew)."""
+        lubm_tier.check(lubm_tier.templates[-1], [constant, constant], [1, 0])
 
     @pytest.mark.parametrize(
         "constant",
