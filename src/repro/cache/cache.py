@@ -23,20 +23,31 @@ Three tiers:
    re-priced (that would be the search the entry saves).  The entry
    carries the dataset token: cover choice is data-dependent.
 2. **Answer tier** — computed answers, keyed on the reformulation key
-   *plus* a dataset token, the evaluation engine/backend, and the
-   **data epoch**: a counter bumped on every data mutation, so any
-   update retires all previously cached answers without scanning them.
+   *plus* a dataset token and the evaluation engine/backend.  Each
+   entry keeps the data epoch read before it was computed and its
+   *footprint*: the scan patterns of the Ref query that computed it,
+   ``(s, p, o)`` terms with None for a variable (or an interval).
+   ``Ref(q)`` reads only triples matching those patterns, so a data
+   write that matches none cannot change the answer (the paper's E7
+   argument for Ref under updates).  ``SAT``, ``DATALOG``, federation
+   and any entry stored without a footprint match every write.
 3. **Invalidation hooks** — ``watch_store`` / ``watch_saturator``
-   subscribe the cache to live updates: data-triple changes bump the
-   data epoch (answers stale, reformulations kept); schema-triple/
-   constraint changes additionally purge the reformulation tier
-   (reformulations are schema-derived).
+   subscribe the cache to live updates: a data triple change retires
+   the answers whose footprint it matches (reformulations kept);
+   schema-triple/constraint changes purge both tiers (reformulations
+   are schema-derived).
 
-Epoch semantics: invalidation by epoch is *lazy* — stale answer
-entries are not eagerly removed, they simply become unreachable (their
-key embeds an old epoch) and age out of the LRU.  Schema changes, by
-contrast, purge eagerly, because a schema change is rare and frees the
-whole reformulation tier at once.
+Epoch semantics: a data write bumps the data epoch and records it
+under the write's 8 generalisations ``{s,*}×{p,*}×{o,*}``, O(1) per
+write whatever the number of entries.  Retirement is *lazy*: an entry
+is valid while each of its footprint patterns was last written at or
+before the entry's epoch, and its epoch is at or above a floor.  A
+data change with no triple (:meth:`QueryCache.note_data_change`),
+:meth:`QueryCache.restore_epochs` and a full write map raise the floor,
+retiring every entry.  Retired entries stay in the LRU, where
+stale-while-revalidate can still serve one within its epoch window,
+and age out.  Schema changes, by contrast, purge eagerly, because a
+schema change is rare and frees the whole reformulation tier at once.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ import itertools
 import threading
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
+from ..query.algebra import JoinOfUnions, UnionQuery
+from ..rdf.terms import BlankNode, Literal, URI
 from ..rdf.triples import Triple
 from ..schema.schema import Schema
 from .keys import cover_key, policy_key, query_key
@@ -58,6 +71,41 @@ _dataset_counter = itertools.count(1)
 def dataset_token() -> int:
     """A fresh token identifying one dataset/answerer within a process."""
     return next(_dataset_counter)
+
+
+#: The footprint of an entry that any data write retires.
+_ANY_WRITE = ((None, None, None),)
+
+#: Footprint keys the write map holds before it is cleared (and the
+#: floor raised): each write adds at most 8.
+_WRITE_KEYS = 1 << 16
+
+
+def footprint_of(relational, slots=None) -> Tuple[Tuple, ...]:
+    """The scan patterns of *relational* (a CQ, UCQ or JUCQ), each once,
+    in first-seen order: an atom's ``(s, p, o)`` with None for a
+    variable or an interval, and with *slots* (constant → k) ``k`` for
+    a slot's constant (:func:`bind_footprint` fills it)."""
+    unions = relational.fragments if isinstance(relational, JoinOfUnions) else [relational]
+    slots = slots or {}
+    return tuple(dict.fromkeys(
+        tuple(
+            slots.get(term, term) if isinstance(term, (URI, BlankNode, Literal)) else None
+            for term in atom.as_tuple()
+        )
+        for union in unions
+        for cq in (union.disjuncts if isinstance(union, UnionQuery) else [union])
+        for atom in cq.atoms
+    ))
+
+
+def bind_footprint(patterns: Tuple[Tuple, ...], constants: Tuple) -> Tuple[Tuple, ...]:
+    """*patterns* of :func:`footprint_of` with each slot ``k`` bound to
+    ``constants[k]``."""
+    return tuple(
+        tuple(constants[term] if term.__class__ is int else term for term in pattern)
+        for pattern in patterns
+    )
 
 
 class QueryCache:
@@ -87,21 +135,35 @@ class QueryCache:
         # computation (see :meth:`get_or_compute`).
         self._flights: Dict[Tuple[str, Tuple], threading.Event] = {}
         self._flights_lock = threading.Lock()
-        #: Bumped on every data mutation; embedded in answer keys.
+        #: Bumped on every data mutation; stamped on answer entries.
         self.data_epoch = 0
         #: Bumped on every schema mutation; embedded in every key.
         self.schema_epoch = 0
         #: How often each invalidation class fired.
         self.data_invalidations = 0
         self.schema_invalidations = 0
+        #: Answer lookups that found an entry a data write had retired.
+        self.retired_lookups = 0
+        # Footprint key -> epoch of the last data write it matched, and
+        # the epoch below which every entry is retired.
+        self._written: Dict[Tuple, int] = {}
+        self._floor = 0
 
     # ------------------------------------------------------------------
     # Tier 3: invalidation
 
-    def note_data_change(self) -> None:
-        """A data triple changed: retire cached answers (lazily)."""
+    def note_data_change(self, triple: Optional[Triple] = None) -> None:
+        """Data changed: retire (lazily) the answers whose footprint
+        *triple* matches, or every answer when *triple* is None."""
         self.data_epoch += 1
         self.data_invalidations += 1
+        if triple is None or len(self._written) >= _WRITE_KEYS:
+            self._written.clear()
+            self._floor = self.data_epoch
+            return
+        subject, property_, object_ = triple
+        for key in itertools.product((subject, None), (property_, None), (object_, None)):
+            self._written[key] = self.data_epoch
 
     def note_schema_change(self) -> None:
         """A constraint changed: retire reformulations and answers."""
@@ -116,18 +178,18 @@ class QueryCache:
         if triple.is_schema_triple():
             self.note_schema_change()
         else:
-            self.note_data_change()
+            self.note_data_change(triple)
 
     def restore_epochs(self, data_epoch: int, schema_epoch: int) -> None:
         """Fast-forward the epoch counters to persisted values (never
         backwards).  A process recovering a durable store calls this so
-        epoch monotonicity survives the restart: any key minted before
-        the crash embeds an epoch ≤ the restored one, so a recovered
-        cache either revalidates warm entries correctly or leaves them
-        unreachable — it can never serve a pre-crash answer for
-        post-crash data."""
+        epoch monotonicity survives the restart: any answer stored
+        before the crash carries a data epoch ≤ the restored one, and
+        the floor rises to the restored data epoch, so a recovered cache
+        can never serve a pre-crash answer for post-crash data."""
         self.data_epoch = max(self.data_epoch, data_epoch)
         self.schema_epoch = max(self.schema_epoch, schema_epoch)
+        self._floor = self.data_epoch
 
     # ------------------------------------------------------------------
     # Watch hooks (wired into the mutable containers' listener lists)
@@ -184,14 +246,11 @@ class QueryCache:
         strategy: str,
         cover=None,
         extra: Hashable = None,
-        data_epoch: Optional[int] = None,
     ) -> Tuple:
         """The answer-tier key: reformulation identity plus dataset
-        token and the current epochs.  ``data_epoch`` overrides the
-        cache's current data epoch — epoch invalidation is *lazy*
-        (superseded entries linger in the LRU until aged out), so a
-        caller may deliberately probe an older epoch's key to find a
-        stale-but-servable answer (the stale-while-revalidate path)."""
+        token and the schema epoch.  It holds no data epoch: the entry
+        carries its own, and its footprint decides which writes retire
+        it (see module doc)."""
         return (
             "answer",
             token,
@@ -200,7 +259,6 @@ class QueryCache:
             None if cover is None else cover_key(cover),
             schema.fingerprint(),
             policy_key(policy),
-            self.data_epoch if data_epoch is None else data_epoch,
             self.schema_epoch,
             extra,
         )
@@ -228,10 +286,50 @@ class QueryCache:
         )
 
     def lookup_answer(self, key: Tuple) -> Optional[Any]:
-        return self.answers.get(key)
+        """The answer stored under *key* while it is valid, else None."""
+        entry = self.answers.get(key, self._within)
+        return None if entry is None else entry[0]
 
-    def store_answer(self, key: Tuple, value: Any) -> None:
-        self.answers.put(key, value)
+    def lookup_stale(self, key: Tuple, max_age: int) -> Optional[Tuple[Any, int]]:
+        """``(answer, age)`` for the entry under *key* if it is valid
+        (age 0) or was retired at most *max_age* data epochs after it
+        was computed (the age is the data epochs since then); else None.
+        Counts as a hit or a miss like :meth:`lookup_answer`."""
+        entry = self.answers.get(key, lambda found: self._within(found, max_age))
+        return None if entry is None else (entry[0], self._age(entry))
+
+    def holds_answer(self, key: Tuple) -> bool:
+        """Whether *key* has a valid entry; counts nothing."""
+        entry = self.answers.peek(key)
+        return entry is not None and self._age(entry) == 0
+
+    def store_answer(
+        self,
+        key: Tuple,
+        value: Any,
+        data_epoch: Optional[int] = None,
+        footprint: Optional[Tuple[Tuple, ...]] = None,
+    ) -> None:
+        """Store *value*, computed over the data of *data_epoch* — read
+        before computing; default: the current one — by a query whose
+        scan patterns are *footprint* (default: every write retires it)."""
+        epoch = self.data_epoch if data_epoch is None else data_epoch
+        self.answers.put(key, (value, epoch, _ANY_WRITE if footprint is None else footprint))
+
+    def _age(self, entry) -> int:
+        """0 while *entry* is valid, else the data epochs since its own."""
+        _, epoch, footprint = entry
+        written = self._written.get
+        if epoch >= self._floor and all(written(key, 0) <= epoch for key in footprint):
+            return 0
+        return self.data_epoch - epoch
+
+    def _within(self, entry, max_age: int = 0) -> bool:
+        """Whether *entry*'s age is at most *max_age*; counts a retired one."""
+        age = self._age(entry)
+        if age:
+            self.retired_lookups += 1
+        return age <= max_age
 
     # ------------------------------------------------------------------
     # Single-flight computation
@@ -251,9 +349,10 @@ class QueryCache:
         compute — correctness never depends on another thread's
         success.
 
-        ``tier`` is ``"reformulation"`` or ``"answer"``.
+        ``tier`` is ``"reformulation"``: answers are stored with their
+        epoch and footprint (:meth:`store_answer`).
         """
-        store = {"reformulation": self.reformulations, "answer": self.answers}[tier]
+        store = {"reformulation": self.reformulations}[tier]
         flight_key = (tier, key)
         while True:
             value = store.get(key)
@@ -301,6 +400,7 @@ class QueryCache:
             "data_epoch": self.data_epoch,
             "schema_epoch": self.schema_epoch,
             "data_invalidations": self.data_invalidations,
+            "retired_lookups": self.retired_lookups,
             "schema_invalidations": self.schema_invalidations,
         }
 

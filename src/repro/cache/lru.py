@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 
 class TierStats:
@@ -88,21 +88,28 @@ class LRUCache:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: Hashable) -> Optional[Any]:
+    def get(
+        self, key: Hashable, accept: Optional[Callable[[Any], bool]] = None
+    ) -> Optional[Any]:
         """The cached value, refreshed as most recent; None on a miss.
+        A value ``accept`` rejects stays in place and counts as a miss.
 
         (Values are never None by construction: every tier stores
         tuples or objects.)
         """
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
+            value = self._entries.get(key)
+            if value is None or (accept is not None and not accept(value)):
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
             return value
+
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached value or None; affects neither recency nor counters."""
+        with self._lock:
+            return self._entries.get(key)
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert or refresh ``key``; evict the LRU entry when full."""

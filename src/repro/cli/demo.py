@@ -226,6 +226,7 @@ def cmd_cache_stats(args) -> int:
     print("\nepochs: data %d (invalidations %d), schema %d (invalidations %d)"
           % (stats["data_epoch"], stats["data_invalidations"],
              stats["schema_epoch"], stats["schema_invalidations"]))
+    print("retired answers found by lookups: %d" % stats["retired_lookups"])
     return EXIT_OK
 
 

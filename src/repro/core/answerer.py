@@ -34,6 +34,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ..cache import QueryCache, cover_key, dataset_token
+from ..cache.cache import bind_footprint, footprint_of
 from ..cache.keys import lifted_constants, shape_of
 from ..columnar.indexes import ORDER_PERMUTATIONS
 from ..datalog.encoding import answer_query as datalog_answer
@@ -200,6 +201,10 @@ class CompiledQuery(NamedTuple):
     #: slots bound to ``binding`` (``relational`` is not planned).
     plan: Optional[object] = None
     binding: Tuple[Optional[int], ...] = ()
+    #: With a cache, a Ref rewrite's scan patterns
+    #: (:func:`~repro.cache.cache.footprint_of`), which the answer tier
+    #: retires its entry by; None matches every write.
+    footprint: Optional[Tuple[Tuple, ...]] = None
 
 
 class AnswerReport:
@@ -344,7 +349,7 @@ class QueryAnswerer:
             # Invalidation hook: every write to the store (the
             # answerer's own insert/delete included) bumps the cache's
             # epochs — schema triples purge reformulations, data
-            # triples retire answers only.
+            # triples retire the answers whose footprint they match.
             cache.watch_store(self.store)
 
     def _evaluate(self, compiled: CompiledQuery, budget=None):
@@ -579,6 +584,7 @@ class QueryAnswerer:
                 return AnswerReport(
                     strategy, answer, time.perf_counter() - start, details
                 )
+            epoch = cache.data_epoch  # before computing: a write meanwhile retires it
         compiled = self.compile(query, strategy, cover, cache)
         try:
             report = self.execute(compiled, budget, budget_fallbacks)
@@ -589,7 +595,9 @@ class QueryAnswerer:
         else:
             report.elapsed_seconds = time.perf_counter() - start
             if key is not None:  # only complete answers are stored
-                cache.store_answer(key, (report.answer, dict(report.details)))
+                cache.store_answer(
+                    key, (report.answer, dict(report.details)), epoch, compiled.footprint
+                )
         if key is not None:
             hit = compiled.reformulation_hit
             report.details["cache"] = {
@@ -604,12 +612,9 @@ class QueryAnswerer:
         query: ConjunctiveQuery,
         strategy: Strategy,
         cover: Optional[Cover] = None,
-        data_epoch: Optional[int] = None,
     ):
         """The key :meth:`answer` stores *query*'s answer under in
-        *cache*'s answer tier; ``data_epoch`` (default: the cache's
-        current one) names an older epoch's key, which stale serving
-        probes for an answer epoch invalidation has retired."""
+        *cache*'s answer tier."""
         return cache.answer_key(
             self._token(),
             query,
@@ -618,7 +623,6 @@ class QueryAnswerer:
             strategy.value,
             cover=cover if strategy is Strategy.REF_JUCQ else None,
             extra=(self.engine, self.backend.name, self._encoding_token),
-            data_epoch=data_epoch,
         )
 
     def _partial_report(
@@ -723,7 +727,9 @@ class QueryAnswerer:
                 kind,
                 minimised,
                 policy,
-                lambda: self._reformulate(strategy, minimised, policy, cover, size),
+                lambda: self._reformulate(
+                    strategy, minimised, policy, cover, size, cache is not None
+                ),
                 extra,
             )
         details = dict(built.details, minimised=dropped)
@@ -738,16 +744,17 @@ class QueryAnswerer:
             reformulation_hit=hit,
         )
 
-    def _reformulate(self, strategy, query, policy, cover, size):
+    def _reformulate(self, strategy, query, policy, cover, size, with_footprint):
         """The rewrite of the minimised *query* with one of the five
         cover-free or fixed-cover strategies, as the reformulation tier
         caches it: a :class:`CompiledQuery` of *query* itself, nothing
-        dropped."""
+        dropped, with its footprint if *with_footprint* is set."""
         if strategy in _UCQ_POLICIES:
             relational = reformulate(query, self.schema, policy, encoding=self.encoding)
             return CompiledQuery(
                 strategy, query, query, (), relational,
                 MappingProxyType({"ucq_disjuncts": size, "policy": policy.name}),
+                footprint=footprint_of(relational) if with_footprint else None,
             )
         if strategy is Strategy.REF_SCQ:
             cover = Cover.per_atom(query)  # the SCQ *is* its JUCQ
@@ -760,7 +767,8 @@ class QueryAnswerer:
             relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
             details = {"cover": repr(cover), "atom_count": relational.atom_count()}
         return CompiledQuery(
-            strategy, query, query, (), relational, MappingProxyType(details), cover
+            strategy, query, query, (), relational, MappingProxyType(details), cover,
+            footprint=footprint_of(relational) if with_footprint else None,
         )
 
     def _compile_gcov(self, query, policy, cache):
@@ -806,21 +814,26 @@ class QueryAnswerer:
                     for constant, literal in zip(constants, defined[1])
                 ):
                     plan, binding = defined[0], tuple(map(self.store.term_id, constants))
-        relational = None
+        relational = footprint = None
         if plan is None:
             relational = jucq_for_cover(cover, self.schema, policy, encoding=self.encoding)
             if constants is not None and shared[0] is None:
                 plan, binding = self._define_plan(shared, query, constants, relational)
+            if cache is not None:
+                footprint = footprint_of(relational)
+        else:
+            footprint = bind_footprint(defined[3], constants)
         return CompiledQuery(
             Strategy.REF_GCOV, query, query, (), relational, {"cover": repr(cover), **search},
-            cover, ranked, None, plan, binding,
+            cover, ranked, None, plan, binding, footprint,
         ), hit
 
     def _define_plan(self, shared, query, constants, relational):
         """*relational*'s plan with a slot per constant and the ids binding
         them, or ``(None, ())`` unless each constant is stored, once in
-        *query* and not in the schema; shared unless planned over an
-        absent constant, which a later write could store."""
+        *query* and not in the schema; shared, with *relational*'s slot
+        footprint, unless planned over an absent constant, which a later
+        write could store."""
         schema_terms = self.schema.classes() | self.schema.properties()
         terms = [term for atom in query.atoms for term in atom.as_tuple()] + list(query.head)
         binding = tuple(map(self.store.term_id, constants))
@@ -828,10 +841,12 @@ class QueryAnswerer:
             constant in schema_terms or terms.count(constant) != 1 for constant in constants
         ):
             return None, ()
-        planner = Planner(self.store, self.backend, slots={c: k for k, c in enumerate(constants)})
+        slots = {c: k for k, c in enumerate(constants)}
+        planner = Planner(self.store, self.backend, slots=slots)
         plan = planner.plan(relational)
         if not planner.absent:
-            shared[0] = (plan, tuple(isinstance(c, Literal) for c in constants), schema_terms)
+            kinds = tuple(isinstance(c, Literal) for c in constants)
+            shared[0] = (plan, kinds, schema_terms, footprint_of(relational, slots))
         return plan, binding
 
     def _timed_search(self, query: ConjunctiveQuery):

@@ -20,12 +20,13 @@ writer :class:`~repro.core.answerer.QueryAnswerer`:
   :class:`~repro.cache.QueryCache` partition, which the writer answerer
   consults for it (``answer(..., cache=partition)``: one key recipe,
   lookup and write-back for both tiers); all partitions watch the one
-  shared store, so a write invalidates every tenant's answers at the
-  same epoch (shared-epoch invalidation: no tenant can read another
-  tenant's entries, and no tenant can read stale data either — unless
-  the brownout ladder has *explicitly* opened the stale-while-revalidate
-  window, in which case expired entries are served tagged
-  ``stale=True``).  The partition's reformulation tier keeps GCov's
+  shared store, so a data write retires, in every tenant's partition,
+  the answers whose footprint (the scan patterns of the Ref query that
+  computed them) it matches, and keeps the others.  No tenant can read
+  another tenant's entries, and no tenant can read stale data either —
+  unless the brownout ladder has *explicitly* opened the
+  stale-while-revalidate window, in which case retired entries are
+  served tagged ``stale=True``.  The partition's reformulation tier keeps GCov's
   covers per query *shape* (the query up to its instance constants)
   across writes: a miss on a shape the tenant already compiled runs no
   cover search, and usually no planning either (its plan is kept);
@@ -166,8 +167,8 @@ class QueryService:
         self._refreshing: set = set()
         self._pending_refreshes: List[QueryRequest] = []
         self._refresh_lock = threading.RLock()
-        # Per-tenant cache partitions: private entries, shared
-        # invalidation epochs via the one store.
+        # Per-tenant cache partitions: private entries, each retired
+        # by the writes to the one store.
         self._caches: Dict[str, QueryCache] = {}
         for config in configs:
             cache = QueryCache(CACHE_REFORMULATIONS, CACHE_ANSWERS)
@@ -350,10 +351,11 @@ class QueryService:
             # Membership counts nothing: the answerer's lookup below is
             # the one the tier counts.  A cached answer executes nothing,
             # so it draws no chaos fault.
-            cached = answerer.answer_cache_key(
+            key = answerer.answer_cache_key(
                 cache, request.query, request.strategy, request.cover
-            ) in cache.answers
-            if not cached and stale and self._serve_stale(ticket, cache, request):
+            )
+            cached = cache.holds_answer(key)
+            if not cached and stale and self._serve_stale(ticket, cache, key, request):
                 return
         kwargs = self._budget_kwargs(config, ticket.owner, degrade=True)
         if self.brownout is not None and self.brownout.allow_partial:
@@ -396,49 +398,39 @@ class QueryService:
         )
 
     def _serve_stale(
-        self, ticket: Ticket, cache: QueryCache, request: QueryRequest
+        self, ticket: Ticket, cache: QueryCache, key, request: QueryRequest
     ) -> bool:
-        """Serve an expired cache entry if one is still reachable.
+        """Serve the retired cache entry under *key* if it is at most
+        ``stale_max_epochs`` data epochs old.
 
-        Epoch invalidation is lazy — superseded entries linger in the
-        LRU — so probing the previous ``stale_max_epochs`` data epochs'
-        keys finds answers invalidated by recent writes.  A hit is
-        served tagged ``stale=True`` (age included) and a single-flight
+        Retirement is lazy — retired entries linger in the LRU — so an
+        answer a recent write retired is still there.  It is served
+        tagged ``stale=True`` (age included) and a single-flight
         background refresh is scheduled; anything older than the window
-        is unreachable, so a stale serve never outlives the next epoch
-        beyond the policy's bound."""
-        policy = self.brownout.policy
-        current_epoch = cache.data_epoch
-        for age in range(1, policy.stale_max_epochs + 1):
-            epoch = current_epoch - age
-            if epoch < 0:
-                break
-            hit = cache.lookup_answer(self.answerer.answer_cache_key(
-                cache, request.query, request.strategy, request.cover,
-                data_epoch=epoch,
-            ))
-            if hit is None:
-                continue
-            answer, details = hit
-            scheduled = self._schedule_refresh(request)
-            ticket.status = DONE
-            ticket.finished_at = self.clock.monotonic()
-            details = dict(details)
-            details["stale"] = {
-                "age_epochs": age,
-                "served_epoch": epoch,
-                "current_epoch": current_epoch,
-                "refresh_scheduled": scheduled,
-            }
-            details["cache"] = {"answer": "stale", "tenant": request.tenant}
-            ticket.report = AnswerReport(
-                request.strategy,
-                answer,
-                ticket.finished_at - ticket.started_at,
-                details,
-            )
-            return True
-        return False
+        is not served, so a stale serve never outlives the policy's
+        bound."""
+        found = cache.lookup_stale(key, self.brownout.policy.stale_max_epochs)
+        if found is None:
+            return False
+        (answer, details), age = found
+        scheduled = self._schedule_refresh(request)
+        ticket.status = DONE
+        ticket.finished_at = self.clock.monotonic()
+        details = dict(details)
+        details["stale"] = {
+            "age_epochs": age,
+            "served_epoch": cache.data_epoch - age,
+            "current_epoch": cache.data_epoch,
+            "refresh_scheduled": scheduled,
+        }
+        details["cache"] = {"answer": "stale", "tenant": request.tenant}
+        ticket.report = AnswerReport(
+            request.strategy,
+            answer,
+            ticket.finished_at - ticket.started_at,
+            details,
+        )
+        return True
 
     def _schedule_refresh(self, request: QueryRequest) -> bool:
         """Queue a background recompute for *request*'s logical query;

@@ -8,7 +8,7 @@ from repro.cache import LRUCache, QueryCache, cover_key, policy_key, query_key
 from repro.core import QueryAnswerer, Strategy
 from repro.datasets import books_dataset
 from repro.query import ConjunctiveQuery, Cover, TriplePattern, Variable
-from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple
+from repro.rdf import Graph, Literal, Namespace, RDF_TYPE, RDFS_SUBCLASSOF, Triple, URI
 from repro.rdf.namespaces import XSD_NS
 from repro.reformulation import COMPLETE, VIRTUOSO_STYLE, ReformulationPolicy
 from repro.saturation import IncrementalSaturator
@@ -203,14 +203,41 @@ class TestEpochInvalidation:
         answerer, query, cache = self._answerer()
         answerer.answer(query, Strategy.REF_GCOV)
         epoch = cache.data_epoch
+        # A triple the query's ``?x1 hasAuthor ?x2`` reads (writtenBy
+        # is a subproperty of hasAuthor).
         assert answerer.insert(
-            Triple(EX.fresh, RDF_TYPE, Namespace("http://example.org/books/").Book)
+            Triple(EX.fresh, Namespace("http://example.org/books/").writtenBy, EX.someone)
         )
         assert cache.data_epoch == epoch + 1
         after = answerer.answer(query, Strategy.REF_GCOV)
         assert after.details["cache"]["answer"] == "miss"
         # ... but the reformulation survived the data change.
         assert after.details["cache"]["reformulation"] == "hit"
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.REF_GCOV, Strategy.REF_UCQ, Strategy.REF_SCQ]
+    )
+    def test_a_write_no_scan_pattern_matches_keeps_answers(self, strategy):
+        answerer, query, cache = self._answerer()
+        cold = answerer.answer(query, strategy)
+        # No atom of the query's reformulation reads rdf:type.
+        assert answerer.insert(
+            Triple(EX.fresh, RDF_TYPE, Namespace("http://example.org/books/").Book)
+        )
+        assert cache.data_epoch == 1
+        warm = answerer.answer(query, strategy)
+        assert warm.details["cache"]["answer"] == "hit"
+        assert warm.answer == cold.answer
+        assert cache.stats()["retired_lookups"] == 0
+
+    def test_a_sat_entry_retires_on_any_write(self):
+        answerer, query, cache = self._answerer()
+        answerer.answer(query, Strategy.SAT)
+        answerer.answer(query, Strategy.REF_GCOV)
+        assert answerer.insert(Triple(EX.a, EX.unread, EX.b))
+        assert answerer.answer(query, Strategy.SAT).details["cache"]["answer"] == "miss"
+        assert answerer.answer(query, Strategy.REF_GCOV).details["cache"]["answer"] == "hit"
+        assert cache.stats()["retired_lookups"] == 1
 
     def test_delete_bumps_epoch(self):
         answerer, query, cache = self._answerer()
@@ -253,6 +280,97 @@ class TestEpochInvalidation:
         updated = answerer.answer(query, Strategy.REF_UCQ).answer
         assert updated != baseline
         assert answerer.answer(query, Strategy.REF_UCQ).answer == updated
+
+
+class TestFootprints:
+    """The answer tier's retirement rule, on the cache alone."""
+
+    KEY = ("answer", "k")
+
+    def _cache(self, footprint, data_epoch=None):
+        cache = QueryCache()
+        cache.store_answer(self.KEY, "value", data_epoch, footprint)
+        return cache
+
+    def test_a_write_retires_exactly_the_entries_it_matches(self):
+        cache = self._cache(((None, EX.p, EX.b), (EX.a, EX.q, None)))
+        for unmatched in [
+            Triple(EX.a, EX.p, EX.c),  # other object
+            Triple(EX.c, EX.q, EX.b),  # other subject
+            Triple(EX.a, EX.r, EX.b),  # other property
+        ]:
+            cache.note_data_change(unmatched)
+            assert cache.lookup_answer(self.KEY) == "value"
+        cache.note_data_change(Triple(EX.z, EX.p, EX.b))
+        assert cache.lookup_answer(self.KEY) is None
+        assert cache.stats()["retired_lookups"] == 1
+        assert cache.data_invalidations == 4
+
+    def test_a_variable_property_pattern_matches_every_property(self):
+        cache = self._cache(((None, None, Literal("1949")),))
+        cache.note_data_change(Triple(EX.a, EX.p, Literal("1950")))
+        assert cache.holds_answer(self.KEY)
+        cache.note_data_change(Triple(EX.a, EX.q, Literal("1949")))
+        assert not cache.holds_answer(self.KEY)
+
+    def test_a_literal_matches_only_its_own_datatype(self):
+        typed = Literal("1", URI("http://www.w3.org/2001/XMLSchema#integer"))
+        cache = self._cache(((None, EX.p, Literal("1")),))
+        cache.note_data_change(Triple(EX.a, EX.p, typed))
+        assert cache.holds_answer(self.KEY)
+        cache.note_data_change(Triple(EX.a, EX.p, Literal("1")))
+        assert not cache.holds_answer(self.KEY)
+
+    def test_an_entry_without_footprint_retires_on_any_write(self):
+        cache = self._cache(None)
+        cache.note_data_change(Triple(EX.a, EX.unread, EX.b))
+        assert cache.lookup_answer(self.KEY) is None
+
+    def test_a_write_during_the_computation_retires_the_entry(self):
+        cache = QueryCache()
+        epoch = cache.data_epoch  # read before computing
+        cache.note_data_change(Triple(EX.a, EX.p, EX.b))
+        cache.store_answer(self.KEY, "value", epoch, ((None, EX.p, None),))
+        assert cache.lookup_answer(self.KEY) is None
+
+    def test_a_data_change_without_a_triple_retires_everything(self):
+        cache = self._cache(((None, EX.p, None),))
+        cache.note_data_change()
+        assert cache.lookup_answer(self.KEY) is None
+        cache.store_answer(self.KEY, "fresh", footprint=((None, EX.p, None),))
+        assert cache.lookup_answer(self.KEY) == "fresh"
+
+    def test_restore_epochs_retires_everything(self):
+        cache = self._cache(((None, EX.p, None),))
+        cache.restore_epochs(3, 0)
+        assert cache.lookup_answer(self.KEY) is None
+        assert cache.data_epoch == 3
+
+    def test_a_schema_write_purges(self):
+        cache = self._cache(((None, EX.p, None),))
+        store = TripleStore()
+        cache.watch_store(store)
+        assert store.insert(Triple(EX.B, RDFS_SUBCLASSOF, EX.A))
+        assert len(cache.answers) == 0
+
+    def test_a_full_write_map_retires_everything(self, monkeypatch):
+        from repro.cache import cache as module
+
+        monkeypatch.setattr(module, "_WRITE_KEYS", 12)
+        cache = self._cache(((None, EX.p, None),))
+        # 8 keys, then 4 more (the second shares the first's property
+        # and object); the third write finds 12 and clears the map.
+        for index in range(3):
+            cache.note_data_change(Triple(EX["s%d" % index], EX.q, EX.b))
+            assert cache.holds_answer(self.KEY) is (index < 2)
+        assert len(cache._written) == 0
+
+    def test_a_stale_lookup_reads_the_age(self):
+        cache = self._cache(((None, EX.p, None),))
+        cache.note_data_change(Triple(EX.a, EX.q, EX.b))
+        cache.note_data_change(Triple(EX.a, EX.p, EX.b))
+        assert cache.lookup_stale(self.KEY, 1) is None
+        assert cache.lookup_stale(self.KEY, 2) == ("value", 2)
 
 
 class TestInvalidationGranularity:

@@ -190,6 +190,14 @@ class TestCovers:
         assert "estimated cost" in out
 
 
+class TestCacheStats:
+    def test_prints_the_retired_lookups_beside_the_epochs(self, capsys):
+        code, out = run_cli(capsys, "cache-stats", "--dataset", "books")
+        assert code == 0
+        assert "epochs: data 0 (invalidations 0)" in out
+        assert "retired answers found by lookups: 0" in out
+
+
 class TestMinimised:
     """Schema minimisation on the CLI: what was dropped is printed, and
     ``--show-metrics`` reads the one search ``answer`` ran."""
@@ -604,8 +612,8 @@ class TestServe:
         script.write_text(
             "submit alpha default\n"
             "drain\n"
-            "insert <http://example.org/noise> rdf:type "
-            "<http://example.org/Noise>\n"
+            "insert <http://example.org/noise> "
+            "<http://example.org/books/hasName> \"Noise\"\n"
             "chaos arm\n"
             "degrade stale-serving\n"
             "submit alpha default\n"

@@ -100,10 +100,21 @@ def round_trip(service, tenant, query, **kwargs):
     return ticket
 
 
-def bump_epoch(service, label):
-    """One irrelevant insert: expires cached answers, changes no
-    query's result."""
-    assert service.insert(Triple(EX[label], RDF_TYPE, EX.Noise))
+#: Writes the student query's footprint matches, each leaving its
+#: answer unchanged: re-typing a student through ``Grad`` or
+#: ``Student``, then undoing the first.
+BUMPS = [
+    ("insert", Triple(EX.bob, RDF_TYPE, EX.Grad)),
+    ("insert", Triple(EX.alice, RDF_TYPE, EX.Student)),
+    ("delete", Triple(EX.bob, RDF_TYPE, EX.Grad)),
+]
+
+
+def bump_epoch(service, bump):
+    """The *bump*-th write of :data:`BUMPS`: expires the student
+    query's cached answer, changes no query's result."""
+    action, triple = BUMPS[bump]
+    assert getattr(service, action)(triple)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +319,7 @@ class TestDegradedService:
         truth = sorted(QueryAnswerer(graph).answer(query).answer)
         warm = round_trip(service, "solo", query)
         assert warm.status == DONE and warm.cache == "miss"
-        bump_epoch(service, "noise-1")
+        bump_epoch(service, 0)
         chaos.arm()
         # Two failing rounds climb NORMAL → STALE_SERVING...
         failures = [round_trip(service, "solo", query) for _ in range(2)]
@@ -445,8 +456,8 @@ class TestDegradedService:
             breaker_threshold=0,
         )
         round_trip(service, "solo", query)
-        bump_epoch(service, "noise-1")
-        bump_epoch(service, "noise-2")
+        bump_epoch(service, 0)
+        bump_epoch(service, 1)
         service.brownout.force(STALE_SERVING, "test")
         chaos.arm()
         # The warm entry is now 2 epochs old — outside the window, so
@@ -473,7 +484,7 @@ class TestDegradedService:
             breaker_threshold=0,
         )
         round_trip(service, "solo", query)
-        bump_epoch(service, "noise-1")
+        bump_epoch(service, 0)
         service.brownout.force(STALE_SERVING, "test")
         chaos.arm()
         first = round_trip(service, "solo", query)
@@ -634,7 +645,7 @@ class TestFreshnessProperties:
         warm = round_trip(service, "solo", query)
         assert warm.status == DONE
         for bump in range(bumps):
-            bump_epoch(service, "noise-%d" % bump)
+            bump_epoch(service, bump)
         service.brownout.force(STALE_SERVING, "property")
         chaos.arm()
         probe = round_trip(service, "solo", query)
@@ -728,7 +739,7 @@ class TestAvailabilityScenario:
             breaker_threshold=0,
         )
         round_trip(service, "solo", query)
-        bump_epoch(service, "noise")
+        bump_epoch(service, 0)
         chaos.arm()
         for _ in range(6):
             round_trip(service, "solo", query)

@@ -9,9 +9,11 @@ return the same answers with the same hit/miss outcomes, and end with
 equal counters in both tiers: the service keys, looks up and writes
 back nothing of its own.
 
-Stale serving is the one piece of answer-tier logic the service
-keeps; a request that probes older epochs and then computes counts
-exactly one current-epoch miss plus its probes.
+The writes are triples some catalog queries read and others do not
+(a student's type, course or telephone), so an entry a write does not
+match survives it in both.  Stale serving is the one piece of
+answer-tier logic the service keeps; a request whose stale lookup
+finds nothing and that then computes counts one miss for each.
 """
 
 import re
@@ -24,7 +26,7 @@ from repro.core import QueryAnswerer
 from repro.datasets import generate_lubm, lubm_queries
 from repro.datasets.lubm import UB
 from repro.query import ConjunctiveQuery, TriplePattern
-from repro.rdf import RDF_TYPE, Triple, URI
+from repro.rdf import Literal, RDF_TYPE, Triple, URI
 from repro.resilience.clock import FakeClock
 from repro.service import (
     BrownoutPolicy,
@@ -56,6 +58,8 @@ def variant(query: ConjunctiveQuery, number: int) -> ConjunctiveQuery:
 
 def new_triple(index: int) -> Triple:
     student = URI(LUBM + "DrawnStudent%d" % (index % 3))
+    if index % 3 == 2:
+        return Triple(student, UB.telephone, Literal("555-%d" % (index % 4)))
     if index % 2:
         return Triple(student, RDF_TYPE, UB.GraduateStudent)
     return Triple(student, UB.takesCourse, URI(LUBM + "GraduateCourse%d" % (index % 4)))
@@ -64,9 +68,9 @@ def new_triple(index: int) -> Triple:
 reads = st.tuples(
     st.just("read"), st.sampled_from(sorted(CATALOG)), st.integers(0, 3)
 )
-writes = st.tuples(st.sampled_from(["insert", "delete"]), st.integers(0, 7))
+writes = st.tuples(st.sampled_from(["insert", "delete"]), st.integers(0, 11))
 # Reads twice over: about two reads per write, so entries get hit
-# between the epoch bumps that retire them.
+# between the writes that retire them.
 operations = st.lists(st.one_of(reads, reads, writes), min_size=1, max_size=10)
 
 
@@ -121,6 +125,22 @@ def test_a_stale_probe_that_computes_counts_one_fresh_miss_plus_probes():
     after = service.cache_stats()[TENANT]["answer"]
     assert ticket.cache == "miss" and not ticket.stale
     assert after["hits"] == before["hits"]
-    assert after["misses"] - before["misses"] == 1 + 2  # fresh + two probes
+    assert after["misses"] - before["misses"] == 1 + 1  # fresh + one stale lookup
     assert after["entries"] == before["entries"] + 1
     assert serve(service, CATALOG["Q14"]).cache == "hit"
+
+
+def test_only_a_write_the_footprint_matches_makes_an_entry_stale():
+    service = one_tenant_service(brownout=BrownoutPolicy(stale_max_epochs=2))
+    serve(service, CATALOG["Q14"])
+    # Q14 reads UndergraduateStudent types, not telephones or courses.
+    assert service.insert(new_triple(2))
+    assert serve(service, CATALOG["Q14"]).cache == "hit"
+    assert service.insert(Triple(URI(LUBM + "DrawnStudent0"), RDF_TYPE, UB.UndergraduateStudent))
+    service.brownout.force(STALE_SERVING, "test")
+    ticket = serve(service, CATALOG["Q14"])
+    assert ticket.cache == "stale"
+    assert ticket.report.details["stale"]["age_epochs"] == 2
+    # The stale lookup and its refresh's lookup each found it retired.
+    assert service.cache_stats()[TENANT]["retired_lookups"] == 2
+    assert serve(service, CATALOG["Q14"]).cache == "hit"  # refreshed

@@ -476,7 +476,11 @@ class TestServiceTier:
         service = make_service(lubm_small, brownout=BrownoutPolicy())
         query = course_students("GraduateCourse0")
         round_trip(service, "a", query)
-        assert service.insert(Triple(URI(LUBM + "Noise"), RDF_TYPE, UB.Course))
+        # A write the minimised query (``?x takesCourse GraduateCourse0``)
+        # reads: it retires the answer.
+        assert service.insert(
+            Triple(URI(LUBM + "Noise"), UB.takesCourse, URI(LUBM + "GraduateCourse0"))
+        )
         service.brownout.force(STALE_SERVING, "test")
         stale = round_trip(service, "a", query)  # the refresh runs this round
         assert stale.cache == "stale"

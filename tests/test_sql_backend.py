@@ -174,3 +174,33 @@ class TestRealParserLimit:
         with SqliteBackend(store) as backend:
             with pytest.raises(sqlite3.OperationalError):
                 backend.run(union)
+
+
+class TestWideFragments:
+    """An atom with more alternatives than one compound SELECT holds:
+    N classes under ``Top``, one instance each, and ``?x type Top .
+    ?x p ?y``."""
+
+    def _toy(self, classes):
+        graph = Graph()
+        for index in range(classes):
+            graph.add(Constraint.subclass(EX["C%d" % index], EX.Top).to_triple())
+            graph.add(Triple(EX["i%d" % index], RDF_TYPE, EX["C%d" % index]))
+            graph.add(Triple(EX["i%d" % index], EX.p, Literal(str(index))))
+        query = ConjunctiveQuery(
+            [x, y], [TriplePattern(x, RDF_TYPE, EX.Top), TriplePattern(x, EX.p, y)]
+        )
+        return graph, query
+
+    @pytest.mark.parametrize("strategy", ["ref-scq", "ref-gcov"])
+    def test_a_fragment_past_the_limit_is_built_in_chunks(self, strategy):
+        from repro.core import QueryAnswerer, Strategy
+        from repro.query.evaluation import evaluate
+        from repro.saturation import saturate
+
+        graph, query = self._toy(600)
+        oracle = evaluate(saturate(graph, Schema.from_graph(graph)), query)
+        assert len(oracle) == 600
+        for engine in ("columnar", "sqlite"):
+            answer = QueryAnswerer(graph, engine=engine).answer(query, Strategy(strategy))
+            assert answer.answer == oracle, engine
